@@ -35,7 +35,8 @@ class QueryRanking:
         sc = np.asarray(self.scores, dtype=np.float64)
         if idx.ndim != 1 or idx.shape != sc.shape:
             raise ValueError("indices and scores must be matching 1-d vectors")
-        if np.unique(idx).size != idx.size:
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate gallery index in ranking")
         idx.setflags(write=False)
         sc.setflags(write=False)
@@ -83,18 +84,24 @@ def rank(queries: FeatureMatrix, gallery: FeatureMatrix, manifest: DatasetManife
         )
     if queries.d != gallery.d:
         raise ValueError(f"dimension mismatch: {queries.d} vs {gallery.d}")
-    sims = cosine_between(queries.data, gallery.data)
+    return _ranked(-cosine_between(queries.data, gallery.data), query_recs, gallery_recs)
+
+
+def _ranked(dist: np.ndarray, query_recs, gallery_recs) -> RankingList:
+    """Per query row of ``dist``, the non-junk gallery by distance ascending,
+    ties by gallery index ascending, each scored by its negated distance."""
     g_ident = np.array([r.identity for r in gallery_recs])
     g_cam = np.array([r.camera for r in gallery_recs])
+    # a stable sort keeps equal distances in index order; dropping junk
+    # columns afterwards leaves the order of the others unchanged
+    orders = np.argsort(dist, axis=1, kind="stable")
     out = []
     for qi, rec in enumerate(query_recs):
         junk = (g_ident == rec.identity) & (g_cam == rec.camera)
-        valid = np.flatnonzero(~junk)
-        if valid.size == 0:
+        if junk.all():
             raise ValueError(f"query {rec.sample_id!r} has no valid gallery")
-        # primary key: score descending; ties: gallery index ascending
-        order = valid[np.lexsort((valid, -sims[qi, valid]))]
-        out.append(QueryRanking(qi, order, sims[qi, order]))
+        order = orders[qi][~junk[orders[qi]]]
+        out.append(QueryRanking(qi, order, -dist[qi, order]))
     return RankingList(tuple(out))
 
 
@@ -164,11 +171,31 @@ def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: Featur
     return RankingList(refined)
 
 
+def _stable_top(dist: np.ndarray, k: int) -> np.ndarray:
+    """First k+1 columns of each row's neighbour order: distance ascending,
+    index ascending on ties."""
+    n = dist.shape[0]
+    kth = np.partition(dist, k, axis=1)[:, k:k + 1]
+    # every column up to the (k+1)-th smallest distance, ties included, so
+    # that the index tie-break at the boundary is exact
+    rows, cols = np.nonzero(dist <= kth)
+    pick = np.lexsort((cols, dist[rows, cols], rows))
+    rows, cols = rows[pick], cols[pick]
+    rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
+    return cols[rank_in_row <= k].reshape(n, k + 1)
+
+
 def _k_reciprocal_sets(order: np.ndarray, k: int) -> list[set[int]]:
     """R(i, k): i's k-nearest neighbors j (self included) with i among j's."""
     n = order.shape[0]
     forward = [set(order[i, : k + 1].tolist()) for i in range(n)]
     return [{j for j in forward[i] if i in forward[j]} for i in range(n)]
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges ``starts[s] : starts[s] + lengths[s]``."""
+    ends = np.cumsum(lengths)
+    return np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
 
 
 def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
@@ -181,6 +208,11 @@ def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
     jaccard``; with lam=1 the ordering reduces to the plain cosine
     ranking.  Junk items are removed per query exactly as in
     :func:`rank`.
+
+    Encodings are sparse rows (Zhong et al., CVPR 2017) and the Jaccard
+    overlap runs through an inverted index over their columns, so beyond
+    the n x n distance matrix the cost is about O(n * k1**2) time and
+    memory.
     """
     if not k1 > k2 >= 1:
         raise ValueError(f"need k1 > k2 >= 1, got k1={k1}, k2={k2}")
@@ -195,38 +227,51 @@ def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
     dist = 1.0 - cosine_between(union, union)
     k1 = min(k1, n - 1)
     k2 = min(k2, k1)
-    # stable neighbor order: distance ascending, index ascending on ties
-    order = np.stack([np.lexsort((np.arange(n), dist[i])) for i in range(n)])
+    top = _stable_top(dist, k1)
 
-    recip = _k_reciprocal_sets(order, k1)
-    half = _k_reciprocal_sets(order, int(round(k1 / 2.0)))
-    encodings = np.zeros((n, n))
+    # sparse encodings: row i has weights[i] at its sorted columns members[i]
+    recip = _k_reciprocal_sets(top, k1)
+    half = _k_reciprocal_sets(top, int(round(k1 / 2.0)))
+    members, weights = [], []
     for i in range(n):
         expanded = set(recip[i])
-        for j in sorted(recip[i]):
+        for j in recip[i]:
             if len(half[j] & recip[i]) >= (2.0 / 3.0) * len(half[j]):
                 expanded |= half[j]
-        members = np.array(sorted(expanded))
-        weights = np.exp(-dist[i, members])
-        encodings[i, members] = weights / weights.sum()
+        cols = np.array(sorted(expanded), dtype=np.int64)
+        w = np.exp(-dist[i, cols])
+        members.append(cols)
+        weights.append(w / w.sum())
     if k2 > 1:
-        encodings = np.stack([encodings[order[i, :k2]].mean(axis=0) for i in range(n)])
+        # mean of the k2 nearest rows' encodings, added up in neighbour
+        # order in one dense row that is cleared after each use; weights
+        # are positive, so the non-zeros of the sum are its support
+        acc = np.zeros(n)
+        means = []
+        for near in top[:, :k2]:
+            for j in near:
+                acc[members[j]] += weights[j]
+            cols = np.flatnonzero(acc)
+            means.append((cols, acc[cols] / k2))
+            acc[cols] = 0.0
+        members, weights = zip(*means)
+    mass = np.array([w.sum() for w in weights])
 
-    jaccard = np.zeros((n_q, n - n_q))
+    # inverted index over the gallery encodings: column -> (gallery row, weight)
+    post_col = np.concatenate(members[n_q:])
+    by_col = np.argsort(post_col, kind="stable")
+    post_row = np.repeat(np.arange(n - n_q), [c.size for c in members[n_q:]])[by_col]
+    post_w = np.concatenate(weights[n_q:])[by_col]
+    col_ptr = np.searchsorted(post_col[by_col], np.arange(n + 1))
+    jaccard = np.empty((n_q, n - n_q))
     for qi in range(n_q):
-        minimum = np.minimum(encodings[qi][None, :], encodings[n_q:]).sum(axis=1)
-        maximum = np.maximum(encodings[qi][None, :], encodings[n_q:]).sum(axis=1)
-        jaccard[qi] = 1.0 - minimum / maximum
+        cols = members[qi]
+        counts = col_ptr[cols + 1] - col_ptr[cols]
+        hits = _segments(col_ptr[cols], counts)
+        w = np.repeat(weights[qi], counts)
+        overlap = np.bincount(post_row[hits], np.minimum(w, post_w[hits]), minlength=n - n_q)
+        # sum(max) = |a| + |b| - sum(min)
+        jaccard[qi] = 1.0 - overlap / (mass[qi] + mass[n_q:] - overlap)
 
     final = lam * dist[:n_q, n_q:] + (1.0 - lam) * jaccard
-    g_ident = np.array([r.identity for r in gallery_recs])
-    g_cam = np.array([r.camera for r in gallery_recs])
-    out = []
-    for qi, rec in enumerate(query_recs):
-        junk = (g_ident == rec.identity) & (g_cam == rec.camera)
-        valid = np.flatnonzero(~junk)
-        if valid.size == 0:
-            raise ValueError(f"query {rec.sample_id!r} has no valid gallery")
-        ordered = valid[np.lexsort((valid, final[qi, valid]))]
-        out.append(QueryRanking(qi, ordered, -final[qi, ordered]))
-    return RankingList(tuple(out))
+    return _ranked(final, query_recs, gallery_recs)

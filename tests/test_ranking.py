@@ -5,16 +5,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sftlab.data import DatasetManifest, FeatureMatrix, ManifestError, SampleRecord
+from sftlab.data import (
+    DatasetManifest,
+    FeatureMatrix,
+    ManifestError,
+    SampleRecord,
+    SyntheticSpec,
+    generate_synthetic,
+    hold_out_eval_split,
+    split_features,
+)
 from sftlab.ranking import (
     QueryRanking,
     RankingList,
+    _eval_records,
     evaluate,
     k_reciprocal_rerank,
     rank,
     refine_ranking,
     sft_refine,
 )
+from sftlab.transform import cosine_between
 
 
 def eval_manifest(query_specs, gallery_specs):
@@ -24,6 +35,18 @@ def eval_manifest(query_specs, gallery_specs):
     recs += [SampleRecord(f"g{i}", ident, cam, "gallery")
              for i, (ident, cam) in enumerate(gallery_specs)]
     return DatasetManifest(tuple(recs))
+
+
+class TestQueryRanking:
+    @pytest.mark.parametrize("indices", [[1, 1], [3, 0, 2, 0], [4, 1, 2, 3, 0, 1]])
+    def test_duplicate_index_rejected(self, indices):
+        with pytest.raises(ValueError, match="duplicate gallery index"):
+            QueryRanking(0, np.array(indices), np.zeros(len(indices)))
+
+    @pytest.mark.parametrize("indices", [[], [7], [3, 0, 2, 1]])
+    def test_distinct_indices_accepted(self, indices):
+        qr = QueryRanking(0, np.array(indices, dtype=np.int64), np.zeros(len(indices)))
+        assert qr.gallery_indices.tolist() == indices
 
 
 class TestRank:
@@ -372,3 +395,132 @@ class TestKReciprocal:
         manifest = eval_manifest([(0, 0)], [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)])
         rr = k_reciprocal_rerank(queries, gallery, manifest, k1=3, k2=2, lam=0.3)
         assert 0 not in rr.queries[0].gallery_indices  # same id, same camera
+
+
+# The dense implementation that the sparse one replaced, kept verbatim but for
+# its names as the reference: n x n encodings, per-row lexsort neighbour order
+# and a dense Jaccard loop.
+def reference_k_reciprocal_sets(order: np.ndarray, k: int) -> list[set[int]]:
+    """R(i, k): i's k-nearest neighbors j (self included) with i among j's."""
+    n = order.shape[0]
+    forward = [set(order[i, : k + 1].tolist()) for i in range(n)]
+    return [{j for j in forward[i] if i in forward[j]} for i in range(n)]
+
+
+def reference_k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
+                                  manifest: DatasetManifest, k1: int = 20, k2: int = 6,
+                                  lam: float = 0.3) -> RankingList:
+    """Re-rank with Jaccard distance over expanded k-reciprocal encodings.
+
+    Distances are computed on the union of query and gallery rows.  The
+    final per-pair distance is ``lam * (1 - cosine) + (1 - lam) *
+    jaccard``; with lam=1 the ordering reduces to the plain cosine
+    ranking.  Junk items are removed per query exactly as in
+    :func:`rank`.
+    """
+    if not k1 > k2 >= 1:
+        raise ValueError(f"need k1 > k2 >= 1, got k1={k1}, k2={k2}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    query_recs, gallery_recs = _eval_records(manifest)
+    if len(query_recs) != queries.n or len(gallery_recs) != gallery.n:
+        raise ValueError("feature row counts do not match manifest query/gallery records")
+    n_q = queries.n
+    union = np.vstack([queries.data, gallery.data])
+    n = union.shape[0]
+    dist = 1.0 - cosine_between(union, union)
+    k1 = min(k1, n - 1)
+    k2 = min(k2, k1)
+    # stable neighbor order: distance ascending, index ascending on ties
+    order = np.stack([np.lexsort((np.arange(n), dist[i])) for i in range(n)])
+
+    recip = reference_k_reciprocal_sets(order, k1)
+    half = reference_k_reciprocal_sets(order, int(round(k1 / 2.0)))
+    encodings = np.zeros((n, n))
+    for i in range(n):
+        expanded = set(recip[i])
+        for j in sorted(recip[i]):
+            if len(half[j] & recip[i]) >= (2.0 / 3.0) * len(half[j]):
+                expanded |= half[j]
+        members = np.array(sorted(expanded))
+        weights = np.exp(-dist[i, members])
+        encodings[i, members] = weights / weights.sum()
+    if k2 > 1:
+        encodings = np.stack([encodings[order[i, :k2]].mean(axis=0) for i in range(n)])
+
+    jaccard = np.zeros((n_q, n - n_q))
+    for qi in range(n_q):
+        minimum = np.minimum(encodings[qi][None, :], encodings[n_q:]).sum(axis=1)
+        maximum = np.maximum(encodings[qi][None, :], encodings[n_q:]).sum(axis=1)
+        jaccard[qi] = 1.0 - minimum / maximum
+
+    final = lam * dist[:n_q, n_q:] + (1.0 - lam) * jaccard
+    g_ident = np.array([r.identity for r in gallery_recs])
+    g_cam = np.array([r.camera for r in gallery_recs])
+    out = []
+    for qi, rec in enumerate(query_recs):
+        junk = (g_ident == rec.identity) & (g_cam == rec.camera)
+        valid = np.flatnonzero(~junk)
+        if valid.size == 0:
+            raise ValueError(f"query {rec.sample_id!r} has no valid gallery")
+        ordered = valid[np.lexsort((valid, final[qi, valid]))]
+        out.append(QueryRanking(qi, ordered, -final[qi, ordered]))
+    return RankingList(tuple(out))
+
+
+class TestKReciprocalMatchesDenseReference:
+    def assert_same(self, queries, gallery, manifest, **params):
+        got = k_reciprocal_rerank(queries, gallery, manifest, **params)
+        want = reference_k_reciprocal_rerank(queries, gallery, manifest, **params)
+        assert len(got) == len(want)
+        for a, b in zip(got.queries, want.queries):
+            assert a.query_index == b.query_index
+            np.testing.assert_array_equal(a.gallery_indices, b.gallery_indices)
+            np.testing.assert_allclose(a.scores, b.scores, rtol=0.0, atol=1e-12)
+
+    def test_gaussian_blobs(self):
+        spec = SyntheticSpec(num_identities=30, samples_per_identity=10, dim=32,
+                             intra_class_spread=0.15, topology="gaussian_blobs", seed=3)
+        features, manifest = generate_synthetic(spec)
+        manifest = hold_out_eval_split(manifest, 2, 8)
+        queries = split_features(features, manifest, "query")
+        gallery = split_features(features, manifest, "gallery")
+        assert queries.n + gallery.n == 300
+        self.assert_same(queries, gallery, manifest)
+
+    @staticmethod
+    def duplicate_rows():
+        rng = np.random.default_rng(21)
+        distinct = rng.normal(size=(8, 4))
+        gallery = np.repeat(distinct, 3, axis=0)  # every gallery row three times
+        return distinct[:4] + 0.3 * rng.normal(size=(4, 4)), gallery
+
+    @staticmethod
+    def mirror_images():
+        # queries on the plane z=0 are exactly as far from (x, y, z) as from
+        # (x, y, -z); the unmirrored rows make the two distinguishable, which
+        # exact duplicates never are, so the index tie-break decides the result
+        rng = np.random.default_rng(28)
+        pairs = rng.normal(size=(8, 3))
+        gallery = np.vstack([pairs, pairs * [1, 1, -1], rng.normal(size=(6, 3))])
+        return rng.normal(size=(4, 3)) * [1, 1, 0], gallery
+
+    @pytest.mark.parametrize("instance", ["duplicate_rows", "mirror_images"])
+    def test_distance_ties_at_neighbour_boundary(self, instance):
+        queries, gallery = getattr(self, instance)()
+        manifest = eval_manifest([(i, 0) for i in range(len(queries))],
+                                 [(i % len(queries), 1) for i in range(len(gallery))])
+        k1 = 4
+        union = np.vstack([queries, gallery])
+        dist = np.sort(1.0 - cosine_between(union, union), axis=1)
+        # the (k1+1)-th and (k1+2)-th nearest neighbours tie for some rows
+        assert np.any(dist[:, k1] == dist[:, k1 + 1])
+        for lam in (0.0, 0.3):
+            self.assert_same(FeatureMatrix(queries), FeatureMatrix(gallery), manifest,
+                             k1=k1, k2=2, lam=lam)
+
+    def test_k1_clamped_to_union_size(self):
+        rng = np.random.default_rng(22)
+        manifest = eval_manifest([(0, 0)], [(0, 1), (1, 1)])
+        self.assert_same(FeatureMatrix(rng.normal(size=(1, 3))),
+                         FeatureMatrix(rng.normal(size=(2, 3))), manifest, k1=5, k2=3)
