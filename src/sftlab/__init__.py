@@ -23,6 +23,7 @@ from .data import (
 )
 from .graphcut import (
     RandomWalkStats,
+    class_ncut_escape,
     cut,
     escape_probability,
     ncut,

@@ -3,7 +3,7 @@
 Subcommands: gen, train, transform, rank, eval, refine, diagnose,
 experiment.  All randomness is controlled by explicit seeds, so every
 command is reproducible: same flags, same bytes out.  Usage errors exit
-with 2 (argparse), data errors with 1.
+with 2 (argparse), data and arithmetic errors with 1.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .data import (
     save_manifest,
     split_features,
 )
-from .graphcut import escape_probability, ncut_escape_identity_check
+from .graphcut import class_ncut_escape
 from .ranking import QueryRanking, RankingList, evaluate, rank, refine_ranking
 from .training import TrainConfig, load_train_config, train
-from .transform import affinity, sft_transform
+from .transform import AffinityMatrix, _check_sigma, cosine_matrix, sft_transform
 
 TOPOLOGY_ALIASES = {
     "blobs": "gaussian_blobs",
@@ -246,14 +246,18 @@ def cmd_diagnose(args) -> int:
         raise ManifestError("diagnostics need at least 2 identities")
     class_of = {ident: c for c, ident in enumerate(identities)}
     part = Partition(np.array([class_of[rec.identity] for rec in manifest.records]))
-    w = affinity(features, args.sigma)
-    residual = 0.0
-    for ident in identities:
-        label = class_of[ident]
-        escape = escape_probability(w, part, label)
-        two_sided, escape_sum = ncut_escape_identity_check(w, part, label)
-        residual = max(residual, abs(two_sided - escape_sum))
-        print(f"identity {ident}: escape_probability={escape:.6f} ncut={two_sided:.6f}")
+    sigma = _check_sigma(args.sigma)
+    # Every printed quantity is a ratio of edge sums, so the common factor
+    # exp(-1/sigma) cancels; dropping it keeps exp(cos/sigma) from
+    # overflowing at small sigma.
+    weights = cosine_matrix(features.data)
+    weights -= 1.0
+    weights /= sigma
+    np.exp(weights, out=weights)
+    ncuts, escapes, escapes_rest = class_ncut_escape(AffinityMatrix(weights, sigma), part)
+    for ident, value, escape in zip(identities, ncuts, escapes):
+        print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
+    residual = float(np.abs(ncuts - (escapes + escapes_rest)).max())
     print(f"max_ncut_identity_residual={residual:.6e}")
     return 0
 
@@ -394,6 +398,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FeatureFileError, ManifestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # e.g. a float overflow at a tiny sigma
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -83,41 +83,81 @@ def stationary(w: AffinityMatrix) -> RandomWalkStats:
     return RandomWalkStats(degrees / total, total)
 
 
-def _escape(w: AffinityMatrix, mask: np.ndarray) -> float:
-    """One-step probability of leaving `mask` at stationarity.
+_CHUNK_ROWS = 256
 
-    Evaluated literally as sum(pi_i T_ij) over exits divided by the
-    subset's stationary mass; the algebraically equal cut/volume route is
-    kept to the tests as an independent check.
+
+def class_ncut_escape(w: AffinityMatrix, part: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ncut, escape(c -> rest), escape(rest -> c)) for every class c at once.
+
+    The two sides of the identity ncut = escape + escape_rest are computed
+    along different arithmetic routes, so their difference is a genuine
+    floating-point consistency diagnostic:
+
+    * ncut from the class block sums of raw W (one ``W @ onehot``):
+      cross(c) / vol(c) + cross(c) / vol(rest);
+    * the escapes literally as sum(pi_i T_ij) over exits divided by the
+      subset's stationary mass, with T = D^-1 W built ``_CHUNK_ROWS`` rows
+      at a time, never as a full n x n array.
+
+    One pass over W for the degrees plus two n x C products.  A class that
+    is empty, covers the whole graph or has no edge weight on one side
+    gets NaN; zero-degree nodes elsewhere leave its values finite.
     """
-    comp = ~mask
+    if part.n != w.n:
+        raise ValueError(f"partition covers {part.n} nodes, graph has {w.n}")
+    onehot = (part.labels[:, None] == np.arange(part.num_classes)).astype(np.float64)
+    outside = 1.0 - onehot
     degrees = w.data.sum(axis=1)
-    if degrees[mask].min() <= 0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # row i's weight into classes other than its own, summed without
+        # the cancellation of degree - inside
+        exits = ((w.data @ onehot) * outside).sum(axis=1)
+        cross = exits @ onehot
+        ncut_all = cross / (degrees @ onehot) + cross / (degrees @ outside)
+
+        pi = degrees / degrees.sum()
+        divisor = np.where(degrees > 0, degrees, 1.0)  # zero-degree rows stay zero
+        leaving = np.empty(w.n)
+        entering = np.zeros(part.num_classes)
+        for lo in range(0, w.n, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            mass = ((w.data[rows] / divisor[rows, None]) @ onehot) * outside[rows]
+            leaving[rows] = mass.sum(axis=1)
+            entering += pi[rows] @ mass
+        escape = ((pi * leaving) @ onehot) / (pi @ onehot)
+        escape_rest = entering / (pi @ outside)
+    return ncut_all, escape, escape_rest
+
+
+def _class_with_complement(w: AffinityMatrix, part: Partition, a: int) -> np.ndarray:
+    mask = _class_mask(w, part, a)
+    if mask.all():
+        raise ValueError(f"class {a} covers the whole graph, complement empty")
+    return mask
+
+
+def _require_positive_degrees(rows: np.ndarray) -> None:
+    if rows.sum(axis=1).min() <= 0:
         raise ValueError("subset contains an isolated zero-degree node")
-    pi = degrees / degrees.sum()
-    trans_rows = w.data[mask, :] / degrees[mask, None]
-    numer = float((pi[mask, None] * trans_rows[:, comp]).sum())
-    denom = float(pi[mask].sum())
-    return numer / denom
 
 
 def escape_probability(w: AffinityMatrix, part: Partition, a: int) -> float:
-    mask = _class_mask(w, part, a)
-    if not (~mask).any():
-        raise ValueError(f"class {a} covers the whole graph, complement empty")
-    return _escape(w, mask)
+    """One-step probability of leaving class `a` at stationarity."""
+    mask = _class_with_complement(w, part, a)
+    _require_positive_degrees(w.data[mask])
+    return float(class_ncut_escape(w, part)[1][a])
 
 
 def ncut_escape_identity_check(w: AffinityMatrix, part: Partition, a: int) -> tuple[float, float]:
     """(ncut value, escape(A->comp) + escape(comp->A)); must agree.
 
-    The two sides are computed along different arithmetic routes, so the
-    returned pair is a genuine floating-point consistency diagnostic.
+    Both sides come from :func:`class_ncut_escape`, whose two arithmetic
+    routes make the returned pair a genuine consistency diagnostic.
     """
-    mask = _class_mask(w, part, a)
-    if not (~mask).any():
-        raise ValueError(f"class {a} covers the whole graph, complement empty")
-    return ncut(w, part, a), _escape(w, mask) + _escape(w, ~mask)
+    _class_with_complement(w, part, a)
+    _require_positive_degrees(w.data)  # A and its complement together
+    value, escape, escape_rest = (float(v[a]) for v in class_ncut_escape(w, part))
+    return value, escape + escape_rest
 
 
 def ncut_loss(x: FeatureMatrix, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix]:

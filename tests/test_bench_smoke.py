@@ -1,8 +1,11 @@
-"""The benchmark's retrieval workload, at its tiny size, passes its own checks.
+"""The benchmark's retrieval and graph workloads, at their tiny size, pass
+their own checks.
 
-This runs one pass of ``perfbench/workloads.py``'s ``Retrieval`` in-process
+Each test runs one pass of a ``perfbench/workloads.py`` workload in-process
 so that tier-1 catches a change that breaks the benchmark's correctness
-checks without running the full ``perfbench/run.py --self-check``.
+checks without running the full ``perfbench/run.py --self-check``.  The
+graph workload checks ``sftlab diagnose``'s escape probabilities and
+``sftlab transform``'s output against its own independent oracle.
 """
 
 import importlib.util
@@ -20,9 +23,17 @@ def load_workloads():
     return module
 
 
-def test_tiny_retrieval_pass_checks_clean(tmp_path):
-    workload = load_workloads().Retrieval(1, tmp_path, tiny=True)
+def check_tiny_pass(name, tmp_path):
+    workload = load_workloads().WORKLOADS[name](1, tmp_path, tiny=True)
     outcome = workload.check(workload.run())
     assert outcome.ops > 0
     assert outcome.failed == 0, outcome.problems
     assert outcome.digest
+
+
+def test_tiny_retrieval_pass_checks_clean(tmp_path):
+    check_tiny_pass("retrieval", tmp_path)
+
+
+def test_tiny_graph_pass_checks_clean(tmp_path):
+    check_tiny_pass("graph", tmp_path)

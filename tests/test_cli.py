@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ class TestDiagnose:
         assert float(match.group(1)) < 1e-12
 
 
+    def test_small_sigma_stays_finite(self, dataset, capsys):
+        feats, manifest = dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow on the way
+            assert run("diagnose", "--features", feats, "--manifest", manifest,
+                       "--sigma", "0.001") == 0
+        out = capsys.readouterr().out
+        escapes = [float(v) for v in re.findall(r"escape_probability=(\S+)", out)]
+        assert len(escapes) == 6
+        assert all(0.0 <= e <= 1.0 for e in escapes)
+        match = re.search(r"max_ncut_identity_residual=([0-9.e+-]+)", out)
+        assert float(match.group(1)) < 1e-12
+
+    def test_nonpositive_sigma_rejected(self, dataset, capsys):
+        feats, manifest = dataset
+        assert run("diagnose", "--features", feats, "--manifest", manifest,
+                   "--sigma", "0") == 1
+        assert "sigma must be positive" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -156,6 +177,17 @@ class TestErrors:
         manifest.write_text("sample_id\tidentity\tcamera\tsplit\na\t0\t0\ttrain\n")
         assert run("diagnose", "--features", bad, "--manifest", manifest) == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_arithmetic_error_exits_1(self, dataset, capsys):
+        feats, manifest = dataset
+        # exp(cos / 0.002) overflows the ncut loss's volume squared
+        assert run("train", "--features", feats, "--manifest", manifest,
+                   "--objective", "ncut", "--sigma", "0.002", "--epochs", 1,
+                   "--p", 3, "--k", 4, "--hidden-dim", 16, "--embed-dim", 8) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestExperimentCommand:

@@ -7,6 +7,7 @@ from conftest import central_diff, rel_error
 from sftlab.data import FeatureMatrix, Partition
 from sftlab.graphcut import (
     affinity_class_means,
+    class_ncut_escape,
     cut,
     escape_probability,
     ncut,
@@ -33,6 +34,29 @@ def block_diagonal():
     w[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     w[2:, 2:] = [[3.0, 0.5], [0.5, 3.0]]
     return AffinityMatrix(w, 1.0), Partition(np.array([0, 0, 1, 1]))
+
+
+def two_node_uniform():
+    return AffinityMatrix(np.full((2, 2), 0.7), 1.0), Partition(np.array([0, 1]))
+
+
+def exp_cosine_graph():
+    x = np.random.default_rng(11).normal(size=(12, 5))
+    return affinity(FeatureMatrix(x), 0.5), Partition(np.arange(12) % 4)
+
+
+def singleton_class():
+    w, _ = random_graph(12, 9)
+    return w, Partition(np.array([2, 0, 1, 0, 1, 1, 0, 1, 1]))
+
+
+def isolated_node():
+    """Node 0 (in class 0) has no edge weight at all."""
+    w, part = random_graph(13, 6)
+    data = w.data.copy()
+    data[0, :] = 0.0
+    data[:, 0] = 0.0
+    return AffinityMatrix(data, 1.0), part
 
 
 def brute_cut(w, labels, a, b):
@@ -111,8 +135,7 @@ class TestNcut:
         assert ncut(w, part, 0) == 0.0
 
     def test_two_node_uniform(self):
-        w = AffinityMatrix(np.full((2, 2), 0.7), 1.0)
-        part = Partition(np.array([0, 1]))
+        w, part = two_node_uniform()
         # cut = c, each volume = 2c, so the two normalized terms sum to 1
         assert abs(ncut(w, part, 0) - 1.0) < 1e-15
 
@@ -178,8 +201,7 @@ class TestEscapeProbability:
         assert escape_probability(w, part, 0) == 0.0
 
     def test_two_node_uniform(self):
-        w = AffinityMatrix(np.full((2, 2), 0.7), 1.0)
-        part = Partition(np.array([0, 1]))
+        w, part = two_node_uniform()
         assert abs(escape_probability(w, part, 0) - 0.5) < 1e-15
 
     def test_dual_path_oracle(self):
@@ -210,6 +232,84 @@ class TestNcutEscapeIdentity:
         for c in range(3):
             left, right = ncut_escape_identity_check(w, part, c)
             assert abs(left - right) < 1e-12
+
+
+KERNEL_GRAPHS = {
+    "exp_cosine": exp_cosine_graph,
+    "block_diagonal": block_diagonal,
+    "two_node_uniform": two_node_uniform,
+    "singleton_class": singleton_class,
+}
+
+
+class TestClassNcutEscape:
+    @pytest.mark.parametrize("make", KERNEL_GRAPHS.values(), ids=KERNEL_GRAPHS)
+    def test_matches_per_class_oracles(self, make):
+        w, part = make()
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+        for c in range(part.num_classes):
+            rest = np.where(part.labels == c, 1, 0)
+            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
+            assert abs(escapes[c] - brute_escape(w.data, part.labels, c)) < 1e-12
+            assert abs(escapes_rest[c] - brute_escape(w.data, rest, 0)) < 1e-12
+            assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
+            assert escape_probability(w, part, c) == escapes[c]
+
+    def test_several_row_chunks(self):
+        # 600 rows: two full chunks of transition rows and a partial one
+        x = np.random.default_rng(15).normal(size=(600, 8))
+        w = affinity(FeatureMatrix(x), 0.3)
+        part = Partition(np.arange(600) % 5)
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+        for c in range(5):
+            side = Partition(np.where(part.labels == c, 0, 1))
+            across = cut(w, side, 0, 1)
+            assert abs(escapes[c] - across / volume(w, side, 0)) < 1e-12
+            assert abs(escapes_rest[c] - across / volume(w, side, 1)) < 1e-12
+            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
+
+    def test_isolated_node_leaves_results_finite(self):
+        w, part = isolated_node()
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+        for values in (ncuts, escapes, escapes_rest):
+            assert np.all(np.isfinite(values))
+        assert abs(escapes[1] - brute_escape(w.data, part.labels, 1)) < 1e-12
+        assert abs(escape_probability(w, part, 1) - escapes[1]) < 1e-15
+        for c in range(2):
+            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
+            assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
+
+    def test_undefined_classes_are_nan(self):
+        w = AffinityMatrix(np.ones((3, 3)), 1.0)
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, Partition(np.zeros(3, dtype=int), 2))
+        # class 0 covers the graph, class 1 is empty
+        assert np.isnan(ncuts).all() and np.isnan(escapes_rest[0]) and np.isnan(escapes[1])
+
+    @pytest.mark.parametrize("func", [escape_probability, ncut_escape_identity_check])
+    @pytest.mark.parametrize("case, message", [
+        ("out_of_range", "out of range"),
+        ("empty", "is empty"),
+        ("whole_graph", "covers the whole graph"),
+        ("isolated_inside", "zero-degree"),
+    ])
+    def test_per_class_errors(self, func, case, message):
+        w, part = random_graph(14, 5)
+        a = 0
+        if case == "out_of_range":
+            a = part.num_classes
+        elif case == "empty":
+            part, a = Partition(part.labels, num_classes=3), 2
+        elif case == "whole_graph":
+            part = Partition(np.zeros(5, dtype=int), num_classes=1)
+        else:
+            w, part = isolated_node()
+        with pytest.raises(ValueError, match=message):
+            func(w, part, a)
+
+    def test_identity_check_rejects_isolated_node_in_complement(self):
+        w, part = isolated_node()
+        with pytest.raises(ValueError, match="zero-degree"):
+            ncut_escape_identity_check(w, part, 1)
 
 
 class TestNcutLoss:
