@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,16 @@ class DatasetManifest:
 
     def subset(self, split: str) -> list[SampleRecord]:
         return [rec for rec in self.records if rec.split == split]
+
+    @cached_property
+    def train_groups(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(identity, its train row indices) per train identity, identities
+        ascending and rows in manifest order; built once per manifest."""
+        by_identity: dict[int, list[int]] = {}
+        for i, rec in enumerate(self.records):
+            if rec.split == "train":
+                by_identity.setdefault(rec.identity, []).append(i)
+        return tuple((ident, tuple(by_identity[ident])) for ident in sorted(by_identity))
 
 
 def check_paired(features: FeatureMatrix, manifest: DatasetManifest) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureMatrix, Partition
-from .transform import AffinityMatrix, _check_sigma, row_norms
+from .transform import AffinityMatrix, _check_sigma, _unit_backward, row_norms
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def ncut_loss(x: FeatureMatrix, labels: Partition, sigma: float) -> tuple[float,
     sigma = _check_sigma(sigma)
     if labels.n != x.n:
         raise ValueError(f"labels cover {labels.n} samples, features have {x.n}")
-    present = np.unique(labels.labels)
+    present, row_class, counts = np.unique(labels.labels, return_inverse=True, return_counts=True)
     if present.size < 2:
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
@@ -179,23 +179,30 @@ def ncut_loss(x: FeatureMatrix, labels: Partition, sigma: float) -> tuple[float,
     cos = np.clip(unit @ unit.T, -1.0, 1.0)
     weights = np.exp(cos / sigma)
 
+    # Rows regrouped by class, stably: each class is one contiguous block
+    # holding the same values in the same order as weights[mask, :], and
+    # compress() keeps its off-class columns C-contiguous, so both sums run
+    # over the same values in the same order as the per-mask ones.
+    by_class = weights[np.argsort(row_class, kind="stable")]
+    ends = np.cumsum(counts)
     loss = 0.0
-    grad_w = np.zeros_like(weights)
-    for label in present:
-        mask = labels.labels == label
-        comp = ~mask
-        cross = float(weights[np.ix_(mask, comp)].sum())
-        vol = float(weights[mask, :].sum())
+    inv_vol = np.empty(present.size)
+    penalty = np.empty(present.size)
+    for c, label in enumerate(present):
+        block = by_class[ends[c] - counts[c]:ends[c]]
+        cross = float(block.compress(labels.labels != label, axis=1).sum())
+        vol = float(block.sum())
         loss += cross / vol
-        # d(cross/vol)/dw_ij = [i in c][j not in c]/vol - cross*[i in c]/vol^2
-        grad_w[np.ix_(mask, comp)] += 1.0 / vol
-        grad_w[mask, :] -= cross / vol**2
+        inv_vol[c] = 1.0 / vol
+        penalty[c] = cross / vol**2
 
+    # d(cross/vol)/dw_ij = [i in c][j not in c]/vol - cross*[i in c]/vol^2;
+    # every row lies in exactly one class c
+    outside = row_class[:, None] != row_class[None, :]
+    grad_w = np.where(outside, inv_vol[row_class][:, None], 0.0) - penalty[row_class][:, None]
     grad_cos = grad_w * weights / sigma
     grad_unit = (grad_cos + grad_cos.T) @ unit
-    radial = np.einsum("ij,ij->i", grad_unit, unit)
-    grad_x = (grad_unit - radial[:, None] * unit) / norms[:, None]
-    return loss, FeatureMatrix(grad_x)
+    return loss, FeatureMatrix(_unit_backward(grad_unit, unit, norms))
 
 
 def affinity_class_means(w: AffinityMatrix, labels: Partition) -> tuple[float, float]:

@@ -37,10 +37,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** with splitmix64 seeding, pure-Python 64-bit arithmetic."""
 
@@ -53,15 +49,17 @@ class Xoshiro256StarStar:
         self._s = state
 
     def next_u64(self) -> int:
+        # rotl(x, k) written out as ((x << k) | (x >> (64 - k))) & _MASK64
         s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+        s0, s1, s2, s3 = s
+        scrambled = (s1 * 5) & _MASK64
+        result = ((((scrambled << 7) | (scrambled >> 57)) & _MASK64) * 9) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s[0] = s0 ^ s3
+        s[1] = s1 ^ s2
+        s[2] = s2 ^ ((s1 << 17) & _MASK64)
+        s[3] = ((s3 << 45) | (s3 >> 19)) & _MASK64
         return result
 
     def random(self) -> float:

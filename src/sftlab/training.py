@@ -22,7 +22,15 @@ import numpy as np
 from .data import DatasetManifest, FeatureMatrix, Partition, SyntheticSpec, check_paired, generate_synthetic
 from .graphcut import affinity_class_means, ncut_loss
 from .rng import Xoshiro256StarStar
-from .transform import affinity, row_norms, sft_backward, sft_transform_array
+from .transform import (
+    _check_sigma,
+    _sft_backward,
+    _transition_from_features,
+    _unit_backward,
+    affinity,
+    row_norms,
+    sft_transform_array,
+)
 
 DEEP_SUPERVISION_MODES = ("off", "shared", "unshared")
 OBJECTIVES = ("sft", "ncut")
@@ -163,11 +171,7 @@ class EmbedModel:
     def backward(self, cache: tuple, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Parameter gradients [(dW, db), ...] matching the layer order."""
         x, pre, act, norms, out = cache
-        if self.normalize_output:
-            radial = np.einsum("ij,ij->i", grad_out, out)
-            grad_raw = (grad_out - radial[:, None] * out) / norms[:, None]
-        else:
-            grad_raw = grad_out
+        grad_raw = _unit_backward(grad_out, out, norms) if self.normalize_output else grad_out
         if len(self.weights) == 2:
             grad_w1 = act.T @ grad_raw
             grad_b1 = grad_raw.sum(axis=0)
@@ -211,32 +215,54 @@ def _as_labels(labels) -> np.ndarray:
     return labels.labels if isinstance(labels, Partition) else np.asarray(labels, dtype=np.int64)
 
 
-def _am_softmax_parts(x: np.ndarray, y: np.ndarray, clf: AmSoftmaxClassifier):
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} samples")
-    if y.min() < 0 or y.max() >= clf.num_classes:
+def _check_labels(y: np.ndarray, n: int, num_classes: int) -> None:
+    if y.shape != (n,):
+        raise ValueError(f"labels shape {y.shape} does not match {n} samples")
+    if y.min() < 0 or y.max() >= num_classes:
         raise ValueError(
-            f"label {int(y.max() if y.max() >= clf.num_classes else y.min())} "
-            f"out of range for {clf.num_classes} classes"
+            f"label {int(y.max() if y.max() >= num_classes else y.min())} "
+            f"out of range for {num_classes} classes"
         )
+
+
+def _unit_classifier(clf: AmSoftmaxClassifier) -> tuple[np.ndarray, np.ndarray]:
+    """(unit classifier rows, their norms)."""
+    w_norms = row_norms(clf.weight)
+    return clf.weight / w_norms[:, None], w_norms
+
+
+def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, clf: AmSoftmaxClassifier):
+    """Forward pass on raw rows x and valid labels y against unit classifier rows."""
     feat_norms = row_norms(x)
     feat = x / feat_norms[:, None]
-    w_norms = row_norms(clf.weight)
-    w_unit = clf.weight / w_norms[:, None]
     cos = feat @ w_unit.T
     logits = clf.scale * cos
     rows = np.arange(x.shape[0])
-    logits[rows, y] = clf.scale * (cos[rows, y] - clf.margin)
+    target = clf.scale * (cos[rows, y] - clf.margin)
+    logits[rows, y] = target
     zmax = logits.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    losses = lse - logits[rows, y]
-    return feat, feat_norms, w_unit, w_norms, cos, logits, lse, float(losses.mean())
+    return feat, feat_norms, logits, lse, float((lse - target).mean())
+
+
+def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, w_norms: np.ndarray,
+                     clf: AmSoftmaxClassifier) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, d loss / d x, d loss / d classifier weight) for valid labels."""
+    feat, feat_norms, logits, lse, loss = _am_softmax_parts(x, y, w_unit, clf)
+    n = x.shape[0]
+    grad_logits = np.exp(logits - lse[:, None])
+    grad_logits[np.arange(n), y] -= 1.0
+    grad_cos = clf.scale * grad_logits / n
+    grad_x = _unit_backward(grad_cos @ w_unit, feat, feat_norms)
+    grad_w = _unit_backward(grad_cos.T @ feat, w_unit, w_norms)
+    return loss, grad_x, grad_w
 
 
 def am_softmax_value(features, labels, clf: AmSoftmaxClassifier) -> float:
     """Forward-only loss value (used for logging and finite differences)."""
     x, y = _as_array(features), _as_labels(labels)
-    return _am_softmax_parts(x, y, clf)[-1]
+    _check_labels(y, x.shape[0], clf.num_classes)
+    return _am_softmax_parts(x, y, _unit_classifier(clf)[0], clf)[-1]
 
 
 def am_softmax_loss(features, labels, clf: AmSoftmaxClassifier):
@@ -248,19 +274,8 @@ def am_softmax_loss(features, labels, clf: AmSoftmaxClassifier):
     """
     wrapped = isinstance(features, FeatureMatrix)
     x, y = _as_array(features), _as_labels(labels)
-    feat, feat_norms, w_unit, w_norms, cos, logits, lse, loss = _am_softmax_parts(x, y, clf)
-    n = x.shape[0]
-    rows = np.arange(n)
-    probs = np.exp(logits - lse[:, None])
-    grad_logits = probs
-    grad_logits[rows, y] -= 1.0
-    grad_cos = clf.scale * grad_logits / n
-    grad_feat = grad_cos @ w_unit
-    grad_wunit = grad_cos.T @ feat
-    radial_f = np.einsum("ij,ij->i", grad_feat, feat)
-    grad_x = (grad_feat - radial_f[:, None] * feat) / feat_norms[:, None]
-    radial_w = np.einsum("ij,ij->i", grad_wunit, w_unit)
-    grad_w = (grad_wunit - radial_w[:, None] * w_unit) / w_norms[:, None]
+    _check_labels(y, x.shape[0], clf.num_classes)
+    loss, grad_x, grad_w = _am_softmax_grad(x, y, *_unit_classifier(clf), clf)
     if wrapped:
         return loss, FeatureMatrix(grad_x), grad_w
     return loss, grad_x, grad_w
@@ -289,22 +304,17 @@ def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar
     identity, rows are drawn without replacement when it has at least k
     samples and with replacement otherwise.
     """
-    by_identity: dict[int, list[int]] = {}
-    for i, rec in enumerate(manifest.records):
-        if rec.split == "train":
-            by_identity.setdefault(rec.identity, []).append(i)
-    identities = sorted(by_identity)
-    if len(identities) < p:
-        raise ValueError(f"need {p} train identities, manifest has {len(identities)}")
-    chosen = [identities[pos] for pos in rng.sample(len(identities), p)]
+    groups = manifest.train_groups
+    if len(groups) < p:
+        raise ValueError(f"need {p} train identities, manifest has {len(groups)}")
     indices, labels = [], []
-    for ident in chosen:
-        rows = by_identity[ident]
+    for pos in rng.sample(len(groups), p):
+        ident, rows = groups[pos]
         if len(rows) >= k:
             picks = rng.sample(len(rows), k)
         else:
             picks = [rng.randrange(len(rows)) for _ in range(k)]
-        indices.extend(rows[j] for j in picks)
+        indices.extend([rows[j] for j in picks])
         labels.extend([ident] * k)
     return PKBatch(np.array(indices), np.array(labels))
 
@@ -343,40 +353,55 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     objective); loss_orig is the classifier loss on the untransformed
     embedding, which contributes gradient only when deep supervision is
     on (it is still reported otherwise, for the log).
+
+    Each piece of work runs once: the transform's forward pass feeds its
+    backward pass, and the margin softmax runs once per distinct (input,
+    classifier) pair, so without the transform the embedding's loss is
+    the transformed one.
     """
     labels = _as_labels(labels)
     emb, cache = model.forward(np.asarray(x, dtype=np.float64))
+    _check_labels(labels, emb.shape[0], clf.num_classes)
+    w_unit, w_norms = _unit_classifier(clf)
 
     if cfg.objective == "ncut":
         graph_loss, grad_emb_graph = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
-        ce_loss, grad_emb_ce, grad_clf = am_softmax_loss(emb, labels, clf)
+        ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_unit, w_norms, clf)
         grad_emb = grad_emb_graph.data + cfg.ncut_ce_weight * grad_emb_ce
         grads = Grads(model.backward(cache, grad_emb), cfg.ncut_ce_weight * grad_clf)
         return ce_loss, graph_loss, grads
 
-    z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
-    loss_sft, grad_z, grad_clf_sft = am_softmax_loss(z, labels, clf)
+    mode = cfg.deep_supervision
+    if mode == "unshared":
+        if clf_orig is None:
+            raise ValueError("unshared deep supervision needs the second classifier")
+        _check_labels(labels, emb.shape[0], clf_orig.num_classes)
     if cfg.use_sft:
-        grad_emb = sft_backward(emb, cfg.sigma, grad_z, cfg.grad_through_transition)
+        sigma = _check_sigma(cfg.sigma)
+        forward = _transition_from_features(emb, sigma)
+        z = forward[2] @ emb
+    else:
+        z = emb
+    on_z = _am_softmax_grad(z, labels, w_unit, w_norms, clf)
+    loss_sft, grad_z, grad_clf = on_z
+    if cfg.use_sft:
+        grad_emb = _sft_backward(emb, sigma, grad_z, forward, cfg.grad_through_transition)
     else:
         grad_emb = grad_z
 
-    mode = cfg.deep_supervision
     weight = cfg.deep_supervision_weight
     clf_grad_orig = None
     if mode == "off":
-        loss_orig = am_softmax_value(emb, labels, clf)
-        grad_clf = grad_clf_sft
+        loss_orig = loss_sft if z is emb else _am_softmax_parts(emb, labels, w_unit, clf)[-1]
     elif mode == "shared":
-        loss_orig, grad_emb_orig, grad_clf_orig_path = am_softmax_loss(emb, labels, clf)
+        on_emb = on_z if z is emb else _am_softmax_grad(emb, labels, w_unit, w_norms, clf)
+        loss_orig, grad_emb_orig, grad_clf_orig_path = on_emb
         grad_emb = grad_emb + weight * grad_emb_orig
-        grad_clf = grad_clf_sft + weight * grad_clf_orig_path
+        grad_clf = grad_clf + weight * grad_clf_orig_path
     else:
-        if clf_orig is None:
-            raise ValueError("unshared deep supervision needs the second classifier")
-        loss_orig, grad_emb_orig, grad_unshared = am_softmax_loss(emb, labels, clf_orig)
+        loss_orig, grad_emb_orig, grad_unshared = _am_softmax_grad(
+            emb, labels, *_unit_classifier(clf_orig), clf_orig)
         grad_emb = grad_emb + weight * grad_emb_orig
-        grad_clf = grad_clf_sft
         clf_grad_orig = weight * grad_unshared
     return loss_orig, loss_sft, Grads(model.backward(cache, grad_emb), grad_clf, clf_grad_orig)
 
@@ -407,22 +432,34 @@ def train(features, manifest: DatasetManifest | None, cfg: TrainConfig) -> Train
     train_idx = manifest.indices("train")
     if not train_idx:
         raise ValueError("manifest has no train rows")
-    identities = sorted({manifest.records[i].identity for i in train_idx})
-    if len(identities) < 2:
+    groups = manifest.train_groups
+    if len(groups) < 2:
         raise ValueError("training needs at least 2 identities")
-    class_of = {ident: c for c, ident in enumerate(identities)}
+    # class id of every train row: its identity's rank among train identities
+    class_ids = np.zeros(len(manifest), dtype=np.int64)
+    for c, (_, rows) in enumerate(groups):
+        class_ids[list(rows)] = c
 
     rng = Xoshiro256StarStar(cfg.seed)
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-    clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+    clf = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, cfg.margin, cfg.scale)
     clf_orig = None
     if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
-        clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+        clf_orig = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, cfg.margin, cfg.scale)
 
-    params = [w for w in model.weights] + [b for b in model.biases] + [clf.weight]
-    if clf_orig is not None:
-        params.append(clf_orig.weight)
-    velocity = [np.zeros_like(p) for p in params]
+    # every parameter becomes a view into one flat buffer, so the momentum
+    # update is a few whole-buffer ufunc calls
+    layers = len(model.weights)
+    classifiers = [clf] if clf_orig is None else [clf, clf_orig]
+    arrays = model.weights + model.biases + [c.weight for c in classifiers]
+    params = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    views = [params[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    model.weights, model.biases = views[:layers], views[layers:2 * layers]
+    for c, view in zip(classifiers, views[2 * layers:]):
+        c.weight = view
+    velocity = np.zeros_like(params)
+    step = np.empty_like(params)
 
     batches = cfg.batches_per_epoch or max(1, len(train_idx) // (cfg.p * cfg.k))
     log: list[str] = []
@@ -433,26 +470,25 @@ def train(features, manifest: DatasetManifest | None, cfg: TrainConfig) -> Train
         for _ in range(batches):
             batch = sample_pk(manifest, cfg.p, cfg.k, rng)
             x = features.data[batch.indices]
-            y = np.array([class_of[i] for i in batch.identities])
+            y = class_ids[batch.indices]
             loss_orig, loss_sft, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
             sum_orig += loss_orig
             sum_sft += loss_sft
-            flat = (
-                [gw for gw, _ in grads.model]
-                + [gb for _, gb in grads.model]
-                + [grads.clf]
-                + ([grads.clf_orig] if clf_orig is not None else [])
-            )
-            for param, vel, grad in zip(params, velocity, flat):
-                vel *= cfg.momentum
-                vel -= lr * grad
-                param += vel
+            flat = [gw for gw, _ in grads.model] + [gb for _, gb in grads.model] + [grads.clf]
+            if clf_orig is not None:
+                flat.append(grads.clf_orig)
+            np.concatenate([g.ravel() for g in flat], out=step)
+            step *= lr
+            velocity *= cfg.momentum
+            velocity -= step
+            params += velocity
         line = f"{epoch}\t{lr:.12g}\t{sum_orig / batches:.12g}\t{sum_sft / batches:.12g}"
         if cfg.diagnostics:
             emb = model.embed(features.data[train_idx])
-            labels = Partition(np.array([class_of[manifest.records[i].identity] for i in train_idx]))
+            labels = Partition(class_ids[train_idx])
             intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), labels)
             graph_val, _ = ncut_loss(FeatureMatrix(emb), labels, cfg.sigma)
             line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
         log.append(line)
     return TrainResult(model, clf, clf_orig, log)
+

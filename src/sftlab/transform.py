@@ -28,9 +28,8 @@ class ZeroNormRowError(ValueError):
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms of rows; raises on any zero-norm row."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroNormRowError(int(zero[0]))
+    if not norms.all():
+        raise ZeroNormRowError(int(np.flatnonzero(norms == 0.0)[0]))
     return norms
 
 
@@ -126,26 +125,33 @@ def transition(w: AffinityMatrix) -> StochasticMatrix:
     return StochasticMatrix(w.data / degrees[:, None])
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically safe row softmax (max subtraction per row)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _transition_from_features(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(norms, unit rows, transition matrix) for raw feature rows."""
+    """(norms, unit rows, transition matrix) for raw feature rows.
+
+    The row softmax of cos / sigma (max subtraction per row) runs in place
+    on the cosine matrix, so it is the only n x n array alive.
+    """
     norms = row_norms(x)
     unit = x / norms[:, None]
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    return norms, unit, _row_softmax(cos / sigma)
+    trans = unit @ unit.T
+    np.clip(trans, -1.0, 1.0, out=trans)
+    trans /= sigma
+    trans -= trans.max(axis=1, keepdims=True)
+    np.exp(trans, out=trans)
+    trans /= trans.sum(axis=1, keepdims=True)
+    return norms, unit, trans
+
+
+def _unit_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. raw rows x of a loss given its gradient w.r.t. the
+    unit rows x / |x|: the tangential part of grad_unit, divided by |x|."""
+    radial = np.einsum("ij,ij->i", grad_unit, unit)
+    return (grad_unit - radial[:, None] * unit) / norms[:, None]
 
 
 def sft_transform(x: FeatureMatrix, sigma: float) -> FeatureMatrix:
     """Replace each feature row by its transition-weighted batch average."""
-    sigma = _check_sigma(sigma)
-    _, _, trans = _transition_from_features(x.data, sigma)
-    return FeatureMatrix(trans @ x.data)
+    return FeatureMatrix(sft_transform_array(x.data, sigma))
 
 
 def sft_transform_array(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -177,14 +183,23 @@ def sft_backward(
     if ga.shape != xa.shape:
         raise ValueError(f"grad_out shape {ga.shape} != input shape {xa.shape}")
 
-    norms, unit, trans = _transition_from_features(xa, sigma)
-    grad_x = trans.T @ ga
+    forward = _transition_from_features(xa, sigma)
+    grad_x = _sft_backward(xa, sigma, ga, forward, through_transition)
+    return FeatureMatrix(grad_x) if wrapped else grad_x
+
+
+def _sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,
+                  forward: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  through_transition: bool) -> np.ndarray:
+    """:func:`sft_backward` on arrays, given the forward pass's
+    ``(norms, unit, trans)`` of ``x`` from :func:`_transition_from_features`."""
+    norms, unit, trans = forward
+    grad_x = trans.T @ grad_out
     if through_transition:
-        grad_trans = ga @ xa.T
+        grad_trans = grad_out @ x.T
         # softmax backward per row, then undo the 1/sigma scaling of logits
         grad_logits = trans * (grad_trans - np.einsum("ij,ij->i", grad_trans, trans)[:, None])
         grad_cos = grad_logits / sigma
         grad_unit = (grad_cos + grad_cos.T) @ unit
-        radial = np.einsum("ij,ij->i", grad_unit, unit)
-        grad_x = grad_x + (grad_unit - radial[:, None] * unit) / norms[:, None]
-    return FeatureMatrix(grad_x) if wrapped else grad_x
+        grad_x = grad_x + _unit_backward(grad_unit, unit, norms)
+    return grad_x

@@ -1,11 +1,13 @@
-"""The benchmark's retrieval and graph workloads, at their tiny size, pass
-their own checks.
+"""The benchmark's ablation, retrieval and graph workloads, at their tiny
+size, pass their own checks.
 
 Each test runs one pass of a ``perfbench/workloads.py`` workload in-process
 so that tier-1 catches a change that breaks the benchmark's correctness
 checks without running the full ``perfbench/run.py --self-check``.  The
 graph workload checks ``sftlab diagnose``'s escape probabilities and
-``sftlab transform``'s output against its own independent oracle.
+``sftlab transform``'s output against its own independent oracle; the
+ablation workload trains every cell of the grid for a few epochs and
+checks each cell's per-seed metrics.
 """
 
 import importlib.util
@@ -37,3 +39,7 @@ def test_tiny_retrieval_pass_checks_clean(tmp_path):
 
 def test_tiny_graph_pass_checks_clean(tmp_path):
     check_tiny_pass("graph", tmp_path)
+
+
+def test_tiny_ablation_pass_checks_clean(tmp_path):
+    check_tiny_pass("ablation", tmp_path)

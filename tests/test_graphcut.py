@@ -352,6 +352,42 @@ class TestNcutLoss:
         with pytest.raises(ValueError):
             ncut_loss(FeatureMatrix(x), Partition(np.zeros(4, dtype=int), num_classes=1), 0.5)
 
+    @pytest.mark.parametrize("layout", ["blocks", "shuffled", "gaps", "uneven"])
+    def test_bitwise_equal_to_per_class_masks(self, layout):
+        rng = np.random.default_rng(12)
+        labels = {
+            "blocks": np.repeat([3, 0, 2, 1], 5),    # PK order: contiguous, unsorted
+            "shuffled": rng.permutation(np.repeat(np.arange(4), 5)),
+            "gaps": np.array([0, 2, 2, 5] * 5),     # absent labels in between
+            "uneven": np.array([1] * 13 + [0] * 2 + [2] * 5),
+        }[layout]
+        x = rng.normal(size=(20, 6))
+        loss, grad = ncut_loss(FeatureMatrix(x), Partition(labels), 0.3)
+        want_loss, want_grad = masked_ncut_loss(x, labels, 0.3)
+        assert loss == want_loss
+        assert np.array_equal(grad.data, want_grad)
+
+
+def masked_ncut_loss(x, labels, sigma):
+    """ncut_loss with one np.ix_ block per class, as first written."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    unit = x / norms[:, None]
+    weights = np.exp(np.clip(unit @ unit.T, -1.0, 1.0) / sigma)
+    loss = 0.0
+    grad_w = np.zeros_like(weights)
+    for label in np.unique(labels):
+        mask = labels == label
+        comp = ~mask
+        cross = float(weights[np.ix_(mask, comp)].sum())
+        vol = float(weights[mask, :].sum())
+        loss += cross / vol
+        grad_w[np.ix_(mask, comp)] += 1.0 / vol
+        grad_w[mask, :] -= cross / vol**2
+    grad_cos = grad_w * weights / sigma
+    grad_unit = (grad_cos + grad_cos.T) @ unit
+    radial = np.einsum("ij,ij->i", grad_unit, unit)
+    return loss, (grad_unit - radial[:, None] * unit) / norms[:, None]
+
 
 class TestAffinityClassMeans:
     def test_separated_clusters(self):

@@ -7,14 +7,19 @@ from conftest import central_diff, rel_error
 from sftlab.data import (
     DatasetManifest,
     FeatureMatrix,
+    Partition,
     SampleRecord,
     SyntheticSpec,
     generate_synthetic,
 )
+from sftlab.experiment import ABLATION_CELLS, ExperimentConfig, make_dataset, toy_train_config
+from sftlab.graphcut import affinity_class_means, ncut_loss
 from sftlab.rng import Xoshiro256StarStar
 from sftlab.training import (
     AmSoftmaxClassifier,
     EmbedModel,
+    Grads,
+    PKBatch,
     TrainConfig,
     am_softmax_loss,
     am_softmax_value,
@@ -25,7 +30,13 @@ from sftlab.training import (
     train,
     training_loss,
 )
-from sftlab.transform import ZeroNormRowError, sft_transform_array, transition, affinity
+from sftlab.transform import (
+    ZeroNormRowError,
+    affinity,
+    sft_backward,
+    sft_transform_array,
+    transition,
+)
 
 
 def plain_softmax_ce(x, y, weight, scale):
@@ -248,6 +259,18 @@ class TestForwardBackward:
             grads.clf, grad_sft_path + grad_orig_path, atol=1e-12
         )
 
+    @pytest.mark.parametrize("mode", ["off", "shared", "unshared"])
+    def test_out_of_range_labels_rejected(self, mode):
+        x, y, model, clf, clf_orig = small_setup()
+        cfg = TrainConfig(p=4, k=2, deep_supervision=mode, hidden_dim=6, embed_dim=5)
+        for bad in (np.where(y == 3, 4, y), np.where(y == 0, -1, y)):
+            with pytest.raises(ValueError, match="out of range"):
+                forward_backward(x, bad, model, clf, cfg, clf_orig)
+        if mode == "unshared":
+            small = AmSoftmaxClassifier(clf_orig.weight[:3])
+            with pytest.raises(ValueError, match="out of range"):
+                forward_backward(x, y, model, clf, cfg, small)
+
     def test_unshared_requires_second_classifier(self):
         x, y, model, clf, _ = small_setup()
         cfg = TrainConfig(p=4, k=2, deep_supervision="unshared", hidden_dim=6, embed_dim=5)
@@ -336,3 +359,154 @@ class TestConfigFile:
         path.write_text("learning = fast\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_train_config(path)
+
+
+def reference_sample_pk(manifest, p, k, rng):
+    """sample_pk as it was before the identity index moved onto the
+    manifest: the index is rebuilt for every batch."""
+    by_identity = {}
+    for i, rec in enumerate(manifest.records):
+        if rec.split == "train":
+            by_identity.setdefault(rec.identity, []).append(i)
+    identities = sorted(by_identity)
+    if len(identities) < p:
+        raise ValueError(f"need {p} train identities, manifest has {len(identities)}")
+    chosen = [identities[pos] for pos in rng.sample(len(identities), p)]
+    indices, labels = [], []
+    for ident in chosen:
+        rows = by_identity[ident]
+        if len(rows) >= k:
+            picks = rng.sample(len(rows), k)
+        else:
+            picks = [rng.randrange(len(rows)) for _ in range(k)]
+        indices.extend(rows[j] for j in picks)
+        labels.extend([ident] * k)
+    return PKBatch(np.array(indices), np.array(labels))
+
+
+def reference_forward_backward(x, labels, model, clf, cfg, clf_orig=None):
+    """forward_backward composed from the public functions only: the
+    transform's forward and backward each build the transition matrix, and
+    every margin-softmax term runs its own pass."""
+    labels = np.asarray(labels, dtype=np.int64)
+    emb, cache = model.forward(np.asarray(x, dtype=np.float64))
+
+    if cfg.objective == "ncut":
+        graph_loss, grad_emb_graph = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
+        ce_loss, grad_emb_ce, grad_clf = am_softmax_loss(emb, labels, clf)
+        grad_emb = grad_emb_graph.data + cfg.ncut_ce_weight * grad_emb_ce
+        grads = Grads(model.backward(cache, grad_emb), cfg.ncut_ce_weight * grad_clf)
+        return ce_loss, graph_loss, grads
+
+    z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
+    loss_sft, grad_z, grad_clf_sft = am_softmax_loss(z, labels, clf)
+    if cfg.use_sft:
+        grad_emb = sft_backward(emb, cfg.sigma, grad_z, cfg.grad_through_transition)
+    else:
+        grad_emb = grad_z
+
+    mode = cfg.deep_supervision
+    weight = cfg.deep_supervision_weight
+    clf_grad_orig = None
+    if mode == "off":
+        loss_orig = am_softmax_value(emb, labels, clf)
+        grad_clf = grad_clf_sft
+    elif mode == "shared":
+        loss_orig, grad_emb_orig, grad_clf_orig_path = am_softmax_loss(emb, labels, clf)
+        grad_emb = grad_emb + weight * grad_emb_orig
+        grad_clf = grad_clf_sft + weight * grad_clf_orig_path
+    else:
+        loss_orig, grad_emb_orig, grad_unshared = am_softmax_loss(emb, labels, clf_orig)
+        grad_emb = grad_emb + weight * grad_emb_orig
+        grad_clf = grad_clf_sft
+        clf_grad_orig = weight * grad_unshared
+    return loss_orig, loss_sft, Grads(model.backward(cache, grad_emb), grad_clf, clf_grad_orig)
+
+
+def reference_train(features, manifest, cfg):
+    """The training loop with separately allocated parameters, one momentum
+    update per array and a class-id dictionary lookup per batch."""
+    train_idx = manifest.indices("train")
+    identities = sorted({manifest.records[i].identity for i in train_idx})
+    class_of = {ident: c for c, ident in enumerate(identities)}
+
+    rng = Xoshiro256StarStar(cfg.seed)
+    model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
+    clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+    clf_orig = None
+    if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
+        clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+
+    params = [w for w in model.weights] + [b for b in model.biases] + [clf.weight]
+    if clf_orig is not None:
+        params.append(clf_orig.weight)
+    velocity = [np.zeros_like(p) for p in params]
+
+    batches = cfg.batches_per_epoch or max(1, len(train_idx) // (cfg.p * cfg.k))
+    log = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch, cfg)
+        sum_orig = 0.0
+        sum_sft = 0.0
+        for _ in range(batches):
+            batch = reference_sample_pk(manifest, cfg.p, cfg.k, rng)
+            x = features.data[batch.indices]
+            y = np.array([class_of[i] for i in batch.identities])
+            loss_orig, loss_sft, grads = reference_forward_backward(x, y, model, clf, cfg, clf_orig)
+            sum_orig += loss_orig
+            sum_sft += loss_sft
+            flat = (
+                [gw for gw, _ in grads.model]
+                + [gb for _, gb in grads.model]
+                + [grads.clf]
+                + ([grads.clf_orig] if clf_orig is not None else [])
+            )
+            for param, vel, grad in zip(params, velocity, flat):
+                vel *= cfg.momentum
+                vel -= lr * grad
+                param += vel
+        line = f"{epoch}\t{lr:.12g}\t{sum_orig / batches:.12g}\t{sum_sft / batches:.12g}"
+        if cfg.diagnostics:
+            emb = model.embed(features.data[train_idx])
+            labels = Partition(np.array([class_of[manifest.records[i].identity] for i in train_idx]))
+            intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), labels)
+            graph_val, _ = ncut_loss(FeatureMatrix(emb), labels, cfg.sigma)
+            line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
+        log.append(line)
+    return model, clf, clf_orig, log
+
+
+class TestReferenceTrainer:
+    """train() must reproduce the straightforward loop bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # 8 identities with 8 train rows each, plus query/gallery rows that
+        # sampling must skip
+        return make_dataset(ExperimentConfig(identities=8), seed=1)
+
+    @pytest.mark.parametrize("p,k", [(4, 4), (3, 10)])  # 10 > 8 rows: with replacement
+    @pytest.mark.parametrize("cell", [name for name, _ in ABLATION_CELLS])
+    def test_ablation_cells_bit_identical(self, dataset, cell, p, k):
+        features, manifest = dataset
+        cfg = toy_train_config(**dict(ABLATION_CELLS)[cell], p=p, k=k, epochs=4,
+                               warmup_epochs=2, decay_epochs=(3,), diagnostics=True, seed=5)
+        got = train(features, manifest, cfg)
+        model, clf, clf_orig, log = reference_train(features, manifest, cfg)
+        assert got.log == log
+        for mine, theirs in zip(got.model.weights + got.model.biases, model.weights + model.biases):
+            assert np.array_equal(mine, theirs)
+        assert len(got.model.weights) == len(model.weights) == 2
+        assert np.array_equal(got.classifier.weight, clf.weight)
+        assert (got.classifier_orig is None) == (clf_orig is None)
+        if clf_orig is not None:
+            assert np.array_equal(got.classifier_orig.weight, clf_orig.weight)
+
+    def test_sampler_matches_per_batch_index(self, dataset):
+        _, manifest = dataset
+        fast, slow = Xoshiro256StarStar(8), Xoshiro256StarStar(8)
+        for p, k in [(4, 4), (3, 10), (8, 8)] * 3:
+            got, want = sample_pk(manifest, p, k, fast), reference_sample_pk(manifest, p, k, slow)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.identities, want.identities)
+        assert fast.next_u64() == slow.next_u64()
