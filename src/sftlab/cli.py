@@ -35,8 +35,8 @@ from .data import (
 )
 from .graphcut import class_ncut_escape
 from .ranking import QueryRanking, RankingList, evaluate, rank, refine_ranking
-from .training import TrainConfig, load_train_config, train
-from .transform import AffinityMatrix, _check_sigma, cosine_matrix, sft_transform
+from .training import DEEP_SUPERVISION_MODES, OBJECTIVES, TrainConfig, load_train_config, train
+from .transform import AffinityMatrix, _check_sigma, _clipped_products, _unit_rows, sft_transform
 
 TOPOLOGY_ALIASES = {
     "blobs": "gaussian_blobs",
@@ -106,44 +106,25 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value file with TrainConfig fields")
-    sub.add_argument("--sigma", type=float)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--mode", dest="deep_supervision", choices=("off", "shared", "unshared"))
-    sub.add_argument("--objective", choices=("sft", "ncut"))
-    sub.add_argument("--no-sft", action="store_true", help="replace the transform by identity")
-    sub.add_argument("--hidden-dim", type=int)
-    sub.add_argument("--embed-dim", type=int)
-    sub.add_argument("--base-lr", type=float)
-    sub.add_argument("--seed", type=int)
+# TrainConfig fields that `train` and `experiment` both override by flag
+TRAIN_FLAGS = (("sigma", float), ("epochs", int), ("p", int), ("k", int),
+               ("hidden_dim", int), ("embed_dim", int), ("base_lr", float))
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    cfg = TrainConfig()
+def _add_train_flags(sub: argparse.ArgumentParser, config_help: str) -> None:
+    sub.add_argument("--config", help=config_help)
+    for name, kind in TRAIN_FLAGS:
+        sub.add_argument("--" + name.replace("_", "-"), type=kind)
+
+
+def _train_config(args: argparse.Namespace, base: TrainConfig, **extra) -> TrainConfig:
+    """base, overridden by the --config file, then by each train flag and
+    extra value that is not None."""
     if args.config:
-        cfg = load_train_config(args.config, cfg)
-    overrides = {}
-    for flag, field_name in (
-        ("sigma", "sigma"),
-        ("epochs", "epochs"),
-        ("p", "p"),
-        ("k", "k"),
-        ("deep_supervision", "deep_supervision"),
-        ("objective", "objective"),
-        ("hidden_dim", "hidden_dim"),
-        ("embed_dim", "embed_dim"),
-        ("base_lr", "base_lr"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field_name] = value
-    if args.no_sft:
-        overrides["use_sft"] = False
-    return replace(cfg, **overrides)
+        base = load_train_config(args.config, base)
+    overrides = {name: getattr(args, name) for name, _ in TRAIN_FLAGS}
+    overrides.update(extra)
+    return replace(base, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_gen(args) -> int:
@@ -169,7 +150,10 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
-    cfg = _train_config(args)
+    cfg = _train_config(
+        args, TrainConfig(), deep_supervision=args.deep_supervision, objective=args.objective,
+        use_sft=False if args.no_sft else None, seed=args.seed,
+    )
     result = train(features, manifest, cfg)
     if args.log:
         Path(args.log).write_text("\n".join(result.log) + "\n", encoding="utf-8")
@@ -241,16 +225,16 @@ def cmd_diagnose(args) -> int:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
     check_paired(features, manifest)
-    identities = sorted({rec.identity for rec in manifest.records})
-    if len(identities) < 2:
+    identities, classes = np.unique([rec.identity for rec in manifest.records], return_inverse=True)
+    if identities.size < 2:
         raise ManifestError("diagnostics need at least 2 identities")
-    class_of = {ident: c for c, ident in enumerate(identities)}
-    part = Partition(np.array([class_of[rec.identity] for rec in manifest.records]))
+    part = Partition(classes)
     sigma = _check_sigma(args.sigma)
     # Every printed quantity is a ratio of edge sums, so the common factor
     # exp(-1/sigma) cancels; dropping it keeps exp(cos/sigma) from
     # overflowing at small sigma.
-    weights = cosine_matrix(features.data)
+    unit = _unit_rows(features.data)[1]
+    weights = _clipped_products(unit, unit)
     weights -= 1.0
     weights /= sigma
     np.exp(weights, out=weights)
@@ -263,14 +247,6 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    train_cfg = exp.toy_train_config()
-    if args.config:
-        train_cfg = load_train_config(args.config, train_cfg)
-    overrides = {}
-    for flag in ("sigma", "epochs", "p", "k", "hidden_dim", "embed_dim", "base_lr"):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[flag] = value
     cfg = exp.ExperimentConfig(
         mode=args.mode,
         topology=TOPOLOGY_ALIASES[args.spec],
@@ -289,7 +265,7 @@ def cmd_experiment(args) -> int:
         kr_k1=args.kr_k1,
         kr_k2=args.kr_k2,
         kr_lambda=args.kr_lambda,
-        train=replace(train_cfg, **overrides),
+        train=_train_config(args, exp.toy_train_config()),
     )
     report = exp.run_experiment(cfg)
     exp.write_report(report, args.out_dir)
@@ -323,7 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the embedding model")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, "key = value file with TrainConfig fields")
+    p.add_argument("--mode", dest="deep_supervision", choices=DEEP_SUPERVISION_MODES)
+    p.add_argument("--objective", choices=OBJECTIVES)
+    p.add_argument("--no-sft", action="store_true", help="replace the transform by identity")
+    p.add_argument("--seed", type=int)
     p.add_argument("--log", help="write per-epoch training log (TSV)")
     p.add_argument("--out-features", help="write trained embeddings of all rows")
     p.add_argument("--out-model", help="write model parameters as JSON")
@@ -364,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the ablation grid or a sweep")
     p.add_argument("--mode", choices=exp.MODES, default="ablation")
-    p.add_argument("--config", help="key = value file overriding the toy trainer profile")
     p.add_argument("--spec", choices=sorted(TOPOLOGY_ALIASES), default="spirals")
     p.add_argument("--identities", type=int, default=16)
     p.add_argument("--train-per-id", type=int, default=8)
@@ -381,10 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kr-k1", type=int, default=20)
     p.add_argument("--kr-k2", type=int, default=6)
     p.add_argument("--kr-lambda", type=float, default=0.3)
-    for flag in ("--sigma", "--base-lr"):
-        p.add_argument(flag, type=float)
-    for flag in ("--epochs", "--p", "--k", "--hidden-dim", "--embed-dim"):
-        p.add_argument(flag, type=int)
+    _add_train_flags(p, "key = value file overriding the toy trainer profile")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment)
 

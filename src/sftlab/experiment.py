@@ -1,8 +1,9 @@
 """Reproducible toy experiments: ablation grid and sensitivity sweeps.
 
-Every run draws its own synthetic dataset per seed, trains the requested
-variants on the train split and scores them on the held-out
-query/gallery split.  Reported numbers are medians across seeds.
+Every run builds one synthetic dataset per seed, once; one cell runner
+trains each requested variant on every seed's train split and scores it
+on the held-out query/gallery split.  Reported numbers are medians
+across seeds.
 Reports contain no timestamps or environment detail, so identical
 configurations produce byte-identical artifacts.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import statistics
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from .data import (
     split_features,
 )
 from .graphcut import affinity_class_means
-from .ranking import evaluate, k_reciprocal_rerank, rank, refine_ranking
+from .ranking import RankingList, evaluate, k_reciprocal_rerank, rank, refine_ranking
 from .training import TrainConfig, train
 from .transform import affinity
 
@@ -37,7 +39,7 @@ ABLATION_CELLS = (
     ("sft+ds_shared", dict(use_sft=True, deep_supervision="shared")),
     ("ncut", dict(objective="ncut", use_sft=False, deep_supervision="off")),
 )
-DERIVED_CELLS = ("sft+ds_shared+post", "sft+ds_shared+kr")
+_SWEEP_CELL = ABLATION_CELLS[3][1]  # sft+ds_shared, the cell both sweeps vary
 
 MODES = ("ablation", "sigma_sweep", "k_sweep")
 
@@ -112,7 +114,8 @@ def make_dataset(cfg: ExperimentConfig, seed: int) -> tuple[FeatureMatrix, Datas
     return features, hold_out_eval_split(manifest, cfg.query_per_id, cfg.gallery_per_id)
 
 
-def _metrics(report) -> dict:
+def _metrics(ranking: RankingList, manifest: DatasetManifest) -> dict:
+    report = evaluate(ranking, manifest)
     return {
         "map": report.map_score,
         "cmc1": report.cmc[1],
@@ -121,126 +124,106 @@ def _metrics(report) -> dict:
     }
 
 
-def _eval_embeddings(model, features, manifest, cfg: ExperimentConfig):
-    emb = FeatureMatrix(model.embed(features.data))
-    q = split_features(emb, manifest, "query")
-    g = split_features(emb, manifest, "gallery")
-    return emb, q, g
-
-
 def _test_inter_affinity(emb: FeatureMatrix, manifest: DatasetManifest, sigma: float) -> tuple[float, float]:
     """(intra, inter) mean affinity of the held-out rows."""
     idx = manifest.indices("query") + manifest.indices("gallery")
-    labels = np.array([manifest.records[i].identity for i in idx])
-    ident_of = {ident: c for c, ident in enumerate(sorted(set(labels.tolist())))}
-    part = Partition(np.array([ident_of[v] for v in labels]))
+    # class ids: each identity's rank among the held-out identities
+    part = Partition(np.unique([manifest.records[i].identity for i in idx], return_inverse=True)[1])
     w = affinity(FeatureMatrix(emb.data[idx]), sigma)
     return affinity_class_means(w, part)
 
 
-def _median(values: list[float]) -> float:
-    return float(statistics.median(values))
-
-
-def run_ablation(cfg: ExperimentConfig) -> dict:
-    per_cell: dict[str, list[dict]] = {name: [] for name, _ in ABLATION_CELLS}
-    for name in DERIVED_CELLS:
-        per_cell[name] = []
-    suppression: dict[str, list[float]] = {"baseline": [], "sft+ds_shared": []}
-
-    for seed in cfg.seeds:
-        features, manifest = make_dataset(cfg, seed)
-        for name, overrides in ABLATION_CELLS:
-            run_cfg = replace(cfg.train, seed=seed, **overrides)
-            result = train(features, manifest, run_cfg)
-            emb, q, g = _eval_embeddings(result.model, features, manifest, cfg)
-            ranking = rank(q, g, manifest)
-            cell = {"seed": seed, **_metrics(evaluate(ranking, manifest))}
-            per_cell[name].append(cell)
-            if name in suppression:
-                intra, inter = _test_inter_affinity(emb, manifest, run_cfg.sigma)
-                suppression[name].append(inter)
-                cell["intra_affinity"] = intra
-                cell["inter_affinity"] = inter
-            if name == "sft+ds_shared":
-                refined = refine_ranking(q, ranking, g, cfg.top_n, run_cfg.sigma)
-                per_cell["sft+ds_shared+post"].append(
-                    {"seed": seed, **_metrics(evaluate(refined, manifest))}
-                )
-                rr = k_reciprocal_rerank(q, g, manifest, cfg.kr_k1, cfg.kr_k2, cfg.kr_lambda)
-                per_cell["sft+ds_shared+kr"].append(
-                    {"seed": seed, **_metrics(evaluate(rr, manifest))}
-                )
-
-    cells = {}
-    for name, rows in per_cell.items():
-        cells[name] = {
-            "per_seed": rows,
-            "median": {
-                key: _median([row[key] for row in rows])
-                for key in ("map", "cmc1", "cmc5", "cmc10")
-            },
-        }
+def _summary(per_seed: list[dict]) -> dict:
+    """Per-seed rows and the median of each metric across them."""
     return {
-        "mode": "ablation",
-        "cells": cells,
-        "inter_affinity_median": {k: _median(v) for k, v in suppression.items()},
+        "per_seed": per_seed,
+        "median": {
+            key: float(statistics.median([row[key] for row in per_seed]))
+            for key in ("map", "cmc1", "cmc5", "cmc10")
+        },
     }
 
 
-def run_sigma_sweep(cfg: ExperimentConfig) -> dict:
+# one cell trained on one seed's dataset under run config cfg, then embedded,
+# split into queries and gallery, ranked and scored
+SeedRun = namedtuple("SeedRun", "cfg manifest emb queries gallery ranking metrics")
+
+
+def _run_cell(datasets: list, overrides: dict, cfg: ExperimentConfig) -> list[SeedRun]:
+    """Train one cell (``cfg.train`` with ``overrides``) on every seed's
+    dataset, then embed all rows, split off query and gallery and rank.
+
+    Each train() is seeded by its own config alone, so the order in which
+    cells and seeds run does not change any result.
+    """
+    runs = []
+    for seed, (features, manifest) in zip(cfg.seeds, datasets):
+        run_cfg = replace(cfg.train, seed=seed, **overrides)
+        model = train(features, manifest, run_cfg).model
+        emb = FeatureMatrix(model.embed(features.data))
+        q = split_features(emb, manifest, "query")
+        g = split_features(emb, manifest, "gallery")
+        ranking = rank(q, g, manifest)
+        runs.append(SeedRun(run_cfg, manifest, emb, q, g, ranking, _metrics(ranking, manifest)))
+    return runs
+
+
+def run_ablation(cfg: ExperimentConfig, datasets: list) -> dict:
+    cells: dict[str, dict] = {}
+    inter_affinity: dict[str, float] = {}
+    for name, overrides in ABLATION_CELLS:
+        runs = _run_cell(datasets, overrides, cfg)
+        rows = [{"seed": run.cfg.seed, **run.metrics} for run in runs]
+        if name in ("baseline", "sft+ds_shared"):
+            for row, run in zip(rows, runs):
+                row["intra_affinity"], row["inter_affinity"] = _test_inter_affinity(
+                    run.emb, run.manifest, run.cfg.sigma)
+            inter_affinity[name] = float(statistics.median([row["inter_affinity"] for row in rows]))
+        cells[name] = _summary(rows)
+        if name == "sft+ds_shared":
+            refined = [
+                refine_ranking(run.queries, run.ranking, run.gallery, cfg.top_n, run.cfg.sigma)
+                for run in runs
+            ]
+            reranked = [k_reciprocal_rerank(run.queries, run.gallery, run.manifest,
+                                            cfg.kr_k1, cfg.kr_k2, cfg.kr_lambda) for run in runs]
+            for cell, rankings in (("sft+ds_shared+post", refined), ("sft+ds_shared+kr", reranked)):
+                cells[cell] = _summary([
+                    {"seed": run.cfg.seed, **_metrics(ranking, run.manifest)}
+                    for run, ranking in zip(runs, rankings)
+                ])
+    return {"mode": "ablation", "cells": cells, "inter_affinity_median": inter_affinity}
+
+
+def run_sigma_sweep(cfg: ExperimentConfig, datasets: list) -> dict:
     rows = []
     for sigma in cfg.sigma_values:
-        per_seed = []
-        for seed in cfg.seeds:
-            features, manifest = make_dataset(cfg, seed)
-            run_cfg = replace(cfg.train, seed=seed, sigma=sigma,
-                              use_sft=True, deep_supervision="shared")
-            result = train(features, manifest, run_cfg)
-            _, q, g = _eval_embeddings(result.model, features, manifest, cfg)
-            per_seed.append(_metrics(evaluate(rank(q, g, manifest), manifest)))
-        rows.append({
-            "sigma": sigma,
-            "per_seed": per_seed,
-            "median": {k: _median([m[k] for m in per_seed]) for k in per_seed[0]},
-        })
+        runs = _run_cell(datasets, dict(_SWEEP_CELL, sigma=sigma), cfg)
+        rows.append({"sigma": sigma, **_summary([run.metrics for run in runs])})
     return {"mode": "sigma_sweep", "rows": rows}
 
 
-def run_k_sweep(cfg: ExperimentConfig) -> dict:
+def run_k_sweep(cfg: ExperimentConfig, datasets: list) -> dict:
     rows = []
     for k in cfg.k_values:
         row = {"k": k}
-        for name, overrides in (("baseline", ABLATION_CELLS[0][1]),
-                                ("sft+ds_shared", ABLATION_CELLS[3][1])):
-            per_seed = []
-            for seed in cfg.seeds:
-                features, manifest = make_dataset(cfg, seed)
-                run_cfg = replace(cfg.train, seed=seed, k=k, **overrides)
-                result = train(features, manifest, run_cfg)
-                _, q, g = _eval_embeddings(result.model, features, manifest, cfg)
-                per_seed.append(_metrics(evaluate(rank(q, g, manifest), manifest)))
-            row[name] = {
-                "per_seed": per_seed,
-                "median": {key: _median([m[key] for m in per_seed]) for key in per_seed[0]},
-            }
+        for name, overrides in (("baseline", ABLATION_CELLS[0][1]), ("sft+ds_shared", _SWEEP_CELL)):
+            runs = _run_cell(datasets, dict(overrides, k=k), cfg)
+            row[name] = _summary([run.metrics for run in runs])
         rows.append(row)
     return {"mode": "k_sweep", "rows": rows}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Dispatch on mode; returns the full report as a plain dict."""
-    if cfg.mode == "ablation":
-        report = run_ablation(cfg)
-    elif cfg.mode == "sigma_sweep":
-        report = run_sigma_sweep(cfg)
-    else:
-        report = run_k_sweep(cfg)
+    run = {"ablation": run_ablation, "sigma_sweep": run_sigma_sweep, "k_sweep": run_k_sweep}[cfg.mode]
+    report = run(cfg, [make_dataset(cfg, seed) for seed in cfg.seeds])
     report["config"] = asdict(cfg)
     return report
 
 
 _FLAG_COLUMNS = ("sft", "ds_u", "ds_s", "post", "kr")
+# table rows in order, with the flags of each method
 _CELL_FLAGS = {
     "baseline": (),
     "sft": ("sft",),
@@ -250,23 +233,12 @@ _CELL_FLAGS = {
     "sft+ds_shared+kr": ("sft", "ds_s", "kr"),
     "ncut": (),
 }
-_CELL_ORDER = (
-    "baseline",
-    "sft",
-    "sft+ds_unshared",
-    "sft+ds_shared",
-    "sft+ds_shared+post",
-    "sft+ds_shared+kr",
-    "ncut",
-)
-
-
 def ablation_table(report: dict) -> str:
     """TSV with method flags and median mAP / Rank-1 / Rank-5 per cell."""
     lines = ["\t".join(("method",) + _FLAG_COLUMNS + ("mAP", "Rank-1", "Rank-5"))]
-    for name in _CELL_ORDER:
+    for name, cell_flags in _CELL_FLAGS.items():
         med = report["cells"][name]["median"]
-        flags = ["x" if col in _CELL_FLAGS[name] else "" for col in _FLAG_COLUMNS]
+        flags = ["x" if col in cell_flags else "" for col in _FLAG_COLUMNS]
         lines.append("\t".join(
             [name, *flags, f"{med['map']:.4f}", f"{med['cmc1']:.4f}", f"{med['cmc5']:.4f}"]
         ))

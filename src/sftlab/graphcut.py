@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureMatrix, Partition
-from .transform import AffinityMatrix, _check_sigma, _unit_backward, row_norms
+from .transform import AffinityMatrix, _check_sigma, _clipped_products, _unit_backward, _unit_rows
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,13 @@ def _class_mask(w: AffinityMatrix, part: Partition, label: int) -> np.ndarray:
     return mask
 
 
+def _class_with_complement(w: AffinityMatrix, part: Partition, a: int) -> np.ndarray:
+    mask = _class_mask(w, part, a)
+    if mask.all():
+        raise ValueError(f"class {a} covers the whole graph, complement empty")
+    return mask
+
+
 def cut(w: AffinityMatrix, part: Partition, a: int, b: int) -> float:
     """Total edge weight between two classes of the partition."""
     if a == b:
@@ -64,10 +71,8 @@ def volume(w: AffinityMatrix, part: Partition, a: int) -> float:
 
 def ncut(w: AffinityMatrix, part: Partition, a: int) -> float:
     """Normalized cut of class `a` against its complement."""
-    mask = _class_mask(w, part, a)
+    mask = _class_with_complement(w, part, a)
     comp = ~mask
-    if not comp.any():
-        raise ValueError(f"class {a} covers the whole graph, complement empty")
     cross = float(w.data[np.ix_(mask, comp)].sum())
     vol_a = float(w.data[mask, :].sum())
     vol_comp = float(w.data[comp, :].sum())
@@ -129,13 +134,6 @@ def class_ncut_escape(w: AffinityMatrix, part: Partition) -> tuple[np.ndarray, n
     return ncut_all, escape, escape_rest
 
 
-def _class_with_complement(w: AffinityMatrix, part: Partition, a: int) -> np.ndarray:
-    mask = _class_mask(w, part, a)
-    if mask.all():
-        raise ValueError(f"class {a} covers the whole graph, complement empty")
-    return mask
-
-
 def _require_positive_degrees(rows: np.ndarray) -> None:
     if rows.sum(axis=1).min() <= 0:
         raise ValueError("subset contains an isolated zero-degree node")
@@ -174,10 +172,8 @@ def ncut_loss(x: FeatureMatrix, labels: Partition, sigma: float) -> tuple[float,
     if present.size < 2:
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
-    norms = row_norms(x.data)
-    unit = x.data / norms[:, None]
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    weights = np.exp(cos / sigma)
+    norms, unit = _unit_rows(x.data)
+    weights = np.exp(_clipped_products(unit, unit) / sigma)
 
     # Rows regrouped by class, stably: each class is one contiguous block
     # holding the same values in the same order as weights[mask, :], and

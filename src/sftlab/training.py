@@ -14,7 +14,8 @@ differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,13 @@ from .data import DatasetManifest, FeatureMatrix, Partition, SyntheticSpec, chec
 from .graphcut import affinity_class_means, ncut_loss
 from .rng import Xoshiro256StarStar
 from .transform import (
+    _as_array,
     _check_sigma,
     _sft_backward,
     _transition_from_features,
     _unit_backward,
+    _unit_rows,
     affinity,
-    row_norms,
-    sft_transform_array,
 )
 
 DEEP_SUPERVISION_MODES = ("off", "shared", "unshared")
@@ -65,8 +66,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.p < 2 or self.k < 2:
             raise ValueError("batches need p >= 2 identities and k >= 2 samples each")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(self.sigma)
         if self.epochs < 0 or self.warmup_epochs < 0 or self.batches_per_epoch < 0:
             raise ValueError("counts must be non-negative")
         if self.base_lr <= 0 or self.warmup_start_lr <= 0 or self.decay_factor <= 0:
@@ -158,8 +158,7 @@ class EmbedModel:
             act = None
             raw = pre
         if self.normalize_output:
-            norms = row_norms(raw)
-            out = raw / norms[:, None]
+            norms, out = _unit_rows(raw)
         else:
             norms = None
             out = raw
@@ -172,16 +171,11 @@ class EmbedModel:
         """Parameter gradients [(dW, db), ...] matching the layer order."""
         x, pre, act, norms, out = cache
         grad_raw = _unit_backward(grad_out, out, norms) if self.normalize_output else grad_out
+        upper = []
         if len(self.weights) == 2:
-            grad_w1 = act.T @ grad_raw
-            grad_b1 = grad_raw.sum(axis=0)
-            grad_pre = (grad_raw @ self.weights[1].T) * (pre > 0)
-            grad_w0 = x.T @ grad_pre
-            grad_b0 = grad_pre.sum(axis=0)
-            return [(grad_w0, grad_b0), (grad_w1, grad_b1)]
-        grad_w0 = x.T @ grad_raw
-        grad_b0 = grad_raw.sum(axis=0)
-        return [(grad_w0, grad_b0)]
+            upper = [(act.T @ grad_raw, grad_raw.sum(axis=0))]
+            grad_raw = (grad_raw @ self.weights[1].T) * (pre > 0)  # through the rectifier
+        return [(x.T @ grad_raw, grad_raw.sum(axis=0))] + upper
 
 
 @dataclass
@@ -207,10 +201,6 @@ class AmSoftmaxClassifier:
         return self.weight.shape[0]
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
-
-
 def _as_labels(labels) -> np.ndarray:
     return labels.labels if isinstance(labels, Partition) else np.asarray(labels, dtype=np.int64)
 
@@ -225,16 +215,9 @@ def _check_labels(y: np.ndarray, n: int, num_classes: int) -> None:
         )
 
 
-def _unit_classifier(clf: AmSoftmaxClassifier) -> tuple[np.ndarray, np.ndarray]:
-    """(unit classifier rows, their norms)."""
-    w_norms = row_norms(clf.weight)
-    return clf.weight / w_norms[:, None], w_norms
-
-
 def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, clf: AmSoftmaxClassifier):
     """Forward pass on raw rows x and valid labels y against unit classifier rows."""
-    feat_norms = row_norms(x)
-    feat = x / feat_norms[:, None]
+    feat_norms, feat = _unit_rows(x)
     cos = feat @ w_unit.T
     logits = clf.scale * cos
     rows = np.arange(x.shape[0])
@@ -245,7 +228,7 @@ def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, clf: AmS
     return feat, feat_norms, logits, lse, float((lse - target).mean())
 
 
-def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, w_norms: np.ndarray,
+def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray, w_unit: np.ndarray,
                      clf: AmSoftmaxClassifier) -> tuple[float, np.ndarray, np.ndarray]:
     """(loss, d loss / d x, d loss / d classifier weight) for valid labels."""
     feat, feat_norms, logits, lse, loss = _am_softmax_parts(x, y, w_unit, clf)
@@ -262,7 +245,7 @@ def am_softmax_value(features, labels, clf: AmSoftmaxClassifier) -> float:
     """Forward-only loss value (used for logging and finite differences)."""
     x, y = _as_array(features), _as_labels(labels)
     _check_labels(y, x.shape[0], clf.num_classes)
-    return _am_softmax_parts(x, y, _unit_classifier(clf)[0], clf)[-1]
+    return _am_softmax_parts(x, y, _unit_rows(clf.weight)[1], clf)[-1]
 
 
 def am_softmax_loss(features, labels, clf: AmSoftmaxClassifier):
@@ -272,13 +255,10 @@ def am_softmax_loss(features, labels, clf: AmSoftmaxClassifier):
     loss depends only on directions; the returned gradients are taken
     w.r.t. the raw (unnormalized) inputs.
     """
-    wrapped = isinstance(features, FeatureMatrix)
     x, y = _as_array(features), _as_labels(labels)
     _check_labels(y, x.shape[0], clf.num_classes)
-    loss, grad_x, grad_w = _am_softmax_grad(x, y, *_unit_classifier(clf), clf)
-    if wrapped:
-        return loss, FeatureMatrix(grad_x), grad_w
-    return loss, grad_x, grad_w
+    loss, grad_x, grad_w = _am_softmax_grad(x, y, *_unit_rows(clf.weight), clf)
+    return loss, (FeatureMatrix(grad_x) if isinstance(features, FeatureMatrix) else grad_x), grad_w
 
 
 @dataclass(frozen=True)
@@ -326,23 +306,6 @@ class Grads:
     clf_orig: np.ndarray | None = None
 
 
-def training_loss(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
-                  clf: AmSoftmaxClassifier, cfg: TrainConfig,
-                  clf_orig: AmSoftmaxClassifier | None = None) -> float:
-    """Scalar objective that forward_backward differentiates."""
-    emb = model.embed(x)
-    if cfg.objective == "ncut":
-        graph_loss, _ = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
-        return graph_loss + cfg.ncut_ce_weight * am_softmax_value(emb, labels, clf)
-    z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
-    total = am_softmax_value(z, labels, clf)
-    if cfg.deep_supervision == "shared":
-        total += cfg.deep_supervision_weight * am_softmax_value(emb, labels, clf)
-    elif cfg.deep_supervision == "unshared":
-        total += cfg.deep_supervision_weight * am_softmax_value(emb, labels, clf_orig)
-    return total
-
-
 def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
                      clf: AmSoftmaxClassifier, cfg: TrainConfig,
                      clf_orig: AmSoftmaxClassifier | None = None):
@@ -362,11 +325,11 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     labels = _as_labels(labels)
     emb, cache = model.forward(np.asarray(x, dtype=np.float64))
     _check_labels(labels, emb.shape[0], clf.num_classes)
-    w_unit, w_norms = _unit_classifier(clf)
+    w_norms, w_unit = _unit_rows(clf.weight)
 
     if cfg.objective == "ncut":
         graph_loss, grad_emb_graph = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
-        ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_unit, w_norms, clf)
+        ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
         grad_emb = grad_emb_graph.data + cfg.ncut_ce_weight * grad_emb_ce
         grads = Grads(model.backward(cache, grad_emb), cfg.ncut_ce_weight * grad_clf)
         return ce_loss, graph_loss, grads
@@ -382,7 +345,7 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
         z = forward[2] @ emb
     else:
         z = emb
-    on_z = _am_softmax_grad(z, labels, w_unit, w_norms, clf)
+    on_z = _am_softmax_grad(z, labels, w_norms, w_unit, clf)
     loss_sft, grad_z, grad_clf = on_z
     if cfg.use_sft:
         grad_emb = _sft_backward(emb, sigma, grad_z, forward, cfg.grad_through_transition)
@@ -394,13 +357,13 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     if mode == "off":
         loss_orig = loss_sft if z is emb else _am_softmax_parts(emb, labels, w_unit, clf)[-1]
     elif mode == "shared":
-        on_emb = on_z if z is emb else _am_softmax_grad(emb, labels, w_unit, w_norms, clf)
+        on_emb = on_z if z is emb else _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
         loss_orig, grad_emb_orig, grad_clf_orig_path = on_emb
         grad_emb = grad_emb + weight * grad_emb_orig
         grad_clf = grad_clf + weight * grad_clf_orig_path
     else:
         loss_orig, grad_emb_orig, grad_unshared = _am_softmax_grad(
-            emb, labels, *_unit_classifier(clf_orig), clf_orig)
+            emb, labels, *_unit_rows(clf_orig.weight), clf_orig)
         grad_emb = grad_emb + weight * grad_emb_orig
         clf_grad_orig = weight * grad_unshared
     return loss_orig, loss_sft, Grads(model.backward(cache, grad_emb), grad_clf, clf_grad_orig)
@@ -482,6 +445,8 @@ def train(features, manifest: DatasetManifest | None, cfg: TrainConfig) -> Train
             velocity *= cfg.momentum
             velocity -= step
             params += velocity
+        if not math.isfinite(sum_orig + sum_sft):
+            raise ValueError(f"training diverged in epoch {epoch}: the loss is not finite")
         line = f"{epoch}\t{lr:.12g}\t{sum_orig / batches:.12g}\t{sum_sft / batches:.12g}"
         if cfg.diagnostics:
             emb = model.embed(features.data[train_idx])

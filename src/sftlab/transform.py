@@ -12,6 +12,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,33 +26,41 @@ class ZeroNormRowError(ValueError):
         super().__init__(f"row {row} has zero norm, cosine undefined")
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of rows; raises on any zero-norm row."""
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row norms |x|, unit rows x / |x|); raises on any zero-norm row.
+    :func:`_unit_backward` is its backward pass."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     if not norms.all():
         raise ZeroNormRowError(int(np.flatnonzero(norms == 0.0)[0]))
-    return norms
+    return norms, x / norms[:, None]
 
 
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / row_norms(x)[:, None]
+def _clipped_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` clipped in place to [-1, 1]: cosines of unit rows,
+    guarded against rounding.
 
-
-def cosine_matrix(x: np.ndarray) -> np.ndarray:
-    """Pairwise cosines of rows, clipped to [-1, 1] against rounding."""
-    unit = normalize_rows(x)
-    return np.clip(unit @ unit.T, -1.0, 1.0)
+    Pass one array twice for the cosines within one set of rows: numpy then
+    takes a symmetric-product path whose last bits can differ from those of
+    two equal but separate arrays, so each caller keeps its operand form.
+    """
+    products = a @ b.T
+    np.clip(products, -1.0, 1.0, out=products)
+    return products
 
 
 def cosine_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosines between rows of two matrices, shape (len(a), len(b))."""
-    return np.clip(normalize_rows(a) @ normalize_rows(b).T, -1.0, 1.0)
+    return _clipped_products(_unit_rows(a)[1], _unit_rows(b)[1])
+
+
+def _as_array(x: FeatureMatrix | np.ndarray) -> np.ndarray:
+    return x.data if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
 
 
 def _check_sigma(sigma: float) -> float:
     sigma = float(sigma)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return sigma
 
 
@@ -114,7 +123,8 @@ class StochasticMatrix:
 def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
     """Edge weights w_ij = exp(cos(x_i, x_j) / sigma)."""
     sigma = _check_sigma(sigma)
-    return AffinityMatrix(np.exp(cosine_matrix(x.data) / sigma), sigma)
+    unit = _unit_rows(x.data)[1]
+    return AffinityMatrix(np.exp(_clipped_products(unit, unit) / sigma), sigma)
 
 
 def transition(w: AffinityMatrix) -> StochasticMatrix:
@@ -131,10 +141,8 @@ def _transition_from_features(x: np.ndarray, sigma: float) -> tuple[np.ndarray, 
     The row softmax of cos / sigma (max subtraction per row) runs in place
     on the cosine matrix, so it is the only n x n array alive.
     """
-    norms = row_norms(x)
-    unit = x / norms[:, None]
-    trans = unit @ unit.T
-    np.clip(trans, -1.0, 1.0, out=trans)
+    norms, unit = _unit_rows(x)
+    trans = _clipped_products(unit, unit)
     trans /= sigma
     trans -= trans.max(axis=1, keepdims=True)
     np.exp(trans, out=trans)
@@ -177,15 +185,13 @@ def sft_backward(
     trainer ablation.
     """
     sigma = _check_sigma(sigma)
-    wrapped = isinstance(x, FeatureMatrix)
-    xa = x.data if wrapped else np.asarray(x, dtype=np.float64)
-    ga = grad_out.data if isinstance(grad_out, FeatureMatrix) else np.asarray(grad_out, dtype=np.float64)
+    xa, ga = _as_array(x), _as_array(grad_out)
     if ga.shape != xa.shape:
         raise ValueError(f"grad_out shape {ga.shape} != input shape {xa.shape}")
 
     forward = _transition_from_features(xa, sigma)
     grad_x = _sft_backward(xa, sigma, ga, forward, through_transition)
-    return FeatureMatrix(grad_x) if wrapped else grad_x
+    return FeatureMatrix(grad_x) if isinstance(x, FeatureMatrix) else grad_x
 
 
 def _sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,

@@ -34,7 +34,6 @@ from sftlab.training import (
     am_softmax_loss,
     am_softmax_value,
     forward_backward,
-    training_loss,
 )
 from sftlab.transform import affinity, sft_backward, sft_transform_array, transition
 
@@ -45,6 +44,7 @@ from test_ranking import (
     oracle_refine_scores,
 )
 from test_training import frozen_transition_loss
+from training_oracle import training_loss
 
 
 def verdict(criterion: str, passed: bool, detail: str = "") -> None:

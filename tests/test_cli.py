@@ -158,6 +158,19 @@ class TestDiagnose:
         assert "sigma must be positive" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["transform", "diagnose"])
+    def test_non_finite_sigma_rejected(self, dataset, tmp_path, capsys, command, sigma):
+        feats, manifest = dataset
+        out = tmp_path / "t.sfte"
+        extra = ["--out", out] if command == "transform" else ["--manifest", manifest]
+        assert run(command, "--features", feats, "--sigma", sigma, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma must be positive")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestErrors:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -188,6 +201,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+
+    def test_diverging_training_exits_1(self, dataset, tmp_path, capsys):
+        feats, manifest = dataset
+        log = tmp_path / "train.log"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way
+            assert run("train", "--features", feats, "--manifest", manifest,
+                       "--epochs", 3, "--p", 3, "--k", 4, "--base-lr", "1e300",
+                       "--log", log) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged in epoch")
+        assert "Traceback" not in err
+        assert not log.exists()
 
 
 class TestExperimentCommand:

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import pytest
 
+from sftlab import experiment
 from sftlab.data import FeatureMatrix, split_features
 from sftlab.experiment import (
+    MODES,
     ExperimentConfig,
     ablation_table,
     make_dataset,
@@ -49,19 +51,29 @@ class TestAblation:
             assert len(cell["per_seed"]) == 2
             assert 0.0 <= cell["median"]["map"] <= 1.0
 
-    def test_baseline_cell_equals_direct_composition(self, report):
-        cfg = small_config()
+    @pytest.mark.parametrize("mode,overrides,cell", [
+        ("ablation", dict(use_sft=False, deep_supervision="off"),
+         lambda report: report["cells"]["baseline"]),
+        ("sigma_sweep", dict(sigma=0.2, use_sft=True, deep_supervision="shared"),
+         lambda report: report["rows"][0]),
+        ("k_sweep", dict(k=2, use_sft=True, deep_supervision="shared"),
+         lambda report: report["rows"][0]["sft+ds_shared"]),
+    ], ids=["ablation", "sigma_sweep", "k_sweep"])
+    def test_baseline_cell_equals_direct_composition(self, report, mode, overrides, cell):
+        cfg = small_config(mode=mode, sigma_values=(0.2,), k_values=(2,))
+        if mode != "ablation":
+            report = run_experiment(cfg)
         features, manifest = make_dataset(cfg, seed=1)
-        run_cfg = replace(cfg.train, seed=1, use_sft=False, deep_supervision="off")
+        run_cfg = replace(cfg.train, seed=1, **overrides)
         result = train(features, manifest, run_cfg)
         emb = FeatureMatrix(result.model.embed(features.data))
         ranking = rank(split_features(emb, manifest, "query"),
                        split_features(emb, manifest, "gallery"), manifest)
         direct = evaluate(ranking, manifest)
-        cell = report["cells"]["baseline"]["per_seed"][0]
-        assert cell["seed"] == 1
-        assert cell["map"] == direct.map_score
-        assert cell["cmc1"] == direct.cmc[1]
+        row = cell(report)["per_seed"][0]
+        assert row.get("seed", 1) == 1  # sweep rows carry no seed
+        assert row["map"] == direct.map_score
+        assert row["cmc1"] == direct.cmc[1]
 
     def test_post_with_top_n_one_equals_plain_cell(self):
         report = run_experiment(small_config(top_n=1))
@@ -105,6 +117,22 @@ class TestSweeps:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="grid_search")
+
+
+class TestRunner:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_seed_dataset_built_once(self, monkeypatch, mode):
+        built = []
+
+        def counting_make_dataset(cfg, seed):
+            built.append(seed)
+            return make_dataset(cfg, seed)
+
+        monkeypatch.setattr(experiment, "make_dataset", counting_make_dataset)
+        cfg = small_config(mode=mode, sigma_values=(0.1, 0.2), k_values=(2, 4),
+                           train=toy_train_config(**dict(SMALL_TRAIN, epochs=2)))
+        run_experiment(cfg)
+        assert built == list(cfg.seeds)
 
 
 class TestDeterminism:

@@ -28,7 +28,6 @@ from sftlab.training import (
     lr_at,
     sample_pk,
     train,
-    training_loss,
 )
 from sftlab.transform import (
     ZeroNormRowError,
@@ -37,6 +36,7 @@ from sftlab.transform import (
     sft_transform_array,
     transition,
 )
+from training_oracle import training_loss
 
 
 def plain_softmax_ce(x, y, weight, scale):
@@ -322,6 +322,18 @@ class TestTrainLoop:
         with_first = sft_transform_array(emb[[0, 1, 2, 3]], 0.2)[0]
         with_second = sft_transform_array(emb[[0, 4, 5, 6]], 0.2)[0]
         assert not np.array_equal(with_first, with_second)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            TrainConfig(sigma=sigma)
+
+    def test_non_finite_loss_raises(self):
+        feats, manifest = generate_synthetic(SyntheticSpec(4, 6, 8, seed=2))
+        # the first epoch runs at warmup_start_lr, the second at ~5e298
+        cfg = TrainConfig(p=2, k=2, epochs=3, base_lr=1e300, hidden_dim=6, embed_dim=4)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged in epoch 1"):
+            train(feats, manifest, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

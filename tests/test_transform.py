@@ -65,9 +65,9 @@ class TestAffinity:
             affinity(FeatureMatrix([[1.0, 0.0], [0.0, 0.0]]), 1.0)
         assert err.value.row == 1
 
-    @pytest.mark.parametrize("sigma", [0.0, -0.5])
+    @pytest.mark.parametrize("sigma", [0.0, -0.5, math.nan, math.inf])
     def test_bad_sigma(self, sigma):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma must be positive"):
             affinity(FeatureMatrix([[1.0, 0.0]]), sigma)
 
     def test_type_rejects_asymmetric(self):

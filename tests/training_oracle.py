@@ -1,0 +1,31 @@
+"""The trainer's scalar objective as an independent forward pass.
+
+Finite differences of :func:`training_loss` check the closed-form
+gradients of ``forward_backward``.  It is composed from the public
+forward functions alone, not derived from ``forward_backward``, so a slip
+in the trainer's fused step cannot cancel out of the comparison.
+"""
+
+import numpy as np
+
+from sftlab.data import FeatureMatrix, Partition
+from sftlab.graphcut import ncut_loss
+from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig, am_softmax_value
+from sftlab.transform import sft_transform_array
+
+
+def training_loss(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
+                  clf: AmSoftmaxClassifier, cfg: TrainConfig,
+                  clf_orig: AmSoftmaxClassifier | None = None) -> float:
+    """Scalar objective that forward_backward differentiates."""
+    emb = model.embed(x)
+    if cfg.objective == "ncut":
+        graph_loss, _ = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
+        return graph_loss + cfg.ncut_ce_weight * am_softmax_value(emb, labels, clf)
+    z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
+    total = am_softmax_value(z, labels, clf)
+    if cfg.deep_supervision == "shared":
+        total += cfg.deep_supervision_weight * am_softmax_value(emb, labels, clf)
+    elif cfg.deep_supervision == "unshared":
+        total += cfg.deep_supervision_weight * am_softmax_value(emb, labels, clf_orig)
+    return total
