@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,11 @@ from .data import (
     save_features,
     save_manifest,
     split_features,
+    write_json,
 )
 from .graphcut import class_ncut_escape
 from .ranking import QueryRanking, RankingList, evaluate, rank, refine_ranking
-from .training import DEEP_SUPERVISION_MODES, OBJECTIVES, TrainConfig, load_train_config, train
+from .training import DEEP_SUPERVISION_MODES, OBJECTIVES, PARSERS, TrainConfig, load_train_config, train
 from .transform import AffinityMatrix, _check_sigma, _clipped_products, _unit_rows, sft_transform
 
 TOPOLOGY_ALIASES = {
@@ -44,10 +45,6 @@ TOPOLOGY_ALIASES = {
     "spirals": "intertwined_spirals",
     "intertwined_spirals": "intertwined_spirals",
 }
-
-
-def _write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def save_ranking(ranking: RankingList, manifest: DatasetManifest, path) -> None:
@@ -70,7 +67,7 @@ def save_ranking(ranking: RankingList, manifest: DatasetManifest, path) -> None:
             for qr in ranking.queries
         ]
     }
-    _write_json(payload, path)
+    write_json(payload, path)
 
 
 def load_ranking(path) -> RankingList:
@@ -88,43 +85,44 @@ def load_ranking(path) -> RankingList:
     return RankingList(tuple(queries))
 
 
-def _report_payload(report) -> dict:
-    return {
-        "mAP": report.map_score,
-        "cmc": {str(r): v for r, v in report.cmc.items()},
-        "per_query_ap": list(report.per_query_ap),
-        "num_queries": report.num_queries,
-        "config": report.config,
-    }
-
-
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
 # TrainConfig fields that `train` and `experiment` both override by flag
-TRAIN_FLAGS = (("sigma", float), ("epochs", int), ("p", int), ("k", int),
-               ("hidden_dim", int), ("embed_dim", int), ("base_lr", float))
+TRAIN_FLAGS = ("sigma", "epochs", "p", "k", "hidden_dim", "embed_dim", "base_lr")
+# ExperimentConfig fields that `experiment` sets by flag: all but the trainer's
+EXPERIMENT_FLAGS = tuple(f.name for f in fields(exp.ExperimentConfig) if f.name != "train")
+# fields whose flag has another name, and fields whose flag takes fixed choices
+FLAG_NAMES = {"topology": "spec", "intra_class_spread": "spread", "inter_class_separation": "separation"}
+FLAG_CHOICES = {"mode": exp.MODES, "topology": sorted(TOPOLOGY_ALIASES)}
+
+
+def _add_field_flags(sub: argparse.ArgumentParser, cls, names) -> None:
+    """One flag per named field of dataclass cls, parsed by the field's
+    type and None when not given, so the defaults live in cls alone."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    for name in names:
+        flag = FLAG_NAMES.get(name, name)
+        choices = FLAG_CHOICES.get(name)
+        # help shows the flag's name (SPREAD), not the field's (INTRA_CLASS_SPREAD)
+        sub.add_argument("--" + flag.replace("_", "-"), dest=name, type=PARSERS[kinds[name]],
+                         choices=choices, metavar=None if choices else flag.upper())
 
 
 def _add_train_flags(sub: argparse.ArgumentParser, config_help: str) -> None:
     sub.add_argument("--config", help=config_help)
-    for name, kind in TRAIN_FLAGS:
-        sub.add_argument("--" + name.replace("_", "-"), type=kind)
+    _add_field_flags(sub, TrainConfig, TRAIN_FLAGS)
+
+
+def _overridden(base, args: argparse.Namespace, names, **extra):
+    """base with its named fields set from args, then from extra, where not None."""
+    overrides = {name: getattr(args, name) for name in names}
+    overrides.update(extra)
+    return replace(base, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _train_config(args: argparse.Namespace, base: TrainConfig, **extra) -> TrainConfig:
-    """base, overridden by the --config file, then by each train flag and
-    extra value that is not None."""
+    """base, overridden by the --config file, then as by :func:`_overridden`."""
     if args.config:
         base = load_train_config(args.config, base)
-    overrides = {name: getattr(args, name) for name, _ in TRAIN_FLAGS}
-    overrides.update(extra)
-    return replace(base, **{k: v for k, v in overrides.items() if v is not None})
+    return _overridden(base, args, TRAIN_FLAGS, **extra)
 
 
 def cmd_gen(args) -> int:
@@ -163,12 +161,12 @@ def cmd_train(args) -> int:
         payload = {
             "weights": [w.tolist() for w in result.model.weights],
             "biases": [b.tolist() for b in result.model.biases],
-            "normalize_output": result.model.normalize_output,
+            "normalize_output": True,
             "classifier_weight": result.classifier.weight.tolist(),
             "margin": result.classifier.margin,
             "scale": result.classifier.scale,
         }
-        _write_json(payload, args.out_model)
+        write_json(payload, args.out_model)
     if result.log:
         print(result.log[-1])
     return 0
@@ -185,7 +183,6 @@ def cmd_transform(args) -> int:
 def cmd_rank(args) -> int:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
-    check_paired(features, manifest)
     ranking = rank(
         split_features(features, manifest, "query"),
         split_features(features, manifest, "gallery"),
@@ -200,9 +197,15 @@ def cmd_eval(args) -> int:
     ranking = load_ranking(args.ranking)
     manifest = load_manifest(args.manifest)
     report = evaluate(ranking, manifest, config={"ranking": str(args.ranking)})
-    payload = _report_payload(report)
     if args.out:
-        _write_json(payload, args.out)
+        payload = {
+            "mAP": report.map_score,
+            "cmc": {str(r): v for r, v in report.cmc.items()},
+            "per_query_ap": list(report.per_query_ap),
+            "num_queries": report.num_queries,
+            "config": report.config,
+        }
+        write_json(payload, args.out)
     print(f"mAP={report.map_score:.6f} cmc1={report.cmc[1]:.6f} "
           f"cmc5={report.cmc[5]:.6f} cmc10={report.cmc[10]:.6f}")
     return 0
@@ -211,10 +214,9 @@ def cmd_eval(args) -> int:
 def cmd_refine(args) -> int:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
-    check_paired(features, manifest)
-    ranking = load_ranking(args.ranking)
     queries = split_features(features, manifest, "query")
     gallery = split_features(features, manifest, "gallery")
+    ranking = load_ranking(args.ranking)
     refined = refine_ranking(queries, ranking, gallery, args.top_n, args.sigma)
     save_ranking(refined, manifest, args.out)
     print(f"refined top-{args.top_n} of {len(refined)} queries to {args.out}")
@@ -247,24 +249,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = exp.ExperimentConfig(
-        mode=args.mode,
-        topology=TOPOLOGY_ALIASES[args.spec],
-        identities=args.identities,
-        train_per_id=args.train_per_id,
-        query_per_id=args.query_per_id,
-        gallery_per_id=args.gallery_per_id,
-        dim=args.dim,
-        cameras=args.cameras,
-        intra_class_spread=args.spread,
-        inter_class_separation=args.separation,
-        seeds=args.seeds,
-        sigma_values=args.sigma_values,
-        k_values=args.k_values,
-        top_n=args.top_n,
-        kr_k1=args.kr_k1,
-        kr_k2=args.kr_k2,
-        kr_lambda=args.kr_lambda,
+    cfg = _overridden(
+        exp.ExperimentConfig(), args, EXPERIMENT_FLAGS,
+        topology=TOPOLOGY_ALIASES.get(args.topology),
         train=_train_config(args, exp.toy_train_config()),
     )
     report = exp.run_experiment(cfg)
@@ -343,23 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("experiment", help="run the ablation grid or a sweep")
-    p.add_argument("--mode", choices=exp.MODES, default="ablation")
-    p.add_argument("--spec", choices=sorted(TOPOLOGY_ALIASES), default="spirals")
-    p.add_argument("--identities", type=int, default=16)
-    p.add_argument("--train-per-id", type=int, default=8)
-    p.add_argument("--query-per-id", type=int, default=2)
-    p.add_argument("--gallery-per-id", type=int, default=4)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--cameras", type=int, default=2)
-    p.add_argument("--spread", type=float, default=0.05)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--seeds", type=_int_tuple, default=(1, 2, 3, 4, 5))
-    p.add_argument("--sigma-values", type=_float_tuple, default=(0.02, 0.05, 0.1, 0.2, 0.5))
-    p.add_argument("--k-values", type=_int_tuple, default=(2, 4, 8))
-    p.add_argument("--top-n", type=int, default=50)
-    p.add_argument("--kr-k1", type=int, default=20)
-    p.add_argument("--kr-k2", type=int, default=6)
-    p.add_argument("--kr-lambda", type=float, default=0.3)
+    _add_field_flags(p, exp.ExperimentConfig, EXPERIMENT_FLAGS)
     _add_train_flags(p, "key = value file overriding the toy trainer profile")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment)

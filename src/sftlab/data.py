@@ -8,6 +8,7 @@ only storage is float32.  Manifests are plain TSV.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -46,6 +47,18 @@ class ManifestError(ValueError):
     pass
 
 
+def freeze_array(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of arr; the caller's array stays writeable."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def write_json(payload, path) -> None:
+    """The JSON artifact format: sorted keys, 2-space indent, final newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """n x d matrix of embeddings, rows are samples. Immutable, float64."""
@@ -60,9 +73,7 @@ class FeatureMatrix:
             raise ValueError(f"feature matrix must be at least 1x1, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature matrix contains non-finite values")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", freeze_array(arr))
 
     @property
     def n(self) -> int:
@@ -179,9 +190,7 @@ class Partition:
             raise ValueError(
                 f"label {int(labels.max())} out of range for {num_classes} classes"
             )
-        labels = labels.copy()
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", freeze_array(labels))
         object.__setattr__(self, "num_classes", num_classes)
 
     @property
@@ -351,13 +360,9 @@ def hold_out_eval_split(
         raise ManifestError("hold-out counts must be non-negative")
     if query_per_id + gallery_per_id == 0:
         return manifest
-    per_identity: dict[int, list[int]] = {}
-    for i, rec in enumerate(manifest.records):
-        if rec.split == "train":
-            per_identity.setdefault(rec.identity, []).append(i)
     new_split = {}
     held = query_per_id + gallery_per_id
-    for ident, idx in per_identity.items():
+    for ident, idx in manifest.train_groups:
         if len(idx) < held:
             raise ManifestError(
                 f"identity {ident} has {len(idx)} train samples, "

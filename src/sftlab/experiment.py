@@ -10,7 +10,6 @@ configurations produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import statistics
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
@@ -26,6 +25,7 @@ from .data import (
     generate_synthetic,
     hold_out_eval_split,
     split_features,
+    write_json,
 )
 from .graphcut import affinity_class_means
 from .ranking import RankingList, evaluate, k_reciprocal_rerank, rank, refine_ranking
@@ -267,8 +267,6 @@ def write_report(report: dict, out_dir) -> None:
     """report.json plus the matching TSV table, byte-stable."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(report, out / "report.json")
     table = ablation_table(report) if report["mode"] == "ablation" else sweep_table(report)
     (out / "table.tsv").write_text(table, encoding="utf-8")

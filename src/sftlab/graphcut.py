@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, Partition
-from .transform import AffinityMatrix, _check_sigma, _clipped_products, _unit_backward, _unit_rows
+from .data import FeatureMatrix, Partition, freeze_array
+from .transform import AffinityMatrix, _as_array, _check_sigma, _clipped_products, _unit_backward, _unit_rows
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,7 @@ class RandomWalkStats:
         pi = np.asarray(self.stationary, dtype=np.float64)
         if pi.ndim != 1 or pi.min() < 0 or abs(pi.sum() - 1.0) > 1e-9:
             raise ValueError("stationary vector must be a probability distribution")
-        pi = pi.copy()
-        pi.setflags(write=False)
-        object.__setattr__(self, "stationary", pi)
+        object.__setattr__(self, "stationary", freeze_array(pi))
 
 
 def _class_mask(w: AffinityMatrix, part: Partition, label: int) -> np.ndarray:
@@ -158,21 +156,24 @@ def ncut_escape_identity_check(w: AffinityMatrix, part: Partition, a: int) -> tu
     return value, escape + escape_rest
 
 
-def ncut_loss(x: FeatureMatrix, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix]:
+def ncut_loss(x, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix | np.ndarray]:
     """Sum of one-vs-rest escape probabilities and its feature gradient.
 
     For each class c, the term is cut(c, rest) / volume(c) on the
     exponentiated-cosine graph; the gradient runs through the edge
-    weights, the cosines and the row normalization.
+    weights, the cosines and the row normalization.  A FeatureMatrix ``x``
+    gives a FeatureMatrix gradient, a raw array (which may hold the
+    non-finite rows of a diverging trainer) a raw array.
     """
     sigma = _check_sigma(sigma)
-    if labels.n != x.n:
-        raise ValueError(f"labels cover {labels.n} samples, features have {x.n}")
+    xa = _as_array(x)
+    if labels.n != xa.shape[0]:
+        raise ValueError(f"labels cover {labels.n} samples, features have {xa.shape[0]}")
     present, row_class, counts = np.unique(labels.labels, return_inverse=True, return_counts=True)
     if present.size < 2:
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
-    norms, unit = _unit_rows(x.data)
+    norms, unit = _unit_rows(xa)
     weights = np.exp(_clipped_products(unit, unit) / sigma)
 
     # Rows regrouped by class, stably: each class is one contiguous block
@@ -198,7 +199,8 @@ def ncut_loss(x: FeatureMatrix, labels: Partition, sigma: float) -> tuple[float,
     grad_w = np.where(outside, inv_vol[row_class][:, None], 0.0) - penalty[row_class][:, None]
     grad_cos = grad_w * weights / sigma
     grad_unit = (grad_cos + grad_cos.T) @ unit
-    return loss, FeatureMatrix(_unit_backward(grad_unit, unit, norms))
+    grad_x = _unit_backward(grad_unit, unit, norms)
+    return loss, (FeatureMatrix(grad_x) if isinstance(x, FeatureMatrix) else grad_x)
 
 
 def affinity_class_means(w: AffinityMatrix, labels: Partition) -> tuple[float, float]:

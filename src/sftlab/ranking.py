@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureMatrix
+from .data import DatasetManifest, FeatureMatrix, freeze_array
 from .transform import _check_sigma, cosine_between, sft_transform_array
 
 log = logging.getLogger(__name__)
@@ -38,10 +38,8 @@ class QueryRanking:
         ordered = np.sort(idx)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate gallery index in ranking")
-        idx.setflags(write=False)
-        sc.setflags(write=False)
-        object.__setattr__(self, "gallery_indices", idx)
-        object.__setattr__(self, "scores", sc)
+        object.__setattr__(self, "gallery_indices", freeze_array(idx))
+        object.__setattr__(self, "scores", freeze_array(sc))
 
 
 @dataclass(frozen=True)
@@ -61,29 +59,25 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def _eval_records(manifest: DatasetManifest):
-    queries = manifest.subset("query")
-    gallery = manifest.subset("gallery")
-    if not queries:
-        raise ValueError("manifest has no query records")
-    if not gallery:
-        raise ValueError("manifest has no gallery records")
-    return queries, gallery
+def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
+    """The manifest's query and gallery records; given query and gallery
+    features, also checks their row counts against them and their dimension."""
+    records = []
+    for split, feats in (("query", queries), ("gallery", gallery)):
+        recs = manifest.subset(split)
+        if not recs:
+            raise ValueError(f"manifest has no {split} records")
+        if feats is not None and len(recs) != feats.n:
+            raise ValueError(f"{feats.n} {split} rows but manifest lists {len(recs)} {split} records")
+        records.append(recs)
+    if queries is not None and queries.d != gallery.d:
+        raise ValueError(f"dimension mismatch: {queries.d} vs {gallery.d}")
+    return records
 
 
 def rank(queries: FeatureMatrix, gallery: FeatureMatrix, manifest: DatasetManifest) -> RankingList:
     """Per query, gallery sorted by cosine (descending), junk removed."""
-    query_recs, gallery_recs = _eval_records(manifest)
-    if len(query_recs) != queries.n:
-        raise ValueError(
-            f"{queries.n} query rows but manifest lists {len(query_recs)} query records"
-        )
-    if len(gallery_recs) != gallery.n:
-        raise ValueError(
-            f"{gallery.n} gallery rows but manifest lists {len(gallery_recs)} gallery records"
-        )
-    if queries.d != gallery.d:
-        raise ValueError(f"dimension mismatch: {queries.d} vs {gallery.d}")
+    query_recs, gallery_recs = _eval_records(manifest, queries, gallery)
     return _ranked(-cosine_between(queries.data, gallery.data), query_recs, gallery_recs)
 
 
@@ -218,9 +212,7 @@ def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
         raise ValueError(f"need k1 > k2 >= 1, got k1={k1}, k2={k2}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    query_recs, gallery_recs = _eval_records(manifest)
-    if len(query_recs) != queries.n or len(gallery_recs) != gallery.n:
-        raise ValueError("feature row counts do not match manifest query/gallery records")
+    query_recs, gallery_recs = _eval_records(manifest, queries, gallery)
     n_q = queries.n
     union = np.vstack([queries.data, gallery.data])
     n = union.shape[0]

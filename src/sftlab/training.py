@@ -84,6 +84,25 @@ class TrainConfig:
         object.__setattr__(self, "decay_epochs", tuple(int(e) for e in self.decay_epochs))
 
 
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"bad bool {text!r}")
+    return text.lower() == "true"
+
+
+# text -> value by config field type (a string here), for config files and flags
+PARSERS = {"int": int, "float": float, "bool": _bool, "str": str,
+           "tuple[int, ...]": _int_tuple, "tuple[float, ...]": _float_tuple}
+
+
 def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
     """Parse `key = value` lines (# comments) into a TrainConfig."""
     base = base or TrainConfig()
@@ -99,19 +118,10 @@ def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
         key, value = key.strip(), value.strip()
         if key not in kinds:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kind = kinds[key]
-        if kind == "int":
-            updates[key] = int(value)
-        elif kind == "float":
-            updates[key] = float(value)
-        elif kind == "bool":
-            if value.lower() not in ("true", "false"):
-                raise ValueError(f"config line {lineno}: bad bool {value!r}")
-            updates[key] = value.lower() == "true"
-        elif kind.startswith("tuple"):
-            updates[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        else:
-            updates[key] = value
+        try:
+            updates[key] = PARSERS[kinds[key]](value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from exc
     return replace(base, **updates)
 
 
@@ -135,7 +145,6 @@ class EmbedModel:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    normalize_output: bool = True
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, embed_dim: int, rng: Xoshiro256StarStar) -> "EmbedModel":
@@ -157,11 +166,7 @@ class EmbedModel:
         else:
             act = None
             raw = pre
-        if self.normalize_output:
-            norms, out = _unit_rows(raw)
-        else:
-            norms = None
-            out = raw
+        norms, out = _unit_rows(raw)
         return out, (x, pre, act, norms, out)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
@@ -170,7 +175,7 @@ class EmbedModel:
     def backward(self, cache: tuple, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Parameter gradients [(dW, db), ...] matching the layer order."""
         x, pre, act, norms, out = cache
-        grad_raw = _unit_backward(grad_out, out, norms) if self.normalize_output else grad_out
+        grad_raw = _unit_backward(grad_out, out, norms)
         upper = []
         if len(self.weights) == 2:
             upper = [(act.T @ grad_raw, grad_raw.sum(axis=0))]
@@ -328,9 +333,9 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     w_norms, w_unit = _unit_rows(clf.weight)
 
     if cfg.objective == "ncut":
-        graph_loss, grad_emb_graph = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
+        graph_loss, grad_emb_graph = ncut_loss(emb, Partition(labels), cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
-        grad_emb = grad_emb_graph.data + cfg.ncut_ce_weight * grad_emb_ce
+        grad_emb = grad_emb_graph + cfg.ncut_ce_weight * grad_emb_ce
         grads = Grads(model.backward(cache, grad_emb), cfg.ncut_ce_weight * grad_clf)
         return ce_loss, graph_loss, grads
 
@@ -377,6 +382,8 @@ class TrainResult:
     log: list[str]
 
 
+# overflow on the way to divergence is reported once, by the epoch check
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(features, manifest: DatasetManifest | None, cfg: TrainConfig) -> TrainResult:
     """Full training loop, deterministic given the config seed.
 
@@ -452,7 +459,7 @@ def train(features, manifest: DatasetManifest | None, cfg: TrainConfig) -> Train
             emb = model.embed(features.data[train_idx])
             labels = Partition(class_ids[train_idx])
             intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), labels)
-            graph_val, _ = ncut_loss(FeatureMatrix(emb), labels, cfg.sigma)
+            graph_val, _ = ncut_loss(emb, labels, cfg.sigma)
             line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
         log.append(line)
     return TrainResult(model, clf, clf_orig, log)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import FeatureMatrix, freeze_array
 
 
 class ZeroNormRowError(ValueError):
@@ -65,7 +65,30 @@ def _check_sigma(sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class AffinityMatrix:
+class _SquareMatrix:
+    """Square, finite, non-negative float64 matrix, named ``_name`` in errors
+    and frozen as a copy once the subclass's own ``_check`` passes too."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"{self._name} must be square, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{self._name} contains non-finite values")
+        if arr.min() < 0:
+            raise ValueError(f"{self._name} entries must be non-negative")
+        self._check(arr)
+        object.__setattr__(self, "data", freeze_array(arr))
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[0]
+
+
+@dataclass(frozen=True)
+class AffinityMatrix(_SquareMatrix):
     """Symmetric non-negative edge weights plus the temperature used.
 
     Outputs of :func:`affinity` additionally have strictly positive
@@ -74,50 +97,25 @@ class AffinityMatrix:
     diagnostics.
     """
 
-    data: np.ndarray
     sigma: float
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"affinity matrix must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("affinity matrix contains non-finite values")
-        if arr.min() < 0:
-            raise ValueError("affinity matrix entries must be non-negative")
+    _name = "affinity matrix"
+
+    def _check(self, arr: np.ndarray) -> None:
         if arr.size and np.abs(arr - arr.T).max() > 1e-12 * max(1.0, arr.max()):
             raise ValueError("affinity matrix must be symmetric")
         _check_sigma(self.sigma)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
+class StochasticMatrix(_SquareMatrix):
     """Row-stochastic transition matrix of the random walk."""
 
-    data: np.ndarray
+    _name = "transition matrix"
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"transition matrix must be square, got {arr.shape}")
-        if arr.min() < 0:
-            raise ValueError("transition matrix entries must be non-negative")
+    def _check(self, arr: np.ndarray) -> None:
         if np.abs(arr.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("transition matrix rows must sum to 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
 
 def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:

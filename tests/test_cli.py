@@ -2,10 +2,12 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from sftlab import experiment as exp
 from sftlab.cli import main
 from sftlab.data import load_features, load_manifest
 from sftlab.transform import sft_transform
@@ -206,15 +208,14 @@ class TestErrors:
     def test_diverging_training_exits_1(self, dataset, tmp_path, capsys):
         feats, manifest = dataset
         log = tmp_path / "train.log"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way
+        for objective in ("sft", "ncut"):
+            # the overflow on the way prints no warning: one error line only
             assert run("train", "--features", feats, "--manifest", manifest,
-                       "--epochs", 3, "--p", 3, "--k", 4, "--base-lr", "1e300",
-                       "--log", log) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: training diverged in epoch")
-        assert "Traceback" not in err
-        assert not log.exists()
+                       "--objective", objective, "--epochs", 3, "--p", 3, "--k", 4,
+                       "--base-lr", "1e300", "--log", log) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"error: training diverged in epoch 1: [^\n]*\n", err), err
+            assert not log.exists()
 
 
 class TestExperimentCommand:
@@ -242,3 +243,142 @@ class TestExperimentCommand:
         assert table.startswith("sigma\t")
         report = json.loads((tmp_path / "sweep" / "report.json").read_text())
         assert all(math.isfinite(r["median"]["map"]) for r in report["rows"])
+
+
+EXPERIMENT_HELP = """\
+usage: sftlab experiment [-h] [--mode {ablation,sigma_sweep,k_sweep}]
+                         [--spec {blobs,gaussian_blobs,intertwined_spirals,spirals}]
+                         [--identities IDENTITIES]
+                         [--train-per-id TRAIN_PER_ID]
+                         [--query-per-id QUERY_PER_ID]
+                         [--gallery-per-id GALLERY_PER_ID] [--dim DIM]
+                         [--cameras CAMERAS] [--spread SPREAD]
+                         [--separation SEPARATION] [--seeds SEEDS]
+                         [--sigma-values SIGMA_VALUES] [--k-values K_VALUES]
+                         [--top-n TOP_N] [--kr-k1 KR_K1] [--kr-k2 KR_K2]
+                         [--kr-lambda KR_LAMBDA] [--config CONFIG]
+                         [--sigma SIGMA] [--epochs EPOCHS] [--p P] [--k K]
+                         [--hidden-dim HIDDEN_DIM] [--embed-dim EMBED_DIM]
+                         [--base-lr BASE_LR] --out-dir OUT_DIR
+
+options:
+  -h, --help            show this help message and exit
+  --mode {ablation,sigma_sweep,k_sweep}
+  --spec {blobs,gaussian_blobs,intertwined_spirals,spirals}
+  --identities IDENTITIES
+  --train-per-id TRAIN_PER_ID
+  --query-per-id QUERY_PER_ID
+  --gallery-per-id GALLERY_PER_ID
+  --dim DIM
+  --cameras CAMERAS
+  --spread SPREAD
+  --separation SEPARATION
+  --seeds SEEDS
+  --sigma-values SIGMA_VALUES
+  --k-values K_VALUES
+  --top-n TOP_N
+  --kr-k1 KR_K1
+  --kr-k2 KR_K2
+  --kr-lambda KR_LAMBDA
+  --config CONFIG       key = value file overriding the toy trainer profile
+  --sigma SIGMA
+  --epochs EPOCHS
+  --p P
+  --k K
+  --hidden-dim HIDDEN_DIM
+  --embed-dim EMBED_DIM
+  --base-lr BASE_LR
+  --out-dir OUT_DIR
+"""
+
+TRAIN_HELP = """\
+usage: sftlab train [-h] --features FEATURES --manifest MANIFEST
+                    [--config CONFIG] [--sigma SIGMA] [--epochs EPOCHS]
+                    [--p P] [--k K] [--hidden-dim HIDDEN_DIM]
+                    [--embed-dim EMBED_DIM] [--base-lr BASE_LR]
+                    [--mode {off,shared,unshared}] [--objective {sft,ncut}]
+                    [--no-sft] [--seed SEED] [--log LOG]
+                    [--out-features OUT_FEATURES] [--out-model OUT_MODEL]
+
+options:
+  -h, --help            show this help message and exit
+  --features FEATURES
+  --manifest MANIFEST
+  --config CONFIG       key = value file with TrainConfig fields
+  --sigma SIGMA
+  --epochs EPOCHS
+  --p P
+  --k K
+  --hidden-dim HIDDEN_DIM
+  --embed-dim EMBED_DIM
+  --base-lr BASE_LR
+  --mode {off,shared,unshared}
+  --objective {sft,ncut}
+  --no-sft              replace the transform by identity
+  --seed SEED
+  --log LOG             write per-epoch training log (TSV)
+  --out-features OUT_FEATURES
+                        write trained embeddings of all rows
+  --out-model OUT_MODEL
+                        write model parameters as JSON
+"""
+
+# one non-default value per ExperimentConfig field, and the flag that sets it
+EXPERIMENT_FLAG_VALUES = {
+    "mode": ("--mode", "k_sweep", "k_sweep"),
+    "topology": ("--spec", "blobs", "gaussian_blobs"),
+    "identities": ("--identities", "7", 7),
+    "train_per_id": ("--train-per-id", "9", 9),
+    "query_per_id": ("--query-per-id", "3", 3),
+    "gallery_per_id": ("--gallery-per-id", "5", 5),
+    "dim": ("--dim", "12", 12),
+    "cameras": ("--cameras", "3", 3),
+    "intra_class_spread": ("--spread", "0.25", 0.25),
+    "inter_class_separation": ("--separation", "2.5", 2.5),
+    "seeds": ("--seeds", "7,8", (7, 8)),
+    "sigma_values": ("--sigma-values", "0.3,0.4", (0.3, 0.4)),
+    "k_values": ("--k-values", "3,5", (3, 5)),
+    "top_n": ("--top-n", "9", 9),
+    "kr_k1": ("--kr-k1", "11", 11),
+    "kr_k2": ("--kr-k2", "4", 4),
+    "kr_lambda": ("--kr-lambda", "0.6", 0.6),
+}
+
+
+class TestExperimentFlags:
+    @pytest.fixture()
+    def built(self, monkeypatch, tmp_path):
+        """Runs `sftlab experiment` with the given flags and returns the
+        ExperimentConfig it builds, without running the experiment."""
+        configs = []
+        monkeypatch.setattr(exp, "run_experiment", lambda cfg: configs.append(cfg) or {})
+        monkeypatch.setattr(exp, "write_report", lambda report, out_dir: None)
+
+        def build(*flags):
+            assert run("experiment", *flags, "--out-dir", tmp_path) == 0
+            return configs.pop()
+        return build
+
+    def test_no_flags_give_the_dataclass_defaults(self, built):
+        assert built() == exp.ExperimentConfig(train=exp.toy_train_config())
+
+    def test_every_field_has_its_own_flag(self, built):
+        names = {f.name for f in fields(exp.ExperimentConfig)} - {"train"}
+        assert set(EXPERIMENT_FLAG_VALUES) == names
+        base = exp.ExperimentConfig()
+        for name, (flag, text, value) in EXPERIMENT_FLAG_VALUES.items():
+            assert getattr(base, name) != value
+            assert built(flag, text) == replace(base, **{name: value})
+
+    def test_train_flags_override_the_toy_profile(self, built):
+        cfg = built("--epochs", "3", "--base-lr", "0.5")
+        assert cfg.train == exp.toy_train_config(epochs=3, base_lr=0.5)
+
+    @pytest.mark.parametrize("command,text", [("experiment", EXPERIMENT_HELP),
+                                              ("train", TRAIN_HELP)])
+    def test_help_text(self, monkeypatch, capsys, command, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            run(command, "--help")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == text

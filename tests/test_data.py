@@ -230,6 +230,12 @@ class TestHoldOut:
         _, manifest = generate_synthetic(SyntheticSpec(2, 3, 3, seed=5))
         with pytest.raises(ManifestError):
             hold_out_eval_split(manifest, 2, 2)
+        # of several identities with too few rows, the smallest is named
+        rows = [(7, 0), (7, 1), (3, 0), (3, 1), (3, 0)]
+        manifest = DatasetManifest(tuple(SampleRecord(f"s{i}", ident, cam, "train")
+                                         for i, (ident, cam) in enumerate(rows)))
+        with pytest.raises(ManifestError, match="^identity 3 has 3 train samples, cannot hold out 4$"):
+            hold_out_eval_split(manifest, 2, 2)
 
     def test_noop_when_zero(self):
         _, manifest = generate_synthetic(SyntheticSpec(2, 3, 3, seed=5))

@@ -366,6 +366,10 @@ class TestNcutLoss:
         want_loss, want_grad = masked_ncut_loss(x, labels, 0.3)
         assert loss == want_loss
         assert np.array_equal(grad.data, want_grad)
+        # a raw array in gives the same loss and a raw array gradient
+        raw_loss, raw_grad = ncut_loss(x, Partition(labels), 0.3)
+        assert raw_loss == want_loss
+        assert type(raw_grad) is np.ndarray and np.array_equal(raw_grad, want_grad)
 
 
 def masked_ncut_loss(x, labels, sigma):

@@ -48,6 +48,14 @@ class TestQueryRanking:
         qr = QueryRanking(0, np.array(indices, dtype=np.int64), np.zeros(len(indices)))
         assert qr.gallery_indices.tolist() == indices
 
+    def test_freezes_a_copy_of_the_callers_arrays(self):
+        indices, scores = np.array([2, 0, 1], dtype=np.int64), np.zeros(3)
+        qr = QueryRanking(0, indices, scores)
+        assert indices.flags.writeable and scores.flags.writeable
+        assert not qr.gallery_indices.flags.writeable and not qr.scores.flags.writeable
+        indices[0] = 5
+        assert qr.gallery_indices.tolist() == [2, 0, 1]
+
 
 class TestRank:
     def test_exact_copy_ranks_first(self):
@@ -109,10 +117,24 @@ class TestRank:
                 g_ident, g_cam = g_specs[g]
                 assert not (g_ident == ident and g_cam == cam)
 
-    def test_dim_mismatch(self):
+    # k_reciprocal_rerank shares rank's input checks and messages
+    @pytest.mark.parametrize("retrieve", [rank, k_reciprocal_rerank])
+    def test_dim_mismatch(self, retrieve):
         manifest = eval_manifest([(0, 0)], [(0, 1)])
-        with pytest.raises(ValueError, match="dimension"):
-            rank(FeatureMatrix([[1.0, 0.0]]), FeatureMatrix([[1.0, 0.0, 0.0]]), manifest)
+        rng = np.random.default_rng(3)
+        queries, gallery = FeatureMatrix(rng.normal(size=(1, 32))), FeatureMatrix(rng.normal(size=(1, 31)))
+        with pytest.raises(ValueError, match="^dimension mismatch: 32 vs 31$"):
+            retrieve(queries, gallery, manifest)
+
+    @pytest.mark.parametrize("retrieve", [rank, k_reciprocal_rerank])
+    @pytest.mark.parametrize("n_q,n_g,message", [
+        (2, 2, "2 query rows but manifest lists 1 query records"),
+        (1, 3, "3 gallery rows but manifest lists 2 gallery records"),
+    ])
+    def test_row_count_mismatch(self, retrieve, n_q, n_g, message):
+        manifest = eval_manifest([(0, 0)], [(0, 1), (1, 1)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            retrieve(FeatureMatrix(np.ones((n_q, 4))), FeatureMatrix(np.ones((n_g, 4))), manifest)
 
 
 def brute_force_ap(relevance):

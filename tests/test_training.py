@@ -372,6 +372,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown key"):
             load_train_config(path)
 
+    @pytest.mark.parametrize("line", ["decay_epochs = 1.5", "epochs = ten", "sigma = x",
+                                      "use_sft = maybe"])
+    def test_bad_value_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"p = 4\n{line}\n")
+        with pytest.raises(ValueError, match="^config line 2: "):
+            load_train_config(path)
+
 
 def reference_sample_pk(manifest, p, k, rng):
     """sample_pk as it was before the identity index moved onto the

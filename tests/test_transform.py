@@ -105,6 +105,8 @@ class TestTransition:
     def test_type_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             StochasticMatrix(np.array([[0.6, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="transition matrix contains non-finite values"):
+            StochasticMatrix(np.full((2, 2), np.nan))
 
 
 class TestSftTransform:
