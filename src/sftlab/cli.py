@@ -37,7 +37,7 @@ from .data import (
 from .graphcut import class_ncut_escape
 from .ranking import QueryRanking, RankingList, evaluate, rank, refine_ranking
 from .training import DEEP_SUPERVISION_MODES, OBJECTIVES, PARSERS, TrainConfig, load_train_config, train
-from .transform import AffinityMatrix, _check_sigma, _clipped_products, _unit_rows, sft_transform
+from .transform import AffinityMatrix, _check_sigma, _exp_cosines, _unit_rows, sft_transform
 
 TOPOLOGY_ALIASES = {
     "blobs": "gaussian_blobs",
@@ -72,25 +72,31 @@ def save_ranking(ranking: RankingList, manifest: DatasetManifest, path) -> None:
 
 def load_ranking(path) -> RankingList:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    queries = []
-    for entry in payload["queries"]:
-        items = entry["items"]
-        queries.append(
+    try:
+        return RankingList(tuple(
             QueryRanking(
                 int(entry["query_index"]),
-                np.array([it["gallery_index"] for it in items], dtype=np.int64),
-                np.array([it["score"] for it in items]),
+                np.array([it["gallery_index"] for it in entry["items"]], dtype=np.int64),
+                np.array([it["score"] for it in entry["items"]]),
             )
-        )
-    return RankingList(tuple(queries))
+            for entry in payload["queries"]
+        ))
+    except (KeyError, TypeError) as exc:  # a missing key or a wrong shape
+        raise ValueError(f"{path} is not a ranking file ({type(exc).__name__}: {exc})") from exc
 
 
 # TrainConfig fields that `train` and `experiment` both override by flag
 TRAIN_FLAGS = ("sigma", "epochs", "p", "k", "hidden_dim", "embed_dim", "base_lr")
 # ExperimentConfig fields that `experiment` sets by flag: all but the trainer's
 EXPERIMENT_FLAGS = tuple(f.name for f in fields(exp.ExperimentConfig) if f.name != "train")
+# SyntheticSpec fields that `gen` sets by flag, in --help order (the hold-out
+# counts come before --seed), and the spec that gen's flags override
+GEN_FLAGS = ("topology", "num_identities", "samples_per_identity", "dim", "num_cameras",
+             "intra_class_spread", "inter_class_separation", "seed")
+GEN_SPEC = SyntheticSpec(16, 8, 32, topology="intertwined_spirals")
 # fields whose flag has another name, and fields whose flag takes fixed choices
-FLAG_NAMES = {"topology": "spec", "intra_class_spread": "spread", "inter_class_separation": "separation"}
+FLAG_NAMES = {"topology": "spec", "intra_class_spread": "spread", "inter_class_separation": "separation",
+              "num_identities": "identities", "samples_per_identity": "per_id", "num_cameras": "cameras"}
 FLAG_CHOICES = {"mode": exp.MODES, "topology": sorted(TOPOLOGY_ALIASES)}
 
 
@@ -126,19 +132,9 @@ def _train_config(args: argparse.Namespace, base: TrainConfig, **extra) -> Train
 
 
 def cmd_gen(args) -> int:
-    spec = SyntheticSpec(
-        num_identities=args.identities,
-        samples_per_identity=args.per_id,
-        dim=args.dim,
-        intra_class_spread=args.spread,
-        inter_class_separation=args.separation,
-        topology=TOPOLOGY_ALIASES[args.spec],
-        num_cameras=args.cameras,
-        seed=args.seed,
-    )
+    spec = _overridden(GEN_SPEC, args, GEN_FLAGS, topology=TOPOLOGY_ALIASES.get(args.topology))
     features, manifest = generate_synthetic(spec)
-    if args.query_per_id or args.gallery_per_id:
-        manifest = hold_out_eval_split(manifest, args.query_per_id, args.gallery_per_id)
+    manifest = hold_out_eval_split(manifest, args.query_per_id, args.gallery_per_id)
     save_features(features, args.out)
     save_manifest(manifest, args.manifest)
     print(f"wrote {features.n}x{features.d} features to {args.out}, manifest to {args.manifest}")
@@ -232,14 +228,8 @@ def cmd_diagnose(args) -> int:
         raise ManifestError("diagnostics need at least 2 identities")
     part = Partition(classes)
     sigma = _check_sigma(args.sigma)
-    # Every printed quantity is a ratio of edge sums, so the common factor
-    # exp(-1/sigma) cancels; dropping it keeps exp(cos/sigma) from
-    # overflowing at small sigma.
-    unit = _unit_rows(features.data)[1]
-    weights = _clipped_products(unit, unit)
-    weights -= 1.0
-    weights /= sigma
-    np.exp(weights, out=weights)
+    # every printed quantity is a ratio of edge sums: the shift cancels
+    weights = _exp_cosines(_unit_rows(features.data)[1], sigma, shift=1.0)
     ncuts, escapes, escapes_rest = class_ncut_escape(AffinityMatrix(weights, sigma), part)
     for ident, value, escape in zip(identities, ncuts, escapes):
         print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
@@ -269,16 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic features and manifest")
-    p.add_argument("--spec", choices=sorted(TOPOLOGY_ALIASES), default="spirals")
-    p.add_argument("--identities", type=int, default=16)
-    p.add_argument("--per-id", type=int, default=8)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--cameras", type=int, default=2)
-    p.add_argument("--spread", type=float, default=0.1)
-    p.add_argument("--separation", type=float, default=1.0)
+    _add_field_flags(p, SyntheticSpec, GEN_FLAGS[:-1])
     p.add_argument("--query-per-id", type=int, default=0)
     p.add_argument("--gallery-per-id", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, SyntheticSpec, GEN_FLAGS[-1:])
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_gen)
@@ -298,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply the spectral transform to a feature file")
     p.add_argument("--features", required=True)
-    p.add_argument("--sigma", type=float, default=0.1)
+    p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transform)
 
@@ -318,15 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--ranking", required=True)
-    p.add_argument("--top-n", type=int, default=50)
-    p.add_argument("--sigma", type=float, default=0.1)
+    p.add_argument("--top-n", type=int, default=exp.ExperimentConfig.top_n)
+    p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("diagnose", help="per-identity escape probabilities and residuals")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--sigma", type=float, default=0.1)
+    p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("experiment", help="run the ablation grid or a sweep")

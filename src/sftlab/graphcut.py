@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureMatrix, Partition, freeze_array
-from .transform import AffinityMatrix, _as_array, _check_sigma, _clipped_products, _unit_backward, _unit_rows
+from .transform import AffinityMatrix, _as_array, _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,13 @@ class RandomWalkStats:
         object.__setattr__(self, "stationary", freeze_array(pi))
 
 
+def _check_covers(part: Partition, n: int) -> None:
+    if part.n != n:
+        raise ValueError(f"partition covers {part.n} nodes, graph has {n}")
+
+
 def _class_mask(w: AffinityMatrix, part: Partition, label: int) -> np.ndarray:
-    if part.n != w.n:
-        raise ValueError(f"partition covers {part.n} nodes, graph has {w.n}")
+    _check_covers(part, w.n)
     if not 0 <= label < part.num_classes:
         raise ValueError(f"class {label} out of range")
     mask = part.labels == label
@@ -106,8 +110,7 @@ def class_ncut_escape(w: AffinityMatrix, part: Partition) -> tuple[np.ndarray, n
     is empty, covers the whole graph or has no edge weight on one side
     gets NaN; zero-degree nodes elsewhere leave its values finite.
     """
-    if part.n != w.n:
-        raise ValueError(f"partition covers {part.n} nodes, graph has {w.n}")
+    _check_covers(part, w.n)
     onehot = (part.labels[:, None] == np.arange(part.num_classes)).astype(np.float64)
     outside = 1.0 - onehot
     degrees = w.data.sum(axis=1)
@@ -167,14 +170,13 @@ def ncut_loss(x, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix 
     """
     sigma = _check_sigma(sigma)
     xa = _as_array(x)
-    if labels.n != xa.shape[0]:
-        raise ValueError(f"labels cover {labels.n} samples, features have {xa.shape[0]}")
+    _check_covers(labels, xa.shape[0])
     present, row_class, counts = np.unique(labels.labels, return_inverse=True, return_counts=True)
     if present.size < 2:
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
     norms, unit = _unit_rows(xa)
-    weights = np.exp(_clipped_products(unit, unit) / sigma)
+    weights = _exp_cosines(unit, sigma)
 
     # Rows regrouped by class, stably: each class is one contiguous block
     # holding the same values in the same order as weights[mask, :], and
@@ -197,16 +199,13 @@ def ncut_loss(x, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix 
     # every row lies in exactly one class c
     outside = row_class[:, None] != row_class[None, :]
     grad_w = np.where(outside, inv_vol[row_class][:, None], 0.0) - penalty[row_class][:, None]
-    grad_cos = grad_w * weights / sigma
-    grad_unit = (grad_cos + grad_cos.T) @ unit
-    grad_x = _unit_backward(grad_unit, unit, norms)
+    grad_x = _cosine_backward(grad_w * weights / sigma, unit, norms)
     return loss, (FeatureMatrix(grad_x) if isinstance(x, FeatureMatrix) else grad_x)
 
 
 def affinity_class_means(w: AffinityMatrix, labels: Partition) -> tuple[float, float]:
     """Mean off-diagonal edge weight inside classes and across classes."""
-    if labels.n != w.n:
-        raise ValueError(f"labels cover {labels.n} nodes, graph has {w.n}")
+    _check_covers(labels, w.n)
     same = labels.labels[:, None] == labels.labels[None, :]
     off_diag = ~np.eye(w.n, dtype=bool)
     intra = same & off_diag

@@ -75,6 +75,16 @@ def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
     return records
 
 
+def _check_indices(ranking: RankingList, num_queries: int, num_gallery: int) -> None:
+    """Every query and gallery index of ranking lies in [0, n) of its split."""
+    for qr in ranking.queries:
+        if not 0 <= qr.query_index < num_queries:
+            raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
+        bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
+        if bad.size:
+            raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
+
+
 def rank(queries: FeatureMatrix, gallery: FeatureMatrix, manifest: DatasetManifest) -> RankingList:
     """Per query, gallery sorted by cosine (descending), junk removed."""
     query_recs, gallery_recs = _eval_records(manifest, queries, gallery)
@@ -102,6 +112,7 @@ def _ranked(dist: np.ndarray, query_recs, gallery_recs) -> RankingList:
 def evaluate(ranking: RankingList, manifest: DatasetManifest, config: dict | None = None) -> EvalReport:
     """Average precision per query, mAP and CMC at the standard ranks."""
     query_recs, gallery_recs = _eval_records(manifest)
+    _check_indices(ranking, len(query_recs), len(gallery_recs))
     g_ident = np.array([r.identity for r in gallery_recs])
     aps = []
     first_hit = []
@@ -158,6 +169,7 @@ def sft_refine(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMa
 def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: FeatureMatrix,
                    top_n: int, sigma: float) -> RankingList:
     """Apply :func:`sft_refine` to every query of a ranking."""
+    _check_indices(ranking, queries.n, gallery.n)
     refined = tuple(
         sft_refine(queries.data[qr.query_index], qr, gallery, top_n, sigma)
         for qr in ranking.queries

@@ -345,15 +345,14 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
             raise ValueError("unshared deep supervision needs the second classifier")
         _check_labels(labels, emb.shape[0], clf_orig.num_classes)
     if cfg.use_sft:
-        sigma = _check_sigma(cfg.sigma)
-        forward = _transition_from_features(emb, sigma)
+        forward = _transition_from_features(emb, cfg.sigma)
         z = forward[2] @ emb
     else:
         z = emb
     on_z = _am_softmax_grad(z, labels, w_norms, w_unit, clf)
     loss_sft, grad_z, grad_clf = on_z
     if cfg.use_sft:
-        grad_emb = _sft_backward(emb, sigma, grad_z, forward, cfg.grad_through_transition)
+        grad_emb = _sft_backward(emb, cfg.sigma, grad_z, forward, cfg.grad_through_transition)
     else:
         grad_emb = grad_z
 

@@ -118,11 +118,20 @@ class StochasticMatrix(_SquareMatrix):
             raise ValueError("transition matrix rows must sum to 1")
 
 
+def _exp_cosines(unit: np.ndarray, sigma: float, shift: float = 0.0) -> np.ndarray:
+    """Edge weights exp((cos - shift) / sigma) of unit rows, built in place on
+    their cosines; ratios of edge sums ignore the shift, and 1 keeps w <= 1."""
+    weights = _clipped_products(unit, unit)
+    weights -= shift
+    weights /= sigma
+    np.exp(weights, out=weights)
+    return weights
+
+
 def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
     """Edge weights w_ij = exp(cos(x_i, x_j) / sigma)."""
     sigma = _check_sigma(sigma)
-    unit = _unit_rows(x.data)[1]
-    return AffinityMatrix(np.exp(_clipped_products(unit, unit) / sigma), sigma)
+    return AffinityMatrix(_exp_cosines(_unit_rows(x.data)[1], sigma), sigma)
 
 
 def transition(w: AffinityMatrix) -> StochasticMatrix:
@@ -153,6 +162,11 @@ def _unit_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -
     unit rows x / |x|: the tangential part of grad_unit, divided by |x|."""
     radial = np.einsum("ij,ij->i", grad_unit, unit)
     return (grad_unit - radial[:, None] * unit) / norms[:, None]
+
+
+def _cosine_backward(grad_cos: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. raw rows x given it w.r.t. the cosines of x with itself."""
+    return _unit_backward((grad_cos + grad_cos.T) @ unit, unit, norms)
 
 
 def sft_transform(x: FeatureMatrix, sigma: float) -> FeatureMatrix:
@@ -203,7 +217,5 @@ def _sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,
         grad_trans = grad_out @ x.T
         # softmax backward per row, then undo the 1/sigma scaling of logits
         grad_logits = trans * (grad_trans - np.einsum("ij,ij->i", grad_trans, trans)[:, None])
-        grad_cos = grad_logits / sigma
-        grad_unit = (grad_cos + grad_cos.T) @ unit
-        grad_x = grad_x + _unit_backward(grad_unit, unit, norms)
+        grad_x = grad_x + _cosine_backward(grad_logits / sigma, unit, norms)
     return grad_x

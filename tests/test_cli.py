@@ -7,9 +7,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from sftlab import cli
 from sftlab import experiment as exp
 from sftlab.cli import main
-from sftlab.data import load_features, load_manifest
+from sftlab.data import SyntheticSpec, load_features, load_manifest
 from sftlab.transform import sft_transform
 
 
@@ -47,6 +48,17 @@ class TestGen:
         run(*args, "--out", tmp_path / "b.sfte", "--manifest", tmp_path / "b.tsv")
         assert (tmp_path / "a.sfte").read_bytes() == (tmp_path / "b.sfte").read_bytes()
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_flags_set_spec_fields_over_gen_defaults(self, monkeypatch, tmp_path):
+        specs = []
+        generate = cli.generate_synthetic
+        monkeypatch.setattr(cli, "generate_synthetic", lambda spec: specs.append(spec) or generate(spec))
+        out = ["--out", tmp_path / "f.sfte", "--manifest", tmp_path / "m.tsv"]
+        assert run("gen", *out) == 0
+        assert specs.pop() == SyntheticSpec(16, 8, 32, 0.1, 1.0, "intertwined_spirals", 2, 0)
+        assert run("gen", "--spec", "blobs", "--identities", 3, "--per-id", 4, "--dim", 5,
+                   "--cameras", 3, "--spread", "0.2", "--separation", "2", "--seed", 7, *out) == 0
+        assert specs.pop() == SyntheticSpec(3, 4, 5, 0.2, 2.0, "gaussian_blobs", 3, 7)
 
 
 class TestPipeline:
@@ -218,6 +230,49 @@ class TestErrors:
             assert not log.exists()
 
 
+# edits that turn a `rank` output into a hostile ranking file (6 queries, 18 gallery rows)
+def _set_first(key, value):
+    def edit(payload):
+        target = payload["queries"][0]
+        if key != "query_index":
+            target = target["items"][0]
+        target[key] = value
+        return payload
+    return edit
+
+
+def _drop_first_score(payload):
+    del payload["queries"][0]["items"][0]["score"]
+    return payload
+
+
+HOSTILE_RANKINGS = {
+    "query_index_-1": _set_first("query_index", -1),
+    "query_index_6": _set_first("query_index", 6),
+    "gallery_index_-1": _set_first("gallery_index", -1),
+    "gallery_index_1e6": _set_first("gallery_index", 10**6),
+    "missing_score": _drop_first_score,
+    "json_list": lambda payload: payload["queries"],
+    "items_not_a_list": lambda payload: {"queries": [{"query_index": 0, "items": 3}]},
+}
+
+
+class TestHostileRanking:
+    @pytest.mark.parametrize("command", ["eval", "refine"])
+    @pytest.mark.parametrize("edit", sorted(HOSTILE_RANKINGS))
+    def test_exits_1_with_one_error_line(self, dataset, tmp_path, capsys, command, edit):
+        feats, manifest = dataset
+        ranking = tmp_path / "r.json"
+        assert run("rank", "--features", feats, "--manifest", manifest, "--out", ranking) == 0
+        ranking.write_text(json.dumps(HOSTILE_RANKINGS[edit](json.loads(ranking.read_text()))))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        args = (["--features", feats, "--out", out] if command == "refine" else [])
+        assert run(command, "--ranking", ranking, "--manifest", manifest, *args) == 1
+        assert re.fullmatch(r"error: [^\n]*\n", capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestExperimentCommand:
     def test_byte_identical_reports(self, tmp_path):
         args = ["experiment", "--identities", 6, "--train-per-id", 4,
@@ -323,6 +378,86 @@ options:
                         write model parameters as JSON
 """
 
+GEN_HELP = """\
+usage: sftlab gen [-h]
+                  [--spec {blobs,gaussian_blobs,intertwined_spirals,spirals}]
+                  [--identities IDENTITIES] [--per-id PER_ID] [--dim DIM]
+                  [--cameras CAMERAS] [--spread SPREAD]
+                  [--separation SEPARATION] [--query-per-id QUERY_PER_ID]
+                  [--gallery-per-id GALLERY_PER_ID] [--seed SEED] --out OUT
+                  --manifest MANIFEST
+
+options:
+  -h, --help            show this help message and exit
+  --spec {blobs,gaussian_blobs,intertwined_spirals,spirals}
+  --identities IDENTITIES
+  --per-id PER_ID
+  --dim DIM
+  --cameras CAMERAS
+  --spread SPREAD
+  --separation SEPARATION
+  --query-per-id QUERY_PER_ID
+  --gallery-per-id GALLERY_PER_ID
+  --seed SEED
+  --out OUT
+  --manifest MANIFEST
+"""
+
+TRANSFORM_HELP = """\
+usage: sftlab transform [-h] --features FEATURES [--sigma SIGMA] --out OUT
+
+options:
+  -h, --help           show this help message and exit
+  --features FEATURES
+  --sigma SIGMA
+  --out OUT
+"""
+
+RANK_HELP = """\
+usage: sftlab rank [-h] --features FEATURES --manifest MANIFEST --out OUT
+
+options:
+  -h, --help           show this help message and exit
+  --features FEATURES
+  --manifest MANIFEST
+  --out OUT
+"""
+
+EVAL_HELP = """\
+usage: sftlab eval [-h] --ranking RANKING --manifest MANIFEST [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --ranking RANKING
+  --manifest MANIFEST
+  --out OUT
+"""
+
+REFINE_HELP = """\
+usage: sftlab refine [-h] --features FEATURES --manifest MANIFEST --ranking
+                     RANKING [--top-n TOP_N] [--sigma SIGMA] --out OUT
+
+options:
+  -h, --help           show this help message and exit
+  --features FEATURES
+  --manifest MANIFEST
+  --ranking RANKING
+  --top-n TOP_N
+  --sigma SIGMA
+  --out OUT
+"""
+
+DIAGNOSE_HELP = """\
+usage: sftlab diagnose [-h] --features FEATURES --manifest MANIFEST
+                       [--sigma SIGMA]
+
+options:
+  -h, --help           show this help message and exit
+  --features FEATURES
+  --manifest MANIFEST
+  --sigma SIGMA
+"""
+
 # one non-default value per ExperimentConfig field, and the flag that sets it
 EXPERIMENT_FLAG_VALUES = {
     "mode": ("--mode", "k_sweep", "k_sweep"),
@@ -375,7 +510,13 @@ class TestExperimentFlags:
         assert cfg.train == exp.toy_train_config(epochs=3, base_lr=0.5)
 
     @pytest.mark.parametrize("command,text", [("experiment", EXPERIMENT_HELP),
-                                              ("train", TRAIN_HELP)])
+                                              ("train", TRAIN_HELP),
+                                              ("gen", GEN_HELP),
+                                              ("transform", TRANSFORM_HELP),
+                                              ("rank", RANK_HELP),
+                                              ("eval", EVAL_HELP),
+                                              ("refine", REFINE_HELP),
+                                              ("diagnose", DIAGNOSE_HELP)])
     def test_help_text(self, monkeypatch, capsys, command, text):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exit_:

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sftlab.data import (
+    MAGIC,
+    SPLITS,
+    VERSION,
     DatasetManifest,
+    FeatureFileError,
     FeatureMatrix,
     MalformedHeaderError,
     ManifestError,
@@ -168,6 +172,73 @@ class TestManifest:
         manifest = DatasetManifest(records(("a", 0, 0, "train"), ("b", 1, 0, "train")))
         with pytest.raises(ManifestError):
             split_features(FeatureMatrix(np.ones((3, 2))), manifest, "train")
+
+
+# hostile-input fuzzing: the same examples on every run
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+
+def load_or_none(load, raw: bytes, error):
+    """load() of a file holding raw, or None where it raises error; any other
+    exception propagates and fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz"
+        path.write_bytes(raw)
+        try:
+            return load(path)
+        except error:
+            return None
+
+
+@st.composite
+def sfte_files(draw):
+    """Valid magic, then a random version, n, d and tail; small shapes often
+    get a tail of exactly n * d float32 values."""
+    version = draw(st.one_of(st.just(VERSION), st.integers(0, 2**16 - 1)))
+    n, d = (draw(st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1))) for _ in range(2))
+    size = n * d * 4
+    exact = st.binary(min_size=size, max_size=size) if size <= 64 else st.nothing()
+    tail = draw(st.one_of(exact, st.binary(max_size=80)))
+    return struct.pack("<4sHQQ", MAGIC, version, n, d) + tail
+
+
+# manifest lines: often four plausible columns, else any number of random ones
+MANIFEST_NUMBERS = st.one_of(st.sampled_from(["0", "1", "2", "-1"]), st.text(max_size=4))
+MANIFEST_SPLITS = st.one_of(st.sampled_from(SPLITS), st.text(max_size=4))
+MANIFEST_LINES = st.one_of(
+    st.tuples(st.text(max_size=4), MANIFEST_NUMBERS, MANIFEST_NUMBERS, MANIFEST_SPLITS),
+    st.lists(st.one_of(MANIFEST_NUMBERS, MANIFEST_SPLITS), max_size=5),
+).map("\t".join)
+MANIFEST_TEXTS = st.lists(MANIFEST_LINES, max_size=8).map(
+    lambda lines: "\n".join(["sample_id\tidentity\tcamera\tsplit", *lines]))
+
+
+class TestLoaderFuzz:
+    @FUZZ
+    @given(st.binary(max_size=96))
+    def test_features_from_raw_bytes(self, raw):
+        out = load_or_none(load_features, raw, FeatureFileError)
+        assert out is None or isinstance(out, FeatureMatrix)
+
+    @FUZZ
+    @given(sfte_files())
+    def test_features_from_valid_magic(self, raw):
+        out = load_or_none(load_features, raw, FeatureFileError)
+        if out is not None:
+            assert isinstance(out, FeatureMatrix)
+            assert (out.n, out.d) == struct.unpack_from("<4sHQQ", raw)[2:]
+
+    @FUZZ
+    @given(st.binary(max_size=96))
+    def test_manifest_from_raw_bytes(self, raw):
+        out = load_or_none(load_manifest, raw, ValueError)
+        assert out is None or isinstance(out, DatasetManifest)
+
+    @FUZZ
+    @given(MANIFEST_TEXTS)
+    def test_manifest_from_header_and_fields(self, text):
+        out = load_or_none(load_manifest, text.encode("utf-8"), ValueError)
+        assert out is None or isinstance(out, DatasetManifest)
 
 
 class TestSynthetic:

@@ -211,6 +211,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="relevant"):
             evaluate(RankingList((qr,)), manifest_ok)
 
+    @pytest.mark.parametrize("query_index,gallery_indices,message", [
+        (-1, [0, 1, 2], "query index -1 out of range for 1 queries"),
+        (1, [0, 1, 2], "query index 1 out of range for 1 queries"),
+        (0, [0, -1, 2], "gallery index -1 out of range for 3 gallery rows"),
+        (0, [0, 3, 2], "gallery index 3 out of range for 3 gallery rows"),
+    ])
+    def test_out_of_range_index_rejected(self, query_index, gallery_indices, message):
+        """No index wraps around or fails inside numpy: evaluate and
+        refine_ranking name the first one outside its split."""
+        _, manifest = self.make_single_query([1, 0, 1])
+        ranking = RankingList((QueryRanking(query_index, np.array(gallery_indices), np.ones(3)),))
+        with pytest.raises(ValueError, match=message):
+            evaluate(ranking, manifest)
+        with pytest.raises(ValueError, match=message):
+            refine_ranking(FeatureMatrix(np.ones((1, 2))), ranking, FeatureMatrix(np.eye(3, 2) + 1), 2, 0.1)
+
+
 
 # Geometry where two mutually-symmetric outliers outscore the query's true
 # neighbor, but their off-plane components cancel in the transformed query
