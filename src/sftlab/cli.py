@@ -192,14 +192,14 @@ def cmd_rank(args) -> int:
 def cmd_eval(args) -> int:
     ranking = load_ranking(args.ranking)
     manifest = load_manifest(args.manifest)
-    report = evaluate(ranking, manifest, config={"ranking": str(args.ranking)})
+    report = evaluate(ranking, manifest)
     if args.out:
         payload = {
             "mAP": report.map_score,
             "cmc": {str(r): v for r, v in report.cmc.items()},
             "per_query_ap": list(report.per_query_ap),
             "num_queries": report.num_queries,
-            "config": report.config,
+            "config": {"ranking": str(args.ranking)},
         }
         write_json(payload, args.out)
     print(f"mAP={report.map_score:.6f} cmc1={report.cmc[1]:.6f} "
@@ -230,7 +230,7 @@ def cmd_diagnose(args) -> int:
     sigma = _check_sigma(args.sigma)
     # every printed quantity is a ratio of edge sums: the shift cancels
     weights = _exp_cosines(_unit_rows(features.data)[1], sigma, shift=1.0)
-    ncuts, escapes, escapes_rest = class_ncut_escape(AffinityMatrix(weights, sigma), part)
+    ncuts, escapes, escapes_rest = class_ncut_escape(AffinityMatrix(weights), part)
     for ident, value, escape in zip(identities, ncuts, escapes):
         print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
     residual = float(np.abs(ncuts - (escapes + escapes_rest)).max())

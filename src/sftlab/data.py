@@ -358,8 +358,6 @@ def hold_out_eval_split(
     """
     if query_per_id < 0 or gallery_per_id < 0:
         raise ManifestError("hold-out counts must be non-negative")
-    if query_per_id + gallery_per_id == 0:
-        return manifest
     new_split = {}
     held = query_per_id + gallery_per_id
     for ident, idx in manifest.train_groups:

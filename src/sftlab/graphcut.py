@@ -163,7 +163,9 @@ def ncut_loss(x, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix 
     """Sum of one-vs-rest escape probabilities and its feature gradient.
 
     For each class c, the term is cut(c, rest) / volume(c) on the
-    exponentiated-cosine graph; the gradient runs through the edge
+    exponentiated-cosine graph, built with weights exp((cos - 1) / sigma)
+    <= 1 so that no sum overflows at any sigma > 0 (the ratios ignore that
+    common factor); the gradient runs through the edge
     weights, the cosines and the row normalization.  A FeatureMatrix ``x``
     gives a FeatureMatrix gradient, a raw array (which may hold the
     non-finite rows of a diverging trainer) a raw array.
@@ -171,25 +173,21 @@ def ncut_loss(x, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix 
     sigma = _check_sigma(sigma)
     xa = _as_array(x)
     _check_covers(labels, xa.shape[0])
-    present, row_class, counts = np.unique(labels.labels, return_inverse=True, return_counts=True)
+    present, row_class = np.unique(labels.labels, return_inverse=True)
     if present.size < 2:
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
     norms, unit = _unit_rows(xa)
-    weights = _exp_cosines(unit, sigma)
+    weights = _exp_cosines(unit, sigma, shift=1.0)
 
-    # Rows regrouped by class, stably: each class is one contiguous block
-    # holding the same values in the same order as weights[mask, :], and
-    # compress() keeps its off-class columns C-contiguous, so both sums run
-    # over the same values in the same order as the per-mask ones.
-    by_class = weights[np.argsort(row_class, kind="stable")]
-    ends = np.cumsum(counts)
     loss = 0.0
     inv_vol = np.empty(present.size)
     penalty = np.empty(present.size)
-    for c, label in enumerate(present):
-        block = by_class[ends[c] - counts[c]:ends[c]]
-        cross = float(block.compress(labels.labels != label, axis=1).sum())
+    for c in range(present.size):
+        # both arrays are C-contiguous in np.ix_ order, so each sum runs
+        # over the same values in the same order as on an np.ix_ block
+        block = weights[row_class == c]
+        cross = float(block.compress(row_class != c, axis=1).sum())
         vol = float(block.sum())
         loss += cross / vol
         inv_vol[c] = 1.0 / vol

@@ -10,7 +10,7 @@ gallery index.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class QueryRanking:
         sc = np.asarray(self.scores, dtype=np.float64)
         if idx.ndim != 1 or idx.shape != sc.shape:
             raise ValueError("indices and scores must be matching 1-d vectors")
+        if not np.isfinite(sc).all():
+            raise ValueError("ranking scores must be finite")
         ordered = np.sort(idx)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate gallery index in ranking")
@@ -56,7 +58,6 @@ class EvalReport:
     cmc: dict[int, float]
     per_query_ap: tuple[float, ...]
     num_queries: int
-    config: dict = field(default_factory=dict)
 
 
 def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
@@ -76,10 +77,15 @@ def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
 
 
 def _check_indices(ranking: RankingList, num_queries: int, num_gallery: int) -> None:
-    """Every query and gallery index of ranking lies in [0, n) of its split."""
+    """Every query and gallery index of ranking lies in [0, n) of its split,
+    and no query is listed twice."""
+    seen = set()
     for qr in ranking.queries:
         if not 0 <= qr.query_index < num_queries:
             raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
+        if qr.query_index in seen:
+            raise ValueError(f"query index {qr.query_index} listed twice")
+        seen.add(qr.query_index)
         bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
         if bad.size:
             raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
@@ -109,10 +115,12 @@ def _ranked(dist: np.ndarray, query_recs, gallery_recs) -> RankingList:
     return RankingList(tuple(out))
 
 
-def evaluate(ranking: RankingList, manifest: DatasetManifest, config: dict | None = None) -> EvalReport:
+def evaluate(ranking: RankingList, manifest: DatasetManifest) -> EvalReport:
     """Average precision per query, mAP and CMC at the standard ranks."""
     query_recs, gallery_recs = _eval_records(manifest)
     _check_indices(ranking, len(query_recs), len(gallery_recs))
+    if len(ranking) != len(query_recs):
+        raise ValueError(f"ranking lists {len(ranking)} of {len(query_recs)} queries")
     g_ident = np.array([r.identity for r in gallery_recs])
     aps = []
     first_hit = []
@@ -134,7 +142,6 @@ def evaluate(ranking: RankingList, manifest: DatasetManifest, config: dict | Non
         cmc=cmc,
         per_query_ap=tuple(aps),
         num_queries=len(ranking.queries),
-        config=dict(config or {}),
     )
 
 

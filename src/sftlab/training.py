@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureMatrix, Partition, SyntheticSpec, check_paired, generate_synthetic
+from .data import DatasetManifest, FeatureMatrix, Partition, check_paired
 from .graphcut import affinity_class_means, ncut_loss
 from .rng import Xoshiro256StarStar
 from .transform import (
@@ -383,19 +383,14 @@ class TrainResult:
 
 # overflow on the way to divergence is reported once, by the epoch check
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train(features, manifest: DatasetManifest | None, cfg: TrainConfig) -> TrainResult:
+def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) -> TrainResult:
     """Full training loop, deterministic given the config seed.
 
-    `features` may be a FeatureMatrix paired with `manifest`, or a
-    SyntheticSpec (manifest None) that is generated on the spot.  Log
-    lines are `epoch<TAB>lr<TAB>loss_orig<TAB>loss_sft`, with mean
-    intra/inter affinity and the graph-cut loss of the train embeddings
-    appended when cfg.diagnostics is set.
+    `features` holds one row per record of `manifest`.  Log lines are
+    `epoch<TAB>lr<TAB>loss_orig<TAB>loss_sft`, with mean intra/inter
+    affinity and the graph-cut loss of the train embeddings appended when
+    cfg.diagnostics is set.
     """
-    if isinstance(features, SyntheticSpec):
-        if manifest is not None:
-            raise ValueError("manifest must be None when generating from a spec")
-        features, manifest = generate_synthetic(features)
     check_paired(features, manifest)
 
     train_idx = manifest.indices("train")

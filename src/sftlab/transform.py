@@ -75,9 +75,11 @@ class _SquareMatrix:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"{self._name} must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # min and max propagate NaN, so no n x n isfinite mask is needed
+        low, high = arr.min(), arr.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError(f"{self._name} contains non-finite values")
-        if arr.min() < 0:
+        if low < 0:
             raise ValueError(f"{self._name} entries must be non-negative")
         self._check(arr)
         object.__setattr__(self, "data", freeze_array(arr))
@@ -89,7 +91,7 @@ class _SquareMatrix:
 
 @dataclass(frozen=True)
 class AffinityMatrix(_SquareMatrix):
-    """Symmetric non-negative edge weights plus the temperature used.
+    """Symmetric non-negative edge weights.
 
     Outputs of :func:`affinity` additionally have strictly positive
     entries bounded by exp(1/sigma); the type stays permissive so that
@@ -97,14 +99,13 @@ class AffinityMatrix(_SquareMatrix):
     diagnostics.
     """
 
-    sigma: float
-
     _name = "affinity matrix"
 
     def _check(self, arr: np.ndarray) -> None:
-        if arr.size and np.abs(arr - arr.T).max() > 1e-12 * max(1.0, arr.max()):
+        asymmetry = arr - arr.T
+        np.abs(asymmetry, out=asymmetry)
+        if asymmetry.max() > 1e-12 * max(1.0, arr.max()):
             raise ValueError("affinity matrix must be symmetric")
-        _check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _exp_cosines(unit: np.ndarray, sigma: float, shift: float = 0.0) -> np.ndarr
 def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
     """Edge weights w_ij = exp(cos(x_i, x_j) / sigma)."""
     sigma = _check_sigma(sigma)
-    return AffinityMatrix(_exp_cosines(_unit_rows(x.data)[1], sigma), sigma)
+    return AffinityMatrix(_exp_cosines(_unit_rows(x.data)[1], sigma))
 
 
 def transition(w: AffinityMatrix) -> StochasticMatrix:

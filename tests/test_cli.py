@@ -94,6 +94,17 @@ class TestPipeline:
         refined_payload = json.loads(refined.read_text())
         assert len(refined_payload["queries"]) == 6
 
+    def test_ncut_train_at_small_sigma_stays_finite(self, dataset, tmp_path):
+        feats, manifest = dataset
+        log = tmp_path / "train.log"
+        # unshifted, exp(cos / 0.002) overflows the ncut loss's volume squared
+        assert run("train", "--features", feats, "--manifest", manifest,
+                   "--objective", "ncut", "--sigma", "0.002", "--epochs", 2,
+                   "--p", 3, "--k", 4, "--hidden-dim", 16, "--embed-dim", 8, "--log", log) == 0
+        lines = log.read_text().splitlines()
+        assert len(lines) == 2
+        assert all(math.isfinite(float(v)) for line in lines for v in line.split("\t"))
+
     def test_eval_perfect_top1(self, tmp_path, capsys):
         feats = tmp_path / "f.sfte"
         manifest = tmp_path / "m.tsv"
@@ -206,14 +217,16 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
 
-    def test_arithmetic_error_exits_1(self, dataset, capsys):
+    def test_arithmetic_error_exits_1(self, dataset, tmp_path, capsys):
         feats, manifest = dataset
-        # exp(cos / 0.002) overflows the ncut loss's volume squared
-        assert run("train", "--features", feats, "--manifest", manifest,
-                   "--objective", "ncut", "--sigma", "0.002", "--epochs", 1,
-                   "--p", 3, "--k", 4, "--hidden-dim", 16, "--embed-dim", 8) == 1
+        ranking = tmp_path / "r.json"
+        assert run("rank", "--features", feats, "--manifest", manifest, "--out", ranking) == 0
+        # a gallery index beyond int64 overflows while the ranking loads
+        ranking.write_text(json.dumps(_set_first("gallery_index", 10**30)(json.loads(ranking.read_text()))))
+        capsys.readouterr()
+        assert run("eval", "--ranking", ranking, "--manifest", manifest) == 1
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert err.startswith("error: OverflowError")
         assert "Traceback" not in err
 
 
@@ -252,6 +265,9 @@ HOSTILE_RANKINGS = {
     "gallery_index_-1": _set_first("gallery_index", -1),
     "gallery_index_1e6": _set_first("gallery_index", 10**6),
     "missing_score": _drop_first_score,
+    "null_score": _set_first("score", None),
+    "nan_score": _set_first("score", math.nan),
+    "repeated_query": _set_first("query_index", 1),
     "json_list": lambda payload: payload["queries"],
     "items_not_a_list": lambda payload: {"queries": [{"query_index": 0, "items": 3}]},
 }

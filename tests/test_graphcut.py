@@ -23,7 +23,7 @@ def random_graph(seed, n, num_classes=2):
     """Symmetric positive weight matrix plus a random full partition."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.1, 2.0, size=(n, n))
-    w = AffinityMatrix((raw + raw.T) / 2.0, 1.0)
+    w = AffinityMatrix((raw + raw.T) / 2.0)
     labels = rng.integers(0, num_classes, size=n)
     labels[:num_classes] = np.arange(num_classes)  # every class non-empty
     return w, Partition(labels, num_classes)
@@ -33,11 +33,11 @@ def block_diagonal():
     w = np.zeros((4, 4))
     w[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     w[2:, 2:] = [[3.0, 0.5], [0.5, 3.0]]
-    return AffinityMatrix(w, 1.0), Partition(np.array([0, 0, 1, 1]))
+    return AffinityMatrix(w), Partition(np.array([0, 0, 1, 1]))
 
 
 def two_node_uniform():
-    return AffinityMatrix(np.full((2, 2), 0.7), 1.0), Partition(np.array([0, 1]))
+    return AffinityMatrix(np.full((2, 2), 0.7)), Partition(np.array([0, 1]))
 
 
 def exp_cosine_graph():
@@ -56,7 +56,7 @@ def isolated_node():
     data = w.data.copy()
     data[0, :] = 0.0
     data[:, 0] = 0.0
-    return AffinityMatrix(data, 1.0), part
+    return AffinityMatrix(data), part
 
 
 def brute_cut(w, labels, a, b):
@@ -70,7 +70,7 @@ def brute_cut(w, labels, a, b):
 
 class TestCut:
     def test_single_edge(self):
-        w = AffinityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+        w = AffinityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         part = Partition(np.array([0, 1]))
         assert cut(w, part, 0, 1) == 1.0
 
@@ -94,7 +94,7 @@ class TestCut:
             cut(w, part, 1, 1)
 
     def test_empty_class_rejected(self):
-        w = AffinityMatrix(np.ones((3, 3)), 1.0)
+        w = AffinityMatrix(np.ones((3, 3)))
         part = Partition(np.array([0, 0, 1]), num_classes=3)
         with pytest.raises(ValueError):
             cut(w, part, 0, 2)
@@ -158,11 +158,11 @@ class TestNcut:
 
 class TestStationary:
     def test_uniform_graph(self):
-        w = AffinityMatrix(np.ones((4, 4)), 1.0)
+        w = AffinityMatrix(np.ones((4, 4)))
         np.testing.assert_allclose(stationary(w).stationary, 0.25, atol=1e-15)
 
     def test_single_node(self):
-        w = AffinityMatrix(np.array([[2.0]]), 1.0)
+        w = AffinityMatrix(np.array([[2.0]]))
         np.testing.assert_array_equal(stationary(w).stationary, [1.0])
 
     def test_left_fixed_point(self):
@@ -280,7 +280,7 @@ class TestClassNcutEscape:
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_undefined_classes_are_nan(self):
-        w = AffinityMatrix(np.ones((3, 3)), 1.0)
+        w = AffinityMatrix(np.ones((3, 3)))
         ncuts, escapes, escapes_rest = class_ncut_escape(w, Partition(np.zeros(3, dtype=int), 2))
         # class 0 covers the graph, class 1 is empty
         assert np.isnan(ncuts).all() and np.isnan(escapes_rest[0]) and np.isnan(escapes[1])
@@ -352,8 +352,12 @@ class TestNcutLoss:
         with pytest.raises(ValueError):
             ncut_loss(FeatureMatrix(x), Partition(np.zeros(4, dtype=int), num_classes=1), 0.5)
 
-    @pytest.mark.parametrize("layout", ["blocks", "shuffled", "gaps", "uneven"])
-    def test_bitwise_equal_to_per_class_masks(self, layout):
+    @pytest.mark.parametrize("layout,sigma", [
+        pytest.param(layout, sigma, id=layout + suffix)
+        for sigma, suffix in ((0.3, ""), (1e-3, "-sigma1e-3"))
+        for layout in ("blocks", "shuffled", "gaps", "uneven")
+    ])
+    def test_bitwise_equal_to_per_class_masks(self, layout, sigma):
         rng = np.random.default_rng(12)
         labels = {
             "blocks": np.repeat([3, 0, 2, 1], 5),    # PK order: contiguous, unsorted
@@ -362,21 +366,22 @@ class TestNcutLoss:
             "uneven": np.array([1] * 13 + [0] * 2 + [2] * 5),
         }[layout]
         x = rng.normal(size=(20, 6))
-        loss, grad = ncut_loss(FeatureMatrix(x), Partition(labels), 0.3)
-        want_loss, want_grad = masked_ncut_loss(x, labels, 0.3)
-        assert loss == want_loss
+        loss, grad = ncut_loss(FeatureMatrix(x), Partition(labels), sigma)
+        want_loss, want_grad = masked_ncut_loss(x, labels, sigma)
+        assert math.isfinite(loss) and loss == want_loss
         assert np.array_equal(grad.data, want_grad)
         # a raw array in gives the same loss and a raw array gradient
-        raw_loss, raw_grad = ncut_loss(x, Partition(labels), 0.3)
+        raw_loss, raw_grad = ncut_loss(x, Partition(labels), sigma)
         assert raw_loss == want_loss
         assert type(raw_grad) is np.ndarray and np.array_equal(raw_grad, want_grad)
 
 
 def masked_ncut_loss(x, labels, sigma):
-    """ncut_loss with one np.ix_ block per class, as first written."""
+    """ncut_loss with one np.ix_ block per class, as first written, on the
+    shifted weights exp((cos - 1) / sigma)."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     unit = x / norms[:, None]
-    weights = np.exp(np.clip(unit @ unit.T, -1.0, 1.0) / sigma)
+    weights = np.exp((np.clip(unit @ unit.T, -1.0, 1.0) - 1.0) / sigma)
     loss = 0.0
     grad_w = np.zeros_like(weights)
     for label in np.unique(labels):

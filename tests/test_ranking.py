@@ -211,6 +211,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="relevant"):
             evaluate(RankingList((qr,)), manifest_ok)
 
+    def test_missing_query_rejected(self):
+        manifest = eval_manifest([(0, 0), (1, 0)], [(0, 1), (1, 1)])
+        ranking = RankingList((QueryRanking(1, np.array([1, 0]), np.array([0.9, 0.1])),))
+        with pytest.raises(ValueError, match="ranking lists 1 of 2 queries"):
+            evaluate(ranking, manifest)
+
     @pytest.mark.parametrize("query_index,gallery_indices,message", [
         (-1, [0, 1, 2], "query index -1 out of range for 1 queries"),
         (1, [0, 1, 2], "query index 1 out of range for 1 queries"),

@@ -309,12 +309,6 @@ class TestTrainLoop:
                           hidden_dim=16, embed_dim=4, seed=21, diagnostics=True)
         assert train(feats, manifest, cfg).log == train(feats, manifest, cfg).log
 
-    def test_generates_from_spec(self):
-        spec = SyntheticSpec(4, 6, 8, seed=2)
-        cfg = TrainConfig(p=2, k=2, epochs=1, hidden_dim=6, embed_dim=4)
-        result = train(spec, None, cfg)
-        assert len(result.log) == 1
-
     def test_transformed_feature_depends_on_batch_companions(self):
         rng = np.random.default_rng(3)
         emb = rng.normal(size=(8, 5))

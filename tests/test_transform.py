@@ -72,16 +72,16 @@ class TestAffinity:
 
     def test_type_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            AffinityMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]), 1.0)
+            AffinityMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
 
 
 class TestTransition:
     def test_uniform_affinity(self):
-        t = transition(AffinityMatrix(np.full((2, 2), E), 1.0))
+        t = transition(AffinityMatrix(np.full((2, 2), E)))
         np.testing.assert_array_equal(t.data, 0.5)
 
     def test_single_node(self):
-        t = transition(AffinityMatrix(np.array([[3.7]]), 1.0))
+        t = transition(AffinityMatrix(np.array([[3.7]])))
         np.testing.assert_array_equal(t.data, [[1.0]])
 
     def test_equals_row_softmax_of_scaled_cosines(self):
