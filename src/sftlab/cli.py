@@ -81,7 +81,8 @@ def load_ranking(path) -> RankingList:
             )
             for entry in payload["queries"]
         ))
-    except (KeyError, TypeError) as exc:  # a missing key or a wrong shape
+    # a missing key, a wrong shape, or a value that is no index or score
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path} is not a ranking file ({type(exc).__name__}: {exc})") from exc
 
 

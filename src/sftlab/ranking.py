@@ -78,7 +78,7 @@ def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
 
 def _check_indices(ranking: RankingList, num_queries: int, num_gallery: int) -> None:
     """Every query and gallery index of ranking lies in [0, n) of its split,
-    and no query is listed twice."""
+    and every query is listed exactly once."""
     seen = set()
     for qr in ranking.queries:
         if not 0 <= qr.query_index < num_queries:
@@ -89,6 +89,8 @@ def _check_indices(ranking: RankingList, num_queries: int, num_gallery: int) -> 
         bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
         if bad.size:
             raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
+    if len(seen) != num_queries:
+        raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")
 
 
 def rank(queries: FeatureMatrix, gallery: FeatureMatrix, manifest: DatasetManifest) -> RankingList:
@@ -119,8 +121,6 @@ def evaluate(ranking: RankingList, manifest: DatasetManifest) -> EvalReport:
     """Average precision per query, mAP and CMC at the standard ranks."""
     query_recs, gallery_recs = _eval_records(manifest)
     _check_indices(ranking, len(query_recs), len(gallery_recs))
-    if len(ranking) != len(query_recs):
-        raise ValueError(f"ranking lists {len(ranking)} of {len(query_recs)} queries")
     g_ident = np.array([r.identity for r in gallery_recs])
     aps = []
     first_hit = []

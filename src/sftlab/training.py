@@ -141,7 +141,11 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class EmbedModel:
-    """One or two affine maps with a rectifier between, l2-normalized output."""
+    """Affine maps with a rectifier between layers, l2-normalized output.
+
+    :meth:`parameters` owns the parameter order; :meth:`backward` returns
+    the gradients in that order.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -158,29 +162,28 @@ class EmbedModel:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
+    def parameters(self) -> list[np.ndarray]:
+        """Every parameter array: the weights, then the biases, input layer first."""
+        return self.weights + self.biases
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        pre = x @ self.weights[0] + self.biases[0]
-        if len(self.weights) == 2:
-            act = np.maximum(pre, 0.0)
-            raw = act @ self.weights[1] + self.biases[1]
-        else:
-            act = None
-            raw = pre
-        norms, out = _unit_rows(raw)
-        return out, (x, pre, act, norms, out)
+        inputs = [x]  # each layer's input: x, then the rectified hidden layers
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+        norms, out = _unit_rows(inputs[-1] @ self.weights[-1] + self.biases[-1])
+        return out, (inputs, norms, out)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache: tuple, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Parameter gradients [(dW, db), ...] matching the layer order."""
-        x, pre, act, norms, out = cache
-        grad_raw = _unit_backward(grad_out, out, norms)
-        upper = []
-        if len(self.weights) == 2:
-            upper = [(act.T @ grad_raw, grad_raw.sum(axis=0))]
-            grad_raw = (grad_raw @ self.weights[1].T) * (pre > 0)  # through the rectifier
-        return [(x.T @ grad_raw, grad_raw.sum(axis=0))] + upper
+    def backward(self, cache: tuple, grad_out: np.ndarray) -> list[np.ndarray]:
+        """Gradients of :meth:`parameters`, in its order."""
+        inputs, norms, out = cache
+        grads = [_unit_backward(grad_out, out, norms)]  # per layer output, the last first
+        for h, w in zip(inputs[:0:-1], self.weights[:0:-1]):
+            grads.append((grads[-1] @ w.T) * (h > 0))  # through the rectifier
+        grads.reverse()
+        return [h.T @ g for h, g in zip(inputs, grads)] + [g.sum(axis=0) for g in grads]
 
 
 @dataclass
@@ -188,8 +191,8 @@ class AmSoftmaxClassifier:
     """Cosine classifier with additive margin and logit scaling."""
 
     weight: np.ndarray  # (num_classes, embed_dim)
-    margin: float = 0.3
-    scale: float = 15.0
+    margin: float = TrainConfig.margin
+    scale: float = TrainConfig.scale
 
     def __post_init__(self):
         if self.margin < 0 or self.scale <= 0:
@@ -197,9 +200,10 @@ class AmSoftmaxClassifier:
 
     @classmethod
     def init(cls, num_classes: int, embed_dim: int, rng: Xoshiro256StarStar,
-             margin: float = 0.3, scale: float = 15.0) -> "AmSoftmaxClassifier":
+             **terms) -> "AmSoftmaxClassifier":
+        """Random rows scaled by 1/sqrt(embed_dim); terms sets margin and scale."""
         w = np.array(rng.normals(num_classes * embed_dim)).reshape(num_classes, embed_dim)
-        return cls(w / np.sqrt(embed_dim), margin, scale)
+        return cls(w / np.sqrt(embed_dim), **terms)
 
     @property
     def num_classes(self) -> int:
@@ -304,19 +308,14 @@ def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar
     return PKBatch(np.array(indices), np.array(labels))
 
 
-@dataclass
-class Grads:
-    model: list[tuple[np.ndarray, np.ndarray]]
-    clf: np.ndarray
-    clf_orig: np.ndarray | None = None
-
-
 def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
                      clf: AmSoftmaxClassifier, cfg: TrainConfig,
                      clf_orig: AmSoftmaxClassifier | None = None):
     """One training step's losses and parameter gradients.
 
-    Returns (loss_orig, loss_sft, Grads).  loss_sft is the classifier
+    Returns (loss_orig, loss_sft, grads).  grads is a list of gradients
+    in the order model.parameters() + [clf.weight], then clf_orig.weight
+    under unshared deep supervision.  loss_sft is the classifier
     loss on transformed features (or the graph-cut loss under the ncut
     objective); loss_orig is the classifier loss on the untransformed
     embedding, which contributes gradient only when deep supervision is
@@ -336,8 +335,7 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
         graph_loss, grad_emb_graph = ncut_loss(emb, Partition(labels), cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
         grad_emb = grad_emb_graph + cfg.ncut_ce_weight * grad_emb_ce
-        grads = Grads(model.backward(cache, grad_emb), cfg.ncut_ce_weight * grad_clf)
-        return ce_loss, graph_loss, grads
+        return ce_loss, graph_loss, model.backward(cache, grad_emb) + [cfg.ncut_ce_weight * grad_clf]
 
     mode = cfg.deep_supervision
     if mode == "unshared":
@@ -357,20 +355,20 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
         grad_emb = grad_z
 
     weight = cfg.deep_supervision_weight
-    clf_grad_orig = None
+    clf_grads = [grad_clf]
     if mode == "off":
         loss_orig = loss_sft if z is emb else _am_softmax_parts(emb, labels, w_unit, clf)[-1]
     elif mode == "shared":
         on_emb = on_z if z is emb else _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
         loss_orig, grad_emb_orig, grad_clf_orig_path = on_emb
         grad_emb = grad_emb + weight * grad_emb_orig
-        grad_clf = grad_clf + weight * grad_clf_orig_path
+        clf_grads = [grad_clf + weight * grad_clf_orig_path]
     else:
         loss_orig, grad_emb_orig, grad_unshared = _am_softmax_grad(
             emb, labels, *_unit_rows(clf_orig.weight), clf_orig)
         grad_emb = grad_emb + weight * grad_emb_orig
-        clf_grad_orig = weight * grad_unshared
-    return loss_orig, loss_sft, Grads(model.backward(cache, grad_emb), grad_clf, clf_grad_orig)
+        clf_grads.append(weight * grad_unshared)
+    return loss_orig, loss_sft, model.backward(cache, grad_emb) + clf_grads
 
 
 @dataclass
@@ -406,22 +404,24 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
 
     rng = Xoshiro256StarStar(cfg.seed)
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-    clf = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+    terms = {"margin": cfg.margin, "scale": cfg.scale}
+    clf = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, **terms)
     clf_orig = None
     if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
-        clf_orig = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+        clf_orig = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, **terms)
 
-    # every parameter becomes a view into one flat buffer, so the momentum
-    # update is a few whole-buffer ufunc calls
-    layers = len(model.weights)
+    # every parameter is rebound to its view of one flat buffer laid out in
+    # forward_backward's gradient order, so the momentum update is a few
+    # whole-buffer ufunc calls
     classifiers = [clf] if clf_orig is None else [clf, clf_orig]
-    arrays = model.weights + model.biases + [c.weight for c in classifiers]
+    arrays = model.parameters() + [c.weight for c in classifiers]
     params = np.concatenate([a.ravel() for a in arrays])
     ends = np.cumsum([a.size for a in arrays])
-    views = [params[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
-    model.weights, model.biases = views[:layers], views[layers:2 * layers]
-    for c, view in zip(classifiers, views[2 * layers:]):
-        c.weight = view
+    view = {id(a): params[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)}
+    model.weights = [view[id(w)] for w in model.weights]
+    model.biases = [view[id(b)] for b in model.biases]
+    for c in classifiers:
+        c.weight = view[id(c.weight)]
     velocity = np.zeros_like(params)
     step = np.empty_like(params)
 
@@ -438,10 +438,7 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
             loss_orig, loss_sft, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
             sum_orig += loss_orig
             sum_sft += loss_sft
-            flat = [gw for gw, _ in grads.model] + [gb for _, gb in grads.model] + [grads.clf]
-            if clf_orig is not None:
-                flat.append(grads.clf_orig)
-            np.concatenate([g.ravel() for g in flat], out=step)
+            np.concatenate([g.ravel() for g in grads], out=step)
             step *= lr
             velocity *= cfg.momentum
             velocity -= step

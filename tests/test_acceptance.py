@@ -166,18 +166,15 @@ def test_criterion_2_gradient_suite():
             clf = AmSoftmaxClassifier.init(4, 5, Xoshiro256StarStar(seed + 10))
             clf_orig = AmSoftmaxClassifier.init(4, 5, Xoshiro256StarStar(seed + 20))
             _, _, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
-            params = model.weights + model.biases + [clf.weight]
-            analytic = ([gw for gw, _ in grads.model] + [gb for _, gb in grads.model]
-                        + [grads.clf])
+            params = model.parameters() + [clf.weight]
             if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
                 params.append(clf_orig.weight)
-                analytic.append(grads.clf_orig)
             if cfg.use_sft and cfg.objective == "sft" and not cfg.grad_through_transition:
                 frozen = transition(affinity(FeatureMatrix(model.embed(x)), cfg.sigma)).data
                 objective = lambda: frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen)
             else:
                 objective = lambda: training_loss(x, y, model, clf, cfg, clf_orig)
-            for param, grad in zip(params, analytic):
+            for param, grad in zip(params, grads, strict=True):
                 numeric = central_diff(lambda _: objective(), param, step=1e-6)
                 worst_full = max(worst_full, rel_error(grad, numeric))
             instances += 1

@@ -217,12 +217,15 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
 
-    def test_arithmetic_error_exits_1(self, dataset, tmp_path, capsys):
+    def test_arithmetic_error_exits_1(self, dataset, monkeypatch, tmp_path, capsys):
         feats, manifest = dataset
         ranking = tmp_path / "r.json"
         assert run("rank", "--features", feats, "--manifest", manifest, "--out", ranking) == 0
-        # a gallery index beyond int64 overflows while the ranking loads
-        ranking.write_text(json.dumps(_set_first("gallery_index", 10**30)(json.loads(ranking.read_text()))))
+
+        def overflow(*_):  # e.g. a float overflow at a tiny sigma
+            raise OverflowError("result too large")
+
+        monkeypatch.setattr(cli, "evaluate", overflow)
         capsys.readouterr()
         assert run("eval", "--ranking", ranking, "--manifest", manifest) == 1
         err = capsys.readouterr().err
@@ -259,17 +262,24 @@ def _drop_first_score(payload):
     return payload
 
 
+# edits that `load_ranking` rejects, naming the file
+NOT_A_RANKING = {
+    "gallery_index_1e30": _set_first("gallery_index", 10**30),
+    "gallery_index_abc": _set_first("gallery_index", "abc"),
+    "missing_score": _drop_first_score,
+    "null_score": _set_first("score", None),
+    "nan_score": _set_first("score", math.nan),
+    "json_list": lambda payload: payload["queries"],
+    "items_not_a_list": lambda payload: {"queries": [{"query_index": 0, "items": 3}]},
+}
 HOSTILE_RANKINGS = {
+    **NOT_A_RANKING,
     "query_index_-1": _set_first("query_index", -1),
     "query_index_6": _set_first("query_index", 6),
     "gallery_index_-1": _set_first("gallery_index", -1),
     "gallery_index_1e6": _set_first("gallery_index", 10**6),
-    "missing_score": _drop_first_score,
-    "null_score": _set_first("score", None),
-    "nan_score": _set_first("score", math.nan),
     "repeated_query": _set_first("query_index", 1),
-    "json_list": lambda payload: payload["queries"],
-    "items_not_a_list": lambda payload: {"queries": [{"query_index": 0, "items": 3}]},
+    "missing_query": lambda payload: {"queries": payload["queries"][1:]},
 }
 
 
@@ -285,7 +295,10 @@ class TestHostileRanking:
         out = tmp_path / "out.json"
         args = (["--features", feats, "--out", out] if command == "refine" else [])
         assert run(command, "--ranking", ranking, "--manifest", manifest, *args) == 1
-        assert re.fullmatch(r"error: [^\n]*\n", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err)
+        if edit in NOT_A_RANKING:
+            assert err.startswith(f"error: {ranking} is not a ranking file (")
         assert not out.exists()
 
 

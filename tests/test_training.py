@@ -18,7 +18,6 @@ from sftlab.rng import Xoshiro256StarStar
 from sftlab.training import (
     AmSoftmaxClassifier,
     EmbedModel,
-    Grads,
     PKBatch,
     TrainConfig,
     am_softmax_loss,
@@ -189,18 +188,17 @@ def frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen):
 
 def check_all_param_grads(x, y, model, clf, cfg, clf_orig, tol=1e-4):
     _, _, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
-    params = model.weights + model.biases + [clf.weight]
-    analytic = [gw for gw, _ in grads.model] + [gb for _, gb in grads.model] + [grads.clf]
+    params = model.parameters() + [clf.weight]
     if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
         params.append(clf_orig.weight)
-        analytic.append(grads.clf_orig)
+    assert [g.shape for g in grads] == [p.shape for p in params]
     if cfg.grad_through_transition or not cfg.use_sft or cfg.objective == "ncut":
         objective = lambda: training_loss(x, y, model, clf, cfg, clf_orig)
     else:
         frozen = transition(affinity(FeatureMatrix(model.embed(x)), cfg.sigma)).data
         objective = lambda: frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen)
     worst = 0.0
-    for param, grad in zip(params, analytic):
+    for param, grad in zip(params, grads):
         numeric = central_diff(lambda _: objective(), param, step=1e-6)
         worst = max(worst, rel_error(grad, numeric))
     assert worst < tol, f"gradient mismatch {worst:.2e}"
@@ -219,6 +217,14 @@ class TestForwardBackward:
         x, y, model, clf, clf_orig = small_setup(seed=5)
         cfg = TrainConfig(p=4, k=2, sigma=0.5, objective="ncut",
                           hidden_dim=6, embed_dim=5)
+        check_all_param_grads(x, y, model, clf, cfg, clf_orig)
+
+    @pytest.mark.parametrize("mode", ["off", "shared", "unshared", "ncut"])
+    def test_gradients_one_layer_model(self, mode):
+        x, y, model, clf, clf_orig = small_setup(seed=13, hidden=0)
+        assert len(model.weights) == 1
+        variant = {"objective": "ncut"} if mode == "ncut" else {"deep_supervision": mode}
+        cfg = TrainConfig(p=4, k=2, sigma=0.5, hidden_dim=0, embed_dim=5, **variant)
         check_all_param_grads(x, y, model, clf, cfg, clf_orig)
 
     def test_gradients_baseline_no_transform(self):
@@ -256,7 +262,7 @@ class TestForwardBackward:
         _, _, grad_sft_path = am_softmax_loss(z, y, clf)
         _, _, grad_orig_path = am_softmax_loss(emb, y, clf)
         np.testing.assert_allclose(
-            grads.clf, grad_sft_path + grad_orig_path, atol=1e-12
+            grads[len(model.parameters())], grad_sft_path + grad_orig_path, atol=1e-12
         )
 
     @pytest.mark.parametrize("mode", ["off", "shared", "unshared"])
@@ -285,7 +291,7 @@ class TestTrainLoop:
         result = train(feats, manifest, cfg)
         rng = Xoshiro256StarStar(13)
         expected_model = EmbedModel.init(8, 6, 4, rng)
-        expected_clf = AmSoftmaxClassifier.init(4, 4, rng, cfg.margin, cfg.scale)
+        expected_clf = AmSoftmaxClassifier.init(4, 4, rng, margin=cfg.margin, scale=cfg.scale)
         for got, want in zip(result.model.weights, expected_model.weights):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(result.classifier.weight, expected_clf.weight)
@@ -409,8 +415,7 @@ def reference_forward_backward(x, labels, model, clf, cfg, clf_orig=None):
         graph_loss, grad_emb_graph = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = am_softmax_loss(emb, labels, clf)
         grad_emb = grad_emb_graph.data + cfg.ncut_ce_weight * grad_emb_ce
-        grads = Grads(model.backward(cache, grad_emb), cfg.ncut_ce_weight * grad_clf)
-        return ce_loss, graph_loss, grads
+        return ce_loss, graph_loss, model.backward(cache, grad_emb) + [cfg.ncut_ce_weight * grad_clf]
 
     z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
     loss_sft, grad_z, grad_clf_sft = am_softmax_loss(z, labels, clf)
@@ -421,20 +426,18 @@ def reference_forward_backward(x, labels, model, clf, cfg, clf_orig=None):
 
     mode = cfg.deep_supervision
     weight = cfg.deep_supervision_weight
-    clf_grad_orig = None
+    clf_grads = [grad_clf_sft]
     if mode == "off":
         loss_orig = am_softmax_value(emb, labels, clf)
-        grad_clf = grad_clf_sft
     elif mode == "shared":
         loss_orig, grad_emb_orig, grad_clf_orig_path = am_softmax_loss(emb, labels, clf)
         grad_emb = grad_emb + weight * grad_emb_orig
-        grad_clf = grad_clf_sft + weight * grad_clf_orig_path
+        clf_grads = [grad_clf_sft + weight * grad_clf_orig_path]
     else:
         loss_orig, grad_emb_orig, grad_unshared = am_softmax_loss(emb, labels, clf_orig)
         grad_emb = grad_emb + weight * grad_emb_orig
-        grad_clf = grad_clf_sft
-        clf_grad_orig = weight * grad_unshared
-    return loss_orig, loss_sft, Grads(model.backward(cache, grad_emb), grad_clf, clf_grad_orig)
+        clf_grads.append(weight * grad_unshared)
+    return loss_orig, loss_sft, model.backward(cache, grad_emb) + clf_grads
 
 
 def reference_train(features, manifest, cfg):
@@ -446,12 +449,13 @@ def reference_train(features, manifest, cfg):
 
     rng = Xoshiro256StarStar(cfg.seed)
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-    clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+    terms = {"margin": cfg.margin, "scale": cfg.scale}
+    clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, **terms)
     clf_orig = None
     if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
-        clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, cfg.margin, cfg.scale)
+        clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, **terms)
 
-    params = [w for w in model.weights] + [b for b in model.biases] + [clf.weight]
+    params = model.parameters() + [clf.weight]
     if clf_orig is not None:
         params.append(clf_orig.weight)
     velocity = [np.zeros_like(p) for p in params]
@@ -469,13 +473,7 @@ def reference_train(features, manifest, cfg):
             loss_orig, loss_sft, grads = reference_forward_backward(x, y, model, clf, cfg, clf_orig)
             sum_orig += loss_orig
             sum_sft += loss_sft
-            flat = (
-                [gw for gw, _ in grads.model]
-                + [gb for _, gb in grads.model]
-                + [grads.clf]
-                + ([grads.clf_orig] if clf_orig is not None else [])
-            )
-            for param, vel, grad in zip(params, velocity, flat):
+            for param, vel, grad in zip(params, velocity, grads, strict=True):
                 vel *= cfg.momentum
                 vel -= lr * grad
                 param += vel
@@ -508,7 +506,7 @@ class TestReferenceTrainer:
         got = train(features, manifest, cfg)
         model, clf, clf_orig, log = reference_train(features, manifest, cfg)
         assert got.log == log
-        for mine, theirs in zip(got.model.weights + got.model.biases, model.weights + model.biases):
+        for mine, theirs in zip(got.model.parameters(), model.parameters(), strict=True):
             assert np.array_equal(mine, theirs)
         assert len(got.model.weights) == len(model.weights) == 2
         assert np.array_equal(got.classifier.weight, clf.weight)
