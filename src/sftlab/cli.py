@@ -70,13 +70,20 @@ def save_ranking(ranking: RankingList, manifest: DatasetManifest, path) -> None:
     write_json(payload, path)
 
 
+def _json_int(value) -> int:
+    """A JSON integer index; a fraction, float or bool is rejected, not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"index {value!r} is not an integer")
+    return value
+
+
 def load_ranking(path) -> RankingList:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         return RankingList(tuple(
             QueryRanking(
-                int(entry["query_index"]),
-                np.array([it["gallery_index"] for it in entry["items"]], dtype=np.int64),
+                _json_int(entry["query_index"]),
+                np.array([_json_int(it["gallery_index"]) for it in entry["items"]], dtype=np.int64),
                 np.array([it["score"] for it in entry["items"]]),
             )
             for entry in payload["queries"]

@@ -62,6 +62,10 @@ class Xoshiro256StarStar:
         s[3] = ((s3 << 45) | (s3 >> 19)) & _MASK64
         return result
 
+    def getstate(self) -> tuple[int, ...]:
+        """The four state words: generators in equal states draw equal streams."""
+        return tuple(self._s)
+
     def random(self) -> float:
         """Uniform float64 in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53

@@ -308,6 +308,36 @@ def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar
     return PKBatch(np.array(indices), np.array(labels))
 
 
+# schedules memoised per manifest: the five ablation cells start from two rng
+# states (only the unshared cell's second classifier draws more init words),
+# so two entries keep both while each sweep reuses one key at a time
+_PK_SCHEDULE_MEMO = 2
+
+
+def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
+                 rng: Xoshiro256StarStar) -> np.ndarray:
+    """Read-only (steps, p*k) train row indices of `steps` successive
+    sample_pk draws.
+
+    The draws depend only on the manifest, p, k, steps and the rng state,
+    so the schedule is memoised on the manifest under that key, keeping
+    the _PK_SCHEDULE_MEMO most recently used.  A memo hit leaves rng
+    unadvanced, which is harmless: train() reads nothing from rng after
+    its schedule.
+    """
+    memo = manifest.pk_schedules
+    key = (p, k, steps, rng.getstate())
+    schedule = memo.pop(key, None)
+    if schedule is None:
+        rows = [sample_pk(manifest, p, k, rng).indices for _ in range(steps)]
+        schedule = np.array(rows, dtype=np.int64).reshape(steps, p * k)
+        schedule.setflags(write=False)
+    memo[key] = schedule  # reinserted last: the most recently used
+    if len(memo) > _PK_SCHEDULE_MEMO:
+        del memo[next(iter(memo))]
+    return schedule
+
+
 def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
                      clf: AmSoftmaxClassifier, cfg: TrainConfig,
                      clf_orig: AmSoftmaxClassifier | None = None):
@@ -426,15 +456,15 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
     step = np.empty_like(params)
 
     batches = cfg.batches_per_epoch or max(1, len(train_idx) // (cfg.p * cfg.k))
+    schedule = _pk_schedule(manifest, cfg.p, cfg.k, cfg.epochs * batches, rng)
     log: list[str] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         sum_orig = 0.0
         sum_sft = 0.0
-        for _ in range(batches):
-            batch = sample_pk(manifest, cfg.p, cfg.k, rng)
-            x = features.data[batch.indices]
-            y = class_ids[batch.indices]
+        for rows in schedule[epoch * batches:(epoch + 1) * batches]:
+            x = features.data[rows]
+            y = class_ids[rows]
             loss_orig, loss_sft, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
             sum_orig += loss_orig
             sum_sft += loss_sft

@@ -266,6 +266,10 @@ def _drop_first_score(payload):
 NOT_A_RANKING = {
     "gallery_index_1e30": _set_first("gallery_index", 10**30),
     "gallery_index_abc": _set_first("gallery_index", "abc"),
+    "gallery_index_frac": lambda payload: _set_first(
+        "gallery_index", payload["queries"][0]["items"][0]["gallery_index"] + 0.7)(payload),
+    "gallery_index_true": _set_first("gallery_index", True),
+    "query_index_frac": _set_first("query_index", 1.9),
     "missing_score": _drop_first_score,
     "null_score": _set_first("score", None),
     "nan_score": _set_first("score", math.nan),

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from sftlab import experiment
+from sftlab import experiment, training
 from sftlab.data import FeatureMatrix, split_features
 from sftlab.experiment import (
     MODES,
@@ -15,7 +15,7 @@ from sftlab.experiment import (
     toy_train_config,
 )
 from sftlab.ranking import evaluate, rank
-from sftlab.training import train
+from sftlab.training import sample_pk, train
 
 SMALL_TRAIN = dict(epochs=12, warmup_epochs=4, decay_epochs=(8, 10), p=4, k=4,
                    hidden_dim=16, embed_dim=8)
@@ -133,6 +133,51 @@ class TestRunner:
                            train=toy_train_config(**dict(SMALL_TRAIN, epochs=2)))
         run_experiment(cfg)
         assert built == list(cfg.seeds)
+
+
+@pytest.fixture
+def schedule_draws(monkeypatch):
+    """The rngs that drew a PK schedule, and each manifest's memo size after
+    every train().  A draw advances its train() rng through sample_pk; a
+    memo hit calls sample_pk not at all, so it adds no rng."""
+    rngs, memo_sizes = [], []
+
+    def counting_sample_pk(manifest, p, k, rng):
+        if not any(seen is rng for seen in rngs):
+            rngs.append(rng)
+        return sample_pk(manifest, p, k, rng)
+
+    def watching_train(features, manifest, cfg):
+        result = train(features, manifest, cfg)
+        memo_sizes.append(len(manifest.pk_schedules))
+        return result
+
+    monkeypatch.setattr(training, "sample_pk", counting_sample_pk)
+    monkeypatch.setattr(experiment, "train", watching_train)
+    return rngs, memo_sizes
+
+
+class TestScheduleSharing:
+    # one draw per (seed, rng state after init, k): the five ablation cells
+    # start from two states, a sweep's cells from one per seed (and k); three
+    # k values put three keys on each manifest, one more than the memo keeps
+    @pytest.mark.parametrize("mode,draws,trains", [("ablation", 2, 5), ("sigma_sweep", 2, 6),
+                                                   ("k_sweep", 6, 12)])
+    def test_draws_per_run(self, schedule_draws, mode, draws, trains):
+        rngs, memo_sizes = schedule_draws
+        seeds = (1,) if mode == "ablation" else (1, 2)
+        run_experiment(small_config(mode=mode, seeds=seeds, sigma_values=(0.05, 0.1, 0.2),
+                                    k_values=(2, 3, 4),
+                                    train=toy_train_config(**dict(SMALL_TRAIN, epochs=2))))
+        assert len(rngs) == draws
+        assert len(memo_sizes) == trains
+        assert max(memo_sizes) <= 2
+
+    def test_nothing_outlives_a_run(self, schedule_draws):
+        rngs, _ = schedule_draws
+        cfg = small_config(seeds=(1,), train=toy_train_config(**dict(SMALL_TRAIN, epochs=2)))
+        assert run_experiment(cfg) == run_experiment(cfg)
+        assert len(rngs) == 4
 
 
 class TestDeterminism:

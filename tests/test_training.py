@@ -20,6 +20,7 @@ from sftlab.training import (
     EmbedModel,
     PKBatch,
     TrainConfig,
+    _pk_schedule,
     am_softmax_loss,
     am_softmax_value,
     forward_backward,
@@ -161,6 +162,65 @@ class TestSamplePK:
         manifest = manifest_for({0: 5, 1: 5})
         with pytest.raises(ValueError, match="identities"):
             sample_pk(manifest, 3, 2, Xoshiro256StarStar(0))
+
+
+SCHEDULE_MANIFESTS = {
+    # 8 identities with 8 train rows each, plus query/gallery rows to skip
+    "equal": lambda: make_dataset(ExperimentConfig(identities=8), seed=1)[1],
+    # 3 to 19 train rows: k = 10 draws some identities with replacement
+    "unequal": lambda: manifest_for({i: 3 + 2 * i for i in range(9)}),
+}
+
+
+def trained_arrays(result):
+    """Every trained array of a TrainResult, in the trainer's parameter order."""
+    classifiers = [c for c in (result.classifier, result.classifier_orig) if c is not None]
+    return result.model.parameters() + [c.weight for c in classifiers]
+
+
+class TestPKSchedule:
+    @pytest.mark.parametrize("p,k", [(4, 4), (3, 10), (8, 8)])
+    @pytest.mark.parametrize("kind", sorted(SCHEDULE_MANIFESTS))
+    def test_equals_concatenated_draws(self, kind, p, k):
+        manifest = SCHEDULE_MANIFESTS[kind]()
+        drawn, scheduled = Xoshiro256StarStar(4), Xoshiro256StarStar(4)
+        want = [sample_pk(manifest, p, k, drawn).indices for _ in range(7)]
+        got = _pk_schedule(manifest, p, k, 7, scheduled)
+        assert got.shape == (7, p * k) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.stack(want))
+        assert scheduled.next_u64() == drawn.next_u64()
+
+    def test_memo_hit_is_the_drawn_schedule_and_draws_nothing(self):
+        manifest = SCHEDULE_MANIFESTS["equal"]()
+        first = _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(2))
+        rng = Xoshiro256StarStar(2)
+        assert _pk_schedule(manifest, 4, 4, 5, rng) is first
+        assert rng.next_u64() == Xoshiro256StarStar(2).next_u64()  # not advanced
+        assert not first.flags.writeable
+
+    def test_memo_keeps_the_two_most_recently_used(self):
+        manifest = SCHEDULE_MANIFESTS["equal"]()
+        a, b, c = (_pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(seed)) for seed in (1, 2, 3))
+        assert len(manifest.pk_schedules) == 2
+        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(2)) is b  # now used last
+        # seed 1 was evicted, so it is drawn again and evicts seed 3, not seed 2
+        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(1)) is not a
+        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(2)) is b
+        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(3)) is not c
+        assert len(manifest.pk_schedules) == 2
+
+    def test_cells_do_not_depend_on_training_order(self):
+        # reversed, the unshared cell runs between cells that share a schedule
+        features, manifest = make_dataset(ExperimentConfig(identities=8), seed=1)
+        for name, overrides in reversed(ABLATION_CELLS):
+            cfg = toy_train_config(**overrides, p=4, k=4, epochs=4, warmup_epochs=2,
+                                   decay_epochs=(3,), seed=5)
+            got = train(features, manifest, cfg)
+            want = train(*make_dataset(ExperimentConfig(identities=8), seed=1), cfg)
+            assert got.log == want.log, name
+            for mine, theirs in zip(trained_arrays(got), trained_arrays(want), strict=True):
+                assert np.array_equal(mine, theirs), name
+            assert len(manifest.pk_schedules) <= 2
 
 
 def small_setup(seed=3, n=8, input_dim=8, hidden=6, embed=5, num_classes=4):
