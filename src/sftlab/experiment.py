@@ -60,9 +60,7 @@ def toy_train_config(**overrides) -> TrainConfig:
         epochs=400,
         warmup_epochs=60,
         base_lr=0.05,
-        warmup_start_lr=0.001,
         decay_epochs=(240, 320),
-        decay_factor=0.1,
         hidden_dim=64,
         embed_dim=16,
     )

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, Partition, freeze_array
-from .transform import AffinityMatrix, _as_array, _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
+from .data import Partition, freeze_array
+from .transform import AffinityMatrix, _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
 
 
 @dataclass(frozen=True)
@@ -159,25 +159,24 @@ def ncut_escape_identity_check(w: AffinityMatrix, part: Partition, a: int) -> tu
     return value, escape + escape_rest
 
 
-def ncut_loss(x, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix | np.ndarray]:
+def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, np.ndarray]:
     """Sum of one-vs-rest escape probabilities and its feature gradient.
 
     For each class c, the term is cut(c, rest) / volume(c) on the
     exponentiated-cosine graph, built with weights exp((cos - 1) / sigma)
     <= 1 so that no sum overflows at any sigma > 0 (the ratios ignore that
     common factor); the gradient runs through the edge
-    weights, the cosines and the row normalization.  A FeatureMatrix ``x``
-    gives a FeatureMatrix gradient, a raw array (which may hold the
-    non-finite rows of a diverging trainer) a raw array.
+    weights, the cosines and the row normalization.  ``labels`` holds one
+    integer class id per row of ``x``; any distinct values name classes.
     """
     sigma = _check_sigma(sigma)
-    xa = _as_array(x)
-    _check_covers(labels, xa.shape[0])
-    present, row_class = np.unique(labels.labels, return_inverse=True)
+    if labels.shape != (x.shape[0],):
+        raise ValueError(f"labels shape {labels.shape} does not match {x.shape[0]} feature rows")
+    present, row_class = np.unique(labels, return_inverse=True)
     if present.size < 2:
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
-    norms, unit = _unit_rows(xa)
+    norms, unit = _unit_rows(x)
     weights = _exp_cosines(unit, sigma, shift=1.0)
 
     loss = 0.0
@@ -197,8 +196,7 @@ def ncut_loss(x, labels: Partition, sigma: float) -> tuple[float, FeatureMatrix 
     # every row lies in exactly one class c
     outside = row_class[:, None] != row_class[None, :]
     grad_w = np.where(outside, inv_vol[row_class][:, None], 0.0) - penalty[row_class][:, None]
-    grad_x = _cosine_backward(grad_w * weights / sigma, unit, norms)
-    return loss, (FeatureMatrix(grad_x) if isinstance(x, FeatureMatrix) else grad_x)
+    return loss, _cosine_backward(grad_w * weights / sigma, unit, norms)
 
 
 def affinity_class_means(w: AffinityMatrix, labels: Partition) -> tuple[float, float]:

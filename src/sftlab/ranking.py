@@ -145,6 +145,14 @@ def evaluate(ranking: RankingList, manifest: DatasetManifest) -> EvalReport:
     )
 
 
+def _check_top_n(top_n: int, sizes: list[int]) -> None:
+    """Reject top_n < 1; warn once if any of the ranking lengths is shorter."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    if sizes and top_n > min(sizes):
+        log.warning("top_n=%d exceeds ranking length %d, clamping", top_n, min(sizes))
+
+
 def sft_refine(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMatrix,
                top_n: int, sigma: float) -> QueryRanking:
     """Re-rank the top-n prefix in the spectrally transformed space.
@@ -154,15 +162,16 @@ def sft_refine(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMa
     space.  Items beyond the prefix keep their order and scores.
     """
     sigma = _check_sigma(sigma)
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    _check_top_n(top_n, [ranking.gallery_indices.size])
     query_feat = np.asarray(query_feat, dtype=np.float64).reshape(-1)
     if query_feat.size != gallery.d:
         raise ValueError(f"query feature has dim {query_feat.size}, gallery {gallery.d}")
-    size = ranking.gallery_indices.size
-    if top_n > size:
-        log.warning("top_n=%d exceeds ranking length %d, clamping", top_n, size)
-        top_n = size
+    return _refine_head(query_feat, ranking, gallery, top_n, sigma)
+
+
+def _refine_head(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMatrix,
+                 top_n: int, sigma: float) -> QueryRanking:
+    """sft_refine after its checks; a list shorter than top_n is refined whole."""
     head = ranking.gallery_indices[:top_n]
     nodes = np.vstack([query_feat[None, :], gallery.data[head]])
     transformed = sft_transform_array(nodes, sigma)
@@ -175,10 +184,14 @@ def sft_refine(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMa
 
 def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: FeatureMatrix,
                    top_n: int, sigma: float) -> RankingList:
-    """Apply :func:`sft_refine` to every query of a ranking."""
+    """Apply :func:`sft_refine` to every query of a ranking, with at most
+    one clamping warning for the whole ranking."""
     _check_indices(ranking, queries.n, gallery.n)
+    _check_top_n(top_n, [qr.gallery_indices.size for qr in ranking.queries])
+    if queries.d != gallery.d:
+        raise ValueError(f"query feature has dim {queries.d}, gallery {gallery.d}")
     refined = tuple(
-        sft_refine(queries.data[qr.query_index], qr, gallery, top_n, sigma)
+        _refine_head(queries.data[qr.query_index], qr, gallery, top_n, sigma)
         for qr in ranking.queries
     )
     return RankingList(refined)

@@ -24,7 +24,6 @@ from .data import DatasetManifest, FeatureMatrix, Partition, check_paired
 from .graphcut import affinity_class_means, ncut_loss
 from .rng import Xoshiro256StarStar
 from .transform import (
-    _as_array,
     _check_sigma,
     _sft_backward,
     _transition_from_features,
@@ -210,10 +209,6 @@ class AmSoftmaxClassifier:
         return self.weight.shape[0]
 
 
-def _as_labels(labels) -> np.ndarray:
-    return labels.labels if isinstance(labels, Partition) else np.asarray(labels, dtype=np.int64)
-
-
 def _check_labels(y: np.ndarray, n: int, num_classes: int) -> None:
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match {n} samples")
@@ -250,24 +245,21 @@ def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray, w_unit: 
     return loss, grad_x, grad_w
 
 
-def am_softmax_value(features, labels, clf: AmSoftmaxClassifier) -> float:
+def am_softmax_value(x: np.ndarray, labels: np.ndarray, clf: AmSoftmaxClassifier) -> float:
     """Forward-only loss value (used for logging and finite differences)."""
-    x, y = _as_array(features), _as_labels(labels)
-    _check_labels(y, x.shape[0], clf.num_classes)
-    return _am_softmax_parts(x, y, _unit_rows(clf.weight)[1], clf)[-1]
+    _check_labels(labels, x.shape[0], clf.num_classes)
+    return _am_softmax_parts(x, labels, _unit_rows(clf.weight)[1], clf)[-1]
 
 
-def am_softmax_loss(features, labels, clf: AmSoftmaxClassifier):
+def am_softmax_loss(x: np.ndarray, labels: np.ndarray, clf: AmSoftmaxClassifier):
     """Mean margin-softmax loss plus gradients w.r.t. features and weights.
 
     Feature rows and classifier rows are both normalized inside, so the
     loss depends only on directions; the returned gradients are taken
     w.r.t. the raw (unnormalized) inputs.
     """
-    x, y = _as_array(features), _as_labels(labels)
-    _check_labels(y, x.shape[0], clf.num_classes)
-    loss, grad_x, grad_w = _am_softmax_grad(x, y, *_unit_rows(clf.weight), clf)
-    return loss, (FeatureMatrix(grad_x) if isinstance(features, FeatureMatrix) else grad_x), grad_w
+    _check_labels(labels, x.shape[0], clf.num_classes)
+    return _am_softmax_grad(x, labels, *_unit_rows(clf.weight), clf)
 
 
 @dataclass(frozen=True)
@@ -356,13 +348,12 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     classifier) pair, so without the transform the embedding's loss is
     the transformed one.
     """
-    labels = _as_labels(labels)
-    emb, cache = model.forward(np.asarray(x, dtype=np.float64))
+    emb, cache = model.forward(x)
     _check_labels(labels, emb.shape[0], clf.num_classes)
     w_norms, w_unit = _unit_rows(clf.weight)
 
     if cfg.objective == "ncut":
-        graph_loss, grad_emb_graph = ncut_loss(emb, Partition(labels), cfg.sigma)
+        graph_loss, grad_emb_graph = ncut_loss(emb, labels, cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
         grad_emb = grad_emb_graph + cfg.ncut_ce_weight * grad_emb_ce
         return ce_loss, graph_loss, model.backward(cache, grad_emb) + [cfg.ncut_ce_weight * grad_clf]
@@ -478,8 +469,8 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
         line = f"{epoch}\t{lr:.12g}\t{sum_orig / batches:.12g}\t{sum_sft / batches:.12g}"
         if cfg.diagnostics:
             emb = model.embed(features.data[train_idx])
-            labels = Partition(class_ids[train_idx])
-            intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), labels)
+            labels = class_ids[train_idx]
+            intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), Partition(labels))
             graph_val, _ = ncut_loss(emb, labels, cfg.sigma)
             line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
         log.append(line)

@@ -53,10 +53,6 @@ def cosine_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _clipped_products(_unit_rows(a)[1], _unit_rows(b)[1])
 
 
-def _as_array(x: FeatureMatrix | np.ndarray) -> np.ndarray:
-    return x.data if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
-
-
 def _check_sigma(sigma: float) -> float:
     sigma = float(sigma)
     if not (sigma > 0 and math.isfinite(sigma)):
@@ -130,8 +126,11 @@ def _exp_cosines(unit: np.ndarray, sigma: float, shift: float = 0.0) -> np.ndarr
 
 
 def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
-    """Edge weights w_ij = exp(cos(x_i, x_j) / sigma)."""
+    """Edge weights w_ij = exp(cos(x_i, x_j) / sigma), unshifted: the largest,
+    exp(1 / sigma), is finite in float64 only for sigma >= ~0.00141."""
     sigma = _check_sigma(sigma)
+    if 1.0 / sigma > math.log(np.finfo(np.float64).max):
+        raise ValueError(f"sigma {sigma} too small for affinity: exp(1/sigma) overflows float64")
     return AffinityMatrix(_exp_cosines(_unit_rows(x.data)[1], sigma))
 
 
@@ -182,12 +181,8 @@ def sft_transform_array(x: np.ndarray, sigma: float) -> np.ndarray:
     return trans @ x
 
 
-def sft_backward(
-    x: FeatureMatrix | np.ndarray,
-    sigma: float,
-    grad_out: FeatureMatrix | np.ndarray,
-    through_transition: bool = True,
-) -> FeatureMatrix | np.ndarray:
+def sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,
+                 through_transition: bool = True) -> np.ndarray:
     """Gradient of any scalar loss through the spectral transform.
 
     Given d(loss)/d(output) for output = T(x) @ x, returns d(loss)/dx.
@@ -198,13 +193,10 @@ def sft_backward(
     trainer ablation.
     """
     sigma = _check_sigma(sigma)
-    xa, ga = _as_array(x), _as_array(grad_out)
-    if ga.shape != xa.shape:
-        raise ValueError(f"grad_out shape {ga.shape} != input shape {xa.shape}")
-
-    forward = _transition_from_features(xa, sigma)
-    grad_x = _sft_backward(xa, sigma, ga, forward, through_transition)
-    return FeatureMatrix(grad_x) if isinstance(x, FeatureMatrix) else grad_x
+    if grad_out.shape != x.shape:
+        raise ValueError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
+    forward = _transition_from_features(x, sigma)
+    return _sft_backward(x, sigma, grad_out, forward, through_transition)
 
 
 def _sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,

@@ -233,6 +233,26 @@ class TestErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["experiment", "train"])
+    def test_sigma_overflowing_affinity_named(self, dataset, tmp_path, capsys, command):
+        """At sigma 0.001 the unshifted affinity's exp(1/sigma) overflows:
+        the held-out affinity of an ablation and the diagnostics line of
+        train name sigma, with no numpy warning on the way."""
+        feats, manifest = dataset
+        if command == "experiment":
+            args = ["--mode", "ablation", "--epochs", 2, "--seeds", 1, "--out-dir", tmp_path / "out"]
+        else:
+            config = tmp_path / "diagnostics.cfg"
+            config.write_text("diagnostics = true\n")
+            args = ["--features", feats, "--manifest", manifest, "--config", config,
+                    "--epochs", 2, "--p", 3, "--k", 4]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--sigma", "0.001", *args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sigma 0.001 too small"), err
+
     def test_diverging_training_exits_1(self, dataset, tmp_path, capsys):
         feats, manifest = dataset
         log = tmp_path / "train.log"

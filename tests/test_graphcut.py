@@ -318,39 +318,45 @@ class TestNcutLoss:
         x[:3, 0] = 1.0
         x[3:, 1] = 1.0
         x += 1e-3 * np.random.default_rng(0).normal(size=x.shape)
-        loss, _ = ncut_loss(FeatureMatrix(x), Partition(np.array([0, 0, 0, 1, 1, 1])), 0.02)
+        loss, _ = ncut_loss(x, np.array([0, 0, 0, 1, 1, 1]), 0.02)
         assert loss < 1e-6
 
     def test_identical_samples_balanced_two_classes(self):
         x = np.tile([1.0, 2.0, 3.0], (4, 1))
-        loss, _ = ncut_loss(FeatureMatrix(x), Partition(np.array([0, 0, 1, 1])), 0.5)
+        loss, _ = ncut_loss(x, np.array([0, 0, 1, 1]), 0.5)
         # uniform weights: each class escape = (n/2)/n, two classes total 1
         assert abs(loss - 1.0) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(8, 4))
-        labels = Partition(np.array([0, 1, 0, 1, 0, 1, 0, 1]))
-        _, grad = ncut_loss(FeatureMatrix(x), labels, 0.5)
+        labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        _, grad = ncut_loss(x, labels, 0.5)
         numeric = central_diff(
-            lambda v: ncut_loss(FeatureMatrix(v), labels, 0.5)[0], x
+            lambda v: ncut_loss(v, labels, 0.5)[0], x
         )
-        assert rel_error(grad.data, numeric) < 1e-5
+        assert rel_error(grad, numeric) < 1e-5
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(6, 3))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        loss, grad = ncut_loss(FeatureMatrix(x), Partition(labels), 0.3)
+        loss, grad = ncut_loss(x, labels, 0.3)
         perm = rng.permutation(6)
-        loss_p, grad_p = ncut_loss(FeatureMatrix(x[perm]), Partition(labels[perm]), 0.3)
+        loss_p, grad_p = ncut_loss(x[perm], labels[perm], 0.3)
         assert abs(loss - loss_p) < 1e-12
-        np.testing.assert_allclose(grad.data[perm], grad_p.data, atol=1e-12)
+        np.testing.assert_allclose(grad[perm], grad_p, atol=1e-12)
 
     def test_degenerate_partition_rejected(self):
         x = np.random.default_rng(1).normal(size=(4, 3))
         with pytest.raises(ValueError):
-            ncut_loss(FeatureMatrix(x), Partition(np.zeros(4, dtype=int), num_classes=1), 0.5)
+            ncut_loss(x, np.zeros(4, dtype=int), 0.5)
+
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    def test_label_count_must_match_rows(self, n_labels):
+        x = np.random.default_rng(2).normal(size=(4, 3))
+        with pytest.raises(ValueError, match=rf"\({n_labels},\) does not match 4 feature rows"):
+            ncut_loss(x, np.arange(n_labels) % 2, 0.5)
 
     @pytest.mark.parametrize("layout,sigma", [
         pytest.param(layout, sigma, id=layout + suffix)
@@ -366,14 +372,10 @@ class TestNcutLoss:
             "uneven": np.array([1] * 13 + [0] * 2 + [2] * 5),
         }[layout]
         x = rng.normal(size=(20, 6))
-        loss, grad = ncut_loss(FeatureMatrix(x), Partition(labels), sigma)
+        loss, grad = ncut_loss(x, labels, sigma)
         want_loss, want_grad = masked_ncut_loss(x, labels, sigma)
         assert math.isfinite(loss) and loss == want_loss
-        assert np.array_equal(grad.data, want_grad)
-        # a raw array in gives the same loss and a raw array gradient
-        raw_loss, raw_grad = ncut_loss(x, Partition(labels), sigma)
-        assert raw_loss == want_loss
-        assert type(raw_grad) is np.ndarray and np.array_equal(raw_grad, want_grad)
+        assert np.array_equal(grad, want_grad)
 
 
 def masked_ncut_loss(x, labels, sigma):

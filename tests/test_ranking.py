@@ -338,6 +338,22 @@ class TestSftRefine:
         assert "clamping" in caplog.text
         assert len(refined.gallery_indices) == len(qr.gallery_indices)
 
+    def test_clamping_warns_once_per_ranking(self, caplog):
+        rng = np.random.default_rng(6)
+        queries = rng.normal(size=(6, 4))
+        gallery = rng.normal(size=(11, 4))
+        manifest = eval_manifest([(i, 0) for i in range(6)], [(i % 6, 1) for i in range(11)])
+        ranking = rank(FeatureMatrix(queries), FeatureMatrix(gallery), manifest)
+        assert all(qr.gallery_indices.size == 11 for qr in ranking.queries)
+        with caplog.at_level("WARNING", logger="sftlab.ranking"):
+            refined = refine_ranking(FeatureMatrix(queries), ranking, FeatureMatrix(gallery), 50, 0.2)
+        warned = [r for r in caplog.records if r.name == "sftlab.ranking" and r.levelname == "WARNING"]
+        assert len(warned) == 1 and "clamping" in warned[0].getMessage()
+        for qr, got in zip(ranking.queries, refined.queries):
+            want = sft_refine(queries[qr.query_index], qr, FeatureMatrix(gallery), 11, 0.2)
+            np.testing.assert_array_equal(got.gallery_indices, want.gallery_indices)
+            np.testing.assert_array_equal(got.scores, want.scores)
+
     def test_bad_top_n(self):
         qr, _ = self.base_ranking()
         with pytest.raises(ValueError):

@@ -472,9 +472,9 @@ def reference_forward_backward(x, labels, model, clf, cfg, clf_orig=None):
     emb, cache = model.forward(np.asarray(x, dtype=np.float64))
 
     if cfg.objective == "ncut":
-        graph_loss, grad_emb_graph = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
+        graph_loss, grad_emb_graph = ncut_loss(emb, labels, cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = am_softmax_loss(emb, labels, clf)
-        grad_emb = grad_emb_graph.data + cfg.ncut_ce_weight * grad_emb_ce
+        grad_emb = grad_emb_graph + cfg.ncut_ce_weight * grad_emb_ce
         return ce_loss, graph_loss, model.backward(cache, grad_emb) + [cfg.ncut_ce_weight * grad_clf]
 
     z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
@@ -542,7 +542,7 @@ def reference_train(features, manifest, cfg):
             emb = model.embed(features.data[train_idx])
             labels = Partition(np.array([class_of[manifest.records[i].identity] for i in train_idx]))
             intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), labels)
-            graph_val, _ = ncut_loss(FeatureMatrix(emb), labels, cfg.sigma)
+            graph_val, _ = ncut_loss(emb, labels.labels, cfg.sigma)
             line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
         log.append(line)
     return model, clf, clf_orig, log

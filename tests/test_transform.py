@@ -70,6 +70,14 @@ class TestAffinity:
         with pytest.raises(ValueError, match="sigma must be positive"):
             affinity(FeatureMatrix([[1.0, 0.0]]), sigma)
 
+    def test_overflowing_sigma_rejected_before_exp(self):
+        # exp(1 / 0.001) overflows float64; the boundary sigma 1 / log(max) does not
+        with pytest.raises(ValueError, match="sigma 0.001 too small"):
+            affinity(FeatureMatrix([[1.0, 0.0], [0.0, 1.0]]), 0.001)
+        boundary = 1.0 / math.log(np.finfo(np.float64).max)
+        w = affinity(FeatureMatrix([[1.0, 0.0], [0.6, 0.8]]), boundary)
+        assert np.isfinite(w.data).all() and w.data.max() > 1e308
+
     def test_type_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             AffinityMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
@@ -191,11 +199,6 @@ class TestSftBackward:
         detached = sft_backward(x, 0.2, grad_out, through_transition=False)
         trans = transition(affinity(FeatureMatrix(x), 0.2)).data
         np.testing.assert_allclose(detached, trans.T @ grad_out, atol=1e-12)
-
-    def test_wrapped_types(self):
-        x = FeatureMatrix([[1.0, 0.0], [0.0, 1.0]])
-        g = FeatureMatrix([[1.0, 1.0], [1.0, 1.0]])
-        assert isinstance(sft_backward(x, 1.0, g), FeatureMatrix)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ in the trainer's fused step cannot cancel out of the comparison.
 
 import numpy as np
 
-from sftlab.data import FeatureMatrix, Partition
 from sftlab.graphcut import ncut_loss
 from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig, am_softmax_value
 from sftlab.transform import sft_transform_array
@@ -20,7 +19,7 @@ def training_loss(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     """Scalar objective that forward_backward differentiates."""
     emb = model.embed(x)
     if cfg.objective == "ncut":
-        graph_loss, _ = ncut_loss(FeatureMatrix(emb), Partition(labels), cfg.sigma)
+        graph_loss, _ = ncut_loss(emb, labels, cfg.sigma)
         return graph_loss + cfg.ncut_ce_weight * am_softmax_value(emb, labels, clf)
     z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
     total = am_softmax_value(z, labels, clf)
