@@ -29,8 +29,9 @@ from .data import (
 )
 from .graphcut import affinity_class_means
 from .ranking import RankingList, evaluate, k_reciprocal_rerank, rank, refine_ranking
+from .ranking import _check_kr, _check_top_n
 from .training import TrainConfig, train
-from .transform import affinity
+from .transform import _check_affinity_sigma, affinity
 
 ABLATION_CELLS = (
     ("baseline", dict(use_sft=False, deep_supervision="off")),
@@ -94,6 +95,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        # each value meets the check of the code that uses it here, before any training
+        for sigma in self.sigma_values:
+            replace(self.train, sigma=sigma)
+        for k in self.k_values:
+            replace(self.train, k=k)
+        _check_top_n(self.top_n, [])
+        _check_kr(self.kr_k1, self.kr_k2, self.kr_lambda)
+        if self.mode == "ablation":  # the held-out affinity of two cells
+            _check_affinity_sigma(self.train.sigma)
 
 
 def make_dataset(cfg: ExperimentConfig, seed: int) -> tuple[FeatureMatrix, DatasetManifest]:

@@ -224,6 +224,13 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
 
 
+def _check_kr(k1: int, k2: int, lam: float) -> None:
+    if not k1 > k2 >= 1:
+        raise ValueError(f"need k1 > k2 >= 1, got k1={k1}, k2={k2}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+
+
 def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
                         manifest: DatasetManifest, k1: int = 20, k2: int = 6,
                         lam: float = 0.3) -> RankingList:
@@ -240,10 +247,7 @@ def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
     the n x n distance matrix the cost is about O(n * k1**2) time and
     memory.
     """
-    if not k1 > k2 >= 1:
-        raise ValueError(f"need k1 > k2 >= 1, got k1={k1}, k2={k2}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    _check_kr(k1, k2, lam)
     query_recs, gallery_recs = _eval_records(manifest, queries, gallery)
     n_q = queries.n
     union = np.vstack([queries.data, gallery.data])

@@ -24,6 +24,7 @@ from .data import DatasetManifest, FeatureMatrix, Partition, check_paired
 from .graphcut import affinity_class_means, ncut_loss
 from .rng import Xoshiro256StarStar
 from .transform import (
+    _check_affinity_sigma,
     _check_sigma,
     _sft_backward,
     _transition_from_features,
@@ -34,6 +35,10 @@ from .transform import (
 
 DEEP_SUPERVISION_MODES = ("off", "shared", "unshared")
 OBJECTIVES = ("sft", "ncut")
+# the fixed optimiser recipe: lr_at's warmup start and decay step, SGD momentum
+WARMUP_START_LR = 0.001
+DECAY_FACTOR = 0.1
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -44,40 +49,30 @@ class TrainConfig:
     epochs: int = 140
     warmup_epochs: int = 20
     base_lr: float = 0.1
-    warmup_start_lr: float = 0.001
     decay_epochs: tuple[int, ...] = (80, 100)
-    decay_factor: float = 0.1
-    momentum: float = 0.9
     deep_supervision: str = "shared"
     grad_through_transition: bool = True
     use_sft: bool = True             # identity transform when False (baseline runs)
     deep_supervision_weight: float = 1.0
     objective: str = "sft"
-    ncut_ce_weight: float = 1.0
-    margin: float = 0.3
-    scale: float = 15.0
     hidden_dim: int = 64
     embed_dim: int = 32
-    batches_per_epoch: int = 0       # 0: floor(train size / (p*k)), at least 1
     diagnostics: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if self.p < 2 or self.k < 2:
             raise ValueError("batches need p >= 2 identities and k >= 2 samples each")
-        _check_sigma(self.sigma)
-        if self.epochs < 0 or self.warmup_epochs < 0 or self.batches_per_epoch < 0:
+        # with diagnostics on, every epoch's log line builds affinity()
+        (_check_affinity_sigma if self.diagnostics else _check_sigma)(self.sigma)
+        if self.epochs < 0 or self.warmup_epochs < 0:
             raise ValueError("counts must be non-negative")
-        if self.base_lr <= 0 or self.warmup_start_lr <= 0 or self.decay_factor <= 0:
-            raise ValueError("learning rates and decay factor must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
+        if self.base_lr <= 0:
+            raise ValueError("base_lr must be positive")
         if self.deep_supervision not in DEEP_SUPERVISION_MODES:
             raise ValueError(f"unknown deep_supervision mode {self.deep_supervision!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.margin < 0 or self.scale <= 0:
-            raise ValueError("margin must be >= 0 and scale > 0")
         if self.hidden_dim < 0 or self.embed_dim < 1:
             raise ValueError("bad model dimensions")
         object.__setattr__(self, "decay_epochs", tuple(int(e) for e in self.decay_epochs))
@@ -130,11 +125,11 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
         raise ValueError(f"epoch {epoch} outside [0, {cfg.epochs})")
     if epoch < cfg.warmup_epochs:
         frac = epoch / cfg.warmup_epochs
-        return cfg.warmup_start_lr + (cfg.base_lr - cfg.warmup_start_lr) * frac
+        return WARMUP_START_LR + (cfg.base_lr - WARMUP_START_LR) * frac
     lr = cfg.base_lr
     for boundary in cfg.decay_epochs:
         if epoch >= boundary:
-            lr *= cfg.decay_factor
+            lr *= DECAY_FACTOR
     return lr
 
 
@@ -190,19 +185,18 @@ class AmSoftmaxClassifier:
     """Cosine classifier with additive margin and logit scaling."""
 
     weight: np.ndarray  # (num_classes, embed_dim)
-    margin: float = TrainConfig.margin
-    scale: float = TrainConfig.scale
+    margin: float = 0.3
+    scale: float = 15.0
 
     def __post_init__(self):
         if self.margin < 0 or self.scale <= 0:
             raise ValueError("margin must be >= 0 and scale > 0")
 
     @classmethod
-    def init(cls, num_classes: int, embed_dim: int, rng: Xoshiro256StarStar,
-             **terms) -> "AmSoftmaxClassifier":
-        """Random rows scaled by 1/sqrt(embed_dim); terms sets margin and scale."""
+    def init(cls, num_classes: int, embed_dim: int, rng: Xoshiro256StarStar) -> "AmSoftmaxClassifier":
+        """Random rows scaled by 1/sqrt(embed_dim)."""
         w = np.array(rng.normals(num_classes * embed_dim)).reshape(num_classes, embed_dim)
-        return cls(w / np.sqrt(embed_dim), **terms)
+        return cls(w / np.sqrt(embed_dim))
 
     @property
     def num_classes(self) -> int:
@@ -355,8 +349,7 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     if cfg.objective == "ncut":
         graph_loss, grad_emb_graph = ncut_loss(emb, labels, cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
-        grad_emb = grad_emb_graph + cfg.ncut_ce_weight * grad_emb_ce
-        return ce_loss, graph_loss, model.backward(cache, grad_emb) + [cfg.ncut_ce_weight * grad_clf]
+        return ce_loss, graph_loss, model.backward(cache, grad_emb_graph + grad_emb_ce) + [grad_clf]
 
     mode = cfg.deep_supervision
     if mode == "unshared":
@@ -425,11 +418,10 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
 
     rng = Xoshiro256StarStar(cfg.seed)
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-    terms = {"margin": cfg.margin, "scale": cfg.scale}
-    clf = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, **terms)
+    clf = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng)
     clf_orig = None
     if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
-        clf_orig = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng, **terms)
+        clf_orig = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng)
 
     # every parameter is rebound to its view of one flat buffer laid out in
     # forward_backward's gradient order, so the momentum update is a few
@@ -446,7 +438,7 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
     velocity = np.zeros_like(params)
     step = np.empty_like(params)
 
-    batches = cfg.batches_per_epoch or max(1, len(train_idx) // (cfg.p * cfg.k))
+    batches = max(1, len(train_idx) // (cfg.p * cfg.k))
     schedule = _pk_schedule(manifest, cfg.p, cfg.k, cfg.epochs * batches, rng)
     log: list[str] = []
     for epoch in range(cfg.epochs):
@@ -461,7 +453,7 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
             sum_sft += loss_sft
             np.concatenate([g.ravel() for g in grads], out=step)
             step *= lr
-            velocity *= cfg.momentum
+            velocity *= MOMENTUM
             velocity -= step
             params += velocity
         if not math.isfinite(sum_orig + sum_sft):

@@ -125,13 +125,17 @@ def _exp_cosines(unit: np.ndarray, sigma: float, shift: float = 0.0) -> np.ndarr
     return weights
 
 
-def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
-    """Edge weights w_ij = exp(cos(x_i, x_j) / sigma), unshifted: the largest,
-    exp(1 / sigma), is finite in float64 only for sigma >= ~0.00141."""
+def _check_affinity_sigma(sigma: float) -> float:
+    """Sigma for :func:`affinity`: exp(1 / sigma) is finite for sigma >= ~0.00141."""
     sigma = _check_sigma(sigma)
     if 1.0 / sigma > math.log(np.finfo(np.float64).max):
         raise ValueError(f"sigma {sigma} too small for affinity: exp(1/sigma) overflows float64")
-    return AffinityMatrix(_exp_cosines(_unit_rows(x.data)[1], sigma))
+    return sigma
+
+
+def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
+    """Edge weights w_ij = exp(cos(x_i, x_j) / sigma), unshifted."""
+    return AffinityMatrix(_exp_cosines(_unit_rows(x.data)[1], _check_affinity_sigma(sigma)))
 
 
 def transition(w: AffinityMatrix) -> StochasticMatrix:

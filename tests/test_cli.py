@@ -29,6 +29,16 @@ def dataset(tmp_path):
     return feats, manifest
 
 
+@pytest.fixture()
+def train_calls(monkeypatch):
+    """Every train() call that `train` or `experiment` makes, in order."""
+    calls = []
+    for module in (cli, exp):
+        real = module.train
+        monkeypatch.setattr(module, "train", lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
 class TestGen:
     def test_happy_path_example(self, tmp_path, capsys):
         feats = tmp_path / "feats.sfte"
@@ -234,10 +244,11 @@ class TestErrors:
 
 
     @pytest.mark.parametrize("command", ["experiment", "train"])
-    def test_sigma_overflowing_affinity_named(self, dataset, tmp_path, capsys, command):
+    def test_sigma_overflowing_affinity_named(self, dataset, tmp_path, capsys, train_calls, command):
         """At sigma 0.001 the unshifted affinity's exp(1/sigma) overflows:
-        the held-out affinity of an ablation and the diagnostics line of
-        train name sigma, with no numpy warning on the way."""
+        an ablation, which builds held-out affinities, and train with the
+        diagnostics line both name sigma before any training, with no numpy
+        warning on the way."""
         feats, manifest = dataset
         if command == "experiment":
             args = ["--mode", "ablation", "--epochs", 2, "--seeds", 1, "--out-dir", tmp_path / "out"]
@@ -252,6 +263,24 @@ class TestErrors:
             assert run(command, "--sigma", "0.001", *args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: sigma 0.001 too small"), err
+        assert train_calls == []
+
+    @pytest.mark.parametrize("args,message", [
+        (["--mode", "sigma_sweep", "--sigma-values", "0.1,0"], "sigma must be positive and finite, got 0.0"),
+        (["--mode", "k_sweep", "--k-values", "2,1"], "batches need p >= 2 identities and k >= 2 samples each"),
+        (["--top-n", 0], "top_n must be >= 1, got 0"),
+        (["--kr-k1", 3, "--kr-k2", 6], "need k1 > k2 >= 1, got k1=3, k2=6"),
+        (["--kr-lambda", 2], "lambda must be in [0, 1], got 2.0"),
+    ], ids=["sigma_values", "k_values", "top_n", "kr_k", "kr_lambda"])
+    def test_bad_experiment_value_rejected_before_training(self, tmp_path, capsys, train_calls,
+                                                           args, message):
+        """A value that the run would reject later fails when its config is
+        built, with the message of the code that uses it."""
+        out = tmp_path / "out"
+        assert run("experiment", *args, "--epochs", 20, "--seeds", "1,2", "--out-dir", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert train_calls == []
+        assert not out.exists()
 
     def test_diverging_training_exits_1(self, dataset, tmp_path, capsys):
         feats, manifest = dataset

@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from sftlab.experiment import ABLATION_CELLS, ExperimentConfig, make_dataset, to
 from sftlab.graphcut import affinity_class_means, ncut_loss
 from sftlab.rng import Xoshiro256StarStar
 from sftlab.training import (
+    MOMENTUM,
     AmSoftmaxClassifier,
     EmbedModel,
     PKBatch,
@@ -351,7 +355,7 @@ class TestTrainLoop:
         result = train(feats, manifest, cfg)
         rng = Xoshiro256StarStar(13)
         expected_model = EmbedModel.init(8, 6, 4, rng)
-        expected_clf = AmSoftmaxClassifier.init(4, 4, rng, margin=cfg.margin, scale=cfg.scale)
+        expected_clf = AmSoftmaxClassifier.init(4, 4, rng)
         for got, want in zip(result.model.weights, expected_model.weights):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(result.classifier.weight, expected_clf.weight)
@@ -388,9 +392,16 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="sigma must be positive"):
             TrainConfig(sigma=sigma)
 
+    def test_config_checks_affinity_sigma_only_with_diagnostics(self):
+        """Only the diagnostics line builds the unshifted affinity, whose
+        exp(1/sigma) overflows at sigma 0.001."""
+        assert TrainConfig(sigma=0.001).sigma == 0.001
+        with pytest.raises(ValueError, match="^sigma 0.001 too small for affinity"):
+            TrainConfig(sigma=0.001, diagnostics=True)
+
     def test_non_finite_loss_raises(self):
         feats, manifest = generate_synthetic(SyntheticSpec(4, 6, 8, seed=2))
-        # the first epoch runs at warmup_start_lr, the second at ~5e298
+        # the first epoch runs at WARMUP_START_LR, the second at ~5e298
         cfg = TrainConfig(p=2, k=2, epochs=3, base_lr=1e300, hidden_dim=6, embed_dim=4)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged in epoch 1"):
             train(feats, manifest, cfg)
@@ -402,8 +413,6 @@ class TestTrainLoop:
             TrainConfig(k=1)
         with pytest.raises(ValueError):
             TrainConfig(deep_supervision="maybe")
-        with pytest.raises(ValueError):
-            TrainConfig(momentum=1.0)
 
 
 class TestConfigFile:
@@ -424,13 +433,29 @@ class TestConfigFile:
         assert cfg.deep_supervision == "unshared"
         assert cfg.use_sft is False
         assert cfg.decay_epochs == (10, 20)
-        assert cfg.momentum == 0.9  # untouched default
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("learning = fast\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_train_config(path)
+
+    @pytest.mark.parametrize("key", ["warmup_start_lr", "decay_factor", "momentum", "ncut_ce_weight",
+                                     "batches_per_epoch", "margin", "scale"])
+    def test_fixed_recipe_is_no_key(self, tmp_path, key):
+        """The optimiser constants, the classifier's margin and scale, the
+        ncut loss weight and the batch count are fixed in code."""
+        path = tmp_path / "fixed.cfg"
+        path.write_text(f"p = 4\n{key} = 1\n")
+        with pytest.raises(ValueError, match=f"^config line 2: unknown key '{key}'$"):
+            load_train_config(path)
+
+    def test_readme_lists_every_key(self):
+        """The README's config-file paragraph names every field, in order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = " ".join(readme.split("### Training configuration file", 1)[1].split())
+        listed = paragraph.split("fields:", 1)[1].split("Command-line flags override", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(TrainConfig)]
 
     @pytest.mark.parametrize("line", ["decay_epochs = 1.5", "epochs = ten", "sigma = x",
                                       "use_sft = maybe"])
@@ -474,8 +499,7 @@ def reference_forward_backward(x, labels, model, clf, cfg, clf_orig=None):
     if cfg.objective == "ncut":
         graph_loss, grad_emb_graph = ncut_loss(emb, labels, cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = am_softmax_loss(emb, labels, clf)
-        grad_emb = grad_emb_graph + cfg.ncut_ce_weight * grad_emb_ce
-        return ce_loss, graph_loss, model.backward(cache, grad_emb) + [cfg.ncut_ce_weight * grad_clf]
+        return ce_loss, graph_loss, model.backward(cache, grad_emb_graph + grad_emb_ce) + [grad_clf]
 
     z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
     loss_sft, grad_z, grad_clf_sft = am_softmax_loss(z, labels, clf)
@@ -509,18 +533,17 @@ def reference_train(features, manifest, cfg):
 
     rng = Xoshiro256StarStar(cfg.seed)
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-    terms = {"margin": cfg.margin, "scale": cfg.scale}
-    clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, **terms)
+    clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng)
     clf_orig = None
     if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
-        clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng, **terms)
+        clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng)
 
     params = model.parameters() + [clf.weight]
     if clf_orig is not None:
         params.append(clf_orig.weight)
     velocity = [np.zeros_like(p) for p in params]
 
-    batches = cfg.batches_per_epoch or max(1, len(train_idx) // (cfg.p * cfg.k))
+    batches = max(1, len(train_idx) // (cfg.p * cfg.k))
     log = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -534,7 +557,7 @@ def reference_train(features, manifest, cfg):
             sum_orig += loss_orig
             sum_sft += loss_sft
             for param, vel, grad in zip(params, velocity, grads, strict=True):
-                vel *= cfg.momentum
+                vel *= MOMENTUM
                 vel -= lr * grad
                 param += vel
         line = f"{epoch}\t{lr:.12g}\t{sum_orig / batches:.12g}\t{sum_sft / batches:.12g}"

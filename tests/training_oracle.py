@@ -20,7 +20,7 @@ def training_loss(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     emb = model.embed(x)
     if cfg.objective == "ncut":
         graph_loss, _ = ncut_loss(emb, labels, cfg.sigma)
-        return graph_loss + cfg.ncut_ce_weight * am_softmax_value(emb, labels, clf)
+        return graph_loss + am_softmax_value(emb, labels, clf)
     z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
     total = am_softmax_value(z, labels, clf)
     if cfg.deep_supervision == "shared":
