@@ -36,7 +36,7 @@ from .data import (
 )
 from .graphcut import class_ncut_escape
 from .ranking import QueryRanking, RankingList, evaluate, rank, refine_ranking
-from .training import DEEP_SUPERVISION_MODES, OBJECTIVES, PARSERS, TrainConfig, load_train_config, train
+from .training import METHODS, PARSERS, TrainConfig, load_train_config, train
 from .transform import AffinityMatrix, _check_sigma, _exp_cosines, _unit_rows, sft_transform
 
 TOPOLOGY_ALIASES = {
@@ -152,10 +152,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
-    cfg = _train_config(
-        args, TrainConfig(), deep_supervision=args.deep_supervision, objective=args.objective,
-        use_sft=False if args.no_sft else None, seed=args.seed,
-    )
+    cfg = _train_config(args, TrainConfig(), method=args.method, seed=args.seed)
     result = train(features, manifest, cfg)
     if args.log:
         Path(args.log).write_text("\n".join(result.log) + "\n", encoding="utf-8")
@@ -279,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
     _add_train_flags(p, "key = value file with TrainConfig fields")
-    p.add_argument("--mode", dest="deep_supervision", choices=DEEP_SUPERVISION_MODES)
-    p.add_argument("--objective", choices=OBJECTIVES)
-    p.add_argument("--no-sft", action="store_true", help="replace the transform by identity")
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--seed", type=int)
     p.add_argument("--log", help="write per-epoch training log (TSV)")
     p.add_argument("--out-features", help="write trained embeddings of all rows")

@@ -30,17 +30,10 @@ from .data import (
 from .graphcut import affinity_class_means
 from .ranking import RankingList, evaluate, k_reciprocal_rerank, rank, refine_ranking
 from .ranking import _check_kr, _check_top_n
-from .training import TrainConfig, train
+from .training import METHODS, TrainConfig, train
 from .transform import _check_affinity_sigma, affinity
 
-ABLATION_CELLS = (
-    ("baseline", dict(use_sft=False, deep_supervision="off")),
-    ("sft", dict(use_sft=True, deep_supervision="off")),
-    ("sft+ds_unshared", dict(use_sft=True, deep_supervision="unshared")),
-    ("sft+ds_shared", dict(use_sft=True, deep_supervision="shared")),
-    ("ncut", dict(objective="ncut", use_sft=False, deep_supervision="off")),
-)
-_SWEEP_CELL = ABLATION_CELLS[3][1]  # sft+ds_shared, the cell both sweeps vary
+_SWEEP_CELL = "sft+ds_shared"  # the method both sweeps vary
 
 MODES = ("ablation", "sigma_sweep", "k_sweep")
 
@@ -95,6 +88,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.query_per_id < 1:  # every cell ranks the held-out queries
+            raise ValueError(f"query_per_id must be >= 1, got {self.query_per_id}")
+        swept = {"sigma_sweep": "sigma_values", "k_sweep": "k_values"}.get(self.mode)
+        if swept and not getattr(self, swept):
+            raise ValueError(f"need at least one of {swept} in {self.mode} mode")
         # each value meets the check of the code that uses it here, before any training
         for sigma in self.sigma_values:
             replace(self.train, sigma=sigma)
@@ -179,8 +177,8 @@ def _run_cell(datasets: list, overrides: dict, cfg: ExperimentConfig) -> list[Se
 def run_ablation(cfg: ExperimentConfig, datasets: list) -> dict:
     cells: dict[str, dict] = {}
     inter_affinity: dict[str, float] = {}
-    for name, overrides in ABLATION_CELLS:
-        runs = _run_cell(datasets, overrides, cfg)
+    for name in METHODS:
+        runs = _run_cell(datasets, dict(method=name), cfg)
         rows = [{"seed": run.cfg.seed, **run.metrics} for run in runs]
         if name in ("baseline", "sft+ds_shared"):
             for row, run in zip(rows, runs):
@@ -206,7 +204,7 @@ def run_ablation(cfg: ExperimentConfig, datasets: list) -> dict:
 def run_sigma_sweep(cfg: ExperimentConfig, datasets: list) -> dict:
     rows = []
     for sigma in cfg.sigma_values:
-        runs = _run_cell(datasets, dict(_SWEEP_CELL, sigma=sigma), cfg)
+        runs = _run_cell(datasets, dict(method=_SWEEP_CELL, sigma=sigma), cfg)
         rows.append({"sigma": sigma, **_summary([run.metrics for run in runs])})
     return {"mode": "sigma_sweep", "rows": rows}
 
@@ -215,8 +213,8 @@ def run_k_sweep(cfg: ExperimentConfig, datasets: list) -> dict:
     rows = []
     for k in cfg.k_values:
         row = {"k": k}
-        for name, overrides in (("baseline", ABLATION_CELLS[0][1]), ("sft+ds_shared", _SWEEP_CELL)):
-            runs = _run_cell(datasets, dict(overrides, k=k), cfg)
+        for name in ("baseline", _SWEEP_CELL):
+            runs = _run_cell(datasets, dict(method=name, k=k), cfg)
             row[name] = _summary([run.metrics for run in runs])
         rows.append(row)
     return {"mode": "k_sweep", "rows": rows}

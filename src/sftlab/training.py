@@ -33,8 +33,9 @@ from .transform import (
     affinity,
 )
 
-DEEP_SUPERVISION_MODES = ("off", "shared", "unshared")
-OBJECTIVES = ("sft", "ncut")
+# the ablation's cells: no transform, the transform alone, with deep
+# supervision through an unshared or the shared classifier, and the ncut loss
+METHODS = ("baseline", "sft", "sft+ds_unshared", "sft+ds_shared", "ncut")
 # the fixed optimiser recipe: lr_at's warmup start and decay step, SGD momentum
 WARMUP_START_LR = 0.001
 DECAY_FACTOR = 0.1
@@ -50,11 +51,9 @@ class TrainConfig:
     warmup_epochs: int = 20
     base_lr: float = 0.1
     decay_epochs: tuple[int, ...] = (80, 100)
-    deep_supervision: str = "shared"
+    method: str = "sft+ds_shared"    # one of METHODS
     grad_through_transition: bool = True
-    use_sft: bool = True             # identity transform when False (baseline runs)
     deep_supervision_weight: float = 1.0
-    objective: str = "sft"
     hidden_dim: int = 64
     embed_dim: int = 32
     diagnostics: bool = False
@@ -69,10 +68,8 @@ class TrainConfig:
             raise ValueError("counts must be non-negative")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
-        if self.deep_supervision not in DEEP_SUPERVISION_MODES:
-            raise ValueError(f"unknown deep_supervision mode {self.deep_supervision!r}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         if self.hidden_dim < 0 or self.embed_dim < 1:
             raise ValueError("bad model dimensions")
         object.__setattr__(self, "decay_epochs", tuple(int(e) for e in self.decay_epochs))
@@ -327,62 +324,52 @@ def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
 def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
                      clf: AmSoftmaxClassifier, cfg: TrainConfig,
                      clf_orig: AmSoftmaxClassifier | None = None):
-    """One training step's losses and parameter gradients.
+    """One training step's losses and parameter gradients under cfg.method.
 
     Returns (loss_orig, loss_sft, grads).  grads is a list of gradients
     in the order model.parameters() + [clf.weight], then clf_orig.weight
-    under unshared deep supervision.  loss_sft is the classifier
-    loss on transformed features (or the graph-cut loss under the ncut
-    objective); loss_orig is the classifier loss on the untransformed
-    embedding, which contributes gradient only when deep supervision is
-    on (it is still reported otherwise, for the log).
+    under sft+ds_unshared.  loss_sft is the classifier loss on
+    transformed features (the embedding itself for the baseline, the
+    graph-cut loss for ncut); loss_orig is the classifier loss on the
+    untransformed embedding, which contributes gradient only under deep
+    supervision and ncut (it is still reported otherwise, for the log).
 
-    Each piece of work runs once: the transform's forward pass feeds its
-    backward pass, and the margin softmax runs once per distinct (input,
-    classifier) pair, so without the transform the embedding's loss is
-    the transformed one.
+    The transform's forward pass feeds its backward pass, and the margin
+    softmax runs once per distinct (input, classifier) pair.
     """
     emb, cache = model.forward(x)
     _check_labels(labels, emb.shape[0], clf.num_classes)
     w_norms, w_unit = _unit_rows(clf.weight)
+    method = cfg.method
 
-    if cfg.objective == "ncut":
+    if method == "ncut":
         graph_loss, grad_emb_graph = ncut_loss(emb, labels, cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
         return ce_loss, graph_loss, model.backward(cache, grad_emb_graph + grad_emb_ce) + [grad_clf]
+    if method == "baseline":
+        loss, grad_emb, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
+        return loss, loss, model.backward(cache, grad_emb) + [grad_clf]
 
-    mode = cfg.deep_supervision
-    if mode == "unshared":
+    if method == "sft+ds_unshared":
         if clf_orig is None:
             raise ValueError("unshared deep supervision needs the second classifier")
         _check_labels(labels, emb.shape[0], clf_orig.num_classes)
-    if cfg.use_sft:
-        forward = _transition_from_features(emb, cfg.sigma)
-        z = forward[2] @ emb
-    else:
-        z = emb
-    on_z = _am_softmax_grad(z, labels, w_norms, w_unit, clf)
-    loss_sft, grad_z, grad_clf = on_z
-    if cfg.use_sft:
-        grad_emb = _sft_backward(emb, cfg.sigma, grad_z, forward, cfg.grad_through_transition)
-    else:
-        grad_emb = grad_z
+    forward = _transition_from_features(emb, cfg.sigma)
+    loss_sft, grad_z, grad_clf = _am_softmax_grad(forward[2] @ emb, labels, w_norms, w_unit, clf)
+    grad_emb = _sft_backward(emb, cfg.sigma, grad_z, forward, cfg.grad_through_transition)
+    if method == "sft":
+        loss_orig = _am_softmax_parts(emb, labels, w_unit, clf)[-1]
+        return loss_orig, loss_sft, model.backward(cache, grad_emb) + [grad_clf]
 
     weight = cfg.deep_supervision_weight
-    clf_grads = [grad_clf]
-    if mode == "off":
-        loss_orig = loss_sft if z is emb else _am_softmax_parts(emb, labels, w_unit, clf)[-1]
-    elif mode == "shared":
-        on_emb = on_z if z is emb else _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
-        loss_orig, grad_emb_orig, grad_clf_orig_path = on_emb
-        grad_emb = grad_emb + weight * grad_emb_orig
+    if method == "sft+ds_shared":
+        loss_orig, grad_emb_orig, grad_clf_orig_path = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
         clf_grads = [grad_clf + weight * grad_clf_orig_path]
     else:
         loss_orig, grad_emb_orig, grad_unshared = _am_softmax_grad(
             emb, labels, *_unit_rows(clf_orig.weight), clf_orig)
-        grad_emb = grad_emb + weight * grad_emb_orig
-        clf_grads.append(weight * grad_unshared)
-    return loss_orig, loss_sft, model.backward(cache, grad_emb) + clf_grads
+        clf_grads = [grad_clf, weight * grad_unshared]
+    return loss_orig, loss_sft, model.backward(cache, grad_emb + weight * grad_emb_orig) + clf_grads
 
 
 @dataclass
@@ -420,7 +407,7 @@ def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) 
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
     clf = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng)
     clf_orig = None
-    if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
+    if cfg.method == "sft+ds_unshared":
         clf_orig = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng)
 
     # every parameter is rebound to its view of one flat buffer laid out in

@@ -144,17 +144,17 @@ def test_criterion_2_gradient_suite():
         numeric = central_diff(lambda v: ncut_loss(v, y, 0.5)[0], x)
         worst_unit = max(worst_unit, rel_error(grad, numeric))
 
-    # end-to-end, all supervision modes and both transition-gradient settings
+    # end-to-end, every method and both transition-gradient settings
     worst_full = 0.0
     combos = [
-        dict(deep_supervision="off", grad_through_transition=True),
-        dict(deep_supervision="off", grad_through_transition=False),
-        dict(deep_supervision="shared", grad_through_transition=True),
-        dict(deep_supervision="shared", grad_through_transition=False),
-        dict(deep_supervision="unshared", grad_through_transition=True),
-        dict(deep_supervision="unshared", grad_through_transition=False),
-        dict(use_sft=False, deep_supervision="off"),
-        dict(objective="ncut"),
+        dict(method="sft", grad_through_transition=True),
+        dict(method="sft", grad_through_transition=False),
+        dict(method="sft+ds_shared", grad_through_transition=True),
+        dict(method="sft+ds_shared", grad_through_transition=False),
+        dict(method="sft+ds_unshared", grad_through_transition=True),
+        dict(method="sft+ds_unshared", grad_through_transition=False),
+        dict(method="baseline"),
+        dict(method="ncut"),
     ]
     instances = 0
     for combo in combos:
@@ -167,9 +167,9 @@ def test_criterion_2_gradient_suite():
             clf_orig = AmSoftmaxClassifier.init(4, 5, Xoshiro256StarStar(seed + 20))
             _, _, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
             params = model.parameters() + [clf.weight]
-            if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
+            if cfg.method == "sft+ds_unshared":
                 params.append(clf_orig.weight)
-            if cfg.use_sft and cfg.objective == "sft" and not cfg.grad_through_transition:
+            if cfg.method.startswith("sft") and not cfg.grad_through_transition:
                 frozen = transition(affinity(FeatureMatrix(model.embed(x)), cfg.sigma)).data
                 objective = lambda: frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen)
             else:

@@ -1,8 +1,10 @@
 import json
 import math
 import re
+import shlex
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sftlab import cli
 from sftlab import experiment as exp
 from sftlab.cli import main
 from sftlab.data import SyntheticSpec, load_features, load_manifest
+from sftlab.training import METHODS
 from sftlab.transform import sft_transform
 
 
@@ -109,7 +112,7 @@ class TestPipeline:
         log = tmp_path / "train.log"
         # unshifted, exp(cos / 0.002) overflows the ncut loss's volume squared
         assert run("train", "--features", feats, "--manifest", manifest,
-                   "--objective", "ncut", "--sigma", "0.002", "--epochs", 2,
+                   "--method", "ncut", "--sigma", "0.002", "--epochs", 2,
                    "--p", 3, "--k", 4, "--hidden-dim", 16, "--embed-dim", 8, "--log", log) == 0
         lines = log.read_text().splitlines()
         assert len(lines) == 2
@@ -150,6 +153,13 @@ class TestPipeline:
         expected = sft_transform(original, 0.3)
         loaded = load_features(out)
         np.testing.assert_allclose(loaded.data, expected.data, rtol=1e-6)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_method_flag_sets_the_method(self, dataset, train_calls, method):
+        feats, manifest = dataset
+        assert run("train", "--features", feats, "--manifest", manifest, "--method", method,
+                   "--epochs", 1, "--p", 3, "--k", 4, "--hidden-dim", 8, "--embed-dim", 4) == 0
+        assert [cfg.method for _, _, cfg in train_calls] == [method]
 
     def test_config_file_override(self, dataset, tmp_path):
         feats, manifest = dataset
@@ -212,6 +222,13 @@ class TestErrors:
             run("gen", "--bogus", 1, "--out", "x", "--manifest", "y")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--mode", "shared"], ["--objective", "ncut"], ["--no-sft"]],
+                             ids=["mode", "objective", "no_sft"])
+    def test_method_is_the_only_variant_flag(self, flags):
+        with pytest.raises(SystemExit) as err:
+            run("train", "--features", "f.sfte", "--manifest", "m.tsv", *flags)
+        assert err.value.code == 2
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert run("rank", "--features", tmp_path / "none.sfte",
                    "--manifest", tmp_path / "none.tsv",
@@ -271,7 +288,11 @@ class TestErrors:
         (["--top-n", 0], "top_n must be >= 1, got 0"),
         (["--kr-k1", 3, "--kr-k2", 6], "need k1 > k2 >= 1, got k1=3, k2=6"),
         (["--kr-lambda", 2], "lambda must be in [0, 1], got 2.0"),
-    ], ids=["sigma_values", "k_values", "top_n", "kr_k", "kr_lambda"])
+        (["--query-per-id", 0], "query_per_id must be >= 1, got 0"),
+        (["--mode", "sigma_sweep", "--sigma-values", ""], "need at least one of sigma_values in sigma_sweep mode"),
+        (["--mode", "k_sweep", "--k-values", ""], "need at least one of k_values in k_sweep mode"),
+    ], ids=["sigma_values", "k_values", "top_n", "kr_k", "kr_lambda", "query_per_id",
+            "empty_sigma_values", "empty_k_values"])
     def test_bad_experiment_value_rejected_before_training(self, tmp_path, capsys, train_calls,
                                                            args, message):
         """A value that the run would reject later fails when its config is
@@ -285,10 +306,10 @@ class TestErrors:
     def test_diverging_training_exits_1(self, dataset, tmp_path, capsys):
         feats, manifest = dataset
         log = tmp_path / "train.log"
-        for objective in ("sft", "ncut"):
+        for method in ("sft+ds_shared", "ncut"):
             # the overflow on the way prints no warning: one error line only
             assert run("train", "--features", feats, "--manifest", manifest,
-                       "--objective", objective, "--epochs", 3, "--p", 3, "--k", 4,
+                       "--method", method, "--epochs", 3, "--p", 3, "--k", 4,
                        "--base-lr", "1e300", "--log", log) == 1
             err = capsys.readouterr().err
             assert re.fullmatch(r"error: training diverged in epoch 1: [^\n]*\n", err), err
@@ -433,9 +454,9 @@ usage: sftlab train [-h] --features FEATURES --manifest MANIFEST
                     [--config CONFIG] [--sigma SIGMA] [--epochs EPOCHS]
                     [--p P] [--k K] [--hidden-dim HIDDEN_DIM]
                     [--embed-dim EMBED_DIM] [--base-lr BASE_LR]
-                    [--mode {off,shared,unshared}] [--objective {sft,ncut}]
-                    [--no-sft] [--seed SEED] [--log LOG]
-                    [--out-features OUT_FEATURES] [--out-model OUT_MODEL]
+                    [--method {baseline,sft,sft+ds_unshared,sft+ds_shared,ncut}]
+                    [--seed SEED] [--log LOG] [--out-features OUT_FEATURES]
+                    [--out-model OUT_MODEL]
 
 options:
   -h, --help            show this help message and exit
@@ -449,9 +470,7 @@ options:
   --hidden-dim HIDDEN_DIM
   --embed-dim EMBED_DIM
   --base-lr BASE_LR
-  --mode {off,shared,unshared}
-  --objective {sft,ncut}
-  --no-sft              replace the transform by identity
+  --method {baseline,sft,sft+ds_unshared,sft+ds_shared,ncut}
   --seed SEED
   --log LOG             write per-epoch training log (TSV)
   --out-features OUT_FEATURES
@@ -605,3 +624,22 @@ class TestExperimentFlags:
             run(command, "--help")
         assert exit_.value.code == 0
         assert capsys.readouterr().out == text
+
+
+def readme_cli_examples() -> list[str]:
+    """Every `sftlab ...` command of the README's CLI section, with its
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("sftlab ")]
+
+
+def test_readme_cli_examples_parse():
+    """The examples use no stale flag, and each subcommand has one."""
+    commands = set()
+    for line in readme_cli_examples():
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        commands.add(args.command)
+    assert commands == {"gen", "train", "transform", "rank", "eval", "refine", "diagnose", "experiment"}

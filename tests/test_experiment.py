@@ -52,11 +52,11 @@ class TestAblation:
             assert 0.0 <= cell["median"]["map"] <= 1.0
 
     @pytest.mark.parametrize("mode,overrides,cell", [
-        ("ablation", dict(use_sft=False, deep_supervision="off"),
+        ("ablation", dict(method="baseline"),
          lambda report: report["cells"]["baseline"]),
-        ("sigma_sweep", dict(sigma=0.2, use_sft=True, deep_supervision="shared"),
+        ("sigma_sweep", dict(sigma=0.2, method="sft+ds_shared"),
          lambda report: report["rows"][0]),
-        ("k_sweep", dict(k=2, use_sft=True, deep_supervision="shared"),
+        ("k_sweep", dict(k=2, method="sft+ds_shared"),
          lambda report: report["rows"][0]["sft+ds_shared"]),
     ], ids=["ablation", "sigma_sweep", "k_sweep"])
     def test_baseline_cell_equals_direct_composition(self, report, mode, overrides, cell):

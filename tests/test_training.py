@@ -15,10 +15,11 @@ from sftlab.data import (
     SyntheticSpec,
     generate_synthetic,
 )
-from sftlab.experiment import ABLATION_CELLS, ExperimentConfig, make_dataset, toy_train_config
+from sftlab.experiment import ExperimentConfig, make_dataset, toy_train_config
 from sftlab.graphcut import affinity_class_means, ncut_loss
 from sftlab.rng import Xoshiro256StarStar
 from sftlab.training import (
+    METHODS,
     MOMENTUM,
     AmSoftmaxClassifier,
     EmbedModel,
@@ -216,8 +217,8 @@ class TestPKSchedule:
     def test_cells_do_not_depend_on_training_order(self):
         # reversed, the unshared cell runs between cells that share a schedule
         features, manifest = make_dataset(ExperimentConfig(identities=8), seed=1)
-        for name, overrides in reversed(ABLATION_CELLS):
-            cfg = toy_train_config(**overrides, p=4, k=4, epochs=4, warmup_epochs=2,
+        for name in reversed(METHODS):
+            cfg = toy_train_config(method=name, p=4, k=4, epochs=4, warmup_epochs=2,
                                    decay_epochs=(3,), seed=5)
             got = train(features, manifest, cfg)
             want = train(*make_dataset(ExperimentConfig(identities=8), seed=1), cfg)
@@ -225,6 +226,10 @@ class TestPKSchedule:
             for mine, theirs in zip(trained_arrays(got), trained_arrays(want), strict=True):
                 assert np.array_equal(mine, theirs), name
             assert len(manifest.pk_schedules) <= 2
+
+
+# each case id names the deep supervision of the method it runs
+CASE_METHOD = {"off": "sft", "shared": "sft+ds_shared", "unshared": "sft+ds_unshared", "ncut": "ncut"}
 
 
 def small_setup(seed=3, n=8, input_dim=8, hidden=6, embed=5, num_classes=4):
@@ -241,11 +246,11 @@ def frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen):
     """Objective with the transition matrix pinned to `frozen` (the
     detached-transition gradient differentiates exactly this function)."""
     emb = model.embed(x)
-    z = frozen @ emb if cfg.use_sft else emb
+    z = emb if cfg.method == "baseline" else frozen @ emb
     total = am_softmax_value(z, y, clf)
-    if cfg.deep_supervision == "shared":
+    if cfg.method == "sft+ds_shared":
         total += cfg.deep_supervision_weight * am_softmax_value(emb, y, clf)
-    elif cfg.deep_supervision == "unshared":
+    elif cfg.method == "sft+ds_unshared":
         total += cfg.deep_supervision_weight * am_softmax_value(emb, y, clf_orig)
     return total
 
@@ -253,10 +258,10 @@ def frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen):
 def check_all_param_grads(x, y, model, clf, cfg, clf_orig, tol=1e-4):
     _, _, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
     params = model.parameters() + [clf.weight]
-    if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
+    if cfg.method == "sft+ds_unshared":
         params.append(clf_orig.weight)
     assert [g.shape for g in grads] == [p.shape for p in params]
-    if cfg.grad_through_transition or not cfg.use_sft or cfg.objective == "ncut":
+    if cfg.grad_through_transition or cfg.method in ("baseline", "ncut"):
         objective = lambda: training_loss(x, y, model, clf, cfg, clf_orig)
     else:
         frozen = transition(affinity(FeatureMatrix(model.embed(x)), cfg.sigma)).data
@@ -273,13 +278,13 @@ class TestForwardBackward:
     @pytest.mark.parametrize("through", [True, False])
     def test_gradients_all_modes(self, mode, through):
         x, y, model, clf, clf_orig = small_setup()
-        cfg = TrainConfig(p=4, k=2, sigma=0.5, deep_supervision=mode,
+        cfg = TrainConfig(p=4, k=2, sigma=0.5, method=CASE_METHOD[mode],
                           grad_through_transition=through, hidden_dim=6, embed_dim=5)
         check_all_param_grads(x, y, model, clf, cfg, clf_orig)
 
     def test_gradients_ncut_objective(self):
         x, y, model, clf, clf_orig = small_setup(seed=5)
-        cfg = TrainConfig(p=4, k=2, sigma=0.5, objective="ncut",
+        cfg = TrainConfig(p=4, k=2, sigma=0.5, method="ncut",
                           hidden_dim=6, embed_dim=5)
         check_all_param_grads(x, y, model, clf, cfg, clf_orig)
 
@@ -287,20 +292,17 @@ class TestForwardBackward:
     def test_gradients_one_layer_model(self, mode):
         x, y, model, clf, clf_orig = small_setup(seed=13, hidden=0)
         assert len(model.weights) == 1
-        variant = {"objective": "ncut"} if mode == "ncut" else {"deep_supervision": mode}
-        cfg = TrainConfig(p=4, k=2, sigma=0.5, hidden_dim=0, embed_dim=5, **variant)
+        cfg = TrainConfig(p=4, k=2, sigma=0.5, hidden_dim=0, embed_dim=5, method=CASE_METHOD[mode])
         check_all_param_grads(x, y, model, clf, cfg, clf_orig)
 
     def test_gradients_baseline_no_transform(self):
         x, y, model, clf, clf_orig = small_setup(seed=7)
-        cfg = TrainConfig(p=4, k=2, use_sft=False, deep_supervision="off",
-                          hidden_dim=6, embed_dim=5)
+        cfg = TrainConfig(p=4, k=2, method="baseline", hidden_dim=6, embed_dim=5)
         check_all_param_grads(x, y, model, clf, cfg, clf_orig)
 
     def test_identity_transform_equalizes_both_losses(self):
         x, y, model, clf, clf_orig = small_setup()
-        cfg = TrainConfig(p=4, k=2, deep_supervision="shared", use_sft=False,
-                          hidden_dim=6, embed_dim=5)
+        cfg = TrainConfig(p=4, k=2, method="baseline", hidden_dim=6, embed_dim=5)
         loss_orig, loss_sft, _ = forward_backward(x, y, model, clf, cfg)
         assert abs(loss_orig - loss_sft) < 1e-9
 
@@ -309,7 +311,7 @@ class TestForwardBackward:
         y = np.array([0, 0, 1, 1])
         model = EmbedModel.init(4, 0, 3, Xoshiro256StarStar(1))
         clf = AmSoftmaxClassifier.init(2, 3, Xoshiro256StarStar(2))
-        cfg = TrainConfig(p=2, k=2, sigma=0.1, deep_supervision="off", hidden_dim=0, embed_dim=3)
+        cfg = TrainConfig(p=2, k=2, sigma=0.1, method="sft", hidden_dim=0, embed_dim=3)
         loss_orig, loss_sft, _ = forward_backward(x, y, model, clf, cfg)
         emb = model.embed(x)
         np.testing.assert_allclose(sft_transform_array(emb, 0.1), emb, atol=1e-12)
@@ -318,7 +320,7 @@ class TestForwardBackward:
 
     def test_shared_gradient_is_sum_of_both_paths(self):
         x, y, model, clf, _ = small_setup(seed=11)
-        cfg = TrainConfig(p=4, k=2, sigma=0.4, deep_supervision="shared",
+        cfg = TrainConfig(p=4, k=2, sigma=0.4, method="sft+ds_shared",
                           hidden_dim=6, embed_dim=5)
         _, _, grads = forward_backward(x, y, model, clf, cfg)
         emb = model.embed(x)
@@ -332,7 +334,7 @@ class TestForwardBackward:
     @pytest.mark.parametrize("mode", ["off", "shared", "unshared"])
     def test_out_of_range_labels_rejected(self, mode):
         x, y, model, clf, clf_orig = small_setup()
-        cfg = TrainConfig(p=4, k=2, deep_supervision=mode, hidden_dim=6, embed_dim=5)
+        cfg = TrainConfig(p=4, k=2, method=CASE_METHOD[mode], hidden_dim=6, embed_dim=5)
         for bad in (np.where(y == 3, 4, y), np.where(y == 0, -1, y)):
             with pytest.raises(ValueError, match="out of range"):
                 forward_backward(x, bad, model, clf, cfg, clf_orig)
@@ -343,7 +345,7 @@ class TestForwardBackward:
 
     def test_unshared_requires_second_classifier(self):
         x, y, model, clf, _ = small_setup()
-        cfg = TrainConfig(p=4, k=2, deep_supervision="unshared", hidden_dim=6, embed_dim=5)
+        cfg = TrainConfig(p=4, k=2, method="sft+ds_unshared", hidden_dim=6, embed_dim=5)
         with pytest.raises(ValueError):
             forward_backward(x, y, model, clf, cfg, None)
 
@@ -412,7 +414,7 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(k=1)
         with pytest.raises(ValueError):
-            TrainConfig(deep_supervision="maybe")
+            TrainConfig(method="maybe")
 
 
 class TestConfigFile:
@@ -423,15 +425,15 @@ class TestConfigFile:
             "p = 4\n"
             "k = 2\n"
             "sigma = 0.25\n"
-            "deep_supervision = unshared\n"
-            "use_sft = false\n"
+            "method = baseline\n"
+            "grad_through_transition = false\n"
             "decay_epochs = 10,20\n"
         )
         cfg = load_train_config(path)
         assert (cfg.p, cfg.k) == (4, 2)
         assert cfg.sigma == 0.25
-        assert cfg.deep_supervision == "unshared"
-        assert cfg.use_sft is False
+        assert cfg.method == "baseline"
+        assert cfg.grad_through_transition is False
         assert cfg.decay_epochs == (10, 20)
 
     def test_unknown_key(self, tmp_path):
@@ -441,10 +443,12 @@ class TestConfigFile:
             load_train_config(path)
 
     @pytest.mark.parametrize("key", ["warmup_start_lr", "decay_factor", "momentum", "ncut_ce_weight",
-                                     "batches_per_epoch", "margin", "scale"])
+                                     "batches_per_epoch", "margin", "scale",
+                                     "use_sft", "deep_supervision", "objective"])
     def test_fixed_recipe_is_no_key(self, tmp_path, key):
         """The optimiser constants, the classifier's margin and scale, the
-        ncut loss weight and the batch count are fixed in code."""
+        ncut loss weight and the batch count are fixed in code, and the
+        variant is one `method`, not a combination of knobs."""
         path = tmp_path / "fixed.cfg"
         path.write_text(f"p = 4\n{key} = 1\n")
         with pytest.raises(ValueError, match=f"^config line 2: unknown key '{key}'$"):
@@ -458,7 +462,7 @@ class TestConfigFile:
         assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(TrainConfig)]
 
     @pytest.mark.parametrize("line", ["decay_epochs = 1.5", "epochs = ten", "sigma = x",
-                                      "use_sft = maybe"])
+                                      "grad_through_transition = maybe"])
     def test_bad_value_names_its_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"p = 4\n{line}\n")
@@ -496,24 +500,24 @@ def reference_forward_backward(x, labels, model, clf, cfg, clf_orig=None):
     labels = np.asarray(labels, dtype=np.int64)
     emb, cache = model.forward(np.asarray(x, dtype=np.float64))
 
-    if cfg.objective == "ncut":
+    if cfg.method == "ncut":
         graph_loss, grad_emb_graph = ncut_loss(emb, labels, cfg.sigma)
         ce_loss, grad_emb_ce, grad_clf = am_softmax_loss(emb, labels, clf)
         return ce_loss, graph_loss, model.backward(cache, grad_emb_graph + grad_emb_ce) + [grad_clf]
 
-    z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
+    baseline = cfg.method == "baseline"
+    z = emb if baseline else sft_transform_array(emb, cfg.sigma)
     loss_sft, grad_z, grad_clf_sft = am_softmax_loss(z, labels, clf)
-    if cfg.use_sft:
-        grad_emb = sft_backward(emb, cfg.sigma, grad_z, cfg.grad_through_transition)
-    else:
+    if baseline:
         grad_emb = grad_z
+    else:
+        grad_emb = sft_backward(emb, cfg.sigma, grad_z, cfg.grad_through_transition)
 
-    mode = cfg.deep_supervision
     weight = cfg.deep_supervision_weight
     clf_grads = [grad_clf_sft]
-    if mode == "off":
+    if cfg.method in ("baseline", "sft"):
         loss_orig = am_softmax_value(emb, labels, clf)
-    elif mode == "shared":
+    elif cfg.method == "sft+ds_shared":
         loss_orig, grad_emb_orig, grad_clf_orig_path = am_softmax_loss(emb, labels, clf)
         grad_emb = grad_emb + weight * grad_emb_orig
         clf_grads = [grad_clf_sft + weight * grad_clf_orig_path]
@@ -535,7 +539,7 @@ def reference_train(features, manifest, cfg):
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
     clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng)
     clf_orig = None
-    if cfg.objective == "sft" and cfg.deep_supervision == "unshared":
+    if cfg.method == "sft+ds_unshared":
         clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng)
 
     params = model.parameters() + [clf.weight]
@@ -581,10 +585,10 @@ class TestReferenceTrainer:
         return make_dataset(ExperimentConfig(identities=8), seed=1)
 
     @pytest.mark.parametrize("p,k", [(4, 4), (3, 10)])  # 10 > 8 rows: with replacement
-    @pytest.mark.parametrize("cell", [name for name, _ in ABLATION_CELLS])
+    @pytest.mark.parametrize("cell", METHODS)
     def test_ablation_cells_bit_identical(self, dataset, cell, p, k):
         features, manifest = dataset
-        cfg = toy_train_config(**dict(ABLATION_CELLS)[cell], p=p, k=k, epochs=4,
+        cfg = toy_train_config(method=cell, p=p, k=k, epochs=4,
                                warmup_epochs=2, decay_epochs=(3,), diagnostics=True, seed=5)
         got = train(features, manifest, cfg)
         model, clf, clf_orig, log = reference_train(features, manifest, cfg)

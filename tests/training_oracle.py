@@ -18,13 +18,13 @@ def training_loss(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
                   clf_orig: AmSoftmaxClassifier | None = None) -> float:
     """Scalar objective that forward_backward differentiates."""
     emb = model.embed(x)
-    if cfg.objective == "ncut":
+    if cfg.method == "ncut":
         graph_loss, _ = ncut_loss(emb, labels, cfg.sigma)
         return graph_loss + am_softmax_value(emb, labels, clf)
-    z = sft_transform_array(emb, cfg.sigma) if cfg.use_sft else emb
+    z = emb if cfg.method == "baseline" else sft_transform_array(emb, cfg.sigma)
     total = am_softmax_value(z, labels, clf)
-    if cfg.deep_supervision == "shared":
+    if cfg.method == "sft+ds_shared":
         total += cfg.deep_supervision_weight * am_softmax_value(emb, labels, clf)
-    elif cfg.deep_supervision == "unshared":
+    elif cfg.method == "sft+ds_unshared":
         total += cfg.deep_supervision_weight * am_softmax_value(emb, labels, clf_orig)
     return total
