@@ -15,11 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetManifest, FeatureMatrix, freeze_array
-from .transform import _check_sigma, cosine_between, sft_transform_array
+from .transform import ZeroNormRowError, _check_sigma, cosine_between, sft_transform_array
 
 log = logging.getLogger(__name__)
 
 CMC_RANKS = (1, 5, 10)
+# rows of dense work per block and postings per Jaccard block in k-reciprocal
+# re-ranking, and graphs per refinement stack: each bounds a temporary, not
+# the result, and the last two keep a small ranking's peak memory where the
+# query-by-query code had it
+_ROW_BLOCK = 128
+_HITS = 1 << 13
+_REFINE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -78,17 +85,22 @@ def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
 
 def _check_indices(ranking: RankingList, num_queries: int, num_gallery: int) -> None:
     """Every query and gallery index of ranking lies in [0, n) of its split,
-    and every query is listed exactly once."""
+    and every query is listed exactly once.  The first query in ranking
+    order that breaks a rule is named; its query index is checked before
+    its gallery indices, which are checked for all queries at once."""
+    ends = np.cumsum([qr.gallery_indices.size for qr in ranking.queries], dtype=np.int64)
+    listed = np.concatenate([qr.gallery_indices for qr in ranking.queries] or [[]])
+    bad = np.flatnonzero((listed < 0) | (listed >= num_gallery))[:1]
+    stop = int(np.searchsorted(ends, bad, side="right")[0]) + 1 if bad.size else ends.size
     seen = set()
-    for qr in ranking.queries:
+    for qr in ranking.queries[:stop]:
         if not 0 <= qr.query_index < num_queries:
             raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
         if qr.query_index in seen:
             raise ValueError(f"query index {qr.query_index} listed twice")
         seen.add(qr.query_index)
-        bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
-        if bad.size:
-            raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
+    if bad.size:
+        raise ValueError(f"gallery index {listed[bad[0]]} out of range for {num_gallery} gallery rows")
     if len(seen) != num_queries:
         raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")
 
@@ -104,44 +116,63 @@ def _ranked(dist: np.ndarray, query_recs, gallery_recs) -> RankingList:
     ties by gallery index ascending, each scored by its negated distance."""
     g_ident = np.array([r.identity for r in gallery_recs])
     g_cam = np.array([r.camera for r in gallery_recs])
-    # a stable sort keeps equal distances in index order; dropping junk
-    # columns afterwards leaves the order of the others unchanged
-    orders = np.argsort(dist, axis=1, kind="stable")
-    out = []
-    for qi, rec in enumerate(query_recs):
-        junk = (g_ident == rec.identity) & (g_cam == rec.camera)
-        if junk.all():
-            raise ValueError(f"query {rec.sample_id!r} has no valid gallery")
-        order = orders[qi][~junk[orders[qi]]]
-        out.append(QueryRanking(qi, order, -dist[qi, order]))
-    return RankingList(tuple(out))
+    q_ident = np.array([r.identity for r in query_recs])
+    q_cam = np.array([r.camera for r in query_recs])
+    junk = (q_ident[:, None] == g_ident) & (q_cam[:, None] == g_cam)
+    no_valid = np.flatnonzero(junk.all(axis=1))
+    if no_valid.size:
+        raise ValueError(f"query {query_recs[no_valid[0]].sample_id!r} has no valid gallery")
+    # the default sort leaves equal distances (and NaNs, which sort last) in
+    # any order, so the rows holding one are sorted again stably, which keeps
+    # them in index order; dropping junk columns afterwards leaves the order
+    # of the others unchanged
+    orders = np.argsort(dist, axis=1)
+    ordered = np.take_along_axis(dist, orders, axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) | np.isnan(ordered[:, -1])
+    orders[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    keep = ~np.take_along_axis(junk, orders, axis=1)
+    kept = orders[keep]
+    scores = -dist[np.nonzero(keep)[0], kept]
+    bounds = np.cumsum(keep.sum(axis=1))[:-1]
+    return RankingList(tuple(
+        QueryRanking(qi, order, score)
+        for qi, (order, score) in enumerate(zip(np.split(kept, bounds), np.split(scores, bounds)))
+    ))
 
 
 def evaluate(ranking: RankingList, manifest: DatasetManifest) -> EvalReport:
-    """Average precision per query, mAP and CMC at the standard ranks."""
+    """Average precision per query, mAP and CMC at the standard ranks.
+
+    All lists are scored as one flat array; each query's AP is the mean of
+    its precisions at its hits, with the bits of that query's own mean.
+    """
     query_recs, gallery_recs = _eval_records(manifest)
     _check_indices(ranking, len(query_recs), len(gallery_recs))
     g_ident = np.array([r.identity for r in gallery_recs])
-    aps = []
-    first_hit = []
-    for qr in ranking.queries:
-        rec = query_recs[qr.query_index]
-        relevant = g_ident[qr.gallery_indices] == rec.identity
-        num_rel = int(relevant.sum())
-        if num_rel == 0:
-            raise ValueError(f"query {rec.sample_id!r} has no relevant gallery items")
-        hits = np.cumsum(relevant)
-        positions = np.flatnonzero(relevant)
-        precision_at_hits = hits[positions] / (positions + 1)
-        aps.append(float(precision_at_hits.mean()))
-        first_hit.append(int(positions[0]) + 1)
-    first_hit = np.array(first_hit)
+    q_ident = np.array([r.identity for r in query_recs])
+    queries = ranking.queries
+    sizes = np.array([qr.gallery_indices.size for qr in queries], dtype=np.int64)
+    owner = np.repeat(np.arange(len(queries)), sizes)
+    listed = np.concatenate([qr.gallery_indices for qr in queries])
+    wanted = q_ident[[qr.query_index for qr in queries]]
+    hit = np.flatnonzero(g_ident[listed] == wanted[owner])
+    num_rel = np.bincount(owner[hit], minlength=len(queries))
+    missing = np.flatnonzero(num_rel == 0)
+    if missing.size:
+        rec = query_recs[queries[missing[0]].query_index]
+        raise ValueError(f"query {rec.sample_id!r} has no relevant gallery items")
+    # 0-based rank of each hit in its list, and 1-based count of hits so far
+    positions = hit - (np.cumsum(sizes) - sizes)[owner[hit]]
+    first = np.cumsum(num_rel) - num_rel
+    hits = np.arange(1, hit.size + 1) - np.repeat(first, num_rel)
+    aps = _row_sums(hits / (positions + 1), num_rel) / num_rel
+    first_hit = positions[first] + 1
     cmc = {r: float((first_hit <= r).mean()) for r in CMC_RANKS}
     return EvalReport(
         map_score=float(np.mean(aps)),
         cmc=cmc,
-        per_query_ap=tuple(aps),
-        num_queries=len(ranking.queries),
+        per_query_ap=tuple(aps.tolist()),
+        num_queries=len(queries),
     )
 
 
@@ -166,62 +197,209 @@ def sft_refine(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMa
     query_feat = np.asarray(query_feat, dtype=np.float64).reshape(-1)
     if query_feat.size != gallery.d:
         raise ValueError(f"query feature has dim {query_feat.size}, gallery {gallery.d}")
-    return _refine_head(query_feat, ranking, gallery, top_n, sigma)
+    return _refine_heads(query_feat[None, :], [ranking], gallery, top_n, sigma)[0]
 
 
-def _refine_head(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMatrix,
-                 top_n: int, sigma: float) -> QueryRanking:
-    """sft_refine after its checks; a list shorter than top_n is refined whole."""
-    head = ranking.gallery_indices[:top_n]
-    nodes = np.vstack([query_feat[None, :], gallery.data[head]])
+def _refine_heads(query_feats: np.ndarray, rankings: list[QueryRanking], gallery: FeatureMatrix,
+                  top_n: int, sigma: float) -> list[QueryRanking]:
+    """sft_refine after its checks, for rankings whose heads (first top_n
+    items, or the whole list if shorter) have one length, each with its row
+    of query_feats: one stack of graphs, each with the bits it has alone."""
+    heads = np.array([qr.gallery_indices[:top_n] for qr in rankings])
+    nodes = np.concatenate([query_feats[:, None, :], gallery.data[heads]], axis=1)
     transformed = sft_transform_array(nodes, sigma)
-    new_scores = cosine_between(transformed[:1], transformed[1:])[0]
-    order = np.argsort(-new_scores, kind="stable")  # ties keep current order
-    indices = np.concatenate([head[order], ranking.gallery_indices[top_n:]])
-    scores = np.concatenate([new_scores[order], ranking.scores[top_n:]])
-    return QueryRanking(ranking.query_index, indices, scores)
+    new_scores = cosine_between(transformed[:, :1], transformed[:, 1:])[:, 0]
+    order = np.argsort(-new_scores, axis=1, kind="stable")  # ties keep current order
+    heads = np.take_along_axis(heads, order, axis=1)
+    new_scores = np.take_along_axis(new_scores, order, axis=1)
+    return [
+        QueryRanking(qr.query_index, np.concatenate([head, qr.gallery_indices[top_n:]]),
+                     np.concatenate([scores, qr.scores[top_n:]]))
+        for qr, head, scores in zip(rankings, heads, new_scores)
+    ]
 
 
 def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: FeatureMatrix,
                    top_n: int, sigma: float) -> RankingList:
     """Apply :func:`sft_refine` to every query of a ranking, with at most
-    one clamping warning for the whole ranking."""
+    one clamping warning for the whole ranking.
+
+    Queries whose heads have one length are refined as one stack of up to
+    _REFINE_BLOCK graphs; the output is the same as query by query.
+    """
     _check_indices(ranking, queries.n, gallery.n)
-    _check_top_n(top_n, [qr.gallery_indices.size for qr in ranking.queries])
+    sizes = [qr.gallery_indices.size for qr in ranking.queries]
+    _check_top_n(top_n, sizes)
     if queries.d != gallery.d:
         raise ValueError(f"query feature has dim {queries.d}, gallery {gallery.d}")
-    refined = tuple(
-        _refine_head(queries.data[qr.query_index], qr, gallery, top_n, sigma)
-        for qr in ranking.queries
-    )
-    return RankingList(refined)
+    heads = np.array([min(size, top_n) for size in sizes], dtype=np.int64)
+    refined = [None] * len(sizes)
+    try:
+        for size in np.flatnonzero(np.bincount(heads)):
+            group = np.flatnonzero(heads == size)
+            for lo in range(0, group.size, _REFINE_BLOCK):
+                block = group[lo:lo + _REFINE_BLOCK]
+                qrs = [ranking.queries[i] for i in block]
+                feats = queries.data[[qr.query_index for qr in qrs]]
+                for i, qr in zip(block, _refine_heads(feats, qrs, gallery, top_n, sigma)):
+                    refined[i] = qr
+    except ZeroNormRowError:
+        # name the row of the first query in ranking order that has one, as
+        # a query-by-query pass does
+        for qr in ranking.queries:
+            _refine_heads(queries.data[qr.query_index][None, :], [qr], gallery, top_n, sigma)
+        raise
+    return RankingList(tuple(refined))
 
 
 def _stable_top(dist: np.ndarray, k: int) -> np.ndarray:
     """First k+1 columns of each row's neighbour order: distance ascending,
     index ascending on ties."""
     n = dist.shape[0]
-    kth = np.partition(dist, k, axis=1)[:, k:k + 1]
-    # every column up to the (k+1)-th smallest distance, ties included, so
-    # that the index tie-break at the boundary is exact
+    top = np.empty((n, k + 1), dtype=np.int64)
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = dist[lo:lo + _ROW_BLOCK]
+        near = np.argpartition(rows, k, axis=1)[:, :k + 1]
+        near_dist = np.take_along_axis(rows, near, axis=1)
+        top[lo:lo + _ROW_BLOCK] = np.take_along_axis(near, np.lexsort((near, near_dist)), axis=1)
+        # a row with more columns than these at or below its (k+1)-th
+        # smallest distance has a tie at the boundary, which the index
+        # tie-break settles among all the tied columns
+        kth = near_dist.max(axis=1, keepdims=True)
+        tied = np.flatnonzero(np.count_nonzero(rows <= kth, axis=1) > k + 1)
+        if tied.size:
+            top[lo + tied] = _tied_top(rows[tied], kth[tied], k)
+    return top
+
+
+def _tied_top(dist: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_stable_top` of rows whose (k+1)-th smallest distances are
+    ``kth``, from every column up to that distance, ties included."""
     rows, cols = np.nonzero(dist <= kth)
     pick = np.lexsort((cols, dist[rows, cols], rows))
     rows, cols = rows[pick], cols[pick]
     rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
-    return cols[rank_in_row <= k].reshape(n, k + 1)
+    return cols[rank_in_row <= k].reshape(-1, k + 1)
 
 
-def _k_reciprocal_sets(order: np.ndarray, k: int) -> list[set[int]]:
-    """R(i, k): i's k-nearest neighbors j (self included) with i among j's."""
-    n = order.shape[0]
-    forward = [set(order[i, : k + 1].tolist()) for i in range(n)]
-    return [{j for j in forward[i] if i in forward[j]} for i in range(n)]
+def _within(dist: np.ndarray, top: np.ndarray, k: int, rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+    """Whether each of ``cols`` is among the k+1 nearest of its row in
+    ``rows``: at or before that row's (k+1)-th neighbour in (distance,
+    index) order."""
+    n = dist.shape[0]
+    flat = dist.ravel()
+    last = top[rows, k]
+    edge = flat[rows * n + last]
+    d = flat[rows * n + cols]
+    return (d < edge) | ((d == edge) & (cols <= last))
+
+
+def _expanded_supports(dist: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), row-major, of the expanded k-reciprocal sets, given each
+    row's k+1 nearest ``top``: R(i, k), and each R(j, k/2) of a j in R(i, k)
+    that has at least 2/3 of its members in R(i, k).  A column is in R(i, k)
+    when each of the two is among the other's k+1 nearest."""
+    n, k = top.shape[0], top.shape[1] - 1
+    half_near = top[:, :int(round(k / 2.0)) + 1]
+    rows = np.arange(n)[:, None]
+    recip = _within(dist, top, k, top, rows)
+    half = _within(dist, top, half_near.shape[1] - 1, half_near, rows)
+    members = np.zeros(_ROW_BLOCK * n, dtype=bool)  # cleared after each use
+    out_rows, out_cols = [], []
+    for lo in range(0, n, _ROW_BLOCK):
+        # R(i, k) of a block of rows as a dense mask, then their expansions
+        block = recip[lo:lo + _ROW_BLOCK]
+        flat = members[:block.shape[0] * n]
+        at, pos = np.nonzero(block)
+        flat[at * n + top[lo + at, pos]] = True
+        near = top[lo + at, pos]
+        candidates = at[:, None] * n + half_near[near]
+        in_half = half[near]
+        shared = np.count_nonzero(in_half & flat[candidates], axis=1)
+        grow = shared >= (2.0 / 3.0) * np.count_nonzero(in_half, axis=1)
+        flat[candidates[grow][in_half[grow]]] = True
+        at = np.flatnonzero(flat)
+        flat[at] = False
+        out_rows.append(at // n + lo)
+        out_cols.append(at % n)
+    return np.concatenate(out_rows), np.concatenate(out_cols)
 
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of the ranges ``starts[s] : starts[s] + lengths[s]``."""
     ends = np.cumsum(lengths)
     return np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _row_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of each row of a ragged row-major array, with the bits of the
+    row's own 1-d ``sum()``: rows of one length are summed as one 2-d block
+    (``np.add.reduceat`` sums in another order)."""
+    starts = np.cumsum(sizes) - sizes
+    sums = np.empty(sizes.size)
+    for size in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == size)
+        sums[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
+    return sums
+
+
+def _neighbour_means(near: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                     sizes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cols, weights, sizes) of each row's mean over the sparse rows of its
+    neighbours ``near``, added up in neighbour order in a dense block of
+    rows (adding to 0.0 moves no bit); weights are positive, so the
+    non-zeros of a sum are its support."""
+    starts = np.cumsum(sizes) - sizes
+    acc = np.zeros(_ROW_BLOCK * n)  # cleared after each use
+    parts = []
+    for lo in range(0, near.shape[0], _ROW_BLOCK):
+        for rows in near[lo:lo + _ROW_BLOCK].T:
+            counts = sizes[rows]
+            src = _segments(starts[rows], counts)
+            acc[np.repeat(np.arange(rows.size) * n, counts) + cols[src]] += weights[src]
+        at = np.flatnonzero(acc != 0.0)
+        parts.append((at // n + lo, at % n, acc[at] / near.shape[1]))
+        acc[at] = 0.0
+    rows, cols, weights = (np.concatenate(p) for p in zip(*parts))
+    return cols, weights, np.bincount(rows, minlength=near.shape[0])
+
+
+def _jaccard(cols: np.ndarray, weights: np.ndarray, sizes: np.ndarray, n_q: int) -> np.ndarray:
+    """Jaccard distance 1 - sum(min) / sum(max) of each of the first n_q
+    sparse rows (queries) to each later one (gallery).
+
+    sum(min) runs through an inverted index from column to (gallery row,
+    weight), for blocks of queries with about _HITS postings each, and
+    sum(max) = |a| + |b| - sum(min).
+    """
+    n = sizes.size
+    n_g = n - n_q
+    mass = _row_sums(weights, sizes)
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    post_col = cols[ptr[n_q]:]
+    by_col = np.argsort(post_col, kind="stable")
+    post_row = np.repeat(np.arange(n_g), sizes[n_q:])[by_col]
+    post_w = weights[ptr[n_q]:][by_col]
+    col_ptr = np.searchsorted(post_col[by_col], np.arange(n + 1))
+    counts = col_ptr[cols[:ptr[n_q]] + 1] - col_ptr[cols[:ptr[n_q]]]
+    hits_before = np.concatenate([[0], np.cumsum(counts)])[ptr[:n_q + 1]]
+    jaccard = np.empty((n_q, n_g))
+    lo = 0
+    while lo < n_q:
+        hi = max(lo + 1, int(np.searchsorted(hits_before, hits_before[lo] + _HITS, "right")) - 1)
+        q_cols = cols[ptr[lo]:ptr[hi]]
+        q_counts = counts[ptr[lo]:ptr[hi]]
+        hits = _segments(col_ptr[q_cols], q_counts)
+        # one bin per (query, gallery row), each summed in column order
+        bins = post_row[hits]
+        bins += np.repeat(np.repeat(np.arange(hi - lo) * n_g, sizes[lo:hi]), q_counts)
+        mins = post_w[hits]
+        np.minimum(mins, np.repeat(weights[ptr[lo]:ptr[hi]], q_counts), out=mins)
+        overlap = np.bincount(bins, mins, minlength=(hi - lo) * n_g).reshape(hi - lo, n_g)
+        jaccard[lo:hi] = 1.0 - overlap / (mass[lo:hi, None] + mass[n_q:] - overlap)
+        lo = hi
+    return jaccard
 
 
 def _check_kr(k1: int, k2: int, lam: float) -> None:
@@ -244,62 +422,34 @@ def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
 
     Encodings are sparse rows (Zhong et al., CVPR 2017) and the Jaccard
     overlap runs through an inverted index over their columns, so beyond
-    the n x n distance matrix the cost is about O(n * k1**2) time and
-    memory.
+    the n x n distance matrix, which is freed once the encoding weights
+    are taken, the cost is about O(n * k1**2) time and memory.
     """
     _check_kr(k1, k2, lam)
     query_recs, gallery_recs = _eval_records(manifest, queries, gallery)
     n_q = queries.n
     union = np.vstack([queries.data, gallery.data])
     n = union.shape[0]
-    dist = 1.0 - cosine_between(union, union)
+    dist = cosine_between(union, union)
+    np.subtract(1.0, dist, out=dist)
     k1 = min(k1, n - 1)
     k2 = min(k2, k1)
     top = _stable_top(dist, k1)
 
-    # sparse encodings: row i has weights[i] at its sorted columns members[i]
-    recip = _k_reciprocal_sets(top, k1)
-    half = _k_reciprocal_sets(top, int(round(k1 / 2.0)))
-    members, weights = [], []
-    for i in range(n):
-        expanded = set(recip[i])
-        for j in recip[i]:
-            if len(half[j] & recip[i]) >= (2.0 / 3.0) * len(half[j]):
-                expanded |= half[j]
-        cols = np.array(sorted(expanded), dtype=np.int64)
-        w = np.exp(-dist[i, cols])
-        members.append(cols)
-        weights.append(w / w.sum())
+    # sparse encodings, row-major: row i has weights[i] at its sorted columns
+    rows, cols = _expanded_supports(dist, top)
+    weights = np.exp(-dist[rows, cols])
+    cosine_dist = dist[:n_q, n_q:].copy()
+    del dist
+    sizes = np.bincount(rows, minlength=n)
+    weights /= np.repeat(_row_sums(weights, sizes), sizes)
     if k2 > 1:
-        # mean of the k2 nearest rows' encodings, added up in neighbour
-        # order in one dense row that is cleared after each use; weights
-        # are positive, so the non-zeros of the sum are its support
-        acc = np.zeros(n)
-        means = []
-        for near in top[:, :k2]:
-            for j in near:
-                acc[members[j]] += weights[j]
-            cols = np.flatnonzero(acc)
-            means.append((cols, acc[cols] / k2))
-            acc[cols] = 0.0
-        members, weights = zip(*means)
-    mass = np.array([w.sum() for w in weights])
+        cols, weights, sizes = _neighbour_means(top[:, :k2], cols, weights, sizes, n)
 
-    # inverted index over the gallery encodings: column -> (gallery row, weight)
-    post_col = np.concatenate(members[n_q:])
-    by_col = np.argsort(post_col, kind="stable")
-    post_row = np.repeat(np.arange(n - n_q), [c.size for c in members[n_q:]])[by_col]
-    post_w = np.concatenate(weights[n_q:])[by_col]
-    col_ptr = np.searchsorted(post_col[by_col], np.arange(n + 1))
-    jaccard = np.empty((n_q, n - n_q))
-    for qi in range(n_q):
-        cols = members[qi]
-        counts = col_ptr[cols + 1] - col_ptr[cols]
-        hits = _segments(col_ptr[cols], counts)
-        w = np.repeat(weights[qi], counts)
-        overlap = np.bincount(post_row[hits], np.minimum(w, post_w[hits]), minlength=n - n_q)
-        # sum(max) = |a| + |b| - sum(min)
-        jaccard[qi] = 1.0 - overlap / (mass[qi] + mass[n_q:] - overlap)
-
-    final = lam * dist[:n_q, n_q:] + (1.0 - lam) * jaccard
+    # final = lam * cosine_dist + (1 - lam) * jaccard, in place
+    final = _jaccard(cols, weights, sizes, n_q)
+    final *= 1.0 - lam
+    cosine_dist *= lam
+    final += cosine_dist
+    del cosine_dist
     return _ranked(final, query_recs, gallery_recs)

@@ -95,10 +95,11 @@ PARSERS = {"int": int, "float": float, "bool": _bool, "str": str,
 
 
 def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse `key = value` lines (# comments) into a TrainConfig."""
-    base = base or TrainConfig()
+    """Parse `key = value` lines (# comments) into a TrainConfig.  Keys
+    apply in file order, so a value that parses but fails a check names
+    its line too."""
+    cfg = base or TrainConfig()
     kinds = {f.name: f.type for f in fields(TrainConfig)}
-    updates = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -110,10 +111,10 @@ def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
         if key not in kinds:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            updates[key] = PARSERS[kinds[key]](value)
+            cfg = replace(cfg, **{key: PARSERS[kinds[key]](value)})
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from exc
-    return replace(base, **updates)
+    return cfg
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

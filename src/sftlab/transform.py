@@ -27,29 +27,33 @@ class ZeroNormRowError(ValueError):
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row norms |x|, unit rows x / |x|); raises on any zero-norm row.
-    :func:`_unit_backward` is its backward pass."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    """(row norms |x|, unit rows x / |x|) of a matrix or an (..., n, d) stack
+    of them; a zero-norm row raises, naming its row within its own matrix
+    (the first such matrix in C order).  :func:`_unit_backward` is its
+    backward pass."""
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", x, x))
     if not norms.all():
-        raise ZeroNormRowError(int(np.flatnonzero(norms == 0.0)[0]))
-    return norms, x / norms[:, None]
+        raise ZeroNormRowError(int(np.argwhere(norms == 0.0)[0, -1]))
+    return norms, x / norms[..., None]
 
 
 def _clipped_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b.T`` clipped in place to [-1, 1]: cosines of unit rows,
-    guarded against rounding.
+    guarded against rounding; stacks of matrices multiply pairwise.
 
     Pass one array twice for the cosines within one set of rows: numpy then
     takes a symmetric-product path whose last bits can differ from those of
     two equal but separate arrays, so each caller keeps its operand form.
+    A stack takes the same path per matrix as the matrix alone.
     """
-    products = a @ b.T
+    products = a @ b.mT
     np.clip(products, -1.0, 1.0, out=products)
     return products
 
 
 def cosine_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosines between rows of two matrices, shape (len(a), len(b))."""
+    """Cosines between rows of two matrices, shape (len(a), len(b)), or
+    between the matching matrices of two stacks, shape (..., na, nb)."""
     return _clipped_products(_unit_rows(a)[1], _unit_rows(b)[1])
 
 
@@ -147,7 +151,8 @@ def transition(w: AffinityMatrix) -> StochasticMatrix:
 
 
 def _transition_from_features(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(norms, unit rows, transition matrix) for raw feature rows.
+    """(norms, unit rows, transition matrix) for raw feature rows, or for
+    each matrix of an (..., n, d) stack with the bits it has alone.
 
     The row softmax of cos / sigma (max subtraction per row) runs in place
     on the cosine matrix, so it is the only n x n array alive.
@@ -155,9 +160,9 @@ def _transition_from_features(x: np.ndarray, sigma: float) -> tuple[np.ndarray, 
     norms, unit = _unit_rows(x)
     trans = _clipped_products(unit, unit)
     trans /= sigma
-    trans -= trans.max(axis=1, keepdims=True)
+    trans -= trans.max(axis=-1, keepdims=True)
     np.exp(trans, out=trans)
-    trans /= trans.sum(axis=1, keepdims=True)
+    trans /= trans.sum(axis=-1, keepdims=True)
     return norms, unit, trans
 
 
@@ -179,7 +184,8 @@ def sft_transform(x: FeatureMatrix, sigma: float) -> FeatureMatrix:
 
 
 def sft_transform_array(x: np.ndarray, sigma: float) -> np.ndarray:
-    """Array-in/array-out variant of :func:`sft_transform` for inner loops."""
+    """Array-in/array-out variant of :func:`sft_transform` for inner loops;
+    an (..., n, d) stack transforms each n-row graph on its own."""
     sigma = _check_sigma(sigma)
     _, _, trans = _transition_from_features(x, sigma)
     return trans @ x

@@ -303,6 +303,20 @@ class TestErrors:
         assert train_calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("method = maybe", "unknown method 'maybe'"),
+        ("p = 1", "batches need p >= 2 identities and k >= 2 samples each"),
+    ])
+    def test_config_value_failing_a_check_names_its_line(self, tmp_path, capsys, train_calls,
+                                                          line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"epochs = 2\n{line}\n")
+        out = tmp_path / "out"
+        assert run("experiment", "--config", config, "--seeds", 1, "--out-dir", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config line 2: {message}"]
+        assert train_calls == []
+        assert not out.exists()
+
     def test_diverging_training_exits_1(self, dataset, tmp_path, capsys):
         feats, manifest = dataset
         log = tmp_path / "train.log"

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sftlab.cli import load_ranking, main, save_ranking
 from sftlab.data import (
     DatasetManifest,
     FeatureMatrix,
@@ -13,11 +15,15 @@ from sftlab.data import (
     SyntheticSpec,
     generate_synthetic,
     hold_out_eval_split,
+    load_features,
+    save_features,
+    save_manifest,
     split_features,
 )
 from sftlab.ranking import (
     QueryRanking,
     RankingList,
+    _check_indices,
     _eval_records,
     evaluate,
     k_reciprocal_rerank,
@@ -25,7 +31,7 @@ from sftlab.ranking import (
     refine_ranking,
     sft_refine,
 )
-from sftlab.transform import cosine_between
+from sftlab.transform import cosine_between, sft_transform_array
 
 
 def eval_manifest(query_specs, gallery_specs):
@@ -585,3 +591,317 @@ class TestKReciprocalMatchesDenseReference:
         manifest = eval_manifest([(0, 0)], [(0, 1), (1, 1)])
         self.assert_same(FeatureMatrix(rng.normal(size=(1, 3))),
                          FeatureMatrix(rng.normal(size=(2, 3))), manifest, k1=5, k2=3)
+
+
+# The looped implementation that the whole-array one replaced, kept verbatim
+# but for its names as the bitwise reference: per-row sets and loops, one
+# stable sort per ranking and one transform per refined query.
+def looped_ranked(dist, query_recs, gallery_recs):
+    g_ident = np.array([r.identity for r in gallery_recs])
+    g_cam = np.array([r.camera for r in gallery_recs])
+    orders = np.argsort(dist, axis=1, kind="stable")
+    out = []
+    for qi, rec in enumerate(query_recs):
+        junk = (g_ident == rec.identity) & (g_cam == rec.camera)
+        if junk.all():
+            raise ValueError(f"query {rec.sample_id!r} has no valid gallery")
+        order = orders[qi][~junk[orders[qi]]]
+        out.append(QueryRanking(qi, order, -dist[qi, order]))
+    return RankingList(tuple(out))
+
+
+def looped_rank(queries, gallery, manifest):
+    return looped_ranked(-cosine_between(queries.data, gallery.data),
+                         *_eval_records(manifest, queries, gallery))
+
+
+def looped_refine_head(query_feat, ranking, gallery, top_n, sigma):
+    head = ranking.gallery_indices[:top_n]
+    nodes = np.vstack([query_feat[None, :], gallery.data[head]])
+    transformed = sft_transform_array(nodes, sigma)
+    new_scores = cosine_between(transformed[:1], transformed[1:])[0]
+    order = np.argsort(-new_scores, kind="stable")
+    indices = np.concatenate([head[order], ranking.gallery_indices[top_n:]])
+    scores = np.concatenate([new_scores[order], ranking.scores[top_n:]])
+    return QueryRanking(ranking.query_index, indices, scores)
+
+
+def looped_refine_ranking(queries, ranking, gallery, top_n, sigma):
+    return RankingList(tuple(
+        looped_refine_head(queries.data[qr.query_index], qr, gallery, top_n, sigma)
+        for qr in ranking.queries
+    ))
+
+
+def looped_stable_top(dist, k):
+    n = dist.shape[0]
+    kth = np.partition(dist, k, axis=1)[:, k:k + 1]
+    rows, cols = np.nonzero(dist <= kth)
+    pick = np.lexsort((cols, dist[rows, cols], rows))
+    rows, cols = rows[pick], cols[pick]
+    rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
+    return cols[rank_in_row <= k].reshape(n, k + 1)
+
+
+def looped_k_reciprocal_sets(order, k):
+    n = order.shape[0]
+    forward = [set(order[i, : k + 1].tolist()) for i in range(n)]
+    return [{j for j in forward[i] if i in forward[j]} for i in range(n)]
+
+
+def looped_segments(starts, lengths):
+    ends = np.cumsum(lengths)
+    return np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+
+
+def looped_k_reciprocal_rerank(queries, gallery, manifest, k1=20, k2=6, lam=0.3):
+    query_recs, gallery_recs = _eval_records(manifest, queries, gallery)
+    n_q = queries.n
+    union = np.vstack([queries.data, gallery.data])
+    n = union.shape[0]
+    dist = 1.0 - cosine_between(union, union)
+    k1 = min(k1, n - 1)
+    k2 = min(k2, k1)
+    top = looped_stable_top(dist, k1)
+    recip = looped_k_reciprocal_sets(top, k1)
+    half = looped_k_reciprocal_sets(top, int(round(k1 / 2.0)))
+    members, weights = [], []
+    for i in range(n):
+        expanded = set(recip[i])
+        for j in recip[i]:
+            if len(half[j] & recip[i]) >= (2.0 / 3.0) * len(half[j]):
+                expanded |= half[j]
+        cols = np.array(sorted(expanded), dtype=np.int64)
+        w = np.exp(-dist[i, cols])
+        members.append(cols)
+        weights.append(w / w.sum())
+    if k2 > 1:
+        acc = np.zeros(n)
+        means = []
+        for near in top[:, :k2]:
+            for j in near:
+                acc[members[j]] += weights[j]
+            cols = np.flatnonzero(acc)
+            means.append((cols, acc[cols] / k2))
+            acc[cols] = 0.0
+        members, weights = zip(*means)
+    mass = np.array([w.sum() for w in weights])
+    post_col = np.concatenate(members[n_q:])
+    by_col = np.argsort(post_col, kind="stable")
+    post_row = np.repeat(np.arange(n - n_q), [c.size for c in members[n_q:]])[by_col]
+    post_w = np.concatenate(weights[n_q:])[by_col]
+    col_ptr = np.searchsorted(post_col[by_col], np.arange(n + 1))
+    jaccard = np.empty((n_q, n - n_q))
+    for qi in range(n_q):
+        cols = members[qi]
+        counts = col_ptr[cols + 1] - col_ptr[cols]
+        hits = looped_segments(col_ptr[cols], counts)
+        w = np.repeat(weights[qi], counts)
+        overlap = np.bincount(post_row[hits], np.minimum(w, post_w[hits]), minlength=n - n_q)
+        jaccard[qi] = 1.0 - overlap / (mass[qi] + mass[n_q:] - overlap)
+    final = lam * dist[:n_q, n_q:] + (1.0 - lam) * jaccard
+    return looped_ranked(final, query_recs, gallery_recs)
+
+
+def looped_check_indices(ranking, num_queries, num_gallery):
+    seen = set()
+    for qr in ranking.queries:
+        if not 0 <= qr.query_index < num_queries:
+            raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
+        if qr.query_index in seen:
+            raise ValueError(f"query index {qr.query_index} listed twice")
+        seen.add(qr.query_index)
+        bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
+        if bad.size:
+            raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
+    if len(seen) != num_queries:
+        raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")
+
+
+@pytest.mark.parametrize("lists", [
+    [(0, [0, 5]), (7, [1])],
+    [(7, [0]), (0, [5])],
+    [(0, [1]), (0, [9])],
+    [(0, [1]), (1, [2, -1, 9]), (1, [0])],
+    [(0, [1]), (1, [])],
+    [(0, [1]), (1, [2]), (2, [3, 0])],
+    [(10**30, [0])],
+    [],
+])
+def test_check_indices_names_the_first_broken_rule(lists):
+    """The first query in ranking order that breaks a rule is named, its
+    query index before its gallery indices, as the looped check did."""
+    ranking = RankingList(tuple(QueryRanking(qi, np.array(g, dtype=np.int64), np.zeros(len(g)))
+                                for qi, g in lists))
+    messages = []
+    for check in (looped_check_indices, _check_indices):
+        try:
+            check(ranking, 3, 4)
+            messages.append(None)
+        except ValueError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got.queries, want.queries):
+        assert a.query_index == b.query_index
+        assert np.array_equal(a.gallery_indices, b.gallery_indices)
+        assert np.array_equal(a.scores, b.scores)
+
+
+def blob_split(seed, identities, dim=32):
+    spec = SyntheticSpec(num_identities=identities, samples_per_identity=10, dim=dim,
+                         intra_class_spread=0.15, topology="gaussian_blobs", seed=seed)
+    features, manifest = generate_synthetic(spec)
+    manifest = hold_out_eval_split(manifest, 2, 8)
+    return (split_features(features, manifest, "query"),
+            split_features(features, manifest, "gallery"), manifest)
+
+
+def tie_instance(name):
+    queries, gallery = getattr(TestKReciprocalMatchesDenseReference, name)()
+    manifest = eval_manifest([(i, 0) for i in range(len(queries))],
+                             [(i % len(queries), 1) for i in range(len(gallery))])
+    return FeatureMatrix(queries), FeatureMatrix(gallery), manifest
+
+
+class TestBitwiseAgainstLoopedReference:
+    """Rankings, refinements and re-rankings equal the looped code's bit for bit."""
+
+    @pytest.mark.parametrize("seed,dim", [(3, 32), (4, 7)])
+    def test_gaussian_blobs(self, seed, dim):
+        queries, gallery, manifest = blob_split(seed, 30, dim)
+        plain = rank(queries, gallery, manifest)
+        assert_bitwise(plain, looped_rank(queries, gallery, manifest))
+        assert_bitwise(refine_ranking(queries, plain, gallery, 20, 0.1),
+                       looped_refine_ranking(queries, plain, gallery, 20, 0.1))
+        for k1, k2, lam in ((20, 6, 0.3), (8, 3, 0.0), (13, 1, 0.5)):
+            assert_bitwise(k_reciprocal_rerank(queries, gallery, manifest, k1, k2, lam),
+                           looped_k_reciprocal_rerank(queries, gallery, manifest, k1, k2, lam))
+
+    @pytest.mark.parametrize("instance", ["duplicate_rows", "mirror_images"])
+    def test_distance_ties_at_neighbour_boundary(self, instance):
+        queries, gallery, manifest = tie_instance(instance)
+        for k1, k2, lam in ((4, 2, 0.0), (4, 2, 0.3), (4, 1, 0.3), (7, 3, 0.5)):
+            assert_bitwise(k_reciprocal_rerank(queries, gallery, manifest, k1, k2, lam),
+                           looped_k_reciprocal_rerank(queries, gallery, manifest, k1, k2, lam))
+        plain = rank(queries, gallery, manifest)
+        assert_bitwise(plain, looped_rank(queries, gallery, manifest))
+        assert_bitwise(refine_ranking(queries, plain, gallery, 5, 0.2),
+                       looped_refine_ranking(queries, plain, gallery, 5, 0.2))
+
+    @pytest.mark.parametrize("k1,k2", [(5, 3), (5, 1), (2, 1)])
+    def test_k1_clamp_and_k2_one(self, k1, k2):
+        rng = np.random.default_rng(22)
+        manifest = eval_manifest([(0, 0)], [(0, 1), (1, 1)])
+        queries, gallery = FeatureMatrix(rng.normal(size=(1, 3))), FeatureMatrix(rng.normal(size=(2, 3)))
+        assert_bitwise(k_reciprocal_rerank(queries, gallery, manifest, k1, k2),
+                       looped_k_reciprocal_rerank(queries, gallery, manifest, k1, k2))
+
+    @pytest.mark.parametrize("top_n", [1, 3, 8, 40])
+    def test_lists_shorter_than_top_n(self, top_n):
+        """Mixed head lengths refine in separate stacks, each query as alone."""
+        queries, gallery, manifest = blob_split(5, 12, 7)
+        rng = np.random.default_rng(0)
+        truncated = RankingList(tuple(
+            QueryRanking(qr.query_index, qr.gallery_indices[:keep], qr.scores[:keep])
+            for qr in rank(queries, gallery, manifest).queries
+            for keep in [int(rng.integers(1, 12))]
+        ))
+        assert len({min(top_n, qr.gallery_indices.size) for qr in truncated.queries}) > 1 or top_n == 1
+        assert_bitwise(refine_ranking(queries, truncated, gallery, top_n, 0.3),
+                       looped_refine_ranking(queries, truncated, gallery, top_n, 0.3))
+        for qr in truncated.queries:
+            got = sft_refine(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
+            want = looped_refine_head(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
+            assert_bitwise(RankingList((got,)), RankingList((want,)))
+
+    def test_duplicate_gallery_rows_in_index_order(self):
+        rng = np.random.default_rng(31)
+        distinct = rng.normal(size=(6, 5))
+        gallery = distinct[rng.integers(0, 6, size=40)]
+        queries = rng.normal(size=(5, 5))
+        manifest = eval_manifest([(i, 0) for i in range(5)], [(i % 7, 1) for i in range(40)])
+        plain = rank(FeatureMatrix(queries), FeatureMatrix(gallery), manifest)
+        assert_bitwise(plain, looped_rank(FeatureMatrix(queries), FeatureMatrix(gallery), manifest))
+        for qr in plain.queries:
+            # copies of one row are adjacent and in ascending gallery index order
+            for first, second in zip(qr.gallery_indices, qr.gallery_indices[1:]):
+                if np.array_equal(gallery[first], gallery[second]):
+                    assert first < second
+
+
+def zero_row_instance():
+    """Two queries refined in different stacks: the first, in ranking order,
+    has the zero gallery row at head position 2 of 4 (node row 3), the
+    second, whose head is shorter and so refined first, at position 0."""
+    rng = np.random.default_rng(41)
+    queries = FeatureMatrix(rng.normal(size=(2, 4)))
+    gallery_rows = rng.normal(size=(6, 4))
+    gallery_rows[5] = 0.0
+    gallery = FeatureMatrix(gallery_rows)
+    ranking = RankingList((
+        QueryRanking(0, np.array([0, 1, 5, 2, 3]), np.linspace(1.0, 0.0, 5)),
+        QueryRanking(1, np.array([5]), np.array([0.5])),
+    ))
+    return queries, ranking, gallery
+
+
+class TestZeroNormRow:
+    def expected_message(self, queries, ranking, gallery, top_n):
+        with pytest.raises(ValueError) as err:
+            looped_refine_ranking(queries, ranking, gallery, top_n, 0.2)
+        return str(err.value)
+
+    def test_refine_ranking_names_the_first_query_in_ranking_order(self):
+        queries, ranking, gallery = zero_row_instance()
+        message = self.expected_message(queries, ranking, gallery, 4)
+        assert message == "row 3 has zero norm, cosine undefined"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            refine_ranking(queries, ranking, gallery, 4, 0.2)
+
+    def test_sft_refine(self):
+        queries, ranking, gallery = zero_row_instance()
+        for qr in ranking.queries:
+            query = queries.data[qr.query_index]
+            with pytest.raises(ValueError) as want:
+                looped_refine_head(query, qr, gallery, 4, 0.2)
+            with pytest.raises(ValueError, match=f"^{want.value}$"):
+                sft_refine(query, qr, gallery, 4, 0.2)
+        with pytest.raises(ValueError, match="^row 0 has zero norm, cosine undefined$"):
+            sft_refine(np.zeros(4), ranking.queries[0], gallery, 4, 0.2)
+
+    def test_cli_refine(self, tmp_path, capsys):
+        queries, ranking, gallery = zero_row_instance()
+        manifest = eval_manifest([(0, 0), (1, 0)], [(i % 3, 1) for i in range(6)])
+        paths = {name: tmp_path / name for name in ("f.sfte", "m.tsv", "r.json", "out.json")}
+        save_features(FeatureMatrix(np.vstack([queries.data, gallery.data])), paths["f.sfte"])
+        save_manifest(manifest, paths["m.tsv"])
+        save_ranking(ranking, manifest, paths["r.json"])
+        # the features as the CLI reads them back (float32 on disk)
+        features = load_features(paths["f.sfte"])
+        message = self.expected_message(
+            split_features(features, manifest, "query"), load_ranking(paths["r.json"]),
+            split_features(features, manifest, "gallery"), 4)
+        assert main(["refine", "--features", str(paths["f.sfte"]), "--manifest", str(paths["m.tsv"]),
+                     "--ranking", str(paths["r.json"]), "--top-n", "4", "--sigma", "0.2",
+                     "--out", str(paths["out.json"])]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not paths["out.json"].exists()
+
+
+def test_k_reciprocal_memory_stays_near_the_distance_matrix():
+    """Beyond the n x n distance matrix nothing quadratic stays alive: one
+    re-ranking of 1,200 union rows peaks below 1.5 times its 8 n^2 bytes."""
+    queries, gallery, manifest = blob_split(1, 120)
+    n = queries.n + gallery.n
+    assert n == 1200
+    tracemalloc.start()
+    try:
+        k_reciprocal_rerank(queries, gallery, manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)

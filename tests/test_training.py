@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +468,23 @@ class TestConfigFile:
         path.write_text(f"p = 4\n{line}\n")
         with pytest.raises(ValueError, match="^config line 2: "):
             load_train_config(path)
+
+    @pytest.mark.parametrize("line,message", [
+        ("method = maybe", "unknown method 'maybe'"),
+        ("p = 1", "batches need p >= 2 identities and k >= 2 samples each"),
+    ])
+    def test_failed_check_names_its_line(self, tmp_path, line, message):
+        """A value that parses but fails a TrainConfig check names its line
+        like one that does not parse."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\nk = 4\n\n{line}\nepochs = 3\n")
+        with pytest.raises(ValueError, match=f"^config line 4: {re.escape(message)}$"):
+            load_train_config(path)
+
+    def test_keys_apply_in_file_order(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("p = 4\nepochs = 3\np = 5\n")
+        assert load_train_config(path) == replace(TrainConfig(), p=5, epochs=3)
 
 
 def reference_sample_pk(manifest, p, k, rng):

@@ -12,6 +12,7 @@ from sftlab.transform import (
     StochasticMatrix,
     ZeroNormRowError,
     affinity,
+    cosine_between,
     sft_backward,
     sft_transform,
     sft_transform_array,
@@ -156,6 +157,49 @@ class TestSftTransform:
         rotated_out = sft_transform_array(x @ q, 0.1)
         out_rotated = sft_transform_array(x, 0.1) @ q
         assert np.abs(rotated_out - out_rotated).max() < 1e-9
+
+
+def reference_transform_2d(x, sigma):
+    """sft_transform_array as it was before it took stacks: 2-d only."""
+    unit = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    trans = unit @ unit.T
+    np.clip(trans, -1.0, 1.0, out=trans)
+    trans /= sigma
+    trans -= trans.max(axis=1, keepdims=True)
+    np.exp(trans, out=trans)
+    trans /= trans.sum(axis=1, keepdims=True)
+    return trans @ x
+
+
+class TestStacks:
+    """An (..., n, d) stack transforms each graph with the bits it has alone."""
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (5, 7), (51, 32), (64, 33)])
+    def test_stack_equals_slice_by_slice(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        x = rng.normal(size=(5, n, d))
+        stacked = sft_transform_array(x, 0.1)
+        deeper = sft_transform_array(x.reshape(1, 5, n, d), 0.1)[0]
+        for b in range(5):
+            alone = sft_transform_array(x[b].copy(), 0.1)
+            assert np.array_equal(stacked[b], alone)
+            assert np.array_equal(deeper[b], alone)
+            assert np.array_equal(alone, reference_transform_2d(x[b], 0.1))
+
+    def test_cosines_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(4, 1, 6)), rng.normal(size=(4, 9, 6))
+        stacked = cosine_between(a, b)
+        assert stacked.shape == (4, 1, 9)
+        for i in range(4):
+            assert np.array_equal(stacked[i], cosine_between(a[i].copy(), b[i].copy()))
+
+    def test_zero_norm_row_named_within_its_matrix(self):
+        x = np.ones((3, 4, 2))
+        x[2, 1] = 0.0
+        x[1, 3] = 0.0
+        with pytest.raises(ZeroNormRowError, match="^row 3 has zero norm"):
+            sft_transform_array(x, 0.1)
 
 
 class TestSftBackward:
