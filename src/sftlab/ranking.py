@@ -21,12 +21,14 @@ log = logging.getLogger(__name__)
 
 CMC_RANKS = (1, 5, 10)
 # rows of dense work per block and postings per Jaccard block in k-reciprocal
-# re-ranking, and graphs per refinement stack: each bounds a temporary, not
-# the result, and the last two keep a small ranking's peak memory where the
-# query-by-query code had it
+# re-ranking, and graphs and transition entries per refinement stack: each
+# bounds a temporary, not the result; the last three keep a ranking's peak
+# memory near where the query-by-query code had it, and a head too long for
+# two graphs within _REFINE_CELLS is refined one graph at a time
 _ROW_BLOCK = 128
 _HITS = 1 << 13
 _REFINE_BLOCK = 8
+_REFINE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -85,22 +87,17 @@ def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
 
 def _check_indices(ranking: RankingList, num_queries: int, num_gallery: int) -> None:
     """Every query and gallery index of ranking lies in [0, n) of its split,
-    and every query is listed exactly once.  The first query in ranking
-    order that breaks a rule is named; its query index is checked before
-    its gallery indices, which are checked for all queries at once."""
-    ends = np.cumsum([qr.gallery_indices.size for qr in ranking.queries], dtype=np.int64)
-    listed = np.concatenate([qr.gallery_indices for qr in ranking.queries] or [[]])
-    bad = np.flatnonzero((listed < 0) | (listed >= num_gallery))[:1]
-    stop = int(np.searchsorted(ends, bad, side="right")[0]) + 1 if bad.size else ends.size
+    and every query is listed exactly once."""
     seen = set()
-    for qr in ranking.queries[:stop]:
+    for qr in ranking.queries:
         if not 0 <= qr.query_index < num_queries:
             raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
         if qr.query_index in seen:
             raise ValueError(f"query index {qr.query_index} listed twice")
         seen.add(qr.query_index)
-    if bad.size:
-        raise ValueError(f"gallery index {listed[bad[0]]} out of range for {num_gallery} gallery rows")
+        bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
+        if bad.size:
+            raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
     if len(seen) != num_queries:
         raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")
 
@@ -124,15 +121,22 @@ def _ranked(dist: np.ndarray, query_recs, gallery_recs) -> RankingList:
         raise ValueError(f"query {query_recs[no_valid[0]].sample_id!r} has no valid gallery")
     # the default sort leaves equal distances (and NaNs, which sort last) in
     # any order, so the rows holding one are sorted again stably, which keeps
-    # them in index order; dropping junk columns afterwards leaves the order
-    # of the others unchanged
+    # them in index order, and their scores are gathered again (0.0 and -0.0
+    # are equal but differ in bits); dropping junk columns afterwards leaves
+    # the order of the others unchanged
     orders = np.argsort(dist, axis=1)
     ordered = np.take_along_axis(dist, orders, axis=1)
     tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) | np.isnan(ordered[:, -1])
     orders[tied] = np.argsort(dist[tied], axis=1, kind="stable")
-    keep = ~np.take_along_axis(junk, orders, axis=1)
+    ordered[tied] = np.take_along_axis(dist[tied], orders[tied], axis=1)
+    keep = np.take_along_axis(junk, orders, axis=1)
+    del junk
+    np.logical_not(keep, out=keep)
+    scores = ordered[keep]
+    del ordered
+    np.negative(scores, out=scores)
     kept = orders[keep]
-    scores = -dist[np.nonzero(keep)[0], kept]
+    del orders
     bounds = np.cumsum(keep.sum(axis=1))[:-1]
     return RankingList(tuple(
         QueryRanking(qi, order, score)
@@ -225,7 +229,8 @@ def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: Featur
     one clamping warning for the whole ranking.
 
     Queries whose heads have one length are refined as one stack of up to
-    _REFINE_BLOCK graphs; the output is the same as query by query.
+    _REFINE_BLOCK graphs and _REFINE_CELLS transition entries; the output
+    is the same as query by query.
     """
     _check_indices(ranking, queries.n, gallery.n)
     sizes = [qr.gallery_indices.size for qr in ranking.queries]
@@ -237,8 +242,9 @@ def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: Featur
     try:
         for size in np.flatnonzero(np.bincount(heads)):
             group = np.flatnonzero(heads == size)
-            for lo in range(0, group.size, _REFINE_BLOCK):
-                block = group[lo:lo + _REFINE_BLOCK]
+            step = max(1, min(_REFINE_BLOCK, _REFINE_CELLS // (int(size) + 1) ** 2))
+            for lo in range(0, group.size, step):
+                block = group[lo:lo + step]
                 qrs = [ranking.queries[i] for i in block]
                 feats = queries.data[[qr.query_index for qr in qrs]]
                 for i, qr in zip(block, _refine_heads(feats, qrs, gallery, top_n, sigma)):

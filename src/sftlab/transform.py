@@ -46,7 +46,7 @@ def _clipped_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     two equal but separate arrays, so each caller keeps its operand form.
     A stack takes the same path per matrix as the matrix alone.
     """
-    products = a @ b.mT
+    products = a @ np.swapaxes(b, -1, -2)
     np.clip(products, -1.0, 1.0, out=products)
     return products
 

@@ -23,8 +23,8 @@ from sftlab.data import (
 from sftlab.ranking import (
     QueryRanking,
     RankingList,
-    _check_indices,
     _eval_records,
+    _ranked,
     evaluate,
     k_reciprocal_rerank,
     rank,
@@ -703,46 +703,6 @@ def looped_k_reciprocal_rerank(queries, gallery, manifest, k1=20, k2=6, lam=0.3)
     return looped_ranked(final, query_recs, gallery_recs)
 
 
-def looped_check_indices(ranking, num_queries, num_gallery):
-    seen = set()
-    for qr in ranking.queries:
-        if not 0 <= qr.query_index < num_queries:
-            raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
-        if qr.query_index in seen:
-            raise ValueError(f"query index {qr.query_index} listed twice")
-        seen.add(qr.query_index)
-        bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
-        if bad.size:
-            raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
-    if len(seen) != num_queries:
-        raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")
-
-
-@pytest.mark.parametrize("lists", [
-    [(0, [0, 5]), (7, [1])],
-    [(7, [0]), (0, [5])],
-    [(0, [1]), (0, [9])],
-    [(0, [1]), (1, [2, -1, 9]), (1, [0])],
-    [(0, [1]), (1, [])],
-    [(0, [1]), (1, [2]), (2, [3, 0])],
-    [(10**30, [0])],
-    [],
-])
-def test_check_indices_names_the_first_broken_rule(lists):
-    """The first query in ranking order that breaks a rule is named, its
-    query index before its gallery indices, as the looped check did."""
-    ranking = RankingList(tuple(QueryRanking(qi, np.array(g, dtype=np.int64), np.zeros(len(g)))
-                                for qi, g in lists))
-    messages = []
-    for check in (looped_check_indices, _check_indices):
-        try:
-            check(ranking, 3, 4)
-            messages.append(None)
-        except ValueError as exc:
-            messages.append(str(exc))
-    assert messages[0] == messages[1]
-
-
 def assert_bitwise(got, want):
     assert len(got) == len(want)
     for a, b in zip(got.queries, want.queries):
@@ -817,6 +777,18 @@ class TestBitwiseAgainstLoopedReference:
             got = sft_refine(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
             want = looped_refine_head(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
             assert_bitwise(RankingList((got,)), RankingList((want,)))
+
+    def test_signed_zero_ties_keep_their_bits(self):
+        """Rows tied between 0.0 and -0.0 are scored in the stable order,
+        each score with the sign bit of its own distance."""
+        rng = np.random.default_rng(0)
+        dist = np.where(rng.random((4, 200)) < 0.5, 0.0, -0.0)
+        dist[:, ::7] = rng.random((4, 29))
+        manifest = eval_manifest([(i, 0) for i in range(4)], [(i % 9, 1) for i in range(200)])
+        records = _eval_records(manifest)
+        for got, want in zip(_ranked(dist, *records).queries, looped_ranked(dist, *records).queries):
+            assert np.array_equal(got.gallery_indices, want.gallery_indices)
+            assert np.array_equal(got.scores.view(np.int64), want.scores.view(np.int64))
 
     def test_duplicate_gallery_rows_in_index_order(self):
         rng = np.random.default_rng(31)
@@ -905,3 +877,23 @@ def test_k_reciprocal_memory_stays_near_the_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_refine_memory_of_long_heads_stays_near_one_graph():
+    """Long heads are refined about one graph at a time: at top_n 250 the
+    peak stays below the refined lists' bytes plus three (n+1)^2 transition
+    matrices, where a stack of eight graphs would need about eleven."""
+    queries, gallery, manifest = blob_split(1, 40)
+    plain = rank(queries, gallery, manifest)
+    top_n = 250
+    assert min(qr.gallery_indices.size for qr in plain.queries) > top_n
+    lists = sum(qr.gallery_indices.nbytes + qr.scores.nbytes for qr in plain.queries)
+    tracemalloc.start()
+    try:
+        refined = refine_ranking(queries, plain, gallery, top_n, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    graph = 8 * (top_n + 1) ** 2
+    assert peak < lists + 3 * graph, (peak - lists) / graph
+    assert_bitwise(refined, looped_refine_ranking(queries, plain, gallery, top_n, 0.1))
