@@ -153,13 +153,6 @@ class DatasetManifest:
                 by_identity.setdefault(rec.identity, []).append(i)
         return tuple((ident, tuple(by_identity[ident])) for ident in sorted(by_identity))
 
-    @cached_property
-    def pk_schedules(self) -> dict:
-        """The trainer's memo of PK batch schedules drawn on this manifest
-        (``training._pk_schedule`` owns its keys and bound), so a schedule
-        lives no longer than the data it indexes."""
-        return {}
-
 
 def check_paired(features: FeatureMatrix, manifest: DatasetManifest) -> None:
     """Features and manifest must describe the same samples, row for row."""

@@ -1,9 +1,9 @@
 """Reproducible toy experiments: ablation grid and sensitivity sweeps.
 
-Every run builds one synthetic dataset per seed, once; one cell runner
-trains each requested variant on every seed's train split and scores it
-on the held-out query/gallery split.  Reported numbers are medians
-across seeds.
+Every run builds one synthetic dataset per seed, once; one lockstep
+train() call trains each requested variant on every seed's train split,
+and each is scored on the held-out query/gallery split.  Reported
+numbers are medians across seeds.
 Reports contain no timestamps or environment detail, so identical
 configurations produce byte-identical artifacts.
 """
@@ -155,30 +155,32 @@ def _summary(per_seed: list[dict]) -> dict:
 SeedRun = namedtuple("SeedRun", "cfg manifest emb queries gallery ranking metrics")
 
 
-def _run_cell(datasets: list, overrides: dict, cfg: ExperimentConfig) -> list[SeedRun]:
-    """Train one cell (``cfg.train`` with ``overrides``) on every seed's
-    dataset, then embed all rows, split off query and gallery and rank.
+def _run_cells(datasets: list, cells: list[dict], cfg: ExperimentConfig) -> list[list[SeedRun]]:
+    """Train every cell (``cfg.train`` with each dict of overrides) on every
+    seed's dataset in one lockstep train() call, then embed all rows, split
+    off query and gallery and rank; one list of runs per cell, in seed order.
 
-    Each train() is seeded by its own config alone, so the order in which
-    cells and seeds run does not change any result.
+    Each run is seeded by its own config alone and train() gives each the
+    bits it has alone, so no result depends on which runs share the call.
     """
+    configs = [replace(cfg.train, seed=seed, **overrides) for overrides in cells for seed in cfg.seeds]
+    pairs = datasets * len(cells)  # cell-major, then seed, like configs
+    results = train([features for features, _ in pairs], [manifest for _, manifest in pairs], configs)
     runs = []
-    for seed, (features, manifest) in zip(cfg.seeds, datasets):
-        run_cfg = replace(cfg.train, seed=seed, **overrides)
-        model = train(features, manifest, run_cfg).model
-        emb = FeatureMatrix(model.embed(features.data))
+    for run_cfg, result, (features, manifest) in zip(configs, results, pairs):
+        emb = FeatureMatrix(result.model.embed(features.data))
         q = split_features(emb, manifest, "query")
         g = split_features(emb, manifest, "gallery")
         ranking = rank(q, g, manifest)
         runs.append(SeedRun(run_cfg, manifest, emb, q, g, ranking, _metrics(ranking, manifest)))
-    return runs
+    seeds = len(cfg.seeds)
+    return [runs[i:i + seeds] for i in range(0, len(runs), seeds)]
 
 
 def run_ablation(cfg: ExperimentConfig, datasets: list) -> dict:
     cells: dict[str, dict] = {}
     inter_affinity: dict[str, float] = {}
-    for name in METHODS:
-        runs = _run_cell(datasets, dict(method=name), cfg)
+    for name, runs in zip(METHODS, _run_cells(datasets, [dict(method=name) for name in METHODS], cfg)):
         rows = [{"seed": run.cfg.seed, **run.metrics} for run in runs]
         if name in ("baseline", "sft+ds_shared"):
             for row, run in zip(rows, runs):
@@ -202,20 +204,20 @@ def run_ablation(cfg: ExperimentConfig, datasets: list) -> dict:
 
 
 def run_sigma_sweep(cfg: ExperimentConfig, datasets: list) -> dict:
-    rows = []
-    for sigma in cfg.sigma_values:
-        runs = _run_cell(datasets, dict(method=_SWEEP_CELL, sigma=sigma), cfg)
-        rows.append({"sigma": sigma, **_summary([run.metrics for run in runs])})
+    cells = _run_cells(datasets, [dict(method=_SWEEP_CELL, sigma=sigma) for sigma in cfg.sigma_values], cfg)
+    rows = [{"sigma": sigma, **_summary([run.metrics for run in runs])}
+            for sigma, runs in zip(cfg.sigma_values, cells)]
     return {"mode": "sigma_sweep", "rows": rows}
 
 
 def run_k_sweep(cfg: ExperimentConfig, datasets: list) -> dict:
+    names = ("baseline", _SWEEP_CELL)
+    cells = iter(_run_cells(datasets, [dict(method=name, k=k) for k in cfg.k_values for name in names], cfg))
     rows = []
     for k in cfg.k_values:
         row = {"k": k}
-        for name in ("baseline", _SWEEP_CELL):
-            runs = _run_cell(datasets, dict(method=name, k=k), cfg)
-            row[name] = _summary([run.metrics for run in runs])
+        for name in names:
+            row[name] = _summary([run.metrics for run in next(cells)])
         rows.append(row)
     return {"mode": "k_sweep", "rows": rows}
 

@@ -14,9 +14,12 @@ differences in the tests.
 
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,8 +138,11 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 class EmbedModel:
     """Affine maps with a rectifier between layers, l2-normalized output.
 
-    :meth:`parameters` owns the parameter order; :meth:`backward` returns
-    the gradients in that order.
+    One model holds (in, out) weights and (out,) biases and maps (n, in)
+    rows.  A stack of S models holds (S, in, out) weights and (S, out)
+    biases and maps (S, n, in) rows, each model with the bits it has
+    alone.  :meth:`parameters` owns the parameter order; :meth:`backward`
+    returns the gradients in that order.
     """
 
     weights: list[np.ndarray]
@@ -161,8 +167,12 @@ class EmbedModel:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         inputs = [x]  # each layer's input: x, then the rectified hidden layers
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
-        norms, out = _unit_rows(inputs[-1] @ self.weights[-1] + self.biases[-1])
+            h = inputs[-1] @ w
+            h += b[..., None, :]
+            inputs.append(np.maximum(h, 0.0, out=h))
+        out = inputs[-1] @ self.weights[-1]
+        out += self.biases[-1][..., None, :]
+        norms, out = _unit_rows(out)
         return out, (inputs, norms, out)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
@@ -173,16 +183,19 @@ class EmbedModel:
         inputs, norms, out = cache
         grads = [_unit_backward(grad_out, out, norms)]  # per layer output, the last first
         for h, w in zip(inputs[:0:-1], self.weights[:0:-1]):
-            grads.append((grads[-1] @ w.T) * (h > 0))  # through the rectifier
+            grad = grads[-1] @ w.swapaxes(-1, -2)
+            grad *= h > 0  # through the rectifier
+            grads.append(grad)
         grads.reverse()
-        return [h.T @ g for h, g in zip(inputs, grads)] + [g.sum(axis=0) for g in grads]
+        return [h.swapaxes(-1, -2) @ g for h, g in zip(inputs, grads)] + [g.sum(axis=-2) for g in grads]
 
 
 @dataclass
 class AmSoftmaxClassifier:
-    """Cosine classifier with additive margin and logit scaling."""
+    """Cosine classifier with additive margin and logit scaling; its
+    (num_classes, embed_dim) weight may be an (S, ...) stack of them."""
 
-    weight: np.ndarray  # (num_classes, embed_dim)
+    weight: np.ndarray
     margin: float = 0.3
     scale: float = 15.0
 
@@ -198,7 +211,7 @@ class AmSoftmaxClassifier:
 
     @property
     def num_classes(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
 
 def _check_labels(y: np.ndarray, n: int, num_classes: int) -> None:
@@ -212,35 +225,44 @@ def _check_labels(y: np.ndarray, n: int, num_classes: int) -> None:
 
 
 def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, clf: AmSoftmaxClassifier):
-    """Forward pass on raw rows x and valid labels y against unit classifier rows."""
+    """Forward pass on raw rows x and valid labels y against unit classifier
+    rows: (n, d), (n,) and (C, d), or (S, n, d), (S, n) and (S, C, d)
+    stacks with a loss per matrix.  Returns (feat, feat_norms, logits,
+    lse, loss) and each row's label cell of logits, flat."""
     feat_norms, feat = _unit_rows(x)
-    cos = feat @ w_unit.T
+    cos = feat @ w_unit.swapaxes(-1, -2)
     logits = clf.scale * cos
-    rows = np.arange(x.shape[0])
-    target = clf.scale * (cos[rows, y] - clf.margin)
-    logits[rows, y] = target
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    return feat, feat_norms, logits, lse, float((lse - target).mean())
+    labelled = (np.arange(y.size), y.reshape(-1))
+    flat = logits.reshape(-1, logits.shape[-1])
+    target = clf.scale * (cos.reshape(flat.shape)[labelled] - clf.margin)
+    flat[labelled] = target
+    # a max is exact in any order; numpy reduces short rows one at a time,
+    # and whole rows at once over the columns of a transposed copy
+    zmax = np.ascontiguousarray(logits.swapaxes(-1, -2)).max(axis=-2)[..., None]
+    shifted = logits - zmax
+    lse = zmax[..., 0] + np.log(np.exp(shifted, out=shifted).sum(axis=-1))
+    return feat, feat_norms, logits, lse, (lse - target.reshape(y.shape)).sum(axis=-1) / y.shape[-1], labelled
 
 
 def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray, w_unit: np.ndarray,
-                     clf: AmSoftmaxClassifier) -> tuple[float, np.ndarray, np.ndarray]:
-    """(loss, d loss / d x, d loss / d classifier weight) for valid labels."""
-    feat, feat_norms, logits, lse, loss = _am_softmax_parts(x, y, w_unit, clf)
-    n = x.shape[0]
-    grad_logits = np.exp(logits - lse[:, None])
-    grad_logits[np.arange(n), y] -= 1.0
-    grad_cos = clf.scale * grad_logits / n
+                     clf: AmSoftmaxClassifier) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(loss, d loss / d x, d loss / d classifier weight) for valid labels,
+    of one matrix or per matrix of a stack."""
+    feat, feat_norms, logits, lse, loss, labelled = _am_softmax_parts(x, y, w_unit, clf)
+    grad_cos = logits - lse[..., None]
+    np.exp(grad_cos, out=grad_cos)  # the softmax, less one at each label, times scale / n
+    grad_cos.reshape(-1, grad_cos.shape[-1])[labelled] -= 1.0
+    grad_cos *= clf.scale
+    grad_cos /= x.shape[-2]
     grad_x = _unit_backward(grad_cos @ w_unit, feat, feat_norms)
-    grad_w = _unit_backward(grad_cos.T @ feat, w_unit, w_norms)
+    grad_w = _unit_backward(grad_cos.swapaxes(-1, -2) @ feat, w_unit, w_norms)
     return loss, grad_x, grad_w
 
 
 def am_softmax_value(x: np.ndarray, labels: np.ndarray, clf: AmSoftmaxClassifier) -> float:
     """Forward-only loss value (used for logging and finite differences)."""
     _check_labels(labels, x.shape[0], clf.num_classes)
-    return _am_softmax_parts(x, labels, _unit_rows(clf.weight)[1], clf)[-1]
+    return float(_am_softmax_parts(x, labels, _unit_rows(clf.weight)[1], clf)[4])
 
 
 def am_softmax_loss(x: np.ndarray, labels: np.ndarray, clf: AmSoftmaxClassifier):
@@ -251,7 +273,8 @@ def am_softmax_loss(x: np.ndarray, labels: np.ndarray, clf: AmSoftmaxClassifier)
     w.r.t. the raw (unnormalized) inputs.
     """
     _check_labels(labels, x.shape[0], clf.num_classes)
-    return _am_softmax_grad(x, labels, *_unit_rows(clf.weight), clf)
+    loss, grad_x, grad_w = _am_softmax_grad(x, labels, *_unit_rows(clf.weight), clf)
+    return float(loss), grad_x, grad_w
 
 
 @dataclass(frozen=True)
@@ -292,34 +315,102 @@ def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar
     return PKBatch(np.array(indices), np.array(labels))
 
 
-# schedules memoised per manifest: the five ablation cells start from two rng
-# states (only the unshared cell's second classifier draws more init words),
-# so two entries keep both while each sweep reuses one key at a time
-_PK_SCHEDULE_MEMO = 2
-
-
 def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
                  rng: Xoshiro256StarStar) -> np.ndarray:
-    """Read-only (steps, p*k) train row indices of `steps` successive
-    sample_pk draws.
+    """(steps, p*k) train row indices of `steps` successive sample_pk draws."""
+    rows = [sample_pk(manifest, p, k, rng).indices for _ in range(steps)]
+    return np.array(rows, dtype=np.int64).reshape(steps, p * k)
 
-    The draws depend only on the manifest, p, k, steps and the rng state,
-    so the schedule is memoised on the manifest under that key, keeping
-    the _PK_SCHEDULE_MEMO most recently used.  A memo hit leaves rng
-    unadvanced, which is harmless: train() reads nothing from rng after
-    its schedule.
+
+# slots stack method-major in this order: the slots under a transform are
+# contiguous, and the unshared ones, the only slots with a second
+# classifier, come last
+_STACK_ORDER = ("baseline", "ncut", "sft", "sft+ds_shared", "sft+ds_unshared")
+# the TrainConfig fields that may differ between the slots of one stack
+_PER_SLOT = ("method", "sigma", "seed")
+
+
+class _Plan(NamedTuple):
+    """The step kernel's view of a method-major stack of slots."""
+
+    slices: dict[str, slice]          # each method's slots
+    transformed: slice | None         # the slots under a transform
+    sigma: np.ndarray                 # their sigmas, shaped (len, 1, 1)
+    ncut: tuple[tuple[int, float], ...]  # (slot, sigma) of each ncut slot
+    through: bool                     # grad_through_transition
+    weight: float                     # deep_supervision_weight
+
+
+def _plan(methods: Sequence[str], sigmas: Sequence[float], cfg: TrainConfig) -> _Plan:
+    """The plan of slots with these methods, in _STACK_ORDER order, and
+    sigmas; cfg gives the fields that the slots share."""
+    slices: dict[str, slice] = {}
+    for i, method in enumerate(methods):
+        slices[method] = slice(slices[method].start if method in slices else i, i + 1)
+    moved = [i for i, method in enumerate(methods) if method.startswith("sft")]
+    return _Plan(
+        slices,
+        slice(moved[0], moved[-1] + 1) if moved else None,
+        np.array([sigmas[i] for i in moved]).reshape(-1, 1, 1),
+        tuple((i, sigmas[i]) for i, method in enumerate(methods) if method == "ncut"),
+        cfg.grad_through_transition,
+        cfg.deep_supervision_weight,
+    )
+
+
+def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassifier,
+          clf_orig: AmSoftmaxClassifier | None, plan: _Plan):
+    """Losses and parameter gradients of one step of S slots in lockstep.
+
+    x (S, n, d) holds each slot's batch and y (S, n) its valid class ids;
+    model and clf are stacks of the slots' parameters, clf_orig that of the
+    unshared slots' second classifiers (same margin and scale as clf).
+    Each part runs once per stack: the embedding and its backward pass on
+    every slot, the transform on its slots, and one margin softmax on every
+    slot's transformed features with clf and on the transformed slots'
+    embeddings with the classifier that scores them (clf_orig for the
+    unshared slots); the ncut loss runs per slot.  Returns (loss_orig,
+    loss_sft, grads), the losses shaped (S,) and grads as described by
+    :func:`forward_backward`, each with a leading slot axis (the unshared
+    slots' only, for clf_orig).
     """
-    memo = manifest.pk_schedules
-    key = (p, k, steps, rng.getstate())
-    schedule = memo.pop(key, None)
-    if schedule is None:
-        rows = [sample_pk(manifest, p, k, rng).indices for _ in range(steps)]
-        schedule = np.array(rows, dtype=np.int64).reshape(steps, p * k)
-        schedule.setflags(write=False)
-    memo[key] = schedule  # reinserted last: the most recently used
-    if len(memo) > _PK_SCHEDULE_MEMO:
-        del memo[next(iter(memo))]
-    return schedule
+    emb, cache = model.forward(x)
+    slots = len(emb)
+    moved = plan.transformed
+    inputs, labels, weights = emb, y, clf.weight
+    if moved is not None:
+        # every slot's transformed features, then the transformed slots'
+        # embeddings, scored by clf too or, for the unshared slots (which
+        # come last), by clf_orig: rows slots + j of the softmax stack
+        forward = _transition_from_features(emb[moved], plan.sigma)
+        inputs = np.concatenate([emb[:moved.start], forward[2] @ emb[moved], emb[moved.stop:], emb[moved]])
+        labels = np.concatenate([y, y[moved]])
+        scorers = [clf.weight, clf.weight[moved]]
+        if clf_orig is not None:
+            scorers[1:] = [clf.weight[moved][:-len(clf_orig.weight)], clf_orig.weight]
+        weights = np.concatenate(scorers)
+    loss, grad_in, grad_w = _am_softmax_grad(inputs, labels, *_unit_rows(weights), clf)
+    loss_sft, grad_emb, grad_clf = loss[:slots], grad_in[:slots], grad_w[:slots]
+    loss_orig = loss_sft.copy()
+    grads_orig = []
+    if moved is not None:
+        grad_emb[moved] = _sft_backward(emb[moved], plan.sigma, grad_emb[moved], forward, plan.through)
+        # the embedding's loss: logged alone under sft, a weighted second
+        # term under deep supervision
+        loss_orig[moved] = loss[slots:]
+        weight = plan.weight
+        for method in ("sft+ds_shared", "sft+ds_unshared"):
+            if (part := plan.slices.get(method)) is not None:
+                rows = slice(slots + part.start - moved.start, slots + part.stop - moved.start)
+                grad_emb[part] += weight * grad_in[rows]
+                if method == "sft+ds_shared":
+                    grad_clf[part] += weight * grad_w[rows]
+                else:
+                    grads_orig.append(weight * grad_w[rows])
+    for slot, sigma in plan.ncut:  # the graph-cut loss beside the classifier loss
+        loss_sft[slot], grad_graph = ncut_loss(emb[slot], y[slot], sigma)
+        grad_emb[slot] += grad_graph
+    return loss_orig, loss_sft, model.backward(cache, grad_emb) + [grad_clf] + grads_orig
 
 
 def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
@@ -335,42 +426,23 @@ def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
     untransformed embedding, which contributes gradient only under deep
     supervision and ncut (it is still reported otherwise, for the log).
 
-    The transform's forward pass feeds its backward pass, and the margin
-    softmax runs once per distinct (input, classifier) pair.
+    This is the trainer's step kernel on a stack of one: the transform's
+    forward pass feeds its backward pass, and the margin softmax runs once
+    per distinct (input, classifier) pair.
     """
-    emb, cache = model.forward(x)
-    _check_labels(labels, emb.shape[0], clf.num_classes)
-    w_norms, w_unit = _unit_rows(clf.weight)
-    method = cfg.method
-
-    if method == "ncut":
-        graph_loss, grad_emb_graph = ncut_loss(emb, labels, cfg.sigma)
-        ce_loss, grad_emb_ce, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
-        return ce_loss, graph_loss, model.backward(cache, grad_emb_graph + grad_emb_ce) + [grad_clf]
-    if method == "baseline":
-        loss, grad_emb, grad_clf = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
-        return loss, loss, model.backward(cache, grad_emb) + [grad_clf]
-
-    if method == "sft+ds_unshared":
+    _check_labels(labels, x.shape[0], clf.num_classes)
+    stacked_orig = None
+    if cfg.method == "sft+ds_unshared":
         if clf_orig is None:
             raise ValueError("unshared deep supervision needs the second classifier")
-        _check_labels(labels, emb.shape[0], clf_orig.num_classes)
-    forward = _transition_from_features(emb, cfg.sigma)
-    loss_sft, grad_z, grad_clf = _am_softmax_grad(forward[2] @ emb, labels, w_norms, w_unit, clf)
-    grad_emb = _sft_backward(emb, cfg.sigma, grad_z, forward, cfg.grad_through_transition)
-    if method == "sft":
-        loss_orig = _am_softmax_parts(emb, labels, w_unit, clf)[-1]
-        return loss_orig, loss_sft, model.backward(cache, grad_emb) + [grad_clf]
-
-    weight = cfg.deep_supervision_weight
-    if method == "sft+ds_shared":
-        loss_orig, grad_emb_orig, grad_clf_orig_path = _am_softmax_grad(emb, labels, w_norms, w_unit, clf)
-        clf_grads = [grad_clf + weight * grad_clf_orig_path]
-    else:
-        loss_orig, grad_emb_orig, grad_unshared = _am_softmax_grad(
-            emb, labels, *_unit_rows(clf_orig.weight), clf_orig)
-        clf_grads = [grad_clf, weight * grad_unshared]
-    return loss_orig, loss_sft, model.backward(cache, grad_emb + weight * grad_emb_orig) + clf_grads
+        _check_labels(labels, x.shape[0], clf_orig.num_classes)
+        if (clf_orig.margin, clf_orig.scale) != (clf.margin, clf.scale):
+            raise ValueError("the unshared classifier must have the first one's margin and scale")
+        stacked_orig = replace(clf_orig, weight=clf_orig.weight[None])
+    stacked = EmbedModel([w[None] for w in model.weights], [b[None] for b in model.biases])
+    loss_orig, loss_sft, grads = _step(x[None], labels[None], stacked, replace(clf, weight=clf.weight[None]),
+                                       stacked_orig, _plan((cfg.method,), (cfg.sigma,), cfg))
+    return float(loss_orig[0]), float(loss_sft[0]), [g[0] for g in grads]
 
 
 @dataclass
@@ -381,78 +453,194 @@ class TrainResult:
     log: list[str]
 
 
-# overflow on the way to divergence is reported once, by the epoch check
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train(features: FeatureMatrix, manifest: DatasetManifest, cfg: TrainConfig) -> TrainResult:
+def train(features: FeatureMatrix | Sequence[FeatureMatrix],
+          manifest: DatasetManifest | Sequence[DatasetManifest],
+          cfg: TrainConfig | Sequence[TrainConfig]) -> TrainResult | list[TrainResult]:
     """Full training loop, deterministic given the config seed.
 
     `features` holds one row per record of `manifest`.  Log lines are
     `epoch<TAB>lr<TAB>loss_orig<TAB>loss_sft`, with mean intra/inter
     affinity and the graph-cut loss of the train embeddings appended when
     cfg.diagnostics is set.
+
+    Given equally long sequences of feature matrices, manifests and
+    configs, one entry per run, it trains every run in lockstep and returns
+    a list of their TrainResults, each bit for bit the one its run gives
+    alone.  A failing run raises the error that the first failing run, in
+    sequence order, raises alone.
     """
-    check_paired(features, manifest)
+    if isinstance(cfg, TrainConfig):
+        return _train([(features, manifest, cfg)])[0]
+    runs = list(zip(features, manifest, cfg, strict=True))
+    try:
+        return _train(runs)
+    except ValueError:
+        # replayed one at a time, the first run that fails raises its own error
+        for run in runs:
+            _train([run])
+        raise
 
-    train_idx = manifest.indices("train")
-    if not train_idx:
-        raise ValueError("manifest has no train rows")
-    groups = manifest.train_groups
-    if len(groups) < 2:
-        raise ValueError("training needs at least 2 identities")
-    # class id of every train row: its identity's rank among train identities
-    class_ids = np.zeros(len(manifest), dtype=np.int64)
-    for c, (_, rows) in enumerate(groups):
-        class_ids[list(rows)] = c
 
-    rng = Xoshiro256StarStar(cfg.seed)
-    model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-    clf = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng)
-    clf_orig = None
-    if cfg.method == "sft+ds_unshared":
-        clf_orig = AmSoftmaxClassifier.init(len(groups), cfg.embed_dim, rng)
+class _Slot(NamedTuple):
+    """One run of a lockstep call, ready to stack."""
 
-    # every parameter is rebound to its view of one flat buffer laid out in
-    # forward_backward's gradient order, so the momentum update is a few
-    # whole-buffer ufunc calls
-    classifiers = [clf] if clf_orig is None else [clf, clf_orig]
-    arrays = model.parameters() + [c.weight for c in classifiers]
-    params = np.concatenate([a.ravel() for a in arrays])
-    ends = np.cumsum([a.size for a in arrays])
-    view = {id(a): params[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)}
-    model.weights = [view[id(w)] for w in model.weights]
-    model.biases = [view[id(b)] for b in model.biases]
-    for c in classifiers:
-        c.weight = view[id(c.weight)]
+    cfg: TrainConfig
+    arrays: list[np.ndarray]  # initial parameters in forward_backward's gradient order
+    layers: int               # weight arrays of the model
+    schedule: tuple           # its PK schedule's key: (dataset, p, k, steps, rng state)
+    train_rows: np.ndarray    # its dataset's train rows in the stacked data
+    group: tuple              # the fields its stack shares
+
+
+# overflow on the way to divergence is reported once, by the epoch check
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _train(runs: list) -> list[TrainResult]:
+    """Train (features, manifest, cfg) runs, each stack of equal shape in
+    lockstep; results in run order.
+
+    Runs of one seed share one draw of the model and classifier init, and
+    the runs of a stack whose (dataset, p, k, steps, rng state after init)
+    agree share one draw of the PK schedule.
+    """
+    datasets: dict[tuple[int, int], tuple] = {}
+    inits: dict[tuple, tuple] = {}
+    draws: dict[tuple, tuple] = {}  # schedule key -> (manifest, rng, row offset)
+    data, class_ids, slots = [], [], []
+    start = 0
+    for features, manifest, cfg in runs:
+        if (id(features), id(manifest)) not in datasets:
+            check_paired(features, manifest)
+            train_idx = manifest.indices("train")
+            if not train_idx:
+                raise ValueError("manifest has no train rows")
+            groups = manifest.train_groups
+            if len(groups) < 2:
+                raise ValueError("training needs at least 2 identities")
+            # class id of every train row: its identity's rank among train identities
+            labels = np.zeros(len(manifest), dtype=np.int64)
+            for c, (_, rows) in enumerate(groups):
+                labels[list(rows)] = c
+            datasets[id(features), id(manifest)] = (start, np.array(train_idx) + start, len(groups))
+            data.append(features.data)
+            class_ids.append(labels)
+            start += features.n
+        offset, train_rows, num_classes = datasets[id(features), id(manifest)]
+
+        dims = (cfg.seed, features.d, cfg.hidden_dim, cfg.embed_dim, num_classes)
+        if dims not in inits:
+            rng = Xoshiro256StarStar(cfg.seed)
+            model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
+            clf = AmSoftmaxClassifier.init(num_classes, cfg.embed_dim, rng)
+            inits[dims] = (model.parameters() + [clf.weight], len(model.weights), rng)
+        arrays, layers, rng = inits[dims]
+        if cfg.method == "sft+ds_unshared":  # its second classifier draws on from a copy
+            rng = copy.deepcopy(rng)
+            arrays = arrays + [AmSoftmaxClassifier.init(num_classes, cfg.embed_dim, rng).weight]
+
+        batches = max(1, len(train_rows) // (cfg.p * cfg.k))
+        key = (id(features), id(manifest), cfg.p, cfg.k, cfg.epochs * batches, rng.getstate())
+        draws.setdefault(key, (manifest, rng, offset))
+        group = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in _PER_SLOT)
+        slots.append(_Slot(cfg, arrays, layers, key, train_rows, (group, features.d, num_classes, batches)))
+
+    data = data[0] if len(data) == 1 else np.concatenate(data)
+    class_ids = np.concatenate(class_ids)
+    stacks: dict[tuple, list[int]] = {}
+    for i, slot in enumerate(slots):
+        stacks.setdefault(slot.group, []).append(i)
+    results = [None] * len(slots)
+    for members in stacks.values():
+        members.sort(key=lambda i: _STACK_ORDER.index(slots[i].cfg.method))
+        trained = _train_stack([slots[i] for i in members], draws, data, class_ids)
+        for i, result in zip(members, trained):
+            results[i] = result
+    return results
+
+
+def _views(buf: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of the rows of a 2-d buffer as stacks of consecutive blocks of
+    these shapes."""
+    views, end = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[:, end:end + size].reshape(len(buf), *shape))
+        end += size
+    return views
+
+
+def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray,
+                 class_ids: np.ndarray) -> list[TrainResult]:
+    """The training loop of one method-major stack of slots that share
+    every field but _PER_SLOT, in lockstep.
+
+    Each slot's parameters are one row of an (S, P) buffer, laid out in
+    forward_backward's gradient order, so the momentum update is a few
+    whole-buffer ufunc calls; the unshared slots come last, and only their
+    rows use the second classifier's columns.
+    """
+    cfg = slots[0].cfg  # for the fields the slots share
+    layers = slots[0].layers
+    shapes = [a.shape for a in slots[-1].arrays]
+    params = np.zeros((len(slots), sum(math.prod(shape) for shape in shapes)))
+    for row, slot in zip(params, slots):
+        flat = np.concatenate([a.ravel() for a in slot.arrays])
+        row[:flat.size] = flat
     velocity = np.zeros_like(params)
-    step = np.empty_like(params)
+    step = np.zeros_like(params)
 
-    batches = max(1, len(train_idx) // (cfg.p * cfg.k))
-    schedule = _pk_schedule(manifest, cfg.p, cfg.k, cfg.epochs * batches, rng)
-    log: list[str] = []
+    plan = _plan([slot.cfg.method for slot in slots], [slot.cfg.sigma for slot in slots], cfg)
+    views = _views(params, shapes)
+    model = EmbedModel(views[:layers], views[layers:2 * layers])
+    clf = AmSoftmaxClassifier(views[2 * layers])
+    targets = _views(step, shapes)
+    clf_orig = None
+    if (unshared := plan.slices.get("sft+ds_unshared")) is not None:
+        clf_orig = AmSoftmaxClassifier(views[-1][unshared])
+        targets[-1] = targets[-1][unshared]
+
+    # the slots' distinct schedules, one draw each from a copy of the rng
+    # (another stack may draw the same key), as rows of the stacked data
+    batches = max(1, len(slots[0].train_rows) // (cfg.p * cfg.k))
+    keys = list(dict.fromkeys(slot.schedule for slot in slots))
+    schedule = np.empty((len(keys), cfg.epochs * batches, cfg.p * cfg.k), dtype=np.int64)
+    for drawn, key in zip(schedule, keys):
+        manifest, rng, offset = draws[key]
+        drawn[...] = _pk_schedule(manifest, cfg.p, cfg.k, len(drawn), copy.deepcopy(rng))
+        drawn += offset
+    which = np.array([keys.index(slot.schedule) for slot in slots])
+    logs: list[list[str]] = [[] for _ in slots]
+    own = [[v[i] for v in views] for i in range(len(slots))]  # each slot's parameter views
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        sum_orig = 0.0
-        sum_sft = 0.0
-        for rows in schedule[epoch * batches:(epoch + 1) * batches]:
-            x = features.data[rows]
-            y = class_ids[rows]
-            loss_orig, loss_sft, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
+        sum_orig = np.zeros(len(slots))
+        sum_sft = np.zeros(len(slots))
+        for t in range(epoch * batches, (epoch + 1) * batches):
+            rows = schedule[which, t]
+            loss_orig, loss_sft, grads = _step(data[rows], class_ids[rows], model, clf, clf_orig, plan)
             sum_orig += loss_orig
             sum_sft += loss_sft
-            np.concatenate([g.ravel() for g in grads], out=step)
-            step *= lr
+            for target, grad in zip(targets, grads):
+                np.multiply(grad, lr, out=target)
             velocity *= MOMENTUM
             velocity -= step
             params += velocity
-        if not math.isfinite(sum_orig + sum_sft):
+        if not np.isfinite(sum_orig + sum_sft).all():
             raise ValueError(f"training diverged in epoch {epoch}: the loss is not finite")
-        line = f"{epoch}\t{lr:.12g}\t{sum_orig / batches:.12g}\t{sum_sft / batches:.12g}"
-        if cfg.diagnostics:
-            emb = model.embed(features.data[train_idx])
-            labels = class_ids[train_idx]
-            intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), Partition(labels))
-            graph_val, _ = ncut_loss(emb, labels, cfg.sigma)
-            line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
-        log.append(line)
-    return TrainResult(model, clf, clf_orig, log)
+        for slot, arrays, log, loss_orig, loss_sft in zip(slots, own, logs, sum_orig, sum_sft):
+            line = f"{epoch}\t{lr:.12g}\t{float(loss_orig) / batches:.12g}\t{float(loss_sft) / batches:.12g}"
+            if cfg.diagnostics:
+                emb = EmbedModel(arrays[:layers], arrays[layers:2 * layers]).embed(data[slot.train_rows])
+                labels = class_ids[slot.train_rows]
+                sigma = slot.cfg.sigma
+                intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), sigma), Partition(labels))
+                graph_val, _ = ncut_loss(emb, labels, sigma)
+                line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
+            log.append(line)
 
+    results = []
+    for slot, arrays, log in zip(slots, own, logs):
+        second = slot.cfg.method == "sft+ds_unshared"
+        results.append(TrainResult(EmbedModel(arrays[:layers], arrays[layers:2 * layers]),
+                                   AmSoftmaxClassifier(arrays[2 * layers]),
+                                   AmSoftmaxClassifier(arrays[-1]) if second else None, log))
+    return results

@@ -46,8 +46,9 @@ def _clipped_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     two equal but separate arrays, so each caller keeps its operand form.
     A stack takes the same path per matrix as the matrix alone.
     """
-    products = a @ np.swapaxes(b, -1, -2)
-    np.clip(products, -1.0, 1.0, out=products)
+    products = a @ b.swapaxes(-1, -2)
+    np.minimum(products, 1.0, out=products)  # np.clip's values, without its Python layers
+    np.maximum(products, -1.0, out=products)
     return products
 
 
@@ -150,9 +151,11 @@ def transition(w: AffinityMatrix) -> StochasticMatrix:
     return StochasticMatrix(w.data / degrees[:, None])
 
 
-def _transition_from_features(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(norms, unit rows, transition matrix) for raw feature rows, or for
-    each matrix of an (..., n, d) stack with the bits it has alone.
+    each matrix of an (..., n, d) stack with the bits it has alone; sigma
+    may be an array that broadcasts against the stack, one value per matrix.
 
     The row softmax of cos / sigma (max subtraction per row) runs in place
     on the cosine matrix, so it is the only n x n array alive.
@@ -168,14 +171,19 @@ def _transition_from_features(x: np.ndarray, sigma: float) -> tuple[np.ndarray, 
 
 def _unit_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. raw rows x of a loss given its gradient w.r.t. the
-    unit rows x / |x|: the tangential part of grad_unit, divided by |x|."""
-    radial = np.einsum("ij,ij->i", grad_unit, unit)
-    return (grad_unit - radial[:, None] * unit) / norms[:, None]
+    unit rows x / |x|: the tangential part of grad_unit, divided by |x|;
+    an (..., n, d) stack takes each matrix with the bits it has alone."""
+    radial = np.einsum("...ij,...ij->...i", grad_unit, unit)
+    grad = radial[..., None] * unit
+    np.subtract(grad_unit, grad, out=grad)
+    grad /= norms[..., None]
+    return grad
 
 
 def _cosine_backward(grad_cos: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. raw rows x given it w.r.t. the cosines of x with itself."""
-    return _unit_backward((grad_cos + grad_cos.T) @ unit, unit, norms)
+    """Gradient w.r.t. raw rows x given it w.r.t. the cosines of x with
+    itself, for a matrix or each matrix of a stack."""
+    return _unit_backward((grad_cos + grad_cos.swapaxes(-1, -2)) @ unit, unit, norms)
 
 
 def sft_transform(x: FeatureMatrix, sigma: float) -> FeatureMatrix:
@@ -209,16 +217,18 @@ def sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,
     return _sft_backward(x, sigma, grad_out, forward, through_transition)
 
 
-def _sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,
+def _sft_backward(x: np.ndarray, sigma: float | np.ndarray, grad_out: np.ndarray,
                   forward: tuple[np.ndarray, np.ndarray, np.ndarray],
                   through_transition: bool) -> np.ndarray:
     """:func:`sft_backward` on arrays, given the forward pass's
-    ``(norms, unit, trans)`` of ``x`` from :func:`_transition_from_features`."""
+    ``(norms, unit, trans)`` of ``x`` from :func:`_transition_from_features`.
+    An (..., n, d) stack takes each matrix with the bits it has alone, and
+    sigma may be an array that broadcasts against it, one value per matrix."""
     norms, unit, trans = forward
-    grad_x = trans.T @ grad_out
+    grad_x = trans.swapaxes(-1, -2) @ grad_out
     if through_transition:
-        grad_trans = grad_out @ x.T
+        grad_trans = grad_out @ x.swapaxes(-1, -2)
         # softmax backward per row, then undo the 1/sigma scaling of logits
-        grad_logits = trans * (grad_trans - np.einsum("ij,ij->i", grad_trans, trans)[:, None])
+        grad_logits = trans * (grad_trans - np.einsum("...ij,...ij->...i", grad_trans, trans)[..., None])
         grad_x = grad_x + _cosine_backward(grad_logits / sigma, unit, norms)
     return grad_x

@@ -329,6 +329,20 @@ class TestErrors:
             assert re.fullmatch(r"error: training diverged in epoch 1: [^\n]*\n", err), err
             assert not log.exists()
 
+    @pytest.mark.parametrize("mode", exp.MODES)
+    def test_diverging_experiment_exits_1(self, tmp_path, capsys, mode):
+        """Every run of the lockstep call diverges; the error line is the
+        first run's, as when the runs trained one at a time."""
+        out = tmp_path / "out"
+        assert run("experiment", "--mode", mode, "--identities", 6, "--train-per-id", 4,
+                   "--query-per-id", 1, "--gallery-per-id", 3, "--seeds", "1,2", "--epochs", 3,
+                   "--p", 3, "--k", 4, "--hidden-dim", 16, "--embed-dim", 8, "--top-n", 4,
+                   "--kr-k1", 4, "--kr-k2", 2, "--sigma-values", "0.1,0.2", "--k-values", "2,4",
+                   "--base-lr", "1e300", "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged in epoch 1: [^\n]*\n", err), err
+        assert not out.exists()
+
 
 # edits that turn a `rank` output into a hostile ranking file (6 queries, 18 gallery rows)
 def _set_first(key, value):

@@ -1,6 +1,12 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sftlab import experiment, training
@@ -17,6 +23,7 @@ from sftlab.experiment import (
 from sftlab.ranking import evaluate, rank
 from sftlab.training import sample_pk, train
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_TRAIN = dict(epochs=12, warmup_epochs=4, decay_epochs=(8, 10), p=4, k=4,
                    hidden_dim=16, embed_dim=8)
 
@@ -137,10 +144,10 @@ class TestRunner:
 
 @pytest.fixture
 def schedule_draws(monkeypatch):
-    """The rngs that drew a PK schedule, and each manifest's memo size after
-    every train().  A draw advances its train() rng through sample_pk; a
-    memo hit calls sample_pk not at all, so it adds no rng."""
-    rngs, memo_sizes = [], []
+    """The rngs that drew a PK schedule, and the number of runs of each
+    train() call.  train() draws each distinct schedule once, through
+    sample_pk, with an rng of its own."""
+    rngs, runs = [], []
 
     def counting_sample_pk(manifest, p, k, rng):
         if not any(seen is rng for seen in rngs):
@@ -148,30 +155,28 @@ def schedule_draws(monkeypatch):
         return sample_pk(manifest, p, k, rng)
 
     def watching_train(features, manifest, cfg):
-        result = train(features, manifest, cfg)
-        memo_sizes.append(len(manifest.pk_schedules))
-        return result
+        runs.append(len(cfg))
+        return train(features, manifest, cfg)
 
     monkeypatch.setattr(training, "sample_pk", counting_sample_pk)
     monkeypatch.setattr(experiment, "train", watching_train)
-    return rngs, memo_sizes
+    return rngs, runs
 
 
 class TestScheduleSharing:
     # one draw per (seed, rng state after init, k): the five ablation cells
-    # start from two states, a sweep's cells from one per seed (and k); three
-    # k values put three keys on each manifest, one more than the memo keeps
+    # start from two states, a sweep's cells from one per seed (and k); every
+    # run of an experiment is trained by one train() call
     @pytest.mark.parametrize("mode,draws,trains", [("ablation", 2, 5), ("sigma_sweep", 2, 6),
                                                    ("k_sweep", 6, 12)])
     def test_draws_per_run(self, schedule_draws, mode, draws, trains):
-        rngs, memo_sizes = schedule_draws
+        rngs, runs = schedule_draws
         seeds = (1,) if mode == "ablation" else (1, 2)
         run_experiment(small_config(mode=mode, seeds=seeds, sigma_values=(0.05, 0.1, 0.2),
                                     k_values=(2, 3, 4),
                                     train=toy_train_config(**dict(SMALL_TRAIN, epochs=2))))
         assert len(rngs) == draws
-        assert len(memo_sizes) == trains
-        assert max(memo_sizes) <= 2
+        assert runs == [trains]
 
     def test_nothing_outlives_a_run(self, schedule_draws):
         rngs, _ = schedule_draws
@@ -180,7 +185,57 @@ class TestScheduleSharing:
         assert len(rngs) == 4
 
 
+class TestLockstep:
+    @pytest.mark.parametrize("mode", ["sigma_sweep", "k_sweep"])
+    def test_sweep_runs_equal_runs_alone(self, monkeypatch, mode):
+        """Every run of a sweep's one train() call is the run trained alone,
+        bit for bit: the sigma sweep stacks all its runs, the k sweep one
+        stack per k."""
+        calls = []
+
+        def recording_train(features, manifest, cfg):
+            results = train(features, manifest, cfg)
+            calls.append((features, manifest, cfg, results))
+            return results
+
+        monkeypatch.setattr(experiment, "train", recording_train)
+        run_experiment(small_config(mode=mode, sigma_values=(0.05, 0.2), k_values=(2, 4),
+                                    train=toy_train_config(**dict(SMALL_TRAIN, epochs=3))))
+        [(features, manifests, configs, results)] = calls
+        # two sigmas, or two k values with two cells each, on two seeds
+        assert len(configs) == len(results) == {"sigma_sweep": 4, "k_sweep": 8}[mode]
+        for run in zip(features, manifests, configs, results, strict=True):
+            alone = train(*run[:3])
+            got = run[3]
+            assert got.log == alone.log
+            for mine, theirs in zip(got.model.parameters() + [got.classifier.weight],
+                                    alone.model.parameters() + [alone.classifier.weight], strict=True):
+                assert np.array_equal(mine, theirs)
+
+
+# criterion 9's small experiment, as `sftlab experiment` arguments
+SMALL_CLI_EXPERIMENT = ["--identities", "6", "--train-per-id", "4", "--query-per-id", "1",
+                        "--gallery-per-id", "3", "--seeds", "1,2", "--epochs", "10", "--p", "3",
+                        "--k", "4", "--hidden-dim", "16", "--embed-dim", "8", "--top-n", "4",
+                        "--kr-k1", "4", "--kr-k2", "2"]
+
+
 class TestDeterminism:
     def test_reports_identical_across_runs(self):
         cfg = small_config()
         assert run_experiment(cfg) == run_experiment(cfg)
+
+    def test_blas_thread_count_leaves_artifacts_unchanged(self, tmp_path):
+        """The stacked products of the lockstep trainer give the same bytes
+        with BLAS on one thread and on two; only the children's
+        environment is set."""
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "sftlab", "experiment", *SMALL_CLI_EXPERIMENT,
+                            "--out-dir", str(out)], env=env, check=True, capture_output=True)
+            digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("report.json", "table.tsv")])
+        assert digests[0] == digests[1]

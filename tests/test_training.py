@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 from dataclasses import fields, replace
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_error
+from sftlab import training
 from sftlab.data import (
     DatasetManifest,
     FeatureMatrix,
@@ -195,24 +197,46 @@ class TestPKSchedule:
         np.testing.assert_array_equal(got, np.stack(want))
         assert scheduled.next_u64() == drawn.next_u64()
 
-    def test_memo_hit_is_the_drawn_schedule_and_draws_nothing(self):
-        manifest = SCHEDULE_MANIFESTS["equal"]()
-        first = _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(2))
-        rng = Xoshiro256StarStar(2)
-        assert _pk_schedule(manifest, 4, 4, 5, rng) is first
-        assert rng.next_u64() == Xoshiro256StarStar(2).next_u64()  # not advanced
-        assert not first.flags.writeable
+    def test_runs_sharing_a_key_share_one_draw(self, monkeypatch):
+        """Runs whose (dataset, p, k, steps, rng state after init) agree take
+        one draw, with the bits of that draw alone: the four cells without a
+        second classifier on one seed share one schedule, and the unshared
+        cell, whose extra init words move its rng, draws its own."""
+        features, manifest = make_dataset(ExperimentConfig(identities=8), seed=1)
+        drawn = []
 
-    def test_memo_keeps_the_two_most_recently_used(self):
-        manifest = SCHEDULE_MANIFESTS["equal"]()
-        a, b, c = (_pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(seed)) for seed in (1, 2, 3))
-        assert len(manifest.pk_schedules) == 2
-        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(2)) is b  # now used last
-        # seed 1 was evicted, so it is drawn again and evicts seed 3, not seed 2
-        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(1)) is not a
-        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(2)) is b
-        assert _pk_schedule(manifest, 4, 4, 5, Xoshiro256StarStar(3)) is not c
-        assert len(manifest.pk_schedules) == 2
+        def recording_schedule(manifest, p, k, steps, rng):
+            drawn.append(_pk_schedule(manifest, p, k, steps, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(training, "_pk_schedule", recording_schedule)
+        configs = [toy_train_config(method=name, p=4, k=4, epochs=3, seed=5) for name in METHODS]
+        train([features] * len(configs), [manifest] * len(configs), configs)
+        # in run order: the baseline's key first, then the unshared cell's
+        rng = Xoshiro256StarStar(5)
+        EmbedModel.init(features.d, configs[0].hidden_dim, configs[0].embed_dim, rng)
+        AmSoftmaxClassifier.init(8, configs[0].embed_dim, rng)
+        assert len(drawn) == 2
+        for extra, schedule in enumerate(drawn):
+            replay = copy.deepcopy(rng)
+            if extra:
+                AmSoftmaxClassifier.init(8, configs[0].embed_dim, replay)
+            want = [sample_pk(manifest, 4, 4, replay).indices for _ in range(len(schedule))]
+            np.testing.assert_array_equal(schedule, np.stack(want))
+
+    def test_every_call_draws_its_own_schedules(self, monkeypatch):
+        """Nothing is kept between train() calls: a second call on the same
+        manifest draws again and trains to the same bits."""
+        features, manifest = make_dataset(ExperimentConfig(identities=8), seed=1)
+        draws = []
+        monkeypatch.setattr(training, "_pk_schedule",
+                            lambda *args, real=_pk_schedule: draws.append(args[:4]) or real(*args))
+        cfg = toy_train_config(method="sft", p=4, k=4, epochs=3, seed=2)
+        first, second = train(features, manifest, cfg), train(features, manifest, cfg)
+        assert len(draws) == 2
+        assert first.log == second.log
+        for a, b in zip(trained_arrays(first), trained_arrays(second), strict=True):
+            assert np.array_equal(a, b)
 
     def test_cells_do_not_depend_on_training_order(self):
         # reversed, the unshared cell runs between cells that share a schedule
@@ -225,7 +249,6 @@ class TestPKSchedule:
             assert got.log == want.log, name
             for mine, theirs in zip(trained_arrays(got), trained_arrays(want), strict=True):
                 assert np.array_equal(mine, theirs), name
-            assert len(manifest.pk_schedules) <= 2
 
 
 # each case id names the deep supervision of the method it runs
@@ -343,6 +366,15 @@ class TestForwardBackward:
             with pytest.raises(ValueError, match="out of range"):
                 forward_backward(x, y, model, clf, cfg, small)
 
+    def test_unshared_classifier_shares_margin_and_scale(self):
+        """Both classifiers are scored in one margin-softmax pass, so they
+        take one margin and one scale."""
+        x, y, model, clf, clf_orig = small_setup()
+        cfg = TrainConfig(p=4, k=2, method="sft+ds_unshared", hidden_dim=6, embed_dim=5)
+        for other in (replace(clf_orig, margin=0.1), replace(clf_orig, scale=10.0)):
+            with pytest.raises(ValueError, match="margin and scale"):
+                forward_backward(x, y, model, clf, cfg, other)
+
     def test_unshared_requires_second_classifier(self):
         x, y, model, clf, _ = small_setup()
         cfg = TrainConfig(p=4, k=2, method="sft+ds_unshared", hidden_dim=6, embed_dim=5)
@@ -407,6 +439,39 @@ class TestTrainLoop:
         cfg = TrainConfig(p=2, k=2, epochs=3, base_lr=1e300, hidden_dim=6, embed_dim=4)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged in epoch 1"):
             train(feats, manifest, cfg)
+
+    @pytest.mark.parametrize("first,order,message", [
+        ("baseline", (20, 0), "training diverged in epoch 1: the loss is not finite"),
+        ("baseline", (0, 20), "training diverged in epoch 0: the loss is not finite"),
+        ("sft+ds_unshared", (20, 0), "row 0 has zero norm, cosine undefined"),
+        ("sft+ds_unshared", (0, 20), "training diverged in epoch 0: the loss is not finite"),
+    ])
+    def test_lockstep_failure_is_the_first_runs_own(self, first, order, message):
+        """Every run here fails alone, and one lockstep call of them all
+        raises the error of the first in run order, epoch and all: without
+        warmup the first epoch's rate is already 1e300, with 20 warmup
+        epochs the second one's; the unshared cell on seed 1 with warmup
+        stops on a zero-norm row on its own before its epoch ends."""
+        feats, manifest = generate_synthetic(SyntheticSpec(4, 6, 8, seed=2))
+        methods = (first,) + tuple(m for m in METHODS if m != first)
+        configs = [TrainConfig(p=2, k=2, epochs=3, base_lr=1e300, warmup_epochs=warmup,
+                               hidden_dim=6, embed_dim=4, method=method, seed=seed)
+                   for warmup in order for method in methods for seed in (1, 2)]
+        with pytest.raises(ValueError) as alone:
+            train(feats, manifest, configs[0])
+        assert str(alone.value) == message
+        with pytest.raises(ValueError) as stacked:
+            train([feats] * len(configs), [manifest] * len(configs), configs)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == message
+
+    def test_lockstep_runs_after_a_good_one_still_fail(self):
+        """A diverging run between good ones fails the call with its own error."""
+        feats, manifest = generate_synthetic(SyntheticSpec(4, 6, 8, seed=2))
+        good = TrainConfig(p=2, k=2, epochs=3, hidden_dim=6, embed_dim=4)
+        bad = replace(good, base_lr=1e300, method="ncut")
+        with pytest.raises(ValueError, match="^training diverged in epoch 1: "):
+            train([feats] * 3, [manifest] * 3, [good, bad, good])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -617,6 +682,27 @@ class TestReferenceTrainer:
         assert (got.classifier_orig is None) == (clf_orig is None)
         if clf_orig is not None:
             assert np.array_equal(got.classifier_orig.weight, clf_orig.weight)
+
+    @pytest.mark.parametrize("hidden_dim", [64, 0])
+    @pytest.mark.parametrize("p,k", [(4, 4), (3, 10)])
+    def test_cells_and_seeds_in_one_stack_bit_identical(self, dataset, p, k, hidden_dim):
+        """Every cell, on two seeds, trained in one lockstep call: each run
+        equals the straightforward loop alone, bit for bit."""
+        features, manifest = dataset
+        configs = [toy_train_config(method=cell, p=p, k=k, epochs=4, warmup_epochs=2,
+                                    decay_epochs=(3,), diagnostics=True, hidden_dim=hidden_dim,
+                                    seed=seed)
+                   for cell in METHODS for seed in (5, 6)]
+        results = train([features] * len(configs), [manifest] * len(configs), configs)
+        assert len(results) == len(configs)
+        for cfg, got in zip(configs, results, strict=True):
+            model, clf, clf_orig, log = reference_train(features, manifest, cfg)
+            assert got.log == log, cfg.method
+            assert len(got.model.weights) == len(model.weights) == (2 if hidden_dim else 1)
+            for mine, theirs in zip(trained_arrays(got), model.parameters() + [
+                    c.weight for c in (clf, clf_orig) if c is not None], strict=True):
+                assert np.array_equal(mine, theirs), cfg.method
+            assert (got.classifier_orig is None) == (clf_orig is None)
 
     def test_sampler_matches_per_batch_index(self, dataset):
         _, manifest = dataset

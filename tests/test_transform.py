@@ -11,6 +11,10 @@ from sftlab.transform import (
     AffinityMatrix,
     StochasticMatrix,
     ZeroNormRowError,
+    _cosine_backward,
+    _sft_backward,
+    _transition_from_features,
+    _unit_backward,
     affinity,
     cosine_between,
     sft_backward,
@@ -193,6 +197,35 @@ class TestStacks:
         assert stacked.shape == (4, 1, 9)
         for i in range(4):
             assert np.array_equal(stacked[i], cosine_between(a[i].copy(), b[i].copy()))
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (5, 7), (16, 16), (64, 16)])
+    def test_backward_kernels_equal_slice_by_slice(self, n, d):
+        """The unit-row, cosine and transform backward passes take each
+        matrix of a stack with the bits it has alone, sigma one per matrix."""
+        rng = np.random.default_rng(n * 100 + d)
+        x, grad = rng.normal(size=(2, 5, n, d))
+        sigma = np.array([0.05, 0.1, 0.17, 0.5, 2.0])
+        forward = _transition_from_features(x, sigma[:, None, None])
+        norms, unit, trans = forward
+        grad_cos = rng.normal(size=(5, n, n))
+        stacked = {
+            "unit": _unit_backward(grad, unit, norms),
+            "cosine": _cosine_backward(grad_cos, unit, norms),
+            "sft": _sft_backward(x, sigma[:, None, None], grad, forward, True),
+            "sft_feature_factor": _sft_backward(x, sigma[:, None, None], grad, forward, False),
+        }
+        for b in range(5):
+            alone = _transition_from_features(x[b].copy(), float(sigma[b]))
+            assert all(np.array_equal(s[b], a) for s, a in zip(forward, alone))
+            copies = x[b].copy(), grad[b].copy(), alone[0], alone[1]
+            want = {
+                "unit": _unit_backward(copies[1], copies[3], copies[2]),
+                "cosine": _cosine_backward(grad_cos[b].copy(), copies[3], copies[2]),
+                "sft": sft_backward(copies[0], float(sigma[b]), copies[1]),
+                "sft_feature_factor": sft_backward(copies[0], float(sigma[b]), copies[1], False),
+            }
+            for name, got in stacked.items():
+                assert np.array_equal(got[b], want[name]), name
 
     def test_zero_norm_row_named_within_its_matrix(self):
         x = np.ones((3, 4, 2))
