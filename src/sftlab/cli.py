@@ -235,7 +235,7 @@ def cmd_diagnose(args) -> int:
     sigma = _check_sigma(args.sigma)
     # every printed quantity is a ratio of edge sums: the shift cancels
     weights = _exp_cosines(_unit_rows(features.data)[1], sigma, shift=1.0)
-    ncuts, escapes, escapes_rest = class_ncut_escape(AffinityMatrix(weights), part)
+    ncuts, escapes, escapes_rest = class_ncut_escape(AffinityMatrix._owned(weights), part)
     for ident, value, escape in zip(identities, ncuts, escapes):
         print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
     residual = float(np.abs(ncuts - (escapes + escapes_rest)).max())

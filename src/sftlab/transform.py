@@ -59,21 +59,41 @@ def cosine_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_sigma(sigma: float) -> float:
+    """A positive, finite sigma for which 2 / sigma, the widest span of
+    cos / sigma, is finite too (sigma above ~1.1e-308)."""
     sigma = float(sigma)
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if 2.0 / sigma == math.inf:
+        raise ValueError(f"sigma {sigma} too small: 2/sigma overflows float64")
     return sigma
 
 
 @dataclass(frozen=True)
 class _SquareMatrix:
-    """Square, finite, non-negative float64 matrix, named ``_name`` in errors
-    and frozen as a copy once the subclass's own ``_check`` passes too."""
+    """Square, finite, non-negative float64 matrix, named ``_name`` in errors;
+    the constructor freezes a copy once the subclass's own ``_check`` passes
+    too, and the caller's array stays writeable."""
 
     data: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
+        self._validate(arr)
+        object.__setattr__(self, "data", freeze_array(arr))
+
+    @classmethod
+    def _owned(cls, arr: np.ndarray):
+        """The matrix of a fresh float64 array that nothing else holds:
+        checked as by the constructor, then made read-only in place instead
+        of copied, so an n x n graph is not held twice."""
+        matrix = object.__new__(cls)
+        matrix._validate(arr)
+        arr.setflags(write=False)
+        object.__setattr__(matrix, "data", arr)
+        return matrix
+
+    def _validate(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"{self._name} must be square, got {arr.shape}")
         # min and max propagate NaN, so no n x n isfinite mask is needed
@@ -82,12 +102,14 @@ class _SquareMatrix:
             raise ValueError(f"{self._name} contains non-finite values")
         if low < 0:
             raise ValueError(f"{self._name} entries must be non-negative")
-        self._check(arr)
-        object.__setattr__(self, "data", freeze_array(arr))
+        self._check(arr, high)
 
     @property
     def n(self) -> int:
         return self.data.shape[0]
+
+
+_TILE = 256  # side of the symmetry check's square tiles
 
 
 @dataclass(frozen=True)
@@ -102,11 +124,23 @@ class AffinityMatrix(_SquareMatrix):
 
     _name = "affinity matrix"
 
-    def _check(self, arr: np.ndarray) -> None:
-        asymmetry = arr - arr.T
-        np.abs(asymmetry, out=asymmetry)
-        if asymmetry.max() > 1e-12 * max(1.0, arr.max()):
-            raise ValueError("affinity matrix must be symmetric")
+    def _check(self, arr: np.ndarray, high: float) -> None:
+        """max |arr - arr.T| against 1e-12 * max(1, max entry), taken over
+        _TILE-square tiles of the upper triangle and their mirrors, so no
+        n x n temporary is made; a max is exact in any order."""
+        tolerance = 1e-12 * max(1.0, high)
+        n = arr.shape[0]
+        tile = np.empty((min(n, _TILE),) * 2)  # one tile alive at a time
+        for lo in range(0, n, _TILE):
+            rows = slice(lo, lo + _TILE)
+            for col in range(lo, n, _TILE):
+                cols = slice(col, col + _TILE)
+                block = arr[rows, cols]
+                asymmetry = tile[:block.shape[0], :block.shape[1]]
+                np.subtract(block, arr[cols, rows].T, out=asymmetry)
+                np.abs(asymmetry, out=asymmetry)
+                if asymmetry.max() > tolerance:
+                    raise ValueError("affinity matrix must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -115,7 +149,7 @@ class StochasticMatrix(_SquareMatrix):
 
     _name = "transition matrix"
 
-    def _check(self, arr: np.ndarray) -> None:
+    def _check(self, arr: np.ndarray, high: float) -> None:
         if np.abs(arr.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("transition matrix rows must sum to 1")
 
@@ -140,7 +174,7 @@ def _check_affinity_sigma(sigma: float) -> float:
 
 def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
     """Edge weights w_ij = exp(cos(x_i, x_j) / sigma), unshifted."""
-    return AffinityMatrix(_exp_cosines(_unit_rows(x.data)[1], _check_affinity_sigma(sigma)))
+    return AffinityMatrix._owned(_exp_cosines(_unit_rows(x.data)[1], _check_affinity_sigma(sigma)))
 
 
 def transition(w: AffinityMatrix) -> StochasticMatrix:
@@ -148,7 +182,7 @@ def transition(w: AffinityMatrix) -> StochasticMatrix:
     degrees = w.data.sum(axis=1)
     if degrees.min() <= 0:
         raise ValueError("cannot normalize a row with zero total weight")
-    return StochasticMatrix(w.data / degrees[:, None])
+    return StochasticMatrix._owned(w.data / degrees[:, None])
 
 
 def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray

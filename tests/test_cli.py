@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -216,6 +217,39 @@ class TestDiagnose:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def graph_file(tmp_path_factory):
+    """A 1,200-row feature file and manifest: 40 identities x 30 samples."""
+    path = tmp_path_factory.mktemp("graph")
+    feats, manifest = path / "feats.sfte", path / "m.tsv"
+    assert run("gen", "--spec", "blobs", "--identities", 40, "--per-id", 30, "--dim", 32,
+               "--seed", 1, "--out", feats, "--manifest", manifest) == 0
+    return feats, manifest
+
+
+@pytest.mark.parametrize("command", ["diagnose", "transform"])
+def test_graph_commands_hold_one_graph(graph_file, tmp_path, capsys, command):
+    """diagnose and transform hold one n x n graph: each peaks below 1.5
+    times its 8 n^2 bytes.  The rest is O(n) rows: the escape kernel's
+    256-row transition block (a fifth of a graph at n = 1,200), the
+    symmetry check's 256 x 256 tile and O(n * C) class sums.  Checking the
+    graph through a full n x n |W - W.T| and then copying it took diagnose
+    to about 2.4 graphs."""
+    feats, manifest = graph_file
+    n = load_features(feats).n
+    assert n == 1200
+    args = (["--manifest", manifest] if command == "diagnose"
+            else ["--sigma", "0.1", "--out", tmp_path / "t.sfte"])
+    tracemalloc.start()
+    try:
+        assert run(command, "--features", feats, *args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
 class TestErrors:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -281,6 +315,38 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: sigma 0.001 too small"), err
         assert train_calls == []
+
+    @pytest.mark.parametrize("command", ["transform", "diagnose", "train", "experiment"])
+    def test_sigma_overflowing_two_over_sigma_named(self, dataset, tmp_path, capsys, train_calls,
+                                                    command):
+        """Below ~1.1e-308, 2 / sigma (the span of cos / sigma) overflows:
+        every command that takes sigma names it in one line, with no numpy
+        warning, no training and no output file."""
+        feats, manifest = dataset
+        log, trained, model = tmp_path / "log.tsv", tmp_path / "f.sfte", tmp_path / "model.json"
+        outputs = {
+            "transform": [tmp_path / "t.sfte"],
+            "diagnose": [],
+            "train": [log, trained, model],
+            "experiment": [tmp_path / "out"],
+        }[command]
+        args = {
+            "transform": ["--features", feats, "--out", tmp_path / "t.sfte"],
+            "diagnose": ["--features", feats, "--manifest", manifest],
+            "train": ["--features", feats, "--manifest", manifest, "--epochs", 1, "--p", 3,
+                      "--k", 4, "--log", log, "--out-features", trained, "--out-model", model],
+            "experiment": ["--mode", "ablation", "--epochs", 1, "--seeds", 1,
+                           "--out-dir", tmp_path / "out"],
+        }[command]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--sigma", "1e-309", *args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: sigma 1e-309 too small: 2/sigma overflows float64"]
+        assert captured.out == ""
+        assert train_calls == []
+        assert not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("args,message", [
         (["--mode", "sigma_sweep", "--sigma-values", "0.1,0"], "sigma must be positive and finite, got 0.0"),

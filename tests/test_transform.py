@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
 from sftlab.data import FeatureMatrix
+from sftlab.graphcut import ncut_loss
 from sftlab.transform import (
     AffinityMatrix,
     StochasticMatrix,
@@ -86,6 +88,169 @@ class TestAffinity:
     def test_type_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             AffinityMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
+
+
+def reference_symmetry_check(arr):
+    """AffinityMatrix's symmetry check as it was before it ran in tiles:
+    one full n x n |arr - arr.T|."""
+    asymmetry = arr - arr.T
+    np.abs(asymmetry, out=asymmetry)
+    if asymmetry.max() > 1e-12 * max(1.0, arr.max()):
+        raise ValueError("affinity matrix must be symmetric")
+
+
+def symmetry_outcome(check, arr):
+    """None if check accepts arr, else its ValueError's message."""
+    try:
+        check(arr)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# one asymmetric pair (i, j) per case, given as a function of n: in a
+# diagonal tile, in a tile off the diagonal, and in the ragged last tiles
+ASYMMETRIC_PAIRS = {
+    "diagonal_tile": lambda n: (3, 100),
+    "off_diagonal_tile": lambda n: (100, 256),
+    "ragged_last_column": lambda n: (5, n - 1),
+    "ragged_last_diagonal": lambda n: (n - 3, n - 1),
+}
+
+
+class TestTiledSymmetryCheck:
+    """The symmetry check runs over 256 x 256 tiles; it accepts and rejects
+    exactly what one full |arr - arr.T| did, with the same message."""
+
+    @staticmethod
+    def symmetric(n):
+        rng = np.random.default_rng(n)
+        half = rng.uniform(size=(n, n))
+        arr = half + half.T  # addition commutes, so this is exactly symmetric
+        np.fill_diagonal(arr, 3.0)  # the largest entry: tolerance 3e-12
+        return arr
+
+    @staticmethod
+    def boundary_values(low, tolerance):
+        """(largest float a with a - low <= tolerance, the next float up)."""
+        a = low + tolerance
+        while a - low > tolerance:
+            a = np.nextafter(a, -np.inf)
+        while np.nextafter(a, np.inf) - low <= tolerance:
+            a = np.nextafter(a, np.inf)
+        return a, np.nextafter(a, np.inf)
+
+    @pytest.mark.parametrize("n", [257, 549])
+    @pytest.mark.parametrize("place", sorted(ASYMMETRIC_PAIRS))
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper_larger", "lower_larger"])
+    @pytest.mark.parametrize("build", ["constructor", "owned"])
+    def test_decision_and_message_equal_the_full_check(self, n, place, upper, build):
+        i, j = ASYMMETRIC_PAIRS[place](n)
+        if not upper:
+            i, j = j, i
+        base = self.symmetric(n)
+        outcomes = []
+        for value in self.boundary_values(base[j, i], 3e-12):
+            arr = base.copy()
+            arr[i, j] = value
+            want = symmetry_outcome(reference_symmetry_check, arr)
+            make = AffinityMatrix if build == "constructor" else AffinityMatrix._owned
+            assert symmetry_outcome(make, arr) == want
+            outcomes.append(want)
+        # the boundary pair straddles the tolerance: accepted, then rejected
+        assert outcomes == [None, "affinity matrix must be symmetric"]
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 549])
+    def test_symmetric_graphs_pass(self, n):
+        arr = self.symmetric(n)
+        assert symmetry_outcome(reference_symmetry_check, arr) is None
+        assert np.array_equal(AffinityMatrix(arr).data, arr)
+
+    def test_tolerance_follows_the_largest_entry(self):
+        """Below 1 the tolerance is 1e-12; above, 1e-12 times the max."""
+        for top, gap, accepted in ((0.5, 1e-12, True), (0.5, 2e-12, False),
+                                   (1e4, 5e-9, True), (1e4, 2e-8, False)):
+            arr = np.full((300, 300), 0.25)
+            arr[0, 0] = top
+            arr[10, 280] += gap
+            want = symmetry_outcome(reference_symmetry_check, arr)
+            assert (want is None) == accepted
+            assert symmetry_outcome(AffinityMatrix, arr) == want
+
+
+class TestOwnership:
+    """The public constructors freeze a copy; the graphs the package builds
+    itself are frozen in place, never copied."""
+
+    @pytest.mark.parametrize("cls,arr", [
+        (AffinityMatrix, [[2.0, 1.0], [1.0, 2.0]]),
+        (StochasticMatrix, [[0.25, 0.75], [0.5, 0.5]]),
+    ], ids=["affinity", "stochastic"])
+    def test_constructor_freezes_a_copy(self, cls, arr):
+        arr = np.array(arr)
+        matrix = cls(arr)
+        assert arr.flags.writeable and not matrix.data.flags.writeable
+        assert not np.shares_memory(arr, matrix.data)
+        before = matrix.data.copy()
+        arr[0, 0] = 7.0
+        assert np.array_equal(matrix.data, before)
+
+    def test_built_graphs_are_read_only(self):
+        w = affinity(FeatureMatrix([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]), 0.5)
+        t = transition(w)
+        for data in (w.data, t.data):
+            assert not data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                data[0, 0] = 1.0
+
+    def test_owned_freezes_the_callers_array_in_place(self):
+        arr = np.array([[2.0, 1.0], [1.0, 2.0]])
+        w = AffinityMatrix._owned(arr)
+        assert w.data is arr and not arr.flags.writeable
+        assert np.array_equal(w.data, AffinityMatrix(arr).data)
+
+    def test_owned_runs_every_check(self):
+        for cls, arr, message in (
+            (AffinityMatrix, np.ones((2, 3)), "must be square"),
+            (AffinityMatrix, np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
+            (AffinityMatrix, np.array([[1.0, -1.0], [-1.0, 1.0]]), "non-negative"),
+            (AffinityMatrix, np.array([[1.0, 2.0], [1.0, 1.0]]), "symmetric"),
+            (StochasticMatrix, np.array([[0.6, 0.5], [0.5, 0.5]]), "sum to 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                cls._owned(arr)
+
+
+# 2 / sigma overflows float64 from this sigma down; the next float up is the
+# smallest sigma accepted
+SIGMA_OVERFLOWING = 2.0 / np.finfo(np.float64).max
+SIGMA_SMALLEST = float(np.nextafter(SIGMA_OVERFLOWING, 1.0))
+
+
+class TestTinySigma:
+    """A sigma so small that 2 / sigma, the widest span of cos / sigma,
+    overflows is rejected by name; the smallest sigma above stays finite."""
+
+    CALLS = {
+        "sft_transform_array": lambda x, s: sft_transform_array(x, s),
+        "sft_backward": lambda x, s: sft_backward(x, s, np.ones_like(x)),
+        "ncut_loss": lambda x, s: ncut_loss(x, np.array([0, 0, 1, 1, 2]), s)[1],
+        "affinity": lambda x, s: affinity(FeatureMatrix(x), s).data,
+    }
+
+    @pytest.mark.parametrize("sigma", [1e-309, SIGMA_OVERFLOWING, 5e-324])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call, sigma):
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        with pytest.raises(ValueError, match=f"^sigma {sigma} too small: 2/sigma overflows float64$"):
+            self.CALLS[call](x, sigma)
+
+    @pytest.mark.parametrize("call", ["sft_transform_array", "sft_backward"])
+    def test_smallest_accepted_sigma_stays_finite(self, call):
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(self.CALLS[call](x, SIGMA_SMALLEST)).all()
 
 
 class TestTransition:
