@@ -21,17 +21,7 @@ from .data import (
     save_features,
     save_manifest,
 )
-from .graphcut import (
-    RandomWalkStats,
-    class_ncut_escape,
-    cut,
-    escape_probability,
-    ncut,
-    ncut_escape_identity_check,
-    ncut_loss,
-    stationary,
-    volume,
-)
+from .graphcut import class_ncut_escape, ncut_loss
 from .ranking import (
     EvalReport,
     QueryRanking,
@@ -40,15 +30,12 @@ from .ranking import (
     k_reciprocal_rerank,
     rank,
     refine_ranking,
-    sft_refine,
 )
 from .rng import Xoshiro256StarStar
 from .training import (
     AmSoftmaxClassifier,
     EmbedModel,
-    PKBatch,
     TrainConfig,
-    am_softmax_loss,
     forward_backward,
     lr_at,
     sample_pk,
@@ -56,12 +43,10 @@ from .training import (
 )
 from .transform import (
     AffinityMatrix,
-    StochasticMatrix,
     ZeroNormRowError,
     affinity,
     sft_backward,
     sft_transform,
-    transition,
 )
 
 __version__ = "0.1.0"

@@ -78,8 +78,8 @@ def _json_int(value) -> int:
 
 
 def load_ranking(path) -> RankingList:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return RankingList(tuple(
             QueryRanking(
                 _json_int(entry["query_index"]),
@@ -88,8 +88,10 @@ def load_ranking(path) -> RankingList:
             )
             for entry in payload["queries"]
         ))
-    # a missing key, a wrong shape, or a value that is no index or score
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    # text that is not UTF-8, JSON that is invalid or nested too deeply, a
+    # missing key, a wrong shape, or a value that is no index or score (an
+    # OSError passes through with its own message)
+    except (RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path} is not a ranking file ({type(exc).__name__}: {exc})") from exc
 
 

@@ -1,93 +1,26 @@
 """Graph-cut and random-walk diagnostics over affinity graphs.
 
-cut/volume/ncut are the classical graph-partition quantities; the
-random-walk view gives the stationary distribution and the one-step
-escape probability from a node subset, whose sum over both sides equals
-the normalized cut.  ``ncut_loss`` turns the multiclass sum of escape
-probabilities into a differentiable training objective, used as a
-comparator for spectral-transform training.
+For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
++ cut(c, rest) / vol(rest); in the random-walk view the two terms are the
+one-step probabilities of escaping c and of escaping its complement at
+stationarity.  ``class_ncut_escape`` computes both sides of that identity
+for every class in one pass, ``affinity_class_means`` the mean edge
+weights within and across classes, and ``ncut_loss`` turns the multiclass
+sum of escape probabilities into a differentiable training objective, used
+as a comparator for spectral-transform training.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Partition, freeze_array
+from .data import Partition
 from .transform import AffinityMatrix, _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
-
-
-@dataclass(frozen=True)
-class RandomWalkStats:
-    """Stationary distribution and total volume of the walk's graph."""
-
-    stationary: np.ndarray
-    volume: float
-
-    def __post_init__(self):
-        pi = np.asarray(self.stationary, dtype=np.float64)
-        if pi.ndim != 1 or pi.min() < 0 or abs(pi.sum() - 1.0) > 1e-9:
-            raise ValueError("stationary vector must be a probability distribution")
-        object.__setattr__(self, "stationary", freeze_array(pi))
 
 
 def _check_covers(part: Partition, n: int) -> None:
     if part.n != n:
         raise ValueError(f"partition covers {part.n} nodes, graph has {n}")
-
-
-def _class_mask(w: AffinityMatrix, part: Partition, label: int) -> np.ndarray:
-    _check_covers(part, w.n)
-    if not 0 <= label < part.num_classes:
-        raise ValueError(f"class {label} out of range")
-    mask = part.labels == label
-    if not mask.any():
-        raise ValueError(f"class {label} is empty")
-    return mask
-
-
-def _class_with_complement(w: AffinityMatrix, part: Partition, a: int) -> np.ndarray:
-    mask = _class_mask(w, part, a)
-    if mask.all():
-        raise ValueError(f"class {a} covers the whole graph, complement empty")
-    return mask
-
-
-def cut(w: AffinityMatrix, part: Partition, a: int, b: int) -> float:
-    """Total edge weight between two classes of the partition."""
-    if a == b:
-        raise ValueError("cut requires two distinct classes")
-    if a > b:  # canonical order makes cut(a, b) == cut(b, a) bit-exact
-        a, b = b, a
-    ma = _class_mask(w, part, a)
-    mb = _class_mask(w, part, b)
-    return float(w.data[np.ix_(ma, mb)].sum())
-
-
-def volume(w: AffinityMatrix, part: Partition, a: int) -> float:
-    """Total edge weight from a class to the whole graph."""
-    mask = _class_mask(w, part, a)
-    return float(w.data[mask, :].sum())
-
-
-def ncut(w: AffinityMatrix, part: Partition, a: int) -> float:
-    """Normalized cut of class `a` against its complement."""
-    mask = _class_with_complement(w, part, a)
-    comp = ~mask
-    cross = float(w.data[np.ix_(mask, comp)].sum())
-    vol_a = float(w.data[mask, :].sum())
-    vol_comp = float(w.data[comp, :].sum())
-    return cross / vol_a + cross / vol_comp
-
-
-def stationary(w: AffinityMatrix) -> RandomWalkStats:
-    """pi_i = degree_i / total volume; left fixed point of the walk."""
-    degrees = w.data.sum(axis=1)
-    total = float(degrees.sum())
-    if total <= 0:
-        raise ValueError("graph has no edge weight")
-    return RandomWalkStats(degrees / total, total)
 
 
 _CHUNK_ROWS = 256
@@ -135,30 +68,6 @@ def class_ncut_escape(w: AffinityMatrix, part: Partition) -> tuple[np.ndarray, n
     return ncut_all, escape, escape_rest
 
 
-def _require_positive_degrees(rows: np.ndarray) -> None:
-    if rows.sum(axis=1).min() <= 0:
-        raise ValueError("subset contains an isolated zero-degree node")
-
-
-def escape_probability(w: AffinityMatrix, part: Partition, a: int) -> float:
-    """One-step probability of leaving class `a` at stationarity."""
-    mask = _class_with_complement(w, part, a)
-    _require_positive_degrees(w.data[mask])
-    return float(class_ncut_escape(w, part)[1][a])
-
-
-def ncut_escape_identity_check(w: AffinityMatrix, part: Partition, a: int) -> tuple[float, float]:
-    """(ncut value, escape(A->comp) + escape(comp->A)); must agree.
-
-    Both sides come from :func:`class_ncut_escape`, whose two arithmetic
-    routes make the returned pair a genuine consistency diagnostic.
-    """
-    _class_with_complement(w, part, a)
-    _require_positive_degrees(w.data)  # A and its complement together
-    value, escape, escape_rest = (float(v[a]) for v in class_ncut_escape(w, part))
-    return value, escape + escape_rest
-
-
 def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, np.ndarray]:
     """Sum of one-vs-rest escape probabilities and its feature gradient.
 
@@ -188,6 +97,10 @@ def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, n
         block = weights[row_class == c]
         cross = float(block.compress(row_class != c, axis=1).sum())
         vol = float(block.sum())
+        # at a tiny sigma every weight of a class can underflow, its diagonal
+        # too where a self-cosine rounds below 1, and then vol**2 is 0
+        if vol**2 == 0.0:
+            raise ValueError(f"sigma {sigma} too small for the ncut loss: a class volume underflows float64")
         loss += cross / vol
         inv_vol[c] = 1.0 / vol
         penalty[c] = cross / vol**2

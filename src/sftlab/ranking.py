@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetManifest, FeatureMatrix, freeze_array
-from .transform import ZeroNormRowError, _check_sigma, cosine_between, sft_transform_array
+from .transform import ZeroNormRowError, cosine_between, sft_transform_array
 
 log = logging.getLogger(__name__)
 
@@ -188,27 +188,17 @@ def _check_top_n(top_n: int, sizes: list[int]) -> None:
         log.warning("top_n=%d exceeds ranking length %d, clamping", top_n, min(sizes))
 
 
-def sft_refine(query_feat: np.ndarray, ranking: QueryRanking, gallery: FeatureMatrix,
-               top_n: int, sigma: float) -> QueryRanking:
-    """Re-rank the top-n prefix in the spectrally transformed space.
+def _refine_heads(query_feats: np.ndarray, rankings: list[QueryRanking], gallery: FeatureMatrix,
+                  top_n: int, sigma: float) -> list[QueryRanking]:
+    """Re-rank the top-n prefix of each ranking in the spectrally
+    transformed space, for rankings whose heads (first top_n items, or the
+    whole list if shorter) have one length, each with its row of
+    query_feats: one stack of graphs, each with the bits it has alone.
 
-    The query joins the top-n gallery features as an (n+1)-th graph node
+    The query joins its head's gallery features as an (n+1)-th graph node
     so both sides of the recomputed cosine live in the same transformed
     space.  Items beyond the prefix keep their order and scores.
     """
-    sigma = _check_sigma(sigma)
-    _check_top_n(top_n, [ranking.gallery_indices.size])
-    query_feat = np.asarray(query_feat, dtype=np.float64).reshape(-1)
-    if query_feat.size != gallery.d:
-        raise ValueError(f"query feature has dim {query_feat.size}, gallery {gallery.d}")
-    return _refine_heads(query_feat[None, :], [ranking], gallery, top_n, sigma)[0]
-
-
-def _refine_heads(query_feats: np.ndarray, rankings: list[QueryRanking], gallery: FeatureMatrix,
-                  top_n: int, sigma: float) -> list[QueryRanking]:
-    """sft_refine after its checks, for rankings whose heads (first top_n
-    items, or the whole list if shorter) have one length, each with its row
-    of query_feats: one stack of graphs, each with the bits it has alone."""
     heads = np.array([qr.gallery_indices[:top_n] for qr in rankings])
     nodes = np.concatenate([query_feats[:, None, :], gallery.data[heads]], axis=1)
     transformed = sft_transform_array(nodes, sigma)
@@ -225,8 +215,9 @@ def _refine_heads(query_feats: np.ndarray, rankings: list[QueryRanking], gallery
 
 def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: FeatureMatrix,
                    top_n: int, sigma: float) -> RankingList:
-    """Apply :func:`sft_refine` to every query of a ranking, with at most
-    one clamping warning for the whole ranking.
+    """Re-rank the top-n prefix of every query's list in the spectrally
+    transformed space (see :func:`_refine_heads`), with at most one
+    clamping warning for the whole ranking.
 
     Queries whose heads have one length are refined as one stack of up to
     _REFINE_BLOCK graphs and _REFINE_CELLS transition entries; the output

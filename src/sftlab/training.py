@@ -259,42 +259,9 @@ def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray, w_unit: 
     return loss, grad_x, grad_w
 
 
-def am_softmax_value(x: np.ndarray, labels: np.ndarray, clf: AmSoftmaxClassifier) -> float:
-    """Forward-only loss value (used for logging and finite differences)."""
-    _check_labels(labels, x.shape[0], clf.num_classes)
-    return float(_am_softmax_parts(x, labels, _unit_rows(clf.weight)[1], clf)[4])
-
-
-def am_softmax_loss(x: np.ndarray, labels: np.ndarray, clf: AmSoftmaxClassifier):
-    """Mean margin-softmax loss plus gradients w.r.t. features and weights.
-
-    Feature rows and classifier rows are both normalized inside, so the
-    loss depends only on directions; the returned gradients are taken
-    w.r.t. the raw (unnormalized) inputs.
-    """
-    _check_labels(labels, x.shape[0], clf.num_classes)
-    loss, grad_x, grad_w = _am_softmax_grad(x, labels, *_unit_rows(clf.weight), clf)
-    return float(loss), grad_x, grad_w
-
-
-@dataclass(frozen=True)
-class PKBatch:
-    """Row indices of p identities x k samples and their identity labels."""
-
-    indices: np.ndarray
-    identities: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        ids = np.asarray(self.identities, dtype=np.int64)
-        if idx.shape != ids.shape or idx.ndim != 1:
-            raise ValueError("indices and identities must be matching 1-d vectors")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "identities", ids)
-
-
-def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar) -> PKBatch:
-    """Sample p distinct train identities, k rows each.
+def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar) -> np.ndarray:
+    """Manifest row indices of p distinct train identities, k rows each,
+    identity by identity.
 
     Identities are drawn uniformly without replacement; within an
     identity, rows are drawn without replacement when it has at least k
@@ -303,22 +270,21 @@ def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar
     groups = manifest.train_groups
     if len(groups) < p:
         raise ValueError(f"need {p} train identities, manifest has {len(groups)}")
-    indices, labels = [], []
+    indices = []
     for pos in rng.sample(len(groups), p):
-        ident, rows = groups[pos]
+        _, rows = groups[pos]
         if len(rows) >= k:
             picks = rng.sample(len(rows), k)
         else:
             picks = [rng.randrange(len(rows)) for _ in range(k)]
         indices.extend([rows[j] for j in picks])
-        labels.extend([ident] * k)
-    return PKBatch(np.array(indices), np.array(labels))
+    return np.array(indices, dtype=np.int64)
 
 
 def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
                  rng: Xoshiro256StarStar) -> np.ndarray:
     """(steps, p*k) train row indices of `steps` successive sample_pk draws."""
-    rows = [sample_pk(manifest, p, k, rng).indices for _ in range(steps)]
+    rows = [sample_pk(manifest, p, k, rng) for _ in range(steps)]
     return np.array(rows, dtype=np.int64).reshape(steps, p * k)
 
 

@@ -69,11 +69,20 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
+_TILE = 256  # side of the symmetry check's square tiles
+
+
 @dataclass(frozen=True)
-class _SquareMatrix:
-    """Square, finite, non-negative float64 matrix, named ``_name`` in errors;
-    the constructor freezes a copy once the subclass's own ``_check`` passes
-    too, and the caller's array stays writeable."""
+class AffinityMatrix:
+    """Square, finite, symmetric, non-negative float64 edge weights; the
+    constructor freezes a copy once every check passes, and the caller's
+    array stays writeable.
+
+    Outputs of :func:`affinity` additionally have strictly positive
+    entries bounded by exp(1/sigma); the type stays permissive so that
+    hand-built graphs (e.g. block-diagonal ones) can use the same
+    diagnostics.
+    """
 
     data: np.ndarray
 
@@ -93,41 +102,19 @@ class _SquareMatrix:
         object.__setattr__(matrix, "data", arr)
         return matrix
 
-    def _validate(self, arr: np.ndarray) -> None:
+    @staticmethod
+    def _validate(arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"{self._name} must be square, got {arr.shape}")
+            raise ValueError(f"affinity matrix must be square, got {arr.shape}")
         # min and max propagate NaN, so no n x n isfinite mask is needed
         low, high = arr.min(), arr.max()
         if not (math.isfinite(low) and math.isfinite(high)):
-            raise ValueError(f"{self._name} contains non-finite values")
+            raise ValueError("affinity matrix contains non-finite values")
         if low < 0:
-            raise ValueError(f"{self._name} entries must be non-negative")
-        self._check(arr, high)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-
-_TILE = 256  # side of the symmetry check's square tiles
-
-
-@dataclass(frozen=True)
-class AffinityMatrix(_SquareMatrix):
-    """Symmetric non-negative edge weights.
-
-    Outputs of :func:`affinity` additionally have strictly positive
-    entries bounded by exp(1/sigma); the type stays permissive so that
-    hand-built graphs (e.g. block-diagonal ones) can use the same
-    diagnostics.
-    """
-
-    _name = "affinity matrix"
-
-    def _check(self, arr: np.ndarray, high: float) -> None:
-        """max |arr - arr.T| against 1e-12 * max(1, max entry), taken over
-        _TILE-square tiles of the upper triangle and their mirrors, so no
-        n x n temporary is made; a max is exact in any order."""
+            raise ValueError("affinity matrix entries must be non-negative")
+        # max |arr - arr.T| against 1e-12 * max(1, max entry), taken over
+        # _TILE-square tiles of the upper triangle and their mirrors, so no
+        # n x n temporary is made; a max is exact in any order
         tolerance = 1e-12 * max(1.0, high)
         n = arr.shape[0]
         tile = np.empty((min(n, _TILE),) * 2)  # one tile alive at a time
@@ -142,16 +129,9 @@ class AffinityMatrix(_SquareMatrix):
                 if asymmetry.max() > tolerance:
                     raise ValueError("affinity matrix must be symmetric")
 
-
-@dataclass(frozen=True)
-class StochasticMatrix(_SquareMatrix):
-    """Row-stochastic transition matrix of the random walk."""
-
-    _name = "transition matrix"
-
-    def _check(self, arr: np.ndarray, high: float) -> None:
-        if np.abs(arr.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("transition matrix rows must sum to 1")
+    @property
+    def n(self) -> int:
+        return self.data.shape[0]
 
 
 def _exp_cosines(unit: np.ndarray, sigma: float, shift: float = 0.0) -> np.ndarray:
@@ -175,14 +155,6 @@ def _check_affinity_sigma(sigma: float) -> float:
 def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
     """Edge weights w_ij = exp(cos(x_i, x_j) / sigma), unshifted."""
     return AffinityMatrix._owned(_exp_cosines(_unit_rows(x.data)[1], _check_affinity_sigma(sigma)))
-
-
-def transition(w: AffinityMatrix) -> StochasticMatrix:
-    """Row-normalize affinities into transition probabilities."""
-    degrees = w.data.sum(axis=1)
-    if degrees.min() <= 0:
-        raise ValueError("cannot normalize a row with zero total weight")
-    return StochasticMatrix._owned(w.data / degrees[:, None])
 
 
 def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray

@@ -17,25 +17,19 @@ from conftest import central_diff, rel_error
 from sftlab.cli import main as cli_main
 from sftlab.data import FeatureMatrix, Partition
 from sftlab.experiment import ExperimentConfig, run_experiment
-from sftlab.graphcut import (
-    cut,
-    escape_probability,
-    ncut_escape_identity_check,
-    ncut_loss,
-    stationary,
-    volume,
+from reference import am_softmax_loss, am_softmax_value, cut, stationary, transition, volume
+from sftlab.graphcut import class_ncut_escape, ncut_loss
+from sftlab.ranking import (
+    QueryRanking,
+    RankingList,
+    evaluate,
+    k_reciprocal_rerank,
+    rank,
+    refine_ranking,
 )
-from sftlab.ranking import QueryRanking, RankingList, evaluate, k_reciprocal_rerank, rank, sft_refine
 from sftlab.rng import Xoshiro256StarStar
-from sftlab.training import (
-    AmSoftmaxClassifier,
-    EmbedModel,
-    TrainConfig,
-    am_softmax_loss,
-    am_softmax_value,
-    forward_backward,
-)
-from sftlab.transform import affinity, sft_backward, sft_transform_array, transition
+from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig, forward_backward
+from sftlab.transform import _transition_from_features, affinity, sft_backward, sft_transform_array
 
 from test_ranking import (
     ADVERSARIAL_GALLERY,
@@ -77,26 +71,28 @@ def test_criterion_1_algebraic_identities():
             d = int(rng.integers(1, 6))
             x = FeatureMatrix(rng.normal(size=(n, d)))
             w = affinity(x, sigma)
-            trans = transition(w)
-            worst["rows"] = max(worst["rows"], float(np.abs(trans.data.sum(axis=1) - 1.0).max()))
+            # the transform's transition matrix, beside D^-1 W of the graph
+            trans = _transition_from_features(x.data, sigma)[2]
+            worst["rows"] = max(worst["rows"], float(np.abs(trans.sum(axis=1) - 1.0).max()))
 
             unit = x.data / np.linalg.norm(x.data, axis=1, keepdims=True)
             logits = np.clip(unit @ unit.T, -1.0, 1.0) / sigma
             shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
             softmax = shifted / shifted.sum(axis=1, keepdims=True)
-            worst["softmax"] = max(worst["softmax"], float(np.abs(trans.data - softmax).max()))
+            for walk in (trans, transition(w)):
+                worst["softmax"] = max(worst["softmax"], float(np.abs(walk - softmax).max()))
 
             part = random_partition(rng, n, 2 if n < 4 else 3)
+            ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
             for label in range(part.num_classes):
                 comp = Partition(np.where(part.labels == label, 0, 1))
                 via_cut = cut(w, comp, 0, 1) / volume(w, comp, 0)
-                escape = escape_probability(w, part, label)
-                worst["escape"] = max(worst["escape"], abs(escape - via_cut))
-                left, right = ncut_escape_identity_check(w, part, label)
-                worst["identity"] = max(worst["identity"], abs(left - right))
+                worst["escape"] = max(worst["escape"], abs(escapes[label] - via_cut))
+                worst["identity"] = max(worst["identity"],
+                                        abs(ncuts[label] - (escapes[label] + escapes_rest[label])))
 
-            pi = stationary(w).stationary
-            worst["fixed_point"] = max(worst["fixed_point"], float(np.abs(pi @ trans.data - pi).max()))
+            pi = stationary(w)[0]
+            worst["fixed_point"] = max(worst["fixed_point"], float(np.abs(pi @ trans - pi).max()))
             checked += 1
     passed = (
         checked >= 100
@@ -170,7 +166,7 @@ def test_criterion_2_gradient_suite():
             if cfg.method == "sft+ds_unshared":
                 params.append(clf_orig.weight)
             if cfg.method.startswith("sft") and not cfg.grad_through_transition:
-                frozen = transition(affinity(FeatureMatrix(model.embed(x)), cfg.sigma)).data
+                frozen = _transition_from_features(model.embed(x), cfg.sigma)[2]
                 objective = lambda: frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen)
             else:
                 objective = lambda: training_loss(x, y, model, clf, cfg, clf_orig)
@@ -276,8 +272,8 @@ def test_criterion_8_post_processing(ablation):
         gallery = rng.normal(size=(9, 5))
         manifest = eval_manifest([(0, 0), (1, 0)], [(i % 3, 1) for i in range(9)])
         ranking = rank(FeatureMatrix(queries), FeatureMatrix(gallery), manifest)
-        for qr, qfeat in zip(ranking.queries, queries):
-            refined = sft_refine(qfeat, qr, FeatureMatrix(gallery), 3, 0.2)
+        refined_all = refine_ranking(FeatureMatrix(queries), ranking, FeatureMatrix(gallery), 3, 0.2)
+        for qr, refined in zip(ranking.queries, refined_all.queries):
             suffix_exact &= np.array_equal(refined.gallery_indices[3:], qr.gallery_indices[3:])
             suffix_exact &= np.array_equal(refined.scores[3:], qr.scores[3:])
 
@@ -286,7 +282,8 @@ def test_criterion_8_post_processing(ablation):
     ranking = rank(FeatureMatrix(ADVERSARIAL_QUERY[None, :]),
                    FeatureMatrix(ADVERSARIAL_GALLERY), manifest)
     qr = ranking.queries[0]
-    refined = sft_refine(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY), 3, 0.1)
+    refined = refine_ranking(FeatureMatrix(ADVERSARIAL_QUERY[None, :]), ranking,
+                             FeatureMatrix(ADVERSARIAL_GALLERY), 3, 0.1).queries[0]
     promoted = int(refined.gallery_indices[0]) == 2
     oracle = oracle_refine_scores(ADVERSARIAL_QUERY,
                                   ADVERSARIAL_GALLERY[qr.gallery_indices[:3]], 0.1)

@@ -31,8 +31,6 @@ TRACED_SITES = (
     "sftlab.training:forward_backward",
     "sftlab.training:EmbedModel.forward",
     "sftlab.training:EmbedModel.backward",
-    "sftlab.training:am_softmax_loss",
-    "sftlab.training:am_softmax_value",
     "sftlab.training:ncut_loss",
     "sftlab.ranking:sft_transform_array",
     "sftlab.cli:sft_transform",

@@ -348,6 +348,24 @@ class TestErrors:
         assert train_calls == []
         assert not any(path.exists() for path in outputs)
 
+    def test_sigma_underflowing_the_ncut_volumes_named(self, tmp_path, capsys):
+        """At sigma 1e-300 every shifted edge weight of some class, its
+        diagonal too, underflows: the ncut loss names sigma in one line."""
+        feats, manifest, log = tmp_path / "f.sfte", tmp_path / "m.tsv", tmp_path / "log.tsv"
+        assert run("gen", "--spec", "blobs", "--identities", 6, "--per-id", 7, "--dim", 10,
+                   "--seed", 5, "--query-per-id", 1, "--gallery-per-id", 2,
+                   "--out", feats, "--manifest", manifest) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--features", feats, "--manifest", manifest, "--method", "ncut",
+                       "--sigma", "1e-300", "--epochs", 1, "--p", 2, "--k", 2, "--log", log) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: sigma 1e-300 too small for the ncut loss: a class volume underflows float64"]
+        assert captured.out == ""
+        assert not log.exists()
+
     @pytest.mark.parametrize("args,message", [
         (["--mode", "sigma_sweep", "--sigma-values", "0.1,0"], "sigma must be positive and finite, got 0.0"),
         (["--mode", "k_sweep", "--k-values", "2,1"], "batches need p >= 2 identities and k >= 2 samples each"),
@@ -439,6 +457,10 @@ NOT_A_RANKING = {
     "nan_score": _set_first("score", math.nan),
     "json_list": lambda payload: payload["queries"],
     "items_not_a_list": lambda payload: {"queries": [{"query_index": 0, "items": 3}]},
+    # edits that return bytes replace the file's contents
+    "invalid_json": lambda payload: b'{"queries": [}',
+    "nested_100000_deep": lambda payload: b"[" * 100_000 + b"]" * 100_000,
+    "not_utf8": lambda payload: json.dumps(payload).encode("utf-16"),
 }
 HOSTILE_RANKINGS = {
     **NOT_A_RANKING,
@@ -458,7 +480,8 @@ class TestHostileRanking:
         feats, manifest = dataset
         ranking = tmp_path / "r.json"
         assert run("rank", "--features", feats, "--manifest", manifest, "--out", ranking) == 0
-        ranking.write_text(json.dumps(HOSTILE_RANKINGS[edit](json.loads(ranking.read_text()))))
+        edited = HOSTILE_RANKINGS[edit](json.loads(ranking.read_text()))
+        ranking.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
         capsys.readouterr()
         out = tmp_path / "out.json"
         args = (["--features", feats, "--out", out] if command == "refine" else [])

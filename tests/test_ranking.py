@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import refine_one
 from sftlab.cli import load_ranking, main, save_ranking
 from sftlab.data import (
     DatasetManifest,
@@ -29,7 +30,6 @@ from sftlab.ranking import (
     k_reciprocal_rerank,
     rank,
     refine_ranking,
-    sft_refine,
 )
 from sftlab.transform import cosine_between, sft_transform_array
 
@@ -293,14 +293,14 @@ class TestSftRefine:
     def test_adversarial_promotion_to_rank_one(self):
         qr, _ = self.base_ranking()
         assert qr.gallery_indices.tolist() == [0, 1, 2, 3]
-        refined = sft_refine(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
+        refined = refine_one(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
                              top_n=3, sigma=0.1)
         assert refined.gallery_indices[0] == 2  # same-cluster item promoted
         assert refined.gallery_indices[3] == 3  # suffix untouched
 
     def test_adversarial_scores_match_independent_oracle(self):
         qr, _ = self.base_ranking()
-        refined = sft_refine(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
+        refined = refine_one(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
                              top_n=3, sigma=0.1)
         oracle = oracle_refine_scores(ADVERSARIAL_QUERY,
                                       ADVERSARIAL_GALLERY[qr.gallery_indices[:3]], 0.1)
@@ -310,7 +310,7 @@ class TestSftRefine:
 
     def test_top_n_one_keeps_order(self):
         qr, _ = self.base_ranking()
-        refined = sft_refine(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
+        refined = refine_one(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
                              top_n=1, sigma=0.1)
         assert refined.gallery_indices.tolist() == qr.gallery_indices.tolist()
         np.testing.assert_array_equal(refined.scores[1:], qr.scores[1:])
@@ -320,7 +320,7 @@ class TestSftRefine:
         manifest = eval_manifest([(0, 0)], [(0, 1), (1, 1), (2, 1), (3, 1)])
         ranking = rank(FeatureMatrix(np.array([[1.0, 0.0]])), FeatureMatrix(gallery), manifest)
         qr = ranking.queries[0]
-        refined = sft_refine(np.array([1.0, 0.0]), qr, FeatureMatrix(gallery), 3, 0.5)
+        refined = refine_one(np.array([1.0, 0.0]), qr, FeatureMatrix(gallery), 3, 0.5)
         assert refined.gallery_indices.tolist() == qr.gallery_indices.tolist()
 
     def test_suffix_untouched_exactly(self):
@@ -339,7 +339,7 @@ class TestSftRefine:
     def test_top_n_clamped_with_warning(self, caplog):
         qr, _ = self.base_ranking()
         with caplog.at_level("WARNING", logger="sftlab.ranking"):
-            refined = sft_refine(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
+            refined = refine_one(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY),
                                  top_n=50, sigma=0.1)
         assert "clamping" in caplog.text
         assert len(refined.gallery_indices) == len(qr.gallery_indices)
@@ -356,14 +356,14 @@ class TestSftRefine:
         warned = [r for r in caplog.records if r.name == "sftlab.ranking" and r.levelname == "WARNING"]
         assert len(warned) == 1 and "clamping" in warned[0].getMessage()
         for qr, got in zip(ranking.queries, refined.queries):
-            want = sft_refine(queries[qr.query_index], qr, FeatureMatrix(gallery), 11, 0.2)
+            want = refine_one(queries[qr.query_index], qr, FeatureMatrix(gallery), 11, 0.2)
             np.testing.assert_array_equal(got.gallery_indices, want.gallery_indices)
             np.testing.assert_array_equal(got.scores, want.scores)
 
     def test_bad_top_n(self):
         qr, _ = self.base_ranking()
         with pytest.raises(ValueError):
-            sft_refine(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY), 0, 0.1)
+            refine_one(ADVERSARIAL_QUERY, qr, FeatureMatrix(ADVERSARIAL_GALLERY), 0, 0.1)
 
 
 def oracle_k_reciprocal_jaccard(features, n_q, k1, k2):
@@ -774,7 +774,7 @@ class TestBitwiseAgainstLoopedReference:
         assert_bitwise(refine_ranking(queries, truncated, gallery, top_n, 0.3),
                        looped_refine_ranking(queries, truncated, gallery, top_n, 0.3))
         for qr in truncated.queries:
-            got = sft_refine(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
+            got = refine_one(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
             want = looped_refine_head(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
             assert_bitwise(RankingList((got,)), RankingList((want,)))
 
@@ -841,9 +841,9 @@ class TestZeroNormRow:
             with pytest.raises(ValueError) as want:
                 looped_refine_head(query, qr, gallery, 4, 0.2)
             with pytest.raises(ValueError, match=f"^{want.value}$"):
-                sft_refine(query, qr, gallery, 4, 0.2)
+                refine_one(query, qr, gallery, 4, 0.2)
         with pytest.raises(ValueError, match="^row 0 has zero norm, cosine undefined$"):
-            sft_refine(np.zeros(4), ranking.queries[0], gallery, 4, 0.2)
+            refine_one(np.zeros(4), ranking.queries[0], gallery, 4, 0.2)
 
     def test_cli_refine(self, tmp_path, capsys):
         queries, ranking, gallery = zero_row_instance()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_error
+from reference import am_softmax_loss, am_softmax_value
 from sftlab import training
 from sftlab.data import (
     DatasetManifest,
@@ -25,11 +26,8 @@ from sftlab.training import (
     MOMENTUM,
     AmSoftmaxClassifier,
     EmbedModel,
-    PKBatch,
     TrainConfig,
     _pk_schedule,
-    am_softmax_loss,
-    am_softmax_value,
     forward_backward,
     load_train_config,
     lr_at,
@@ -38,10 +36,10 @@ from sftlab.training import (
 )
 from sftlab.transform import (
     ZeroNormRowError,
+    _transition_from_features,
     affinity,
     sft_backward,
     sft_transform_array,
-    transition,
 )
 from training_oracle import training_loss
 
@@ -136,17 +134,22 @@ def manifest_for(counts, cameras=2):
     return DatasetManifest(tuple(recs))
 
 
+def identities_of(manifest, indices):
+    return np.array([manifest.records[i].identity for i in indices])
+
+
 class TestSamplePK:
     def test_exact_cover(self):
         manifest = manifest_for({0: 3, 1: 3})
-        batch = sample_pk(manifest, 2, 3, Xoshiro256StarStar(1))
-        assert sorted(batch.indices.tolist()) == list(range(6))
-        assert sorted(batch.identities.tolist()) == [0, 0, 0, 1, 1, 1]
+        indices = sample_pk(manifest, 2, 3, Xoshiro256StarStar(1))
+        assert indices.dtype == np.int64
+        assert sorted(indices.tolist()) == list(range(6))
+        assert sorted(identities_of(manifest, indices).tolist()) == [0, 0, 0, 1, 1, 1]
 
     def test_short_identity_repeats_with_replacement(self):
         manifest = manifest_for({0: 1, 1: 4})
-        batch = sample_pk(manifest, 2, 4, Xoshiro256StarStar(2))
-        rows_of_0 = batch.indices[batch.identities == 0]
+        indices = sample_pk(manifest, 2, 4, Xoshiro256StarStar(2))
+        rows_of_0 = indices[identities_of(manifest, indices) == 0]
         assert len(rows_of_0) == 4
         assert set(rows_of_0.tolist()) == {0}
 
@@ -154,16 +157,17 @@ class TestSamplePK:
         manifest = manifest_for({0: 5, 1: 5, 2: 5, 3: 5})
         b1 = sample_pk(manifest, 2, 3, Xoshiro256StarStar(9))
         b2 = sample_pk(manifest, 2, 3, Xoshiro256StarStar(9))
-        np.testing.assert_array_equal(b1.indices, b2.indices)
+        np.testing.assert_array_equal(b1, b2)
 
     def test_batch_structure(self):
         manifest = manifest_for({i: 6 for i in range(8)})
-        batch = sample_pk(manifest, 4, 3, Xoshiro256StarStar(3))
-        identities, counts = np.unique(batch.identities, return_counts=True)
-        assert len(identities) == 4
-        assert all(c == 3 for c in counts)
+        indices = sample_pk(manifest, 4, 3, Xoshiro256StarStar(3))
+        identities = identities_of(manifest, indices)
+        # k rows of one identity after another
+        assert (identities.reshape(4, 3) == identities[::3, None]).all()
+        assert len(set(identities.tolist())) == 4
         # without replacement within an identity that has enough samples
-        assert len(set(batch.indices.tolist())) == 12
+        assert len(set(indices.tolist())) == 12
 
     def test_too_few_identities(self):
         manifest = manifest_for({0: 5, 1: 5})
@@ -191,7 +195,7 @@ class TestPKSchedule:
     def test_equals_concatenated_draws(self, kind, p, k):
         manifest = SCHEDULE_MANIFESTS[kind]()
         drawn, scheduled = Xoshiro256StarStar(4), Xoshiro256StarStar(4)
-        want = [sample_pk(manifest, p, k, drawn).indices for _ in range(7)]
+        want = [sample_pk(manifest, p, k, drawn) for _ in range(7)]
         got = _pk_schedule(manifest, p, k, 7, scheduled)
         assert got.shape == (7, p * k) and got.dtype == np.int64
         np.testing.assert_array_equal(got, np.stack(want))
@@ -221,7 +225,7 @@ class TestPKSchedule:
             replay = copy.deepcopy(rng)
             if extra:
                 AmSoftmaxClassifier.init(8, configs[0].embed_dim, replay)
-            want = [sample_pk(manifest, 4, 4, replay).indices for _ in range(len(schedule))]
+            want = [sample_pk(manifest, 4, 4, replay) for _ in range(len(schedule))]
             np.testing.assert_array_equal(schedule, np.stack(want))
 
     def test_every_call_draws_its_own_schedules(self, monkeypatch):
@@ -287,7 +291,7 @@ def check_all_param_grads(x, y, model, clf, cfg, clf_orig, tol=1e-4):
     if cfg.grad_through_transition or cfg.method in ("baseline", "ncut"):
         objective = lambda: training_loss(x, y, model, clf, cfg, clf_orig)
     else:
-        frozen = transition(affinity(FeatureMatrix(model.embed(x)), cfg.sigma)).data
+        frozen = _transition_from_features(model.embed(x), cfg.sigma)[2]
         objective = lambda: frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen)
     worst = 0.0
     for param, grad in zip(params, grads):
@@ -572,7 +576,7 @@ def reference_sample_pk(manifest, p, k, rng):
             picks = [rng.randrange(len(rows)) for _ in range(k)]
         indices.extend(rows[j] for j in picks)
         labels.extend([ident] * k)
-    return PKBatch(np.array(indices), np.array(labels))
+    return np.array(indices), np.array(labels)
 
 
 def reference_forward_backward(x, labels, model, clf, cfg, clf_orig=None):
@@ -636,9 +640,9 @@ def reference_train(features, manifest, cfg):
         sum_orig = 0.0
         sum_sft = 0.0
         for _ in range(batches):
-            batch = reference_sample_pk(manifest, cfg.p, cfg.k, rng)
-            x = features.data[batch.indices]
-            y = np.array([class_of[i] for i in batch.identities])
+            indices, batch_identities = reference_sample_pk(manifest, cfg.p, cfg.k, rng)
+            x = features.data[indices]
+            y = np.array([class_of[i] for i in batch_identities])
             loss_orig, loss_sft, grads = reference_forward_backward(x, y, model, clf, cfg, clf_orig)
             sum_orig += loss_orig
             sum_sft += loss_sft
@@ -708,7 +712,8 @@ class TestReferenceTrainer:
         _, manifest = dataset
         fast, slow = Xoshiro256StarStar(8), Xoshiro256StarStar(8)
         for p, k in [(4, 4), (3, 10), (8, 8)] * 3:
-            got, want = sample_pk(manifest, p, k, fast), reference_sample_pk(manifest, p, k, slow)
-            np.testing.assert_array_equal(got.indices, want.indices)
-            np.testing.assert_array_equal(got.identities, want.identities)
+            got = sample_pk(manifest, p, k, fast)
+            want, identities = reference_sample_pk(manifest, p, k, slow)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(identities_of(manifest, got), identities)
         assert fast.next_u64() == slow.next_u64()

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
+from reference import transition
 from sftlab.data import FeatureMatrix
 from sftlab.graphcut import ncut_loss
 from sftlab.transform import (
     AffinityMatrix,
-    StochasticMatrix,
     ZeroNormRowError,
     _cosine_backward,
     _sft_backward,
@@ -22,7 +22,6 @@ from sftlab.transform import (
     sft_backward,
     sft_transform,
     sft_transform_array,
-    transition,
 )
 
 E = math.e
@@ -179,16 +178,12 @@ class TestTiledSymmetryCheck:
 
 
 class TestOwnership:
-    """The public constructors freeze a copy; the graphs the package builds
+    """The public constructor freezes a copy; the graphs the package builds
     itself are frozen in place, never copied."""
 
-    @pytest.mark.parametrize("cls,arr", [
-        (AffinityMatrix, [[2.0, 1.0], [1.0, 2.0]]),
-        (StochasticMatrix, [[0.25, 0.75], [0.5, 0.5]]),
-    ], ids=["affinity", "stochastic"])
-    def test_constructor_freezes_a_copy(self, cls, arr):
-        arr = np.array(arr)
-        matrix = cls(arr)
+    def test_constructor_freezes_a_copy(self):
+        arr = np.array([[2.0, 1.0], [1.0, 2.0]])
+        matrix = AffinityMatrix(arr)
         assert arr.flags.writeable and not matrix.data.flags.writeable
         assert not np.shares_memory(arr, matrix.data)
         before = matrix.data.copy()
@@ -197,11 +192,9 @@ class TestOwnership:
 
     def test_built_graphs_are_read_only(self):
         w = affinity(FeatureMatrix([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]), 0.5)
-        t = transition(w)
-        for data in (w.data, t.data):
-            assert not data.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                data[0, 0] = 1.0
+        assert not w.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w.data[0, 0] = 1.0
 
     def test_owned_freezes_the_callers_array_in_place(self):
         arr = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -210,15 +203,14 @@ class TestOwnership:
         assert np.array_equal(w.data, AffinityMatrix(arr).data)
 
     def test_owned_runs_every_check(self):
-        for cls, arr, message in (
-            (AffinityMatrix, np.ones((2, 3)), "must be square"),
-            (AffinityMatrix, np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
-            (AffinityMatrix, np.array([[1.0, -1.0], [-1.0, 1.0]]), "non-negative"),
-            (AffinityMatrix, np.array([[1.0, 2.0], [1.0, 1.0]]), "symmetric"),
-            (StochasticMatrix, np.array([[0.6, 0.5], [0.5, 0.5]]), "sum to 1"),
+        for arr, message in (
+            (np.ones((2, 3)), "must be square"),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
+            (np.array([[1.0, -1.0], [-1.0, 1.0]]), "non-negative"),
+            (np.array([[1.0, 2.0], [1.0, 1.0]]), "symmetric"),
         ):
             with pytest.raises(ValueError, match=message):
-                cls._owned(arr)
+                AffinityMatrix._owned(arr)
 
 
 # 2 / sigma overflows float64 from this sigma down; the next float up is the
@@ -254,37 +246,33 @@ class TestTinySigma:
 
 
 class TestTransition:
+    """The transform's transition matrix, from _transition_from_features."""
+
     def test_uniform_affinity(self):
-        t = transition(AffinityMatrix(np.full((2, 2), E)))
-        np.testing.assert_array_equal(t.data, 0.5)
+        t = _transition_from_features(np.ones((2, 3)), 1.0)[2]
+        np.testing.assert_array_equal(t, 0.5)
 
     def test_single_node(self):
-        t = transition(AffinityMatrix(np.array([[3.7]])))
-        np.testing.assert_array_equal(t.data, [[1.0]])
+        t = _transition_from_features(np.array([[3.7, -1.0]]), 0.1)[2]
+        np.testing.assert_array_equal(t, [[1.0]])
 
     def test_equals_row_softmax_of_scaled_cosines(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 4))
         sigma = 0.1
-        t = transition(affinity(FeatureMatrix(x), sigma))
         unit = x / np.linalg.norm(x, axis=1, keepdims=True)
         logits = (unit @ unit.T) / sigma
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         softmax = shifted / shifted.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(t.data, softmax, rtol=0, atol=1e-12)
+        for t in (_transition_from_features(x, sigma)[2], transition(affinity(FeatureMatrix(x), sigma))):
+            np.testing.assert_allclose(t, softmax, rtol=0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(feature_strategy())
     def test_rows_sum_to_one_and_positive(self, x):
-        t = transition(affinity(FeatureMatrix(x), 0.1))
-        assert np.abs(t.data.sum(axis=1) - 1.0).max() < 1e-9
-        assert t.data.min() > 0
-
-    def test_type_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            StochasticMatrix(np.array([[0.6, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError, match="transition matrix contains non-finite values"):
-            StochasticMatrix(np.full((2, 2), np.nan))
+        t = _transition_from_features(x, 0.1)[2]
+        assert np.abs(t.sum(axis=1) - 1.0).max() < 1e-9
+        assert t.min() > 0
 
 
 class TestSftTransform:
@@ -439,7 +427,7 @@ class TestSftBackward:
         x = rng.normal(size=(5, 3))
         grad_out = rng.normal(size=(5, 3))
         detached = sft_backward(x, 0.2, grad_out, through_transition=False)
-        trans = transition(affinity(FeatureMatrix(x), 0.2)).data
+        trans = transition(affinity(FeatureMatrix(x), 0.2))
         np.testing.assert_allclose(detached, trans.T @ grad_out, atol=1e-12)
 
     def test_shape_mismatch(self):

@@ -1,15 +1,17 @@
 """The trainer's scalar objective as an independent forward pass.
 
 Finite differences of :func:`training_loss` check the closed-form
-gradients of ``forward_backward``.  It is composed from the public
-forward functions alone, not derived from ``forward_backward``, so a slip
-in the trainer's fused step cannot cancel out of the comparison.
+gradients of ``forward_backward``.  It is composed from forward passes
+alone (the transform, the ncut loss and the margin softmax's forward
+kernel), not derived from ``forward_backward``, so a slip in the
+trainer's fused step cannot cancel out of the comparison.
 """
 
 import numpy as np
 
+from reference import am_softmax_value
 from sftlab.graphcut import ncut_loss
-from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig, am_softmax_value
+from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig
 from sftlab.transform import sft_transform_array
 
 
