@@ -265,6 +265,35 @@ class TestClassNcutEscape:
         # class 0 covers the graph, class 1 is empty
         assert np.isnan(ncuts).all() and np.isnan(escapes_rest[0]) and np.isnan(escapes[1])
 
+    @pytest.mark.parametrize("case", ["empty", "isolated_class"])
+    def test_undefined_class_leaves_the_others_exact(self, case):
+        w, part = random_graph(14, 7, num_classes=3)
+        if case == "empty":
+            part = Partition(np.where(part.labels == 2, 1, part.labels), num_classes=3)
+        else:
+            data = w.data.copy()
+            data[part.labels == 2, :] = 0.0
+            data[:, part.labels == 2] = 0.0
+            w = AffinityMatrix(data)
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+        # class 2 has no edge weight, so its ncut and escape are undefined
+        assert np.isnan(ncuts[2]) and np.isnan(escapes[2])
+        for c in range(2):
+            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
+            assert abs(escapes[c] - brute_escape(w.data, part.labels, c)) < 1e-12
+            assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
+
+    def test_two_classes_share_one_ncut(self):
+        for seed in range(10):
+            w, part = random_graph(seed, 7)
+            ncuts, _, _ = class_ncut_escape(w, part)
+            assert abs(ncuts[0] - ncuts[1]) < 1e-12 * ncuts[0]
+
+    def test_partition_must_cover_the_graph(self):
+        w, _ = random_graph(15, 6)
+        with pytest.raises(ValueError, match="partition covers 4 nodes, graph has 6"):
+            class_ncut_escape(w, Partition(np.array([0, 1, 0, 1])))
+
 
 class TestNcutLoss:
     def test_separated_orthogonal_clusters(self):
