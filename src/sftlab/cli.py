@@ -35,7 +35,7 @@ from .data import (
     write_json,
 )
 from .graphcut import class_ncut_escape
-from .ranking import QueryRanking, RankingList, evaluate, rank, refine_ranking
+from .ranking import RankingList, evaluate, rank, refine_ranking
 from .training import METHODS, PARSERS, TrainConfig, load_train_config, train
 from .transform import AffinityMatrix, _check_sigma, _exp_cosines, _unit_rows, sft_transform
 
@@ -48,26 +48,23 @@ TOPOLOGY_ALIASES = {
 
 
 def save_ranking(ranking: RankingList, manifest: DatasetManifest, path) -> None:
-    query_recs = manifest.subset("query")
-    gallery_recs = manifest.subset("gallery")
-    payload = {
-        "queries": [
-            {
-                "query_index": qr.query_index,
-                "sample_id": query_recs[qr.query_index].sample_id,
-                "items": [
-                    {
-                        "gallery_index": int(g),
-                        "sample_id": gallery_recs[int(g)].sample_id,
-                        "score": float(s),
-                    }
-                    for g, s in zip(qr.gallery_indices, qr.scores)
-                ],
-            }
-            for qr in ranking.queries
-        ]
-    }
-    write_json(payload, path)
+    """Write ranking as ``write_json`` writes its payload, byte for byte,
+    one query at a time, so no object per item is ever built."""
+    query_ids = [json.dumps(r.sample_id) for r in manifest.subset("query")]
+    gallery_ids = [json.dumps(r.sample_id) for r in manifest.subset("gallery")]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write('{\n  "queries": [')
+        for row, qr in enumerate(ranking.queries):
+            items = ",".join(
+                '\n        {\n          "gallery_index": %d,\n          "sample_id": %s,'
+                '\n          "score": %r\n        }' % (g, gallery_ids[g], s)
+                for g, s in zip(qr.gallery_indices.tolist(), qr.scores.tolist())
+            )
+            out.write('%s\n    {\n      "items": [%s%s],\n      "query_index": %d,'
+                      '\n      "sample_id": %s\n    }'
+                      % ("," if row else "", items, "\n      " if items else "",
+                         qr.query_index, query_ids[qr.query_index]))
+        out.write("\n  ]\n}\n" if len(ranking) else "]\n}\n")
 
 
 def _json_int(value) -> int:
@@ -80,14 +77,16 @@ def _json_int(value) -> int:
 def load_ranking(path) -> RankingList:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return RankingList(tuple(
-            QueryRanking(
-                _json_int(entry["query_index"]),
-                np.array([_json_int(it["gallery_index"]) for it in entry["items"]], dtype=np.int64),
-                np.array([it["score"] for it in entry["items"]]),
-            )
-            for entry in payload["queries"]
-        ))
+        query_index, offsets, gallery, scores = [], [0], [], []
+        for entry in payload["queries"]:
+            query_index.append(_json_int(entry["query_index"]))
+            items = entry["items"]
+            gallery.extend([_json_int(it["gallery_index"]) for it in items])
+            scores.extend([it["score"] for it in items])
+            offsets.append(len(gallery))
+        # scores become an array before the constructor's float64 one, so
+        # that a null score is a TypeError, not NaN
+        return RankingList(query_index, offsets, gallery, np.array(scores))
     # text that is not UTF-8, JSON that is invalid or nested too deeply, a
     # missing key, a wrong shape, or a value that is no index or score (an
     # OSError passes through with its own message)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureMatrix, freeze_array
+from .data import DatasetManifest, FeatureMatrix
 from .transform import ZeroNormRowError, cosine_between, sft_transform_array
 
 log = logging.getLogger(__name__)
@@ -31,34 +33,77 @@ _REFINE_BLOCK = 8
 _REFINE_CELLS = 1 << 15
 
 
-@dataclass(frozen=True)
-class QueryRanking:
-    """One query's gallery ordering: indices into the gallery rows."""
+class QueryRanking(NamedTuple):
+    """A row of a RankingList: read-only views of one query's list."""
 
     query_index: int
     gallery_indices: np.ndarray
     scores: np.ndarray
 
+
+@dataclass(frozen=True, eq=False)
+class RankingList:
+    """Per query, a gallery ordering as four read-only arrays: row r ranks
+    query ``query_index[r]``, and ``gallery`` and ``scores`` at
+    ``offsets[r]:offsets[r + 1]`` are its gallery indices and their scores.
+
+    The constructor checks whole arrays once and freezes copies of them;
+    the package freezes its own lists unchecked (``_trusted``).  Whether an
+    index is in range depends on the splits (:func:`_check_indices`).
+    """
+
+    query_index: np.ndarray
+    offsets: np.ndarray
+    gallery: np.ndarray
+    scores: np.ndarray
+
     def __post_init__(self):
-        idx = np.asarray(self.gallery_indices, dtype=np.int64)
-        sc = np.asarray(self.scores, dtype=np.float64)
+        qi, offsets, idx = (np.array(a, np.int64) for a in (self.query_index, self.offsets, self.gallery))
+        sc = np.array(self.scores, dtype=np.float64)
         if idx.ndim != 1 or idx.shape != sc.shape:
             raise ValueError("indices and scores must be matching 1-d vectors")
-        if not np.isfinite(sc).all():
-            raise ValueError("ranking scores must be finite")
-        ordered = np.sort(idx)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("duplicate gallery index in ranking")
-        object.__setattr__(self, "gallery_indices", freeze_array(idx))
-        object.__setattr__(self, "scores", freeze_array(sc))
+        if (qi.ndim != 1 or offsets.shape != (qi.size + 1,) or offsets[0] != 0
+                or offsets[-1] != idx.size or (offsets[1:] < offsets[:-1]).any()):
+            raise ValueError(f"offsets must be {qi.size + 1} bounds rising from 0 to {idx.size}")
+        row = np.repeat(np.arange(qi.size), np.diff(offsets))
+        order = np.lexsort((idx, row))
+        row_sorted, idx_sorted = row[order], idx[order]
+        again = (row_sorted[1:] == row_sorted[:-1]) & (idx_sorted[1:] == idx_sorted[:-1])
+        _raise_first((row[~np.isfinite(sc)], lambda: "ranking scores must be finite"),
+                     (row_sorted[1:][again], lambda: "duplicate gallery index in ranking"))
+        self._freeze(qi, offsets, idx, sc)
 
+    @classmethod
+    def _trusted(cls, *arrays: np.ndarray) -> RankingList:
+        """The list of arrays that the package built to the constructor's rules."""
+        self = object.__new__(cls)
+        self._freeze(*arrays)
+        return self
 
-@dataclass(frozen=True)
-class RankingList:
-    queries: tuple[QueryRanking, ...]
+    def _freeze(self, *arrays: np.ndarray) -> None:
+        """Make the four arrays read-only in place and set them as the fields."""
+        for name, arr in zip(("query_index", "offsets", "gallery", "scores"), arrays):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return self.query_index.size
+
+    @cached_property
+    def queries(self) -> tuple[QueryRanking, ...]:
+        """One row view per query, in row order, built on first use."""
+        bounds = self.offsets[1:-1]
+        return tuple(map(QueryRanking, self.query_index.tolist(), np.split(self.gallery, bounds),
+                         np.split(self.scores, bounds)))
+
+
+def _raise_first(*faults) -> None:
+    """Raise the fault that a row-by-row check meets first.  Each fault is
+    (the rows that have it, ascending; its message), listed in the order in
+    which one row's checks run."""
+    found = [(rows[0], pos, message) for pos, (rows, message) in enumerate(faults) if rows.size]
+    if found:
+        raise ValueError(min(found)[2]())
 
 
 @dataclass(frozen=True)
@@ -88,18 +133,19 @@ def _eval_records(manifest: DatasetManifest, queries=None, gallery=None):
 def _check_indices(ranking: RankingList, num_queries: int, num_gallery: int) -> None:
     """Every query and gallery index of ranking lies in [0, n) of its split,
     and every query is listed exactly once."""
-    seen = set()
-    for qr in ranking.queries:
-        if not 0 <= qr.query_index < num_queries:
-            raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
-        if qr.query_index in seen:
-            raise ValueError(f"query index {qr.query_index} listed twice")
-        seen.add(qr.query_index)
-        bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
-        if bad.size:
-            raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
-    if len(seen) != num_queries:
-        raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")
+    qi, gallery = ranking.query_index, ranking.gallery
+    out = np.flatnonzero((qi < 0) | (qi >= num_queries))
+    order = np.argsort(qi, kind="stable")
+    again = np.sort(order[1:][qi[order[1:]] == qi[order[:-1]]])
+    bad = np.flatnonzero((gallery < 0) | (gallery >= num_gallery))
+    _raise_first(
+        (out, lambda: f"query index {qi[out[0]]} out of range for {num_queries} queries"),
+        (again, lambda: f"query index {qi[again[0]]} listed twice"),
+        (np.searchsorted(ranking.offsets, bad, "right") - 1,
+         lambda: f"gallery index {gallery[bad[0]]} out of range for {num_gallery} gallery rows"),
+    )
+    if qi.size != num_queries:
+        raise ValueError(f"ranking lists {qi.size} of {num_queries} queries")
 
 
 def rank(queries: FeatureMatrix, gallery: FeatureMatrix, manifest: DatasetManifest) -> RankingList:
@@ -137,11 +183,9 @@ def _ranked(dist: np.ndarray, query_recs, gallery_recs) -> RankingList:
     np.negative(scores, out=scores)
     kept = orders[keep]
     del orders
-    bounds = np.cumsum(keep.sum(axis=1))[:-1]
-    return RankingList(tuple(
-        QueryRanking(qi, order, score)
-        for qi, (order, score) in enumerate(zip(np.split(kept, bounds), np.split(scores, bounds)))
-    ))
+    offsets = np.zeros(len(query_recs) + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=offsets[1:])
+    return RankingList._trusted(np.arange(len(query_recs)), offsets, kept, scores)
 
 
 def evaluate(ranking: RankingList, manifest: DatasetManifest) -> EvalReport:
@@ -154,19 +198,15 @@ def evaluate(ranking: RankingList, manifest: DatasetManifest) -> EvalReport:
     _check_indices(ranking, len(query_recs), len(gallery_recs))
     g_ident = np.array([r.identity for r in gallery_recs])
     q_ident = np.array([r.identity for r in query_recs])
-    queries = ranking.queries
-    sizes = np.array([qr.gallery_indices.size for qr in queries], dtype=np.int64)
-    owner = np.repeat(np.arange(len(queries)), sizes)
-    listed = np.concatenate([qr.gallery_indices for qr in queries])
-    wanted = q_ident[[qr.query_index for qr in queries]]
-    hit = np.flatnonzero(g_ident[listed] == wanted[owner])
-    num_rel = np.bincount(owner[hit], minlength=len(queries))
+    owner = np.repeat(np.arange(len(ranking)), np.diff(ranking.offsets))
+    hit = np.flatnonzero(g_ident[ranking.gallery] == q_ident[ranking.query_index][owner])
+    num_rel = np.bincount(owner[hit], minlength=len(ranking))
     missing = np.flatnonzero(num_rel == 0)
     if missing.size:
-        rec = query_recs[queries[missing[0]].query_index]
+        rec = query_recs[ranking.query_index[missing[0]]]
         raise ValueError(f"query {rec.sample_id!r} has no relevant gallery items")
     # 0-based rank of each hit in its list, and 1-based count of hits so far
-    positions = hit - (np.cumsum(sizes) - sizes)[owner[hit]]
+    positions = hit - ranking.offsets[owner[hit]]
     first = np.cumsum(num_rel) - num_rel
     hits = np.arange(1, hit.size + 1) - np.repeat(first, num_rel)
     aps = _row_sums(hits / (positions + 1), num_rel) / num_rel
@@ -176,77 +216,72 @@ def evaluate(ranking: RankingList, manifest: DatasetManifest) -> EvalReport:
         map_score=float(np.mean(aps)),
         cmc=cmc,
         per_query_ap=tuple(aps.tolist()),
-        num_queries=len(queries),
+        num_queries=len(ranking),
     )
 
 
-def _check_top_n(top_n: int, sizes: list[int]) -> None:
+def _check_top_n(top_n: int, sizes) -> None:
     """Reject top_n < 1; warn once if any of the ranking lengths is shorter."""
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    if sizes and top_n > min(sizes):
-        log.warning("top_n=%d exceeds ranking length %d, clamping", top_n, min(sizes))
+    if len(sizes) and top_n > np.min(sizes):
+        log.warning("top_n=%d exceeds ranking length %d, clamping", top_n, np.min(sizes))
 
 
-def _refine_heads(query_feats: np.ndarray, rankings: list[QueryRanking], gallery: FeatureMatrix,
-                  top_n: int, sigma: float) -> list[QueryRanking]:
-    """Re-rank the top-n prefix of each ranking in the spectrally
-    transformed space, for rankings whose heads (first top_n items, or the
-    whole list if shorter) have one length, each with its row of
-    query_feats: one stack of graphs, each with the bits it has alone.
+def _refine_heads(query_feats: np.ndarray, heads: np.ndarray, gallery: FeatureMatrix,
+                  sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gallery indices, scores) of each row of ``heads`` (the first top-n
+    items of a ranking, or the whole list if shorter) re-ranked in the
+    spectrally transformed space, each with its row of query_feats: one
+    stack of graphs, each with the bits it has alone.
 
     The query joins its head's gallery features as an (n+1)-th graph node
     so both sides of the recomputed cosine live in the same transformed
-    space.  Items beyond the prefix keep their order and scores.
+    space.
     """
-    heads = np.array([qr.gallery_indices[:top_n] for qr in rankings])
     nodes = np.concatenate([query_feats[:, None, :], gallery.data[heads]], axis=1)
     transformed = sft_transform_array(nodes, sigma)
     new_scores = cosine_between(transformed[:, :1], transformed[:, 1:])[:, 0]
     order = np.argsort(-new_scores, axis=1, kind="stable")  # ties keep current order
-    heads = np.take_along_axis(heads, order, axis=1)
-    new_scores = np.take_along_axis(new_scores, order, axis=1)
-    return [
-        QueryRanking(qr.query_index, np.concatenate([head, qr.gallery_indices[top_n:]]),
-                     np.concatenate([scores, qr.scores[top_n:]]))
-        for qr, head, scores in zip(rankings, heads, new_scores)
-    ]
+    return np.take_along_axis(heads, order, axis=1), np.take_along_axis(new_scores, order, axis=1)
 
 
 def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: FeatureMatrix,
                    top_n: int, sigma: float) -> RankingList:
     """Re-rank the top-n prefix of every query's list in the spectrally
     transformed space (see :func:`_refine_heads`), with at most one
-    clamping warning for the whole ranking.
+    clamping warning for the whole ranking.  Items beyond the prefix keep
+    their order and scores.
 
     Queries whose heads have one length are refined as one stack of up to
     _REFINE_BLOCK graphs and _REFINE_CELLS transition entries; the output
     is the same as query by query.
     """
     _check_indices(ranking, queries.n, gallery.n)
-    sizes = [qr.gallery_indices.size for qr in ranking.queries]
+    sizes = np.diff(ranking.offsets)
     _check_top_n(top_n, sizes)
     if queries.d != gallery.d:
         raise ValueError(f"query feature has dim {queries.d}, gallery {gallery.d}")
-    heads = np.array([min(size, top_n) for size in sizes], dtype=np.int64)
-    refined = [None] * len(sizes)
+    heads = np.minimum(sizes, top_n)
+    starts = ranking.offsets[:-1]
+    indices, scores = ranking.gallery.copy(), ranking.scores.copy()
     try:
         for size in np.flatnonzero(np.bincount(heads)):
             group = np.flatnonzero(heads == size)
             step = max(1, min(_REFINE_BLOCK, _REFINE_CELLS // (int(size) + 1) ** 2))
             for lo in range(0, group.size, step):
                 block = group[lo:lo + step]
-                qrs = [ranking.queries[i] for i in block]
-                feats = queries.data[[qr.query_index for qr in qrs]]
-                for i, qr in zip(block, _refine_heads(feats, qrs, gallery, top_n, sigma)):
-                    refined[i] = qr
+                at = starts[block, None] + np.arange(size)
+                feats = queries.data[ranking.query_index[block]]
+                indices[at], scores[at] = _refine_heads(feats, indices[at], gallery, sigma)
     except ZeroNormRowError:
         # name the row of the first query in ranking order that has one, as
         # a query-by-query pass does
-        for qr in ranking.queries:
-            _refine_heads(queries.data[qr.query_index][None, :], [qr], gallery, top_n, sigma)
+        for row, (start, size) in enumerate(zip(starts, heads)):
+            _refine_heads(queries.data[ranking.query_index[row:row + 1]],
+                          ranking.gallery[None, start:start + size], gallery, sigma)
         raise
-    return RankingList(tuple(refined))
+    return RankingList._trusted(ranking.query_index, ranking.offsets, indices, scores)
 
 
 def _stable_top(dist: np.ndarray, k: int) -> np.ndarray:

@@ -9,11 +9,17 @@ and is checked against them.
 The margin-softmax helpers and :func:`refine_one` are thin forms of the
 package's own kernels, so a finite-difference or refinement check runs
 the code the trainer and ``refine_ranking`` run.
+
+The per-query ranking checks (``LoopedQueryRanking``, ``LoopedRankingList``
+and :func:`looped_check_indices`) are the package's former checks, kept
+verbatim but for their names as the oracle of the whole-array ones.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from sftlab.data import FeatureMatrix
+from sftlab.data import FeatureMatrix, freeze_array
 from sftlab.ranking import QueryRanking, RankingList, refine_ranking
 from sftlab.training import _am_softmax_grad, _am_softmax_parts, _check_labels
 from sftlab.transform import _unit_rows
@@ -63,10 +69,69 @@ def am_softmax_loss(x, labels, clf):
     return float(loss), grad_x, grad_w
 
 
+def ranking_of(rows):
+    """The checked RankingList of rows given as (query index, gallery
+    indices, scores), such as QueryRanking views, in row order."""
+    rows = list(rows)
+    offsets = np.cumsum([0] + [len(indices) for _, indices, _ in rows])
+    return RankingList(
+        [query_index for query_index, _, _ in rows], offsets,
+        np.concatenate([np.zeros(0, np.int64)] + [np.asarray(r[1], np.int64) for r in rows]),
+        np.concatenate([np.zeros(0)] + [np.asarray(r[2], np.float64) for r in rows]),
+    )
+
+
 def refine_one(query_feat, ranking, gallery, top_n, sigma):
     """``refine_ranking`` of one query's ranking, given that query's feature
     vector; the result keeps the ranking's query index."""
     query = FeatureMatrix(np.asarray(query_feat, dtype=np.float64).reshape(1, -1))
-    alone = RankingList((QueryRanking(0, ranking.gallery_indices, ranking.scores),))
+    alone = ranking_of([(0, ranking.gallery_indices, ranking.scores)])
     refined = refine_ranking(query, alone, gallery, top_n, sigma).queries[0]
     return QueryRanking(ranking.query_index, refined.gallery_indices, refined.scores)
+
+
+@dataclass(frozen=True)
+class LoopedQueryRanking:
+    """One query's gallery ordering: indices into the gallery rows."""
+
+    query_index: int
+    gallery_indices: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self):
+        idx = np.asarray(self.gallery_indices, dtype=np.int64)
+        sc = np.asarray(self.scores, dtype=np.float64)
+        if idx.ndim != 1 or idx.shape != sc.shape:
+            raise ValueError("indices and scores must be matching 1-d vectors")
+        if not np.isfinite(sc).all():
+            raise ValueError("ranking scores must be finite")
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("duplicate gallery index in ranking")
+        object.__setattr__(self, "gallery_indices", freeze_array(idx))
+        object.__setattr__(self, "scores", freeze_array(sc))
+
+
+@dataclass(frozen=True)
+class LoopedRankingList:
+    queries: tuple[LoopedQueryRanking, ...]
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+
+def looped_check_indices(ranking: LoopedRankingList, num_queries: int, num_gallery: int) -> None:
+    """Every query and gallery index of ranking lies in [0, n) of its split,
+    and every query is listed exactly once."""
+    seen = set()
+    for qr in ranking.queries:
+        if not 0 <= qr.query_index < num_queries:
+            raise ValueError(f"query index {qr.query_index} out of range for {num_queries} queries")
+        if qr.query_index in seen:
+            raise ValueError(f"query index {qr.query_index} listed twice")
+        seen.add(qr.query_index)
+        bad = qr.gallery_indices[(qr.gallery_indices < 0) | (qr.gallery_indices >= num_gallery)]
+        if bad.size:
+            raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
+    if len(seen) != num_queries:
+        raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")

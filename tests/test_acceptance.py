@@ -17,16 +17,10 @@ from conftest import central_diff, rel_error
 from sftlab.cli import main as cli_main
 from sftlab.data import FeatureMatrix, Partition
 from sftlab.experiment import ExperimentConfig, run_experiment
-from reference import am_softmax_loss, am_softmax_value, cut, stationary, transition, volume
+from reference import (am_softmax_loss, am_softmax_value, cut, ranking_of, stationary,
+                       transition, volume)
 from sftlab.graphcut import class_ncut_escape, ncut_loss
-from sftlab.ranking import (
-    QueryRanking,
-    RankingList,
-    evaluate,
-    k_reciprocal_rerank,
-    rank,
-    refine_ranking,
-)
+from sftlab.ranking import evaluate, k_reciprocal_rerank, rank, refine_ranking
 from sftlab.rng import Xoshiro256StarStar
 from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig, forward_backward
 from sftlab.transform import _transition_from_features, affinity, sft_backward, sft_transform_array
@@ -183,8 +177,8 @@ def test_criterion_2_gradient_suite():
 def _single_query_eval(relevance):
     gallery_specs = [(0 if rel else 5 + i, 1) for i, rel in enumerate(relevance)]
     manifest = eval_manifest([(0, 0)], gallery_specs)
-    qr = QueryRanking(0, np.arange(len(relevance)), np.linspace(1.0, 0.1, len(relevance)))
-    return evaluate(RankingList((qr,)), manifest).map_score
+    ranking = ranking_of([(0, np.arange(len(relevance)), np.linspace(1.0, 0.1, len(relevance)))])
+    return evaluate(ranking, manifest).map_score
 
 
 def test_criterion_3_metric_oracle():

@@ -444,6 +444,12 @@ def _drop_first_score(payload):
     return payload
 
 
+def _repeat_first_gallery_index(payload):
+    items = payload["queries"][0]["items"]
+    items[1]["gallery_index"] = items[0]["gallery_index"]
+    return payload
+
+
 # edits that `load_ranking` rejects, naming the file
 NOT_A_RANKING = {
     "gallery_index_1e30": _set_first("gallery_index", 10**30),
@@ -455,6 +461,9 @@ NOT_A_RANKING = {
     "missing_score": _drop_first_score,
     "null_score": _set_first("score", None),
     "nan_score": _set_first("score", math.nan),
+    "infinite_score": _set_first("score", math.inf),
+    "duplicate_gallery_index": _repeat_first_gallery_index,
+    "query_index_1e30": _set_first("query_index", 10**30),
     "json_list": lambda payload: payload["queries"],
     "items_not_a_list": lambda payload: {"queries": [{"query_index": 0, "items": 3}]},
     # edits that return bytes replace the file's contents
@@ -470,6 +479,19 @@ HOSTILE_RANKINGS = {
     "gallery_index_1e6": _set_first("gallery_index", 10**6),
     "repeated_query": _set_first("query_index", 1),
     "missing_query": lambda payload: {"queries": payload["queries"][1:]},
+}
+# the whole error line of the edits whose message the package writes
+HOSTILE_MESSAGES = {
+    "nan_score": "{path} is not a ranking file (ValueError: ranking scores must be finite)",
+    "infinite_score": "{path} is not a ranking file (ValueError: ranking scores must be finite)",
+    "duplicate_gallery_index":
+        "{path} is not a ranking file (ValueError: duplicate gallery index in ranking)",
+    "query_index_-1": "query index -1 out of range for 6 queries",
+    "query_index_6": "query index 6 out of range for 6 queries",
+    "gallery_index_-1": "gallery index -1 out of range for 18 gallery rows",
+    "gallery_index_1e6": "gallery index 1000000 out of range for 18 gallery rows",
+    "repeated_query": "query index 1 listed twice",
+    "missing_query": "ranking lists 5 of 6 queries",
 }
 
 
@@ -490,6 +512,8 @@ class TestHostileRanking:
         assert re.fullmatch(r"error: [^\n]*\n", err)
         if edit in NOT_A_RANKING:
             assert err.startswith(f"error: {ranking} is not a ranking file (")
+        if edit in HOSTILE_MESSAGES:
+            assert err == f"error: {HOSTILE_MESSAGES[edit].format(path=ranking)}\n"
         assert not out.exists()
 
 

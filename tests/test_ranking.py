@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import refine_one
+from reference import (LoopedQueryRanking, LoopedRankingList, looped_check_indices, ranking_of,
+                       refine_one)
 from sftlab.cli import load_ranking, main, save_ranking
 from sftlab.data import (
     DatasetManifest,
@@ -20,10 +21,12 @@ from sftlab.data import (
     save_features,
     save_manifest,
     split_features,
+    write_json,
 )
 from sftlab.ranking import (
     QueryRanking,
     RankingList,
+    _check_indices,
     _eval_records,
     _ranked,
     evaluate,
@@ -47,20 +50,37 @@ class TestQueryRanking:
     @pytest.mark.parametrize("indices", [[1, 1], [3, 0, 2, 0], [4, 1, 2, 3, 0, 1]])
     def test_duplicate_index_rejected(self, indices):
         with pytest.raises(ValueError, match="duplicate gallery index"):
-            QueryRanking(0, np.array(indices), np.zeros(len(indices)))
+            ranking_of([(0, np.array(indices), np.zeros(len(indices)))])
 
     @pytest.mark.parametrize("indices", [[], [7], [3, 0, 2, 1]])
     def test_distinct_indices_accepted(self, indices):
-        qr = QueryRanking(0, np.array(indices, dtype=np.int64), np.zeros(len(indices)))
+        qr = ranking_of([(0, np.array(indices, dtype=np.int64), np.zeros(len(indices)))]).queries[0]
         assert qr.gallery_indices.tolist() == indices
 
     def test_freezes_a_copy_of_the_callers_arrays(self):
-        indices, scores = np.array([2, 0, 1], dtype=np.int64), np.zeros(3)
-        qr = QueryRanking(0, indices, scores)
-        assert indices.flags.writeable and scores.flags.writeable
+        arrays = [np.array([0]), np.array([0, 3]), np.array([2, 0, 1], dtype=np.int64), np.zeros(3)]
+        ranking = RankingList(*arrays)
+        assert all(arr.flags.writeable for arr in arrays)
+        assert not any(arr.flags.writeable for arr in
+                       (ranking.query_index, ranking.offsets, ranking.gallery, ranking.scores))
+        qr = ranking.queries[0]
         assert not qr.gallery_indices.flags.writeable and not qr.scores.flags.writeable
-        indices[0] = 5
+        arrays[2][0] = 5
         assert qr.gallery_indices.tolist() == [2, 0, 1]
+
+    def test_row_views_share_the_flat_arrays(self):
+        ranking = ranking_of([(1, [4, 2], [0.5, 0.25]), (0, [], []), (2, [2], [1.0])])
+        assert ranking.queries is ranking.queries  # built once
+        assert [qr.query_index for qr in ranking.queries] == [1, 0, 2]
+        assert [qr.gallery_indices.tolist() for qr in ranking.queries] == [[4, 2], [], [2]]
+        for qr in ranking.queries:
+            assert type(qr.query_index) is int
+            assert np.shares_memory(qr.scores, ranking.scores) or qr.scores.size == 0
+
+    @pytest.mark.parametrize("offsets", [[0, 1], [1, 2, 3], [0, 1, 2], [0, 4, 3], [[0, 2], [3, 3]]])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="^offsets must be 3 bounds rising from 0 to 3$"):
+            RankingList([0, 1], offsets, [0, 1, 2], np.zeros(3))
 
 
 class TestRank:
@@ -159,9 +179,8 @@ class TestEvaluate:
         """Single query whose ranked gallery has the given relevance flags."""
         gallery_specs = [(0 if rel else 5 + i, 1) for i, rel in enumerate(relevance)]
         manifest = eval_manifest([(0, 0)], gallery_specs)
-        qr = QueryRanking(0, np.arange(len(relevance)),
-                          np.linspace(1.0, 0.1, len(relevance)))
-        return RankingList((qr,)), manifest
+        ranking = ranking_of([(0, np.arange(len(relevance)), np.linspace(1.0, 0.1, len(relevance)))])
+        return ranking, manifest
 
     def test_hand_computed_ap(self):
         ranking, manifest = self.make_single_query([1, 0, 1])
@@ -213,13 +232,13 @@ class TestEvaluate:
             SampleRecord("g0", 0, 1, "gallery"),
             SampleRecord("g1", 8, 1, "gallery"),
         ))
-        qr = QueryRanking(0, np.array([1]), np.array([0.5]))  # only irrelevant item
+        ranking = ranking_of([(0, np.array([1]), np.array([0.5]))])  # only irrelevant item
         with pytest.raises(ValueError, match="relevant"):
-            evaluate(RankingList((qr,)), manifest_ok)
+            evaluate(ranking, manifest_ok)
 
     def test_missing_query_rejected(self):
         manifest = eval_manifest([(0, 0), (1, 0)], [(0, 1), (1, 1)])
-        ranking = RankingList((QueryRanking(1, np.array([1, 0]), np.array([0.9, 0.1])),))
+        ranking = ranking_of([(1, np.array([1, 0]), np.array([0.9, 0.1]))])
         with pytest.raises(ValueError, match="ranking lists 1 of 2 queries"):
             evaluate(ranking, manifest)
 
@@ -233,7 +252,7 @@ class TestEvaluate:
         """No index wraps around or fails inside numpy: evaluate and
         refine_ranking name the first one outside its split."""
         _, manifest = self.make_single_query([1, 0, 1])
-        ranking = RankingList((QueryRanking(query_index, np.array(gallery_indices), np.ones(3)),))
+        ranking = ranking_of([(query_index, np.array(gallery_indices), np.ones(3))])
         with pytest.raises(ValueError, match=message):
             evaluate(ranking, manifest)
         with pytest.raises(ValueError, match=message):
@@ -531,8 +550,8 @@ def reference_k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix
         if valid.size == 0:
             raise ValueError(f"query {rec.sample_id!r} has no valid gallery")
         ordered = valid[np.lexsort((valid, final[qi, valid]))]
-        out.append(QueryRanking(qi, ordered, -final[qi, ordered]))
-    return RankingList(tuple(out))
+        out.append((qi, ordered, -final[qi, ordered]))
+    return ranking_of(out)
 
 
 class TestKReciprocalMatchesDenseReference:
@@ -606,8 +625,8 @@ def looped_ranked(dist, query_recs, gallery_recs):
         if junk.all():
             raise ValueError(f"query {rec.sample_id!r} has no valid gallery")
         order = orders[qi][~junk[orders[qi]]]
-        out.append(QueryRanking(qi, order, -dist[qi, order]))
-    return RankingList(tuple(out))
+        out.append((qi, order, -dist[qi, order]))
+    return ranking_of(out)
 
 
 def looped_rank(queries, gallery, manifest):
@@ -627,10 +646,10 @@ def looped_refine_head(query_feat, ranking, gallery, top_n, sigma):
 
 
 def looped_refine_ranking(queries, ranking, gallery, top_n, sigma):
-    return RankingList(tuple(
+    return ranking_of(
         looped_refine_head(queries.data[qr.query_index], qr, gallery, top_n, sigma)
         for qr in ranking.queries
-    ))
+    )
 
 
 def looped_stable_top(dist, k):
@@ -765,18 +784,18 @@ class TestBitwiseAgainstLoopedReference:
         """Mixed head lengths refine in separate stacks, each query as alone."""
         queries, gallery, manifest = blob_split(5, 12, 7)
         rng = np.random.default_rng(0)
-        truncated = RankingList(tuple(
-            QueryRanking(qr.query_index, qr.gallery_indices[:keep], qr.scores[:keep])
+        truncated = ranking_of(
+            (qr.query_index, qr.gallery_indices[:keep], qr.scores[:keep])
             for qr in rank(queries, gallery, manifest).queries
             for keep in [int(rng.integers(1, 12))]
-        ))
+        )
         assert len({min(top_n, qr.gallery_indices.size) for qr in truncated.queries}) > 1 or top_n == 1
         assert_bitwise(refine_ranking(queries, truncated, gallery, top_n, 0.3),
                        looped_refine_ranking(queries, truncated, gallery, top_n, 0.3))
         for qr in truncated.queries:
             got = refine_one(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
             want = looped_refine_head(queries.data[qr.query_index], qr, gallery, top_n, 0.3)
-            assert_bitwise(RankingList((got,)), RankingList((want,)))
+            assert_bitwise(ranking_of([got]), ranking_of([want]))
 
     def test_signed_zero_ties_keep_their_bits(self):
         """Rows tied between 0.0 and -0.0 are scored in the stable order,
@@ -814,10 +833,10 @@ def zero_row_instance():
     gallery_rows = rng.normal(size=(6, 4))
     gallery_rows[5] = 0.0
     gallery = FeatureMatrix(gallery_rows)
-    ranking = RankingList((
-        QueryRanking(0, np.array([0, 1, 5, 2, 3]), np.linspace(1.0, 0.0, 5)),
-        QueryRanking(1, np.array([5]), np.array([0.5])),
-    ))
+    ranking = ranking_of([
+        (0, np.array([0, 1, 5, 2, 3]), np.linspace(1.0, 0.0, 5)),
+        (1, np.array([5]), np.array([0.5])),
+    ])
     return queries, ranking, gallery
 
 
@@ -897,3 +916,193 @@ def test_refine_memory_of_long_heads_stays_near_one_graph():
     graph = 8 * (top_n + 1) ** 2
     assert peak < lists + 3 * graph, (peak - lists) / graph
     assert_bitwise(refined, looped_refine_ranking(queries, plain, gallery, top_n, 0.1))
+
+
+# Single faults in a ranking of n_q queries over n_g gallery rows, each with
+# a fragment of the message that names it; the last is no fault at all.
+FAULTS = {
+    "query_out_of_range": "query index",
+    "repeated_query": "listed twice",
+    "missing_query": "ranking lists",
+    "gallery_out_of_range": "gallery index",
+    "duplicate_in_row": "duplicate gallery index",
+    "non_finite_score": "must be finite",
+    "mismatched_lengths": "matching 1-d vectors",
+    "same_index_two_rows": None,
+}
+
+
+def fuzz_rows(rng, n_q, n_g):
+    """A valid ranking as rows of (query index, gallery indices, scores):
+    every query once, in random order, each with distinct gallery rows."""
+    rows = []
+    for qi in rng.permutation(n_q).tolist():
+        indices = rng.permutation(n_g)[:int(rng.integers(1, n_g + 1))]
+        rows.append([qi, indices, rng.normal(size=indices.size)])
+    return rows
+
+
+def add_fault(rng, rows, fault, n_q, n_g):
+    """Give a random row of rows (in place) one fault of the named kind."""
+    r = int(rng.integers(len(rows)))
+    others = [s for s in range(len(rows)) if s != r]
+    indices, scores = rows[r][1], rows[r][2]
+    j = int(rng.integers(indices.size))
+    if fault == "query_out_of_range":
+        k = int(rng.integers(3))
+        rows[r][0] = int(rng.choice([-1 - k, n_q + k]))
+    elif fault == "repeated_query":
+        rows[r][0] = rows[int(rng.choice(others))][0]
+    elif fault == "missing_query":
+        del rows[r]
+    elif fault == "gallery_out_of_range":
+        indices[j] = int(rng.choice([-1 - int(rng.integers(3)), n_g + int(rng.integers(10**12))]))
+    elif fault == "duplicate_in_row":
+        if indices.size < 2:
+            rows[r][1] = indices = rng.permutation(n_g)
+            rows[r][2] = scores = rng.normal(size=n_g)
+        pair = rng.choice(indices.size, size=2, replace=False)
+        indices[pair[0]] = indices[pair[1]]
+    elif fault == "non_finite_score":
+        scores[j] = rng.choice([np.nan, np.inf, -np.inf])
+    elif fault == "mismatched_lengths":
+        rows[r][2] = scores[:-1] if rng.random() < 0.5 else np.append(scores, 0.5)
+    elif fault == "same_index_two_rows":
+        s = int(rng.choice(others))
+        rows[s][1] = rng.permutation(indices)
+        rows[s][2] = rng.normal(size=indices.size)
+
+
+def verdict(check):
+    """None if check() passes, else its ValueError's message."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def oracle_verdict(rows, n_q, n_g):
+    return verdict(lambda: looped_check_indices(
+        LoopedRankingList(tuple(LoopedQueryRanking(*row) for row in rows)), n_q, n_g))
+
+
+def whole_array_verdict(rows, n_q, n_g):
+    return verdict(lambda: _check_indices(ranking_of(rows), n_q, n_g))
+
+
+class TestWholeArrayChecksMatchTheLoopedOracle:
+    """The constructor's checks and _check_indices accept and reject what
+    the per-query checks they replaced do, with the same message."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_single_fault(self, fault):
+        rng = np.random.default_rng(sorted(FAULTS).index(fault))
+        for _ in range(60):
+            n_q, n_g = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+            rows = fuzz_rows(rng, n_q, n_g)
+            add_fault(rng, rows, fault, n_q, n_g)
+            want = oracle_verdict(rows, n_q, n_g)
+            assert (want is None) == (FAULTS[fault] is None), (fault, want)
+            assert FAULTS[fault] is None or FAULTS[fault] in want
+            assert whole_array_verdict(rows, n_q, n_g) == want
+
+    def test_two_faults_name_the_first_row_with_one(self):
+        """Per-row checks stop at the first faulty row, and within a row
+        run in a fixed order: the whole-array ones name the same fault."""
+        rng = np.random.default_rng(99)
+        faults = sorted(f for f in FAULTS if FAULTS[f] and f != "mismatched_lengths")
+        for _ in range(600):
+            n_q, n_g = int(rng.integers(3, 7)), int(rng.integers(2, 9))
+            rows = fuzz_rows(rng, n_q, n_g)
+            for fault in rng.choice(faults, size=2):
+                add_fault(rng, rows, fault, n_q, n_g)
+            assert whole_array_verdict(rows, n_q, n_g) == oracle_verdict(rows, n_q, n_g)
+
+    def test_valid_ranking_passes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            rows = fuzz_rows(rng, 5, 6)
+            assert oracle_verdict(rows, 5, 6) is None
+            assert whole_array_verdict(rows, 5, 6) is None
+
+
+class TestBuiltListsPassTheCheckedConstructor:
+    """rank, refine_ranking and k_reciprocal_rerank build their lists
+    unchecked; each passes the public constructor unchanged."""
+
+    @staticmethod
+    def assert_passes_unchanged(built, queries, gallery):
+        arrays = (built.query_index, built.offsets, built.gallery, built.scores)
+        checked = RankingList(*arrays)
+        _check_indices(checked, queries.n, gallery.n)
+        for mine, theirs in zip(arrays, (checked.query_index, checked.offsets,
+                                         checked.gallery, checked.scores)):
+            assert not mine.flags.writeable
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("instance", ["retrieval_blobs", "duplicate_rows"])
+    def test_rank_refine_and_k_reciprocal(self, instance):
+        if instance == "retrieval_blobs":  # the benchmark's retrieval input
+            queries, gallery, manifest = blob_split(1, 120)
+            top_n, sigma, kr = 50, 0.1, (20, 6, 0.3)
+        else:  # every gallery row three times: ties everywhere
+            queries, gallery, manifest = tie_instance(instance)
+            top_n, sigma, kr = 5, 0.2, (4, 2, 0.3)
+        plain = rank(queries, gallery, manifest)
+        for built in (plain, refine_ranking(queries, plain, gallery, top_n, sigma),
+                      k_reciprocal_rerank(queries, gallery, manifest, *kr)):
+            self.assert_passes_unchanged(built, queries, gallery)
+
+
+def payload_ranking(ranking, manifest):
+    """The JSON payload that save_ranking wrote through write_json before
+    it streamed, kept verbatim but for its name as the reference."""
+    query_recs = manifest.subset("query")
+    gallery_recs = manifest.subset("gallery")
+    return {
+        "queries": [
+            {
+                "query_index": qr.query_index,
+                "sample_id": query_recs[qr.query_index].sample_id,
+                "items": [
+                    {
+                        "gallery_index": int(g),
+                        "sample_id": gallery_recs[int(g)].sample_id,
+                        "score": float(s),
+                    }
+                    for g, s in zip(qr.gallery_indices, qr.scores)
+                ],
+            }
+            for qr in ranking.queries
+        ]
+    }
+
+
+def save_instance(name):
+    if name == "ranked_blobs":
+        queries, gallery, manifest = blob_split(3, 12)
+        return rank(queries, gallery, manifest), manifest
+    manifest = eval_manifest([(0, 0), (1, 0)], [(0, 1), (1, 1), (2, 0)])
+    if name == "empty_items":
+        # with awkward floats too: a long repr, a signed zero, the least subnormal
+        return ranking_of([(1, [], []), (0, [2, 0, 1], [0.1 + 0.2, -0.0, 5e-324])]), manifest
+    if name == "non_ascii_ids":
+        records = [SampleRecord(sid, ident, cam, split) for sid, ident, cam, split in (
+            ("q-Zoë", 0, 0, "query"), ("q-東京", 1, 0, "query"), ('g-"quoted"\\', 0, 1, "gallery"),
+            ("g-\U0001f600", 1, 1, "gallery"), ("g-\u00e9\u0301", 2, 0, "gallery"))]
+        manifest = DatasetManifest(tuple(records))
+        return ranking_of([(0, [1, 0, 2], [0.5, 0.25, -1.5]), (1, [2, 1], [1.0, 0.0])]), manifest
+    return ranking_of([]), manifest
+
+
+class TestSaveRankingStreams:
+    @pytest.mark.parametrize("name", ["ranked_blobs", "empty_items", "non_ascii_ids", "no_queries"])
+    def test_bytes_equal_the_json_payload(self, tmp_path, name):
+        ranking, manifest = save_instance(name)
+        save_ranking(ranking, manifest, tmp_path / "streamed.json")
+        write_json(payload_ranking(ranking, manifest), tmp_path / "payload.json")
+        assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "payload.json").read_bytes()
+        if len(ranking):
+            assert_bitwise(load_ranking(tmp_path / "streamed.json"), ranking)
