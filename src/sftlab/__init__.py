@@ -36,7 +36,6 @@ from .training import (
     AmSoftmaxClassifier,
     EmbedModel,
     TrainConfig,
-    forward_backward,
     lr_at,
     sample_pk,
     train,

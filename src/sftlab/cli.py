@@ -36,7 +36,7 @@ from .data import (
 )
 from .graphcut import class_ncut_escape
 from .ranking import RankingList, evaluate, rank, refine_ranking
-from .training import METHODS, PARSERS, TrainConfig, load_train_config, train
+from .training import MARGIN, METHODS, PARSERS, SCALE, TrainConfig, load_train_config, train
 from .transform import AffinityMatrix, _check_sigma, _exp_cosines, _unit_rows, sft_transform
 
 TOPOLOGY_ALIASES = {
@@ -165,8 +165,8 @@ def cmd_train(args) -> int:
             "biases": [b.tolist() for b in result.model.biases],
             "normalize_output": True,
             "classifier_weight": result.classifier.weight.tolist(),
-            "margin": result.classifier.margin,
-            "scale": result.classifier.scale,
+            "margin": MARGIN,
+            "scale": SCALE,
         }
         write_json(payload, args.out_model)
     if result.log:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import DatasetManifest, FeatureMatrix
-from .transform import ZeroNormRowError, cosine_between, sft_transform_array
+from .transform import ZeroNormRowError, _check_sigma, cosine_between, sft_transform_array
 
 log = logging.getLogger(__name__)
 
@@ -258,10 +258,11 @@ def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: Featur
     is the same as query by query.
     """
     _check_indices(ranking, queries.n, gallery.n)
-    sizes = np.diff(ranking.offsets)
-    _check_top_n(top_n, sizes)
+    _check_sigma(sigma)
     if queries.d != gallery.d:
         raise ValueError(f"query feature has dim {queries.d}, gallery {gallery.d}")
+    sizes = np.diff(ranking.offsets)
+    _check_top_n(top_n, sizes)
     heads = np.minimum(sizes, top_n)
     starts = ranking.offsets[:-1]
     indices, scores = ranking.gallery.copy(), ranking.scores.copy()

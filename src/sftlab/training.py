@@ -36,13 +36,19 @@ from .transform import (
     affinity,
 )
 
-# the ablation's cells: no transform, the transform alone, with deep
-# supervision through an unshared or the shared classifier, and the ncut loss
-METHODS = ("baseline", "sft", "sft+ds_unshared", "sft+ds_shared", "ncut")
+# the ablation's cells: no transform, the ncut loss, the transform alone,
+# and with deep supervision through the shared or an unshared classifier.
+# Slots stack method-major in this order: the slots under a transform are
+# contiguous, and the unshared ones, the only slots with a second
+# classifier, come last
+METHODS = ("baseline", "ncut", "sft", "sft+ds_shared", "sft+ds_unshared")
 # the fixed optimiser recipe: lr_at's warmup start and decay step, SGD momentum
 WARMUP_START_LR = 0.001
 DECAY_FACTOR = 0.1
 MOMENTUM = 0.9
+# the fixed classifier recipe: additive cosine margin and logit scale
+MARGIN = 0.3
+SCALE = 15.0
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,10 @@ class EmbedModel:
 
 @dataclass
 class AmSoftmaxClassifier:
-    """Cosine classifier with additive margin and logit scaling; its
-    (num_classes, embed_dim) weight may be an (S, ...) stack of them."""
+    """Cosine classifier with additive margin MARGIN and logit scale SCALE;
+    its (num_classes, embed_dim) weight may be an (S, ...) stack of them."""
 
     weight: np.ndarray
-    margin: float = 0.3
-    scale: float = 15.0
-
-    def __post_init__(self):
-        if self.margin < 0 or self.scale <= 0:
-            raise ValueError("margin must be >= 0 and scale > 0")
 
     @classmethod
     def init(cls, num_classes: int, embed_dim: int, rng: Xoshiro256StarStar) -> "AmSoftmaxClassifier":
@@ -209,32 +209,18 @@ class AmSoftmaxClassifier:
         w = np.array(rng.normals(num_classes * embed_dim)).reshape(num_classes, embed_dim)
         return cls(w / np.sqrt(embed_dim))
 
-    @property
-    def num_classes(self) -> int:
-        return self.weight.shape[-2]
 
-
-def _check_labels(y: np.ndarray, n: int, num_classes: int) -> None:
-    if y.shape != (n,):
-        raise ValueError(f"labels shape {y.shape} does not match {n} samples")
-    if y.min() < 0 or y.max() >= num_classes:
-        raise ValueError(
-            f"label {int(y.max() if y.max() >= num_classes else y.min())} "
-            f"out of range for {num_classes} classes"
-        )
-
-
-def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, clf: AmSoftmaxClassifier):
+def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray):
     """Forward pass on raw rows x and valid labels y against unit classifier
     rows: (n, d), (n,) and (C, d), or (S, n, d), (S, n) and (S, C, d)
     stacks with a loss per matrix.  Returns (feat, feat_norms, logits,
     lse, loss) and each row's label cell of logits, flat."""
     feat_norms, feat = _unit_rows(x)
     cos = feat @ w_unit.swapaxes(-1, -2)
-    logits = clf.scale * cos
+    logits = SCALE * cos
     labelled = (np.arange(y.size), y.reshape(-1))
     flat = logits.reshape(-1, logits.shape[-1])
-    target = clf.scale * (cos.reshape(flat.shape)[labelled] - clf.margin)
+    target = SCALE * (cos.reshape(flat.shape)[labelled] - MARGIN)
     flat[labelled] = target
     # a max is exact in any order; numpy reduces short rows one at a time,
     # and whole rows at once over the columns of a transposed copy
@@ -244,15 +230,15 @@ def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray, clf: AmS
     return feat, feat_norms, logits, lse, (lse - target.reshape(y.shape)).sum(axis=-1) / y.shape[-1], labelled
 
 
-def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray, w_unit: np.ndarray,
-                     clf: AmSoftmaxClassifier) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray,
+                     w_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(loss, d loss / d x, d loss / d classifier weight) for valid labels,
     of one matrix or per matrix of a stack."""
-    feat, feat_norms, logits, lse, loss, labelled = _am_softmax_parts(x, y, w_unit, clf)
+    feat, feat_norms, logits, lse, loss, labelled = _am_softmax_parts(x, y, w_unit)
     grad_cos = logits - lse[..., None]
     np.exp(grad_cos, out=grad_cos)  # the softmax, less one at each label, times scale / n
     grad_cos.reshape(-1, grad_cos.shape[-1])[labelled] -= 1.0
-    grad_cos *= clf.scale
+    grad_cos *= SCALE
     grad_cos /= x.shape[-2]
     grad_x = _unit_backward(grad_cos @ w_unit, feat, feat_norms)
     grad_w = _unit_backward(grad_cos.swapaxes(-1, -2) @ feat, w_unit, w_norms)
@@ -288,10 +274,6 @@ def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
     return np.array(rows, dtype=np.int64).reshape(steps, p * k)
 
 
-# slots stack method-major in this order: the slots under a transform are
-# contiguous, and the unshared ones, the only slots with a second
-# classifier, come last
-_STACK_ORDER = ("baseline", "ncut", "sft", "sft+ds_shared", "sft+ds_unshared")
 # the TrainConfig fields that may differ between the slots of one stack
 _PER_SLOT = ("method", "sigma", "seed")
 
@@ -308,7 +290,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(methods: Sequence[str], sigmas: Sequence[float], cfg: TrainConfig) -> _Plan:
-    """The plan of slots with these methods, in _STACK_ORDER order, and
+    """The plan of slots with these methods, in METHODS order, and
     sigmas; cfg gives the fields that the slots share."""
     slices: dict[str, slice] = {}
     for i, method in enumerate(methods):
@@ -330,15 +312,21 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassif
 
     x (S, n, d) holds each slot's batch and y (S, n) its valid class ids;
     model and clf are stacks of the slots' parameters, clf_orig that of the
-    unshared slots' second classifiers (same margin and scale as clf).
-    Each part runs once per stack: the embedding and its backward pass on
-    every slot, the transform on its slots, and one margin softmax on every
-    slot's transformed features with clf and on the transformed slots'
-    embeddings with the classifier that scores them (clf_orig for the
-    unshared slots); the ncut loss runs per slot.  Returns (loss_orig,
-    loss_sft, grads), the losses shaped (S,) and grads as described by
-    :func:`forward_backward`, each with a leading slot axis (the unshared
-    slots' only, for clf_orig).
+    unshared slots' second classifiers.  Each part runs once per stack: the
+    embedding and its backward pass on every slot, the transform on its
+    slots, and one margin softmax on every slot's transformed features with
+    clf and on the transformed slots' embeddings with the classifier that
+    scores them (clf_orig for the unshared slots); the ncut loss runs per
+    slot.
+
+    Returns (loss_orig, loss_sft, grads), the losses shaped (S,).  loss_sft
+    is the classifier loss on transformed features (the embedding itself
+    for the baseline, the graph-cut loss for ncut); loss_orig is the
+    classifier loss on the untransformed embedding, which contributes
+    gradient only under deep supervision and ncut (it is still reported
+    otherwise, for the log).  grads holds the gradients of
+    model.parameters() + [clf.weight], then of clf_orig.weight, each with a
+    leading slot axis (the unshared slots' only, for clf_orig).
     """
     emb, cache = model.forward(x)
     slots = len(emb)
@@ -355,7 +343,7 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassif
         if clf_orig is not None:
             scorers[1:] = [clf.weight[moved][:-len(clf_orig.weight)], clf_orig.weight]
         weights = np.concatenate(scorers)
-    loss, grad_in, grad_w = _am_softmax_grad(inputs, labels, *_unit_rows(weights), clf)
+    loss, grad_in, grad_w = _am_softmax_grad(inputs, labels, *_unit_rows(weights))
     loss_sft, grad_emb, grad_clf = loss[:slots], grad_in[:slots], grad_w[:slots]
     loss_orig = loss_sft.copy()
     grads_orig = []
@@ -377,38 +365,6 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassif
         loss_sft[slot], grad_graph = ncut_loss(emb[slot], y[slot], sigma)
         grad_emb[slot] += grad_graph
     return loss_orig, loss_sft, model.backward(cache, grad_emb) + [grad_clf] + grads_orig
-
-
-def forward_backward(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
-                     clf: AmSoftmaxClassifier, cfg: TrainConfig,
-                     clf_orig: AmSoftmaxClassifier | None = None):
-    """One training step's losses and parameter gradients under cfg.method.
-
-    Returns (loss_orig, loss_sft, grads).  grads is a list of gradients
-    in the order model.parameters() + [clf.weight], then clf_orig.weight
-    under sft+ds_unshared.  loss_sft is the classifier loss on
-    transformed features (the embedding itself for the baseline, the
-    graph-cut loss for ncut); loss_orig is the classifier loss on the
-    untransformed embedding, which contributes gradient only under deep
-    supervision and ncut (it is still reported otherwise, for the log).
-
-    This is the trainer's step kernel on a stack of one: the transform's
-    forward pass feeds its backward pass, and the margin softmax runs once
-    per distinct (input, classifier) pair.
-    """
-    _check_labels(labels, x.shape[0], clf.num_classes)
-    stacked_orig = None
-    if cfg.method == "sft+ds_unshared":
-        if clf_orig is None:
-            raise ValueError("unshared deep supervision needs the second classifier")
-        _check_labels(labels, x.shape[0], clf_orig.num_classes)
-        if (clf_orig.margin, clf_orig.scale) != (clf.margin, clf.scale):
-            raise ValueError("the unshared classifier must have the first one's margin and scale")
-        stacked_orig = replace(clf_orig, weight=clf_orig.weight[None])
-    stacked = EmbedModel([w[None] for w in model.weights], [b[None] for b in model.biases])
-    loss_orig, loss_sft, grads = _step(x[None], labels[None], stacked, replace(clf, weight=clf.weight[None]),
-                                       stacked_orig, _plan((cfg.method,), (cfg.sigma,), cfg))
-    return float(loss_orig[0]), float(loss_sft[0]), [g[0] for g in grads]
 
 
 @dataclass
@@ -451,7 +407,7 @@ class _Slot(NamedTuple):
     """One run of a lockstep call, ready to stack."""
 
     cfg: TrainConfig
-    arrays: list[np.ndarray]  # initial parameters in forward_backward's gradient order
+    arrays: list[np.ndarray]  # initial parameters in _step's gradient order
     layers: int               # weight arrays of the model
     schedule: tuple           # its PK schedule's key: (dataset, p, k, steps, rng state)
     train_rows: np.ndarray    # its dataset's train rows in the stacked data
@@ -516,7 +472,7 @@ def _train(runs: list) -> list[TrainResult]:
         stacks.setdefault(slot.group, []).append(i)
     results = [None] * len(slots)
     for members in stacks.values():
-        members.sort(key=lambda i: _STACK_ORDER.index(slots[i].cfg.method))
+        members.sort(key=lambda i: METHODS.index(slots[i].cfg.method))
         trained = _train_stack([slots[i] for i in members], draws, data, class_ids)
         for i, result in zip(members, trained):
             results[i] = result
@@ -540,7 +496,7 @@ def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray
     every field but _PER_SLOT, in lockstep.
 
     Each slot's parameters are one row of an (S, P) buffer, laid out in
-    forward_backward's gradient order, so the momentum update is a few
+    _step's gradient order, so the momentum update is a few
     whole-buffer ufunc calls; the unshared slots come last, and only their
     rows use the second classifier's columns.
     """

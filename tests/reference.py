@@ -6,9 +6,9 @@ the raw edge weights, apart from ``sftlab.graphcut.class_ncut_escape``,
 which computes every class's ncut and escape probabilities in one pass
 and is checked against them.
 
-The margin-softmax helpers and :func:`refine_one` are thin forms of the
-package's own kernels, so a finite-difference or refinement check runs
-the code the trainer and ``refine_ranking`` run.
+The margin-softmax helpers, :func:`forward_backward` and :func:`refine_one`
+are thin forms of the package's own kernels, so a finite-difference or
+refinement check runs the code the trainer and ``refine_ranking`` run.
 
 The per-query ranking checks (``LoopedQueryRanking``, ``LoopedRankingList``
 and :func:`looped_check_indices`) are the package's former checks, kept
@@ -21,7 +21,8 @@ import numpy as np
 
 from sftlab.data import FeatureMatrix, freeze_array
 from sftlab.ranking import QueryRanking, RankingList, refine_ranking
-from sftlab.training import _am_softmax_grad, _am_softmax_parts, _check_labels
+from sftlab.training import (AmSoftmaxClassifier, EmbedModel, _am_softmax_grad, _am_softmax_parts,
+                             _plan, _step)
 from sftlab.transform import _unit_rows
 
 
@@ -55,18 +56,53 @@ def transition(w):
     return w.data / w.data.sum(axis=1)[:, None]
 
 
+def check_labels(y, n, clf):
+    """Reject labels that are not n class ids of the classifier."""
+    num_classes = clf.weight.shape[0]
+    if y.shape != (n,):
+        raise ValueError(f"labels shape {y.shape} does not match {n} samples")
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ValueError(
+            f"label {int(y.max() if y.max() >= num_classes else y.min())} "
+            f"out of range for {num_classes} classes"
+        )
+
+
 def am_softmax_value(x, labels, clf):
     """The trainer's mean margin-softmax loss of feature rows x, forward only."""
-    _check_labels(labels, x.shape[0], clf.num_classes)
-    return float(_am_softmax_parts(x, labels, _unit_rows(clf.weight)[1], clf)[4])
+    check_labels(labels, x.shape[0], clf)
+    return float(_am_softmax_parts(x, labels, _unit_rows(clf.weight)[1])[4])
 
 
 def am_softmax_loss(x, labels, clf):
     """(loss, d loss / d x, d loss / d clf.weight) from the trainer's kernel,
     the gradients taken w.r.t. the raw (unnormalized) rows."""
-    _check_labels(labels, x.shape[0], clf.num_classes)
-    loss, grad_x, grad_w = _am_softmax_grad(x, labels, *_unit_rows(clf.weight), clf)
+    check_labels(labels, x.shape[0], clf)
+    loss, grad_x, grad_w = _am_softmax_grad(x, labels, *_unit_rows(clf.weight))
     return float(loss), grad_x, grad_w
+
+
+def forward_backward(x, labels, model, clf, cfg, clf_orig=None):
+    """One training step's losses and parameter gradients under cfg.method:
+    the trainer's step kernel ``sftlab.training._step`` on a stack of one.
+
+    Returns (loss_orig, loss_sft, grads) as ``_step`` describes them, the
+    losses as floats and each gradient without the slot axis: those of
+    model.parameters() + [clf.weight], then of clf_orig.weight under
+    sft+ds_unshared.
+    """
+    check_labels(labels, x.shape[0], clf)
+    stacked_orig = None
+    if cfg.method == "sft+ds_unshared":
+        if clf_orig is None:
+            raise ValueError("unshared deep supervision needs the second classifier")
+        check_labels(labels, x.shape[0], clf_orig)
+        stacked_orig = AmSoftmaxClassifier(clf_orig.weight[None])
+    stacked = EmbedModel([w[None] for w in model.weights], [b[None] for b in model.biases])
+    loss_orig, loss_sft, grads = _step(x[None], labels[None], stacked,
+                                       AmSoftmaxClassifier(clf.weight[None]), stacked_orig,
+                                       _plan((cfg.method,), (cfg.sigma,), cfg))
+    return float(loss_orig[0]), float(loss_sft[0]), [g[0] for g in grads]
 
 
 def ranking_of(rows):

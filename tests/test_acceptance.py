@@ -17,12 +17,12 @@ from conftest import central_diff, rel_error
 from sftlab.cli import main as cli_main
 from sftlab.data import FeatureMatrix, Partition
 from sftlab.experiment import ExperimentConfig, run_experiment
-from reference import (am_softmax_loss, am_softmax_value, cut, ranking_of, stationary,
-                       transition, volume)
+from reference import (am_softmax_loss, am_softmax_value, cut, forward_backward, ranking_of,
+                       stationary, transition, volume)
 from sftlab.graphcut import class_ncut_escape, ncut_loss
 from sftlab.ranking import evaluate, k_reciprocal_rerank, rank, refine_ranking
 from sftlab.rng import Xoshiro256StarStar
-from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig, forward_backward
+from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig
 from sftlab.transform import _transition_from_features, affinity, sft_backward, sft_transform_array
 
 from test_ranking import (
@@ -119,12 +119,12 @@ def test_criterion_2_gradient_suite():
         n, d, c = int(rng.integers(3, 8)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
         x = rng.normal(size=(n, d))
         y = rng.integers(0, c, size=n)
-        clf = AmSoftmaxClassifier(rng.normal(size=(c, d)), 0.3, 15.0)
+        clf = AmSoftmaxClassifier(rng.normal(size=(c, d)))
         _, gx, gw = am_softmax_loss(x, y, clf)
         worst_unit = max(worst_unit, rel_error(gx, central_diff(
             lambda v: am_softmax_value(v, y, clf), x)))
         worst_unit = max(worst_unit, rel_error(gw, central_diff(
-            lambda w: am_softmax_value(x, y, AmSoftmaxClassifier(w, 0.3, 15.0)), clf.weight)))
+            lambda w: am_softmax_value(x, y, AmSoftmaxClassifier(w)), clf.weight)))
     # graph-cut loss
     for i in range(20):
         n, d = int(rng.integers(4, 9)), int(rng.integers(2, 5))

@@ -28,7 +28,6 @@ TRACED_SITES = (
     "sftlab.experiment:train",
     "sftlab.cli:train",
     "sftlab.training:sample_pk",
-    "sftlab.training:forward_backward",
     "sftlab.training:EmbedModel.forward",
     "sftlab.training:EmbedModel.backward",
     "sftlab.training:ncut_loss",

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -16,6 +19,8 @@ from sftlab.cli import main
 from sftlab.data import SyntheticSpec, load_features, load_manifest
 from sftlab.training import METHODS
 from sftlab.transform import sft_transform
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*args):
@@ -88,7 +93,11 @@ class TestPipeline:
         assert len(log.read_text().strip().split("\n")) == 8
         assert load_features(trained).n == 48
         payload = json.loads(model.read_text())
+        assert sorted(payload) == ["biases", "classifier_weight", "margin", "normalize_output",
+                                   "scale", "weights"]
         assert payload["normalize_output"] is True
+        # the classifier's fixed recipe
+        assert (payload["margin"], payload["scale"]) == (0.3, 15.0)
 
         ranking = tmp_path / "ranking.json"
         assert run("rank", "--features", trained, "--manifest", manifest,
@@ -262,6 +271,30 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             run("train", "--features", "f.sfte", "--manifest", "m.tsv", *flags)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("sigma,message", [
+        ("nan", "sigma must be positive and finite, got nan"),
+        ("0", "sigma must be positive and finite, got 0.0"),
+        ("1e-309", "sigma 1e-309 too small: 2/sigma overflows float64"),
+    ])
+    def test_refine_bad_sigma_is_the_only_stderr_line(self, tmp_path, sigma, message):
+        """refine names a bad sigma before --top-n's default 50 can warn that
+        it clamps the 11-item lists.  The command runs in a child process, so
+        stderr is what a user sees, logging's last-resort handler included."""
+        feats, manifest, ranking = tmp_path / "f.sfte", tmp_path / "m.tsv", tmp_path / "r.json"
+        assert run("gen", "--spec", "blobs", "--identities", 6, "--per-id", 7, "--dim", 10,
+                   "--spread", "0.1", "--seed", 5, "--query-per-id", 1, "--gallery-per-id", 2,
+                   "--out", feats, "--manifest", manifest) == 0
+        assert run("rank", "--features", feats, "--manifest", manifest, "--out", ranking) == 0
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-m", "sftlab", "refine", "--features", str(feats),
+                               "--manifest", str(manifest), "--ranking", str(ranking),
+                               "--sigma", sigma, "--out", str(tmp_path / "out.json")],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out.json").exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert run("rank", "--features", tmp_path / "none.sfte",
@@ -595,7 +628,7 @@ usage: sftlab train [-h] --features FEATURES --manifest MANIFEST
                     [--config CONFIG] [--sigma SIGMA] [--epochs EPOCHS]
                     [--p P] [--k K] [--hidden-dim HIDDEN_DIM]
                     [--embed-dim EMBED_DIM] [--base-lr BASE_LR]
-                    [--method {baseline,sft,sft+ds_unshared,sft+ds_shared,ncut}]
+                    [--method {baseline,ncut,sft,sft+ds_shared,sft+ds_unshared}]
                     [--seed SEED] [--log LOG] [--out-features OUT_FEATURES]
                     [--out-model OUT_MODEL]
 
@@ -611,7 +644,7 @@ options:
   --hidden-dim HIDDEN_DIM
   --embed-dim EMBED_DIM
   --base-lr BASE_LR
-  --method {baseline,sft,sft+ds_unshared,sft+ds_shared,ncut}
+  --method {baseline,ncut,sft,sft+ds_shared,sft+ds_unshared}
   --seed SEED
   --log LOG             write per-epoch training log (TSV)
   --out-features OUT_FEATURES

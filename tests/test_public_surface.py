@@ -1,10 +1,14 @@
-"""Every name that ``sftlab/__init__.py`` exports has a caller in the package.
+"""Every name that the package exports or defines has a caller in the package.
 
 A name that only the tests call belongs in the tests (``tests/reference.py``
-holds such references).  The scan reads the syntax trees of every package
-module but ``__init__``, so a name in a docstring, comment or string counts for
-nothing, and neither does a use inside the name's own definition.  An
-export listed in UNCALLED must have no caller, so the list cannot go stale.
+holds such references).  The scan covers the names that ``sftlab/__init__.py``
+exports and every function, class and method that a package module defines,
+apart from dunder methods, which Python itself calls.  It reads the syntax
+trees of every package module but ``__init__``, so a name in a docstring,
+comment or string counts for nothing, and neither does a use inside the name's
+own definition.  Names match by spelling alone: a method counts as called
+where any attribute of its name is used.  A name listed in UNCALLED must have
+no caller, so the list cannot go stale.
 """
 
 import ast
@@ -12,12 +16,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sftlab"
 
-# exports with no caller in the package, and why each stays public
+# names with no caller in the package, and why each stays public
 UNCALLED = {
     "sft_backward": "the gradient of sft_transform: the transform and its gradient "
                     "are the package's subject, and finite differences check it",
-    "forward_backward": "the trainer's step kernel on one run, the form whose "
-                        "gradients the finite-difference suites check end to end",
 }
 
 
@@ -27,6 +29,19 @@ def exports():
     return [alias.asname or alias.name
             for node in tree.body if isinstance(node, ast.ImportFrom)
             for alias in node.names]
+
+
+def module_trees():
+    """The syntax tree of every package module but __init__."""
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+
+
+def definitions(trees):
+    """Every function, class and method name that the trees define, dunders aside."""
+    return sorted({node.name for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))})
 
 
 def used_names(tree, skip):
@@ -47,9 +62,14 @@ def used_names(tree, skip):
     return found
 
 
+def uncalled(names, trees):
+    return sorted(name for name in names if not any(name in used_names(tree, name) for tree in trees))
+
+
 def test_every_export_has_a_caller_in_the_package():
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    uncalled = sorted(name for name in exports()
-                      if not any(name in used_names(tree, name) for tree in trees))
-    assert uncalled == sorted(UNCALLED)
+    assert uncalled(exports(), module_trees()) == sorted(UNCALLED)
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    trees = module_trees()
+    assert uncalled(definitions(trees), trees) == sorted(UNCALLED)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -378,6 +379,29 @@ class TestSftRefine:
             want = refine_one(queries[qr.query_index], qr, FeatureMatrix(gallery), 11, 0.2)
             np.testing.assert_array_equal(got.gallery_indices, want.gallery_indices)
             np.testing.assert_array_equal(got.scores, want.scores)
+
+    @pytest.mark.parametrize("sigma,message", [
+        (math.nan, "sigma must be positive and finite, got nan"),
+        (0.0, "sigma must be positive and finite, got 0.0"),
+        (1e-309, "sigma 1e-309 too small: 2/sigma overflows float64"),
+    ])
+    def test_bad_input_rejected_before_clamping_warning(self, caplog, sigma, message):
+        """A bad sigma, named before a dims mismatch, and the mismatch alone
+        fail the call before top_n=50 can warn that it clamps the 11-item
+        lists."""
+        rng = np.random.default_rng(6)
+        queries = FeatureMatrix(rng.normal(size=(6, 4)))
+        gallery = FeatureMatrix(rng.normal(size=(11, 4)))
+        manifest = eval_manifest([(i, 0) for i in range(6)], [(i % 6, 1) for i in range(11)])
+        ranking = rank(queries, gallery, manifest)
+        narrow = FeatureMatrix(gallery.data[:, :3])
+        with caplog.at_level("WARNING", logger="sftlab.ranking"):
+            for g in (gallery, narrow):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    refine_ranking(queries, ranking, g, 50, sigma)
+            with pytest.raises(ValueError, match="^query feature has dim 4, gallery 3$"):
+                refine_ranking(queries, ranking, narrow, 50, 0.2)
+        assert caplog.records == []
 
     def test_bad_top_n(self):
         qr, _ = self.base_ranking()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_error
-from reference import am_softmax_loss, am_softmax_value
+from reference import am_softmax_loss, am_softmax_value, forward_backward
 from sftlab import training
 from sftlab.data import (
     DatasetManifest,
@@ -28,7 +28,6 @@ from sftlab.training import (
     EmbedModel,
     TrainConfig,
     _pk_schedule,
-    forward_backward,
     load_train_config,
     lr_at,
     sample_pk,
@@ -44,39 +43,42 @@ from sftlab.transform import (
 from training_oracle import training_loss
 
 
-def plain_softmax_ce(x, y, weight, scale):
-    """Independent normalized-softmax cross entropy (no margin)."""
+def looped_am_softmax(x, y, weight):
+    """Independent additive-margin softmax cross entropy, row by row, at the
+    fixed recipe's margin 0.3 and scale 15."""
     feat = x / np.linalg.norm(x, axis=1, keepdims=True)
     w = weight / np.linalg.norm(weight, axis=1, keepdims=True)
-    logits = scale * feat @ w.T
     total = 0.0
-    for i, label in enumerate(y):
-        total += math.log(np.exp(logits[i]).sum()) - logits[i, label]
+    for row, label in zip(feat, y):
+        logits = 15.0 * (w @ row)
+        logits[label] -= 15.0 * 0.3
+        total += math.log(np.exp(logits).sum()) - logits[label]
     return total / len(y)
 
 
 class TestAmSoftmax:
-    def test_orthogonal_features_give_uniform_loss(self):
-        # class weights live in the first two dims, features in the third
+    def test_orthogonal_features_give_closed_form_loss(self):
+        # class weights live in the first two dims, features in the third:
+        # every cosine is 0, so the label's logit is -15 * 0.3 and the others 0
         weight = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        clf = AmSoftmaxClassifier(weight, margin=0.0, scale=1.0)
+        clf = AmSoftmaxClassifier(weight)
         x = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
         loss, _, _ = am_softmax_loss(x, np.array([0, 2]), clf)
-        assert abs(loss - math.log(3)) < 1e-12
+        assert abs(loss - (math.log(2 + math.exp(-4.5)) + 4.5)) < 1e-12
 
-    def test_zero_margin_reduces_to_plain_softmax(self):
+    def test_matches_looped_margin_softmax(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 5))
         y = np.array([0, 1, 2, 3, 0, 1])
-        clf = AmSoftmaxClassifier(rng.normal(size=(4, 5)), margin=0.0, scale=7.0)
+        clf = AmSoftmaxClassifier(rng.normal(size=(4, 5)))
         loss, _, _ = am_softmax_loss(x, y, clf)
-        assert abs(loss - plain_softmax_ce(x, y, clf.weight, 7.0)) < 1e-12
+        assert abs(loss - looped_am_softmax(x, y, clf.weight)) < 1e-12
 
     def test_feature_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 6))
         y = np.array([0, 2, 1, 3, 2])
-        clf = AmSoftmaxClassifier(rng.normal(size=(4, 6)), margin=0.3, scale=15.0)
+        clf = AmSoftmaxClassifier(rng.normal(size=(4, 6)))
         _, grad_x, _ = am_softmax_loss(x, y, clf)
         numeric = central_diff(lambda v: am_softmax_value(v, y, clf), x)
         assert rel_error(grad_x, numeric) < 1e-5
@@ -85,10 +87,10 @@ class TestAmSoftmax:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 6))
         y = np.array([0, 2, 1, 3, 2])
-        clf = AmSoftmaxClassifier(rng.normal(size=(4, 6)), margin=0.3, scale=15.0)
+        clf = AmSoftmaxClassifier(rng.normal(size=(4, 6)))
         _, _, grad_w = am_softmax_loss(x, y, clf)
         numeric = central_diff(
-            lambda w: am_softmax_value(x, y, AmSoftmaxClassifier(w, 0.3, 15.0)),
+            lambda w: am_softmax_value(x, y, AmSoftmaxClassifier(w)),
             clf.weight,
         )
         assert rel_error(grad_w, numeric) < 1e-5
@@ -369,15 +371,6 @@ class TestForwardBackward:
             small = AmSoftmaxClassifier(clf_orig.weight[:3])
             with pytest.raises(ValueError, match="out of range"):
                 forward_backward(x, y, model, clf, cfg, small)
-
-    def test_unshared_classifier_shares_margin_and_scale(self):
-        """Both classifiers are scored in one margin-softmax pass, so they
-        take one margin and one scale."""
-        x, y, model, clf, clf_orig = small_setup()
-        cfg = TrainConfig(p=4, k=2, method="sft+ds_unshared", hidden_dim=6, embed_dim=5)
-        for other in (replace(clf_orig, margin=0.1), replace(clf_orig, scale=10.0)):
-            with pytest.raises(ValueError, match="margin and scale"):
-                forward_backward(x, y, model, clf, cfg, other)
 
     def test_unshared_requires_second_classifier(self):
         x, y, model, clf, _ = small_setup()

@@ -1,10 +1,11 @@
 """The trainer's scalar objective as an independent forward pass.
 
 Finite differences of :func:`training_loss` check the closed-form
-gradients of ``forward_backward``.  It is composed from forward passes
-alone (the transform, the ncut loss and the margin softmax's forward
-kernel), not derived from ``forward_backward``, so a slip in the
-trainer's fused step cannot cancel out of the comparison.
+gradients of ``reference.forward_backward``, the trainer's step kernel on
+one run.  It is composed from forward passes alone (the transform, the
+ncut loss and the margin softmax's forward kernel), not derived from that
+kernel, so a slip in the trainer's fused step cannot cancel out of the
+comparison.
 """
 
 import numpy as np
