@@ -11,7 +11,6 @@ deep supervision, retrieval evaluation (CMC/mAP) and top-n re-ranking.
 from .data import (
     DatasetManifest,
     FeatureMatrix,
-    Partition,
     SampleRecord,
     SyntheticSpec,
     generate_synthetic,
@@ -41,7 +40,6 @@ from .training import (
     train,
 )
 from .transform import (
-    AffinityMatrix,
     ZeroNormRowError,
     affinity,
     sft_backward,

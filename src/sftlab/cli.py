@@ -22,7 +22,6 @@ from .data import (
     FeatureMatrix,
     ManifestError,
     FeatureFileError,
-    Partition,
     SyntheticSpec,
     check_paired,
     generate_synthetic,
@@ -37,7 +36,7 @@ from .data import (
 from .graphcut import class_ncut_escape
 from .ranking import RankingList, evaluate, rank, refine_ranking
 from .training import MARGIN, METHODS, PARSERS, SCALE, TrainConfig, load_train_config, train
-from .transform import AffinityMatrix, _check_sigma, _exp_cosines, _unit_rows, sft_transform
+from .transform import _check_sigma, _exp_cosines, _unit_rows, sft_transform
 
 TOPOLOGY_ALIASES = {
     "blobs": "gaussian_blobs",
@@ -232,11 +231,10 @@ def cmd_diagnose(args) -> int:
     identities, classes = np.unique([rec.identity for rec in manifest.records], return_inverse=True)
     if identities.size < 2:
         raise ManifestError("diagnostics need at least 2 identities")
-    part = Partition(classes)
     sigma = _check_sigma(args.sigma)
     # every printed quantity is a ratio of edge sums: the shift cancels
     weights = _exp_cosines(_unit_rows(features.data)[1], sigma, shift=1.0)
-    ncuts, escapes, escapes_rest = class_ncut_escape(AffinityMatrix._owned(weights), part)
+    ncuts, escapes, escapes_rest = class_ncut_escape(weights, classes)
     for ident, value, escape in zip(identities, ncuts, escapes):
         print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
     residual = float(np.abs(ncuts - (escapes + escapes_rest)).max())
@@ -331,7 +329,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FeatureFileError, ManifestError, ValueError, OSError) as exc:
+    # numpy's MemoryError names the size that it could not allocate
+    except (FeatureFileError, ManifestError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # e.g. a float overflow at a tiny sigma

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -47,13 +47,6 @@ class ManifestError(ValueError):
     pass
 
 
-def freeze_array(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy of arr; the caller's array stays writeable."""
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 def write_json(payload, path) -> None:
     """The JSON artifact format: sorted keys, 2-space indent, final newline."""
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -73,7 +66,9 @@ class FeatureMatrix:
             raise ValueError(f"feature matrix must be at least 1x1, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature matrix contains non-finite values")
-        object.__setattr__(self, "data", freeze_array(arr))
+        arr = arr.copy()  # read-only, while the caller's array stays writeable
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
 
     @property
     def n(self) -> int:
@@ -170,32 +165,6 @@ def split_features(features: FeatureMatrix, manifest: DatasetManifest, split: st
     if not idx:
         raise ManifestError(f"no records with split {split!r}")
     return FeatureMatrix(features.data[idx])
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Class labels over n samples; label values are 0..num_classes-1."""
-
-    labels: np.ndarray
-    num_classes: int = field(default=0)
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size < 1:
-            raise ValueError("partition labels must be a non-empty 1-d vector")
-        if labels.min() < 0:
-            raise ValueError("partition labels must be non-negative")
-        num_classes = self.num_classes or int(labels.max()) + 1
-        if labels.max() >= num_classes:
-            raise ValueError(
-                f"label {int(labels.max())} out of range for {num_classes} classes"
-            )
-        object.__setattr__(self, "labels", freeze_array(labels))
-        object.__setattr__(self, "num_classes", num_classes)
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import numpy as np
 from .data import (
     DatasetManifest,
     FeatureMatrix,
-    Partition,
     SyntheticSpec,
     generate_synthetic,
     hold_out_eval_split,
@@ -30,7 +29,7 @@ from .data import (
 from .graphcut import affinity_class_means
 from .ranking import RankingList, evaluate, k_reciprocal_rerank, rank, refine_ranking
 from .ranking import _check_kr, _check_top_n
-from .training import METHODS, TrainConfig, train
+from .training import METHODS, TrainConfig, _check_finite, train
 from .transform import _check_affinity_sigma, affinity
 
 _SWEEP_CELL = "sft+ds_shared"  # the method both sweeps vary
@@ -102,6 +101,7 @@ class ExperimentConfig:
         _check_kr(self.kr_k1, self.kr_k2, self.kr_lambda)
         if self.mode == "ablation":  # the held-out affinity of two cells
             _check_affinity_sigma(self.train.sigma)
+        _check_finite(self)
 
 
 def make_dataset(cfg: ExperimentConfig, seed: int) -> tuple[FeatureMatrix, DatasetManifest]:
@@ -134,9 +134,8 @@ def _test_inter_affinity(emb: FeatureMatrix, manifest: DatasetManifest, sigma: f
     """(intra, inter) mean affinity of the held-out rows."""
     idx = manifest.indices("query") + manifest.indices("gallery")
     # class ids: each identity's rank among the held-out identities
-    part = Partition(np.unique([manifest.records[i].identity for i in idx], return_inverse=True)[1])
-    w = affinity(FeatureMatrix(emb.data[idx]), sigma)
-    return affinity_class_means(w, part)
+    labels = np.unique([manifest.records[i].identity for i in idx], return_inverse=True)[1]
+    return affinity_class_means(affinity(FeatureMatrix(emb.data[idx]), sigma), labels)
 
 
 def _summary(per_seed: list[dict]) -> dict:

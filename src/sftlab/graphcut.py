@@ -1,5 +1,10 @@
 """Graph-cut and random-walk diagnostics over affinity graphs.
 
+A graph is a square float64 array of edge weights, a partition a vector
+of class ids 0..max, one per node.  The graphs the package builds are
+finite, positive and exactly symmetric by construction, so only shapes
+and labels are checked here.
+
 For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
 + cut(c, rest) / vol(rest); in the random-walk view the two terms are the
 one-step probabilities of escaping c and of escaping its complement at
@@ -14,19 +19,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Partition
-from .transform import AffinityMatrix, _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
+from .transform import _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
 
 
-def _check_covers(part: Partition, n: int) -> None:
-    if part.n != n:
-        raise ValueError(f"partition covers {part.n} nodes, graph has {n}")
+def _class_count(w: np.ndarray, labels: np.ndarray) -> int:
+    """The class count of labels, one class id per node of the square graph w."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"affinity matrix must be square, got {w.shape}")
+    if labels.ndim != 1 or labels.size < 1:
+        raise ValueError("partition labels must be a non-empty 1-d vector")
+    if labels.min() < 0:
+        raise ValueError("partition labels must be non-negative")
+    if labels.size != w.shape[0]:
+        raise ValueError(f"partition covers {labels.size} nodes, graph has {w.shape[0]}")
+    return int(labels.max()) + 1
 
 
 _CHUNK_ROWS = 256
 
 
-def class_ncut_escape(w: AffinityMatrix, part: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def class_ncut_escape(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ncut, escape(c -> rest), escape(rest -> c)) for every class c at once.
 
     The two sides of the identity ncut = escape + escape_rest are computed
@@ -43,24 +55,24 @@ def class_ncut_escape(w: AffinityMatrix, part: Partition) -> tuple[np.ndarray, n
     is empty, covers the whole graph or has no edge weight on one side
     gets NaN; zero-degree nodes elsewhere leave its values finite.
     """
-    _check_covers(part, w.n)
-    onehot = (part.labels[:, None] == np.arange(part.num_classes)).astype(np.float64)
+    num_classes = _class_count(w, labels)
+    onehot = (labels[:, None] == np.arange(num_classes)).astype(np.float64)
     outside = 1.0 - onehot
-    degrees = w.data.sum(axis=1)
+    degrees = w.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # row i's weight into classes other than its own, summed without
         # the cancellation of degree - inside
-        exits = ((w.data @ onehot) * outside).sum(axis=1)
+        exits = ((w @ onehot) * outside).sum(axis=1)
         cross = exits @ onehot
         ncut_all = cross / (degrees @ onehot) + cross / (degrees @ outside)
 
         pi = degrees / degrees.sum()
         divisor = np.where(degrees > 0, degrees, 1.0)  # zero-degree rows stay zero
-        leaving = np.empty(w.n)
-        entering = np.zeros(part.num_classes)
-        for lo in range(0, w.n, _CHUNK_ROWS):
+        leaving = np.empty(len(w))
+        entering = np.zeros(num_classes)
+        for lo in range(0, len(w), _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            mass = ((w.data[rows] / divisor[rows, None]) @ onehot) * outside[rows]
+            mass = ((w[rows] / divisor[rows, None]) @ onehot) * outside[rows]
             leaving[rows] = mass.sum(axis=1)
             entering += pi[rows] @ mass
         escape = ((pi * leaving) @ onehot) / (pi @ onehot)
@@ -112,13 +124,13 @@ def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, n
     return loss, _cosine_backward(grad_w * weights / sigma, unit, norms)
 
 
-def affinity_class_means(w: AffinityMatrix, labels: Partition) -> tuple[float, float]:
+def affinity_class_means(w: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Mean off-diagonal edge weight inside classes and across classes."""
-    _check_covers(labels, w.n)
-    same = labels.labels[:, None] == labels.labels[None, :]
-    off_diag = ~np.eye(w.n, dtype=bool)
+    _class_count(w, labels)
+    same = labels[:, None] == labels[None, :]
+    off_diag = ~np.eye(len(w), dtype=bool)
     intra = same & off_diag
     inter = ~same
     if not intra.any() or not inter.any():
         raise ValueError("need both intra-class and inter-class pairs")
-    return float(w.data[intra].mean()), float(w.data[inter].mean())
+    return float(w[intra].mean()), float(w[inter].mean())

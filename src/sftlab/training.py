@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureMatrix, Partition, check_paired
+from .data import DatasetManifest, FeatureMatrix, check_paired
 from .graphcut import affinity_class_means, ncut_loss
 from .rng import Xoshiro256StarStar
 from .transform import (
@@ -82,6 +82,14 @@ class TrainConfig:
         if self.hidden_dim < 0 or self.embed_dim < 1:
             raise ValueError("bad model dimensions")
         object.__setattr__(self, "decay_epochs", tuple(int(e) for e in self.decay_epochs))
+        _check_finite(self)
+
+
+def _check_finite(cfg) -> None:
+    """Every float field of a config dataclass is finite; the error names the field."""
+    for f in fields(cfg):
+        if f.type == "float" and not math.isfinite(value := getattr(cfg, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -433,11 +441,7 @@ def _train(runs: list) -> list[TrainResult]:
         if (id(features), id(manifest)) not in datasets:
             check_paired(features, manifest)
             train_idx = manifest.indices("train")
-            if not train_idx:
-                raise ValueError("manifest has no train rows")
             groups = manifest.train_groups
-            if len(groups) < 2:
-                raise ValueError("training needs at least 2 identities")
             # class id of every train row: its identity's rank among train identities
             labels = np.zeros(len(manifest), dtype=np.int64)
             for c, (_, rows) in enumerate(groups):
@@ -447,6 +451,8 @@ def _train(runs: list) -> list[TrainResult]:
             class_ids.append(labels)
             start += features.n
         offset, train_rows, num_classes = datasets[id(features), id(manifest)]
+        if num_classes < cfg.p:  # sample_pk's check, before p sizes anything; as p >= 2, needs 2+ identities
+            raise ValueError(f"need {cfg.p} train identities, manifest has {num_classes}")
 
         dims = (cfg.seed, features.d, cfg.hidden_dim, cfg.embed_dim, num_classes)
         if dims not in inits:
@@ -554,7 +560,7 @@ def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray
                 emb = EmbedModel(arrays[:layers], arrays[layers:2 * layers]).embed(data[slot.train_rows])
                 labels = class_ids[slot.train_rows]
                 sigma = slot.cfg.sigma
-                intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), sigma), Partition(labels))
+                intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), sigma), labels)
                 graph_val, _ = ncut_loss(emb, labels, sigma)
                 line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
             log.append(line)

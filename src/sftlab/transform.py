@@ -13,11 +13,10 @@ differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, freeze_array
+from .data import FeatureMatrix
 
 
 class ZeroNormRowError(ValueError):
@@ -69,74 +68,11 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-_TILE = 256  # side of the symmetry check's square tiles
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Square, finite, symmetric, non-negative float64 edge weights; the
-    constructor freezes a copy once every check passes, and the caller's
-    array stays writeable.
-
-    Outputs of :func:`affinity` additionally have strictly positive
-    entries bounded by exp(1/sigma); the type stays permissive so that
-    hand-built graphs (e.g. block-diagonal ones) can use the same
-    diagnostics.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        self._validate(arr)
-        object.__setattr__(self, "data", freeze_array(arr))
-
-    @classmethod
-    def _owned(cls, arr: np.ndarray):
-        """The matrix of a fresh float64 array that nothing else holds:
-        checked as by the constructor, then made read-only in place instead
-        of copied, so an n x n graph is not held twice."""
-        matrix = object.__new__(cls)
-        matrix._validate(arr)
-        arr.setflags(write=False)
-        object.__setattr__(matrix, "data", arr)
-        return matrix
-
-    @staticmethod
-    def _validate(arr: np.ndarray) -> None:
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"affinity matrix must be square, got {arr.shape}")
-        # min and max propagate NaN, so no n x n isfinite mask is needed
-        low, high = arr.min(), arr.max()
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise ValueError("affinity matrix contains non-finite values")
-        if low < 0:
-            raise ValueError("affinity matrix entries must be non-negative")
-        # max |arr - arr.T| against 1e-12 * max(1, max entry), taken over
-        # _TILE-square tiles of the upper triangle and their mirrors, so no
-        # n x n temporary is made; a max is exact in any order
-        tolerance = 1e-12 * max(1.0, high)
-        n = arr.shape[0]
-        tile = np.empty((min(n, _TILE),) * 2)  # one tile alive at a time
-        for lo in range(0, n, _TILE):
-            rows = slice(lo, lo + _TILE)
-            for col in range(lo, n, _TILE):
-                cols = slice(col, col + _TILE)
-                block = arr[rows, cols]
-                asymmetry = tile[:block.shape[0], :block.shape[1]]
-                np.subtract(block, arr[cols, rows].T, out=asymmetry)
-                np.abs(asymmetry, out=asymmetry)
-                if asymmetry.max() > tolerance:
-                    raise ValueError("affinity matrix must be symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-
 def _exp_cosines(unit: np.ndarray, sigma: float, shift: float = 0.0) -> np.ndarray:
     """Edge weights exp((cos - shift) / sigma) of unit rows, built in place on
-    their cosines; ratios of edge sums ignore the shift, and 1 keeps w <= 1."""
+    their cosines; ratios of edge sums ignore the shift, and 1 keeps w <= 1.
+    The cosines are numpy's symmetric product, so the weights are exactly
+    symmetric."""
     weights = _clipped_products(unit, unit)
     weights -= shift
     weights /= sigma
@@ -152,9 +88,9 @@ def _check_affinity_sigma(sigma: float) -> float:
     return sigma
 
 
-def affinity(x: FeatureMatrix, sigma: float) -> AffinityMatrix:
+def affinity(x: FeatureMatrix, sigma: float) -> np.ndarray:
     """Edge weights w_ij = exp(cos(x_i, x_j) / sigma), unshifted."""
-    return AffinityMatrix._owned(_exp_cosines(_unit_rows(x.data)[1], _check_affinity_sigma(sigma)))
+    return _exp_cosines(_unit_rows(x.data)[1], _check_affinity_sigma(sigma))
 
 
 def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray

@@ -2,9 +2,9 @@
 
 The graph-cut quantities (cut, volume, ncut, the stationary distribution
 and the random walk's D^-1 W) are written out from their definitions on
-the raw edge weights, apart from ``sftlab.graphcut.class_ncut_escape``,
-which computes every class's ncut and escape probabilities in one pass
-and is checked against them.
+the raw edge weights, a float64 array, and a class-id vector, apart from
+``sftlab.graphcut.class_ncut_escape``, which computes every class's ncut
+and escape probabilities in one pass and is checked against them.
 
 The margin-softmax helpers, :func:`forward_backward` and :func:`refine_one`
 are thin forms of the package's own kernels, so a finite-difference or
@@ -19,41 +19,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sftlab.data import FeatureMatrix, freeze_array
+from sftlab.data import FeatureMatrix
 from sftlab.ranking import QueryRanking, RankingList, refine_ranking
 from sftlab.training import (AmSoftmaxClassifier, EmbedModel, _am_softmax_grad, _am_softmax_parts,
                              _plan, _step)
 from sftlab.transform import _unit_rows
 
 
-def cut(w, part, a, b):
+def cut(w, labels, a, b):
     """Total edge weight between classes a and b of the partition."""
-    return float(w.data[np.ix_(part.labels == a, part.labels == b)].sum())
+    return float(w[np.ix_(labels == a, labels == b)].sum())
 
 
-def volume(w, part, a):
+def volume(w, labels, a):
     """Total edge weight from class a to the whole graph."""
-    return float(w.data[part.labels == a, :].sum())
+    return float(w[labels == a, :].sum())
 
 
-def ncut(w, part, a):
+def ncut(w, labels, a):
     """Normalized cut of class a against its complement."""
-    mask = part.labels == a
-    cross = float(w.data[np.ix_(mask, ~mask)].sum())
-    return cross / float(w.data[mask, :].sum()) + cross / float(w.data[~mask, :].sum())
+    mask = labels == a
+    cross = float(w[np.ix_(mask, ~mask)].sum())
+    return cross / float(w[mask, :].sum()) + cross / float(w[~mask, :].sum())
 
 
 def stationary(w):
     """(pi, total volume): pi_i = degree_i / total volume, the left fixed
     point of the random walk."""
-    degrees = w.data.sum(axis=1)
+    degrees = w.sum(axis=1)
     total = float(degrees.sum())
     return degrees / total, total
 
 
 def transition(w):
     """D^-1 W: the affinities row-normalized into transition probabilities."""
-    return w.data / w.data.sum(axis=1)[:, None]
+    return w / w.sum(axis=1)[:, None]
 
 
 def check_labels(y, n, clf):
@@ -124,6 +124,13 @@ def refine_one(query_feat, ranking, gallery, top_n, sigma):
     alone = ranking_of([(0, ranking.gallery_indices, ranking.scores)])
     refined = refine_ranking(query, alone, gallery, top_n, sigma).queries[0]
     return QueryRanking(ranking.query_index, refined.gallery_indices, refined.scores)
+
+
+def freeze_array(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of arr; the caller's array stays writeable."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

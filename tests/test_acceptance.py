@@ -15,7 +15,7 @@ import pytest
 
 from conftest import central_diff, rel_error
 from sftlab.cli import main as cli_main
-from sftlab.data import FeatureMatrix, Partition
+from sftlab.data import FeatureMatrix
 from sftlab.experiment import ExperimentConfig, run_experiment
 from reference import (am_softmax_loss, am_softmax_value, cut, forward_backward, ranking_of,
                        stationary, transition, volume)
@@ -50,9 +50,10 @@ def ablation():
 
 
 def random_partition(rng, n, num_classes):
+    """Class ids of n nodes, every one of the num_classes classes non-empty."""
     labels = rng.integers(0, num_classes, size=n)
     labels[:num_classes] = np.arange(num_classes)
-    return Partition(labels, num_classes)
+    return labels
 
 
 def test_criterion_1_algebraic_identities():
@@ -76,10 +77,11 @@ def test_criterion_1_algebraic_identities():
             for walk in (trans, transition(w)):
                 worst["softmax"] = max(worst["softmax"], float(np.abs(walk - softmax).max()))
 
-            part = random_partition(rng, n, 2 if n < 4 else 3)
-            ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
-            for label in range(part.num_classes):
-                comp = Partition(np.where(part.labels == label, 0, 1))
+            num_classes = 2 if n < 4 else 3
+            labels = random_partition(rng, n, num_classes)
+            ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+            for label in range(num_classes):
+                comp = np.where(labels == label, 0, 1)
                 via_cut = cut(w, comp, 0, 1) / volume(w, comp, 0)
                 worst["escape"] = max(worst["escape"], abs(escapes[label] - via_cut))
                 worst["identity"] = max(worst["identity"],
@@ -129,7 +131,7 @@ def test_criterion_2_gradient_suite():
     for i in range(20):
         n, d = int(rng.integers(4, 9)), int(rng.integers(2, 5))
         x = rng.normal(size=(n, d))
-        y = random_partition(rng, n, 2).labels
+        y = random_partition(rng, n, 2)
         _, grad = ncut_loss(x, y, 0.5)
         numeric = central_diff(lambda v: ncut_loss(v, y, 0.5)[0], x)
         worst_unit = max(worst_unit, rel_error(grad, numeric))

@@ -39,6 +39,17 @@ def dataset(tmp_path):
 
 
 @pytest.fixture()
+def blobs(tmp_path):
+    """The 6-identity blob set: 24 train rows, 4 per identity."""
+    feats = tmp_path / "blobs.sfte"
+    manifest = tmp_path / "blobs.tsv"
+    assert run("gen", "--spec", "blobs", "--identities", 6, "--per-id", 7, "--dim", 10,
+               "--spread", "0.1", "--seed", 5, "--query-per-id", 1, "--gallery-per-id", 2,
+               "--out", feats, "--manifest", manifest) == 0
+    return feats, manifest
+
+
+@pytest.fixture()
 def train_calls(monkeypatch):
     """Every train() call that `train` or `experiment` makes, in order."""
     calls = []
@@ -277,14 +288,11 @@ class TestErrors:
         ("0", "sigma must be positive and finite, got 0.0"),
         ("1e-309", "sigma 1e-309 too small: 2/sigma overflows float64"),
     ])
-    def test_refine_bad_sigma_is_the_only_stderr_line(self, tmp_path, sigma, message):
+    def test_refine_bad_sigma_is_the_only_stderr_line(self, blobs, tmp_path, sigma, message):
         """refine names a bad sigma before --top-n's default 50 can warn that
         it clamps the 11-item lists.  The command runs in a child process, so
         stderr is what a user sees, logging's last-resort handler included."""
-        feats, manifest, ranking = tmp_path / "f.sfte", tmp_path / "m.tsv", tmp_path / "r.json"
-        assert run("gen", "--spec", "blobs", "--identities", 6, "--per-id", 7, "--dim", 10,
-                   "--spread", "0.1", "--seed", 5, "--query-per-id", 1, "--gallery-per-id", 2,
-                   "--out", feats, "--manifest", manifest) == 0
+        (feats, manifest), ranking = blobs, tmp_path / "r.json"
         assert run("rank", "--features", feats, "--manifest", manifest, "--out", ranking) == 0
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
@@ -445,6 +453,58 @@ class TestErrors:
             err = capsys.readouterr().err
             assert re.fullmatch(r"error: training diverged in epoch 1: [^\n]*\n", err), err
             assert not log.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_train_value_named(self, blobs, tmp_path, capsys, train_calls, value):
+        """A non-finite float is a bad value, not a divergence: it is named
+        before any training, by flag and by config line."""
+        feats, manifest = blobs
+        common = ["train", "--features", feats, "--manifest", manifest, "--p", 4, "--k", 2, "--epochs", 2]
+        config = tmp_path / "train.cfg"
+        config.write_text(f"deep_supervision_weight = {value}\n")
+        shown = float(value)  # as the error prints it
+        if value != "-inf":  # a negative base_lr is named by the positivity check
+            assert run(*common, "--base-lr", value) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: base_lr must be finite, got {shown}"]
+        assert run(*common, "--config", config) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config line 1: deep_supervision_weight must be finite, got {shown}"]
+        assert train_calls == []
+
+    @pytest.mark.parametrize("flag,field", [("--spread", "intra_class_spread"),
+                                            ("--separation", "inter_class_separation")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_experiment_value_named(self, tmp_path, capsys, train_calls, flag, field, value):
+        out = tmp_path / "out"
+        assert run("experiment", flag, value, "--seeds", 1, "--out-dir", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {field} must be finite, got {float(value)}"]
+        assert train_calls == []
+        assert not out.exists()
+
+    # RLIMIT_AS of the child: room for the interpreter, numpy and one BLAS
+    # thread, far below any allocation sized by a hostile p or k
+    CHILD_ADDRESS_SPACE = 512 << 20
+
+    @pytest.mark.parametrize("p,k,message", [
+        (1_000_000_000_000, 2, "error: need 1000000000000 train identities, manifest has 6"),
+        (4, 1_000_000_000, "error: Unable to allocate "),
+    ], ids=["huge_p", "huge_k"])
+    def test_huge_batch_is_one_error_line(self, blobs, tmp_path, p, k, message):
+        """A batch too large to allocate fails with one error line, in a
+        child whose address space is capped, so the test touches little."""
+        feats, manifest = blobs
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        child = ("import resource, sys; "
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({self.CHILD_ADDRESS_SPACE},) * 2); "
+                 "from sftlab.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", child, "train", "--features", str(feats),
+                               "--manifest", str(manifest), "--p", str(p), "--k", str(k),
+                               "--epochs", "2", "--log", str(tmp_path / "train.log")],
+                              capture_output=True, text=True, env=env, timeout=60, check=False)
+        assert (done.returncode, done.stdout) == (1, ""), done.stderr
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith(message), done.stderr
+        assert not (tmp_path / "train.log").exists()
 
     @pytest.mark.parametrize("mode", exp.MODES)
     def test_diverging_experiment_exits_1(self, tmp_path, capsys, mode):

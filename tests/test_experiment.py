@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +124,22 @@ class TestSweeps:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="grid_search")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["intra_class_spread", "inter_class_separation"])
+def test_config_names_a_non_finite_float(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        ExperimentConfig(**{name: value})
+
+
+def test_every_float_field_is_checked():
+    """kr_lambda's own range check rejects nan and inf first."""
+    floats = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+    assert floats == ["intra_class_spread", "inter_class_separation", "kr_lambda"]
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^lambda must be in \\[0, 1\\], got {value}$"):
+            ExperimentConfig(kr_lambda=value)
 
 
 class TestRunner:

@@ -4,50 +4,49 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_error
-from sftlab.data import FeatureMatrix, Partition
+from sftlab.data import FeatureMatrix
 from reference import cut, ncut, stationary, transition, volume
 from sftlab.graphcut import affinity_class_means, class_ncut_escape, ncut_loss
-from sftlab.transform import AffinityMatrix, affinity
+from sftlab.transform import affinity
 
 
 def random_graph(seed, n, num_classes=2):
-    """Symmetric positive weight matrix plus a random full partition."""
+    """Symmetric positive weight matrix plus the class ids of a random full
+    partition."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.1, 2.0, size=(n, n))
-    w = AffinityMatrix((raw + raw.T) / 2.0)
     labels = rng.integers(0, num_classes, size=n)
     labels[:num_classes] = np.arange(num_classes)  # every class non-empty
-    return w, Partition(labels, num_classes)
+    return (raw + raw.T) / 2.0, labels
 
 
 def block_diagonal():
     w = np.zeros((4, 4))
     w[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     w[2:, 2:] = [[3.0, 0.5], [0.5, 3.0]]
-    return AffinityMatrix(w), Partition(np.array([0, 0, 1, 1]))
+    return w, np.array([0, 0, 1, 1])
 
 
 def two_node_uniform():
-    return AffinityMatrix(np.full((2, 2), 0.7)), Partition(np.array([0, 1]))
+    return np.full((2, 2), 0.7), np.array([0, 1])
 
 
 def exp_cosine_graph():
     x = np.random.default_rng(11).normal(size=(12, 5))
-    return affinity(FeatureMatrix(x), 0.5), Partition(np.arange(12) % 4)
+    return affinity(FeatureMatrix(x), 0.5), np.arange(12) % 4
 
 
 def singleton_class():
     w, _ = random_graph(12, 9)
-    return w, Partition(np.array([2, 0, 1, 0, 1, 1, 0, 1, 1]))
+    return w, np.array([2, 0, 1, 0, 1, 1, 0, 1, 1])
 
 
 def isolated_node():
     """Node 0 (in class 0) has no edge weight at all."""
-    w, part = random_graph(13, 6)
-    data = w.data.copy()
-    data[0, :] = 0.0
-    data[:, 0] = 0.0
-    return AffinityMatrix(data), part
+    w, labels = random_graph(13, 6)
+    w[0, :] = 0.0
+    w[:, 0] = 0.0
+    return w, labels
 
 
 def brute_cut(w, labels, a, b):
@@ -61,83 +60,82 @@ def brute_cut(w, labels, a, b):
 
 class TestCut:
     def test_single_edge(self):
-        w = AffinityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        part = Partition(np.array([0, 1]))
-        assert cut(w, part, 0, 1) == 1.0
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        labels = np.array([0, 1])
+        assert cut(w, labels, 0, 1) == 1.0
 
     def test_block_diagonal_is_zero(self):
-        w, part = block_diagonal()
-        assert cut(w, part, 0, 1) == 0.0
+        w, labels = block_diagonal()
+        assert cut(w, labels, 0, 1) == 0.0
 
     def test_matches_brute_force(self):
-        w, part = random_graph(0, 6)
-        expected = brute_cut(w.data, part.labels, 0, 1)
-        assert abs(cut(w, part, 0, 1) - expected) < 1e-12 * max(1.0, expected)
+        w, labels = random_graph(0, 6)
+        expected = brute_cut(w, labels, 0, 1)
+        assert abs(cut(w, labels, 0, 1) - expected) < 1e-12 * max(1.0, expected)
 
 
 class TestVolume:
     def test_whole_graph(self):
         w, _ = random_graph(2, 5)
-        part = Partition(np.zeros(5, dtype=int), num_classes=1)
-        assert abs(volume(w, part, 0) - w.data.sum()) < 1e-12 * w.data.sum()
+        labels = np.zeros(5, dtype=int)
+        assert abs(volume(w, labels, 0) - w.sum()) < 1e-12 * w.sum()
 
     def test_singleton_is_row_sum(self):
         w, _ = random_graph(3, 5)
-        part = Partition(np.array([1, 0, 0, 0, 0]), num_classes=2)
-        assert abs(volume(w, part, 1) - w.data[0].sum()) < 1e-12
+        labels = np.array([1, 0, 0, 0, 0])
+        assert abs(volume(w, labels, 1) - w[0].sum()) < 1e-12
 
     def test_matches_brute_force(self):
-        w, part = random_graph(4, 8, num_classes=3)
+        w, labels = random_graph(4, 8, num_classes=3)
         for label in range(3):
             expected = sum(
-                w.data[i, j]
+                w[i, j]
                 for i in range(8)
                 for j in range(8)
-                if part.labels[i] == label
+                if labels[i] == label
             )
-            assert abs(volume(w, part, label) - expected) < 1e-9
+            assert abs(volume(w, labels, label) - expected) < 1e-9
 
     def test_partition_volumes_sum_to_total(self):
         for seed in range(8):
-            w, part = random_graph(seed + 50, 9, num_classes=3)
-            total = sum(volume(w, part, c) for c in range(3))
-            assert abs(total - w.data.sum()) < 1e-9
+            w, labels = random_graph(seed + 50, 9, num_classes=3)
+            total = sum(volume(w, labels, c) for c in range(3))
+            assert abs(total - w.sum()) < 1e-9
 
 
 class TestNcut:
     def test_block_diagonal_is_zero(self):
-        w, part = block_diagonal()
-        assert ncut(w, part, 0) == 0.0
+        w, labels = block_diagonal()
+        assert ncut(w, labels, 0) == 0.0
 
     def test_two_node_uniform(self):
-        w, part = two_node_uniform()
+        w, labels = two_node_uniform()
         # cut = c, each volume = 2c, so the two normalized terms sum to 1
-        assert abs(ncut(w, part, 0) - 1.0) < 1e-15
+        assert abs(ncut(w, labels, 0) - 1.0) < 1e-15
 
     def test_matches_cut_and_volume_composition(self):
-        w, part = random_graph(5, 7)
-        comp_labels = np.where(part.labels == 0, 0, 1)
-        comp = Partition(comp_labels)
+        w, labels = random_graph(5, 7)
+        comp = np.where(labels == 0, 0, 1)
         expected = (
             cut(w, comp, 0, 1) / volume(w, comp, 0)
             + cut(w, comp, 0, 1) / volume(w, comp, 1)
         )
-        assert abs(ncut(w, part, 0) - expected) < 1e-12
+        assert abs(ncut(w, labels, 0) - expected) < 1e-12
 
     def test_range(self):
         for seed in range(10):
-            w, part = random_graph(seed + 100, 8, num_classes=3)
+            w, labels = random_graph(seed + 100, 8, num_classes=3)
             for c in range(3):
-                assert 0.0 <= ncut(w, part, c) <= 2.0
+                assert 0.0 <= ncut(w, labels, c) <= 2.0
 
 
 class TestStationary:
     def test_uniform_graph(self):
-        w = AffinityMatrix(np.ones((4, 4)))
+        w = np.ones((4, 4))
         np.testing.assert_allclose(stationary(w)[0], 0.25, atol=1e-15)
 
     def test_single_node(self):
-        w = AffinityMatrix(np.array([[2.0]]))
+        w = np.array([[2.0]])
         np.testing.assert_array_equal(stationary(w)[0], [1.0])
 
     def test_left_fixed_point(self):
@@ -149,7 +147,7 @@ class TestStationary:
     def test_proportional_to_degrees(self):
         w, _ = random_graph(6, 5)
         pi, total = stationary(w)
-        np.testing.assert_allclose(pi * total, w.data.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(pi * total, w.sum(axis=1), rtol=1e-12)
 
 
 def brute_escape(w, labels, a):
@@ -171,48 +169,48 @@ class TestEscapeProbability:
     """The escapes of :func:`class_ncut_escape`, class by class."""
 
     def test_block_diagonal_is_zero(self):
-        w, part = block_diagonal()
-        assert class_ncut_escape(w, part)[1][0] == 0.0
+        w, labels = block_diagonal()
+        assert class_ncut_escape(w, labels)[1][0] == 0.0
 
     def test_two_node_uniform(self):
-        w, part = two_node_uniform()
-        assert abs(class_ncut_escape(w, part)[1][0] - 0.5) < 1e-15
+        w, labels = two_node_uniform()
+        assert abs(class_ncut_escape(w, labels)[1][0] - 0.5) < 1e-15
 
     def test_dual_path_oracle(self):
         for seed in range(12):
-            w, part = random_graph(seed + 300, 8, num_classes=3)
-            escapes = class_ncut_escape(w, part)[1]
+            w, labels = random_graph(seed + 300, 8, num_classes=3)
+            escapes = class_ncut_escape(w, labels)[1]
             for c in range(3):
                 got = escapes[c]
-                direct = brute_escape(w.data, part.labels, c)
+                direct = brute_escape(w, labels, c)
                 assert abs(got - direct) < 1e-12
-                comp = Partition(np.where(part.labels == c, 0, 1))
+                comp = np.where(labels == c, 0, 1)
                 via_cut = cut(w, comp, 0, 1) / volume(w, comp, 0)
                 assert abs(got - via_cut) < 1e-12
                 assert 0.0 <= got <= 1.0
 
 
-def identity_pair(w, part, c):
+def identity_pair(w, labels, c):
     """(ncut, escape(c -> rest) + escape(rest -> c)) of class c, both
     from :func:`class_ncut_escape`, along its two arithmetic routes."""
-    ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+    ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
     return float(ncuts[c]), float(escapes[c] + escapes_rest[c])
 
 
 class TestNcutEscapeIdentity:
     def test_pair_agrees(self):
-        w, part = random_graph(7, 6)
-        left, right = identity_pair(w, part, 0)
+        w, labels = random_graph(7, 6)
+        left, right = identity_pair(w, labels, 0)
         assert abs(left - right) < 1e-12
 
     def test_block_diagonal(self):
-        w, part = block_diagonal()
-        assert identity_pair(w, part, 0) == (0.0, 0.0)
+        w, labels = block_diagonal()
+        assert identity_pair(w, labels, 0) == (0.0, 0.0)
 
     def test_three_class_loop(self):
-        w, part = random_graph(8, 8, num_classes=3)
+        w, labels = random_graph(8, 8, num_classes=3)
         for c in range(3):
-            left, right = identity_pair(w, part, c)
+            left, right = identity_pair(w, labels, c)
             assert abs(left - right) < 1e-12
 
 
@@ -227,72 +225,88 @@ KERNEL_GRAPHS = {
 class TestClassNcutEscape:
     @pytest.mark.parametrize("make", KERNEL_GRAPHS.values(), ids=KERNEL_GRAPHS)
     def test_matches_per_class_oracles(self, make):
-        w, part = make()
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
-        for c in range(part.num_classes):
-            rest = np.where(part.labels == c, 1, 0)
-            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
-            assert abs(escapes[c] - brute_escape(w.data, part.labels, c)) < 1e-12
-            assert abs(escapes_rest[c] - brute_escape(w.data, rest, 0)) < 1e-12
+        w, labels = make()
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+        for c in range(labels.max() + 1):
+            rest = np.where(labels == c, 1, 0)
+            assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
+            assert abs(escapes[c] - brute_escape(w, labels, c)) < 1e-12
+            assert abs(escapes_rest[c] - brute_escape(w, rest, 0)) < 1e-12
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_several_row_chunks(self):
         # 600 rows: two full chunks of transition rows and a partial one
         x = np.random.default_rng(15).normal(size=(600, 8))
         w = affinity(FeatureMatrix(x), 0.3)
-        part = Partition(np.arange(600) % 5)
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+        labels = np.arange(600) % 5
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
         for c in range(5):
-            side = Partition(np.where(part.labels == c, 0, 1))
+            side = np.where(labels == c, 0, 1)
             across = cut(w, side, 0, 1)
             assert abs(escapes[c] - across / volume(w, side, 0)) < 1e-12
             assert abs(escapes_rest[c] - across / volume(w, side, 1)) < 1e-12
-            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
+            assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
 
     def test_isolated_node_leaves_results_finite(self):
-        w, part = isolated_node()
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+        w, labels = isolated_node()
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
         for values in (ncuts, escapes, escapes_rest):
             assert np.all(np.isfinite(values))
-        assert abs(escapes[1] - brute_escape(w.data, part.labels, 1)) < 1e-12
+        assert abs(escapes[1] - brute_escape(w, labels, 1)) < 1e-12
         for c in range(2):
-            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
+            assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_undefined_classes_are_nan(self):
-        w = AffinityMatrix(np.ones((3, 3)))
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, Partition(np.zeros(3, dtype=int), 2))
-        # class 0 covers the graph, class 1 is empty
-        assert np.isnan(ncuts).all() and np.isnan(escapes_rest[0]) and np.isnan(escapes[1])
+        ncuts, escapes, escapes_rest = class_ncut_escape(np.ones((3, 3)), np.array([2, 2, 2]))
+        # class 2 covers the graph, classes 0 and 1 are empty
+        assert np.isnan(ncuts).all() and np.isnan(escapes_rest[2]) and np.isnan(escapes[:2]).all()
 
     @pytest.mark.parametrize("case", ["empty", "isolated_class"])
     def test_undefined_class_leaves_the_others_exact(self, case):
-        w, part = random_graph(14, 7, num_classes=3)
-        if case == "empty":
-            part = Partition(np.where(part.labels == 2, 1, part.labels), num_classes=3)
+        w, labels = random_graph(14, 7, num_classes=3)
+        if case == "empty":  # class 2's nodes move to class 3
+            labels = np.where(labels == 2, 3, labels)
         else:
-            data = w.data.copy()
-            data[part.labels == 2, :] = 0.0
-            data[:, part.labels == 2] = 0.0
-            w = AffinityMatrix(data)
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, part)
+            w[labels == 2, :] = 0.0
+            w[:, labels == 2] = 0.0
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
         # class 2 has no edge weight, so its ncut and escape are undefined
         assert np.isnan(ncuts[2]) and np.isnan(escapes[2])
         for c in range(2):
-            assert abs(ncuts[c] - ncut(w, part, c)) < 1e-12
-            assert abs(escapes[c] - brute_escape(w.data, part.labels, c)) < 1e-12
+            assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
+            assert abs(escapes[c] - brute_escape(w, labels, c)) < 1e-12
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_two_classes_share_one_ncut(self):
         for seed in range(10):
-            w, part = random_graph(seed, 7)
-            ncuts, _, _ = class_ncut_escape(w, part)
+            w, labels = random_graph(seed, 7)
+            ncuts, _, _ = class_ncut_escape(w, labels)
             assert abs(ncuts[0] - ncuts[1]) < 1e-12 * ncuts[0]
 
     def test_partition_must_cover_the_graph(self):
         w, _ = random_graph(15, 6)
         with pytest.raises(ValueError, match="partition covers 4 nodes, graph has 6"):
-            class_ncut_escape(w, Partition(np.array([0, 1, 0, 1])))
+            class_ncut_escape(w, np.array([0, 1, 0, 1]))
+
+
+BAD_GRAPHS = {
+    "non_square": (np.ones((2, 3)), np.array([0, 1]), r"affinity matrix must be square, got \(2, 3\)"),
+    "labels_2d": (np.ones((2, 2)), np.array([[0, 1]]), "partition labels must be a non-empty 1-d vector"),
+    "labels_empty": (np.ones((0, 0)), np.array([], dtype=int),
+                     "partition labels must be a non-empty 1-d vector"),
+    "labels_negative": (np.ones((2, 2)), np.array([0, -1]), "partition labels must be non-negative"),
+    "too_many_labels": (np.ones((2, 2)), np.array([0, 1, 1]), "partition covers 3 nodes, graph has 2"),
+}
+
+
+@pytest.mark.parametrize("diagnostic", [class_ncut_escape, affinity_class_means],
+                         ids=["class_ncut_escape", "affinity_class_means"])
+@pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+def test_shape_and_label_checks(diagnostic, case):
+    w, labels, message = BAD_GRAPHS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        diagnostic(w, labels)
 
 
 class TestNcutLoss:
@@ -402,7 +416,7 @@ class TestAffinityClassMeans:
         x[:2, 0] = 1.0
         x[2:, 1] = 1.0
         w = affinity(FeatureMatrix(x), 0.5)
-        intra, inter = affinity_class_means(w, Partition(np.array([0, 0, 1, 1])))
+        intra, inter = affinity_class_means(w, np.array([0, 0, 1, 1]))
         assert intra == pytest.approx(math.exp(2.0), rel=1e-12)
         assert inter == pytest.approx(1.0, rel=1e-12)
         assert intra > inter

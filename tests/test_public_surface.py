@@ -9,6 +9,9 @@ comment or string counts for nothing, and neither does a use inside the name's
 own definition.  Names match by spelling alone: a method counts as called
 where any attribute of its name is used.  A name listed in UNCALLED must have
 no caller, so the list cannot go stale.
+
+A second scan fails when a package module but ``__init__`` imports a name
+that it never uses, the debris that a deletion tends to leave behind.
 """
 
 import ast
@@ -31,10 +34,14 @@ def exports():
             for alias in node.names]
 
 
+def module_paths():
+    """Every package module but __init__."""
+    return sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
 def module_trees():
     """The syntax tree of every package module but __init__."""
-    return [ast.parse(path.read_text(encoding="utf-8"))
-            for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in module_paths()]
 
 
 def definitions(trees):
@@ -73,3 +80,30 @@ def test_every_export_has_a_caller_in_the_package():
 def test_every_definition_has_a_caller_in_the_package():
     trees = module_trees()
     assert uncalled(definitions(trees), trees) == sorted(UNCALLED)
+
+
+def unused_imports(tree):
+    """The names that the tree's imports bind and that no name in it loads,
+    ``from __future__`` imports aside."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - loaded)
+
+
+def test_unused_import_scan_finds_debris():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport numpy as np\n"
+                     "from dataclasses import dataclass, field\n"
+                     "@dataclass\nclass A:\n    x: np.ndarray\n")
+    assert unused_imports(tree) == ["field", "os"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: names for path in module_paths()
+              if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert unused == {}

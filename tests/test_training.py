@@ -13,7 +13,6 @@ from sftlab import training
 from sftlab.data import (
     DatasetManifest,
     FeatureMatrix,
-    Partition,
     SampleRecord,
     SyntheticSpec,
     generate_synthetic,
@@ -430,6 +429,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="^sigma 0.001 too small for affinity"):
             TrainConfig(sigma=0.001, diagnostics=True)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig) if f.type == "float"])
+    def test_config_names_a_non_finite_float(self, name, value):
+        """Every float field must be finite, and the error names the field;
+        a negative base_lr is named by the positivity check."""
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("counts,p", [({0: 4, 1: 4, 2: 4}, 4), ({0: 4, 1: 4, 2: 4}, 10**12),
+                                          ({0: 8}, 2), ({}, 2)])
+    def test_identity_count_checked_before_anything_is_sized(self, monkeypatch, counts, p):
+        """Too few train identities for p fail with sample_pk's message
+        before the model or the schedule is made, at any p; as p >= 2, that
+        covers a manifest with one train identity or none."""
+        records = tuple(SampleRecord(f"{i}_{j}", i, j % 2, "train") for i, n in counts.items()
+                        for j in range(n))
+        manifest = DatasetManifest(records or (SampleRecord("q", 0, 0, "gallery"),))
+        feats = FeatureMatrix(np.random.default_rng(0).normal(size=(len(manifest), 3)))
+        monkeypatch.setattr(training.EmbedModel, "init", None)  # any call would raise
+        monkeypatch.setattr(training, "_pk_schedule", None)
+        with pytest.raises(ValueError, match=f"^need {p} train identities, manifest has {len(counts)}$"):
+            train(feats, manifest, TrainConfig(p=p, k=2, epochs=1))
+
     def test_non_finite_loss_raises(self):
         feats, manifest = generate_synthetic(SyntheticSpec(4, 6, 8, seed=2))
         # the first epoch runs at WARMUP_START_LR, the second at ~5e298
@@ -646,9 +668,9 @@ def reference_train(features, manifest, cfg):
         line = f"{epoch}\t{lr:.12g}\t{sum_orig / batches:.12g}\t{sum_sft / batches:.12g}"
         if cfg.diagnostics:
             emb = model.embed(features.data[train_idx])
-            labels = Partition(np.array([class_of[manifest.records[i].identity] for i in train_idx]))
+            labels = np.array([class_of[manifest.records[i].identity] for i in train_idx])
             intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), cfg.sigma), labels)
-            graph_val, _ = ncut_loss(emb, labels.labels, cfg.sigma)
+            graph_val, _ = ncut_loss(emb, labels, cfg.sigma)
             line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
         log.append(line)
     return model, clf, clf_orig, log

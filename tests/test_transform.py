@@ -11,12 +11,13 @@ from reference import transition
 from sftlab.data import FeatureMatrix
 from sftlab.graphcut import ncut_loss
 from sftlab.transform import (
-    AffinityMatrix,
     ZeroNormRowError,
     _cosine_backward,
+    _exp_cosines,
     _sft_backward,
     _transition_from_features,
     _unit_backward,
+    _unit_rows,
     affinity,
     cosine_between,
     sft_backward,
@@ -36,12 +37,12 @@ def feature_strategy(max_n=6, max_d=5):
 class TestAffinity:
     def test_identical_directions(self):
         w = affinity(FeatureMatrix([[1.0, 0.0], [1.0, 0.0]]), 1.0)
-        np.testing.assert_allclose(w.data, E, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, E, rtol=0, atol=1e-15)
 
     def test_orthogonal(self):
         w = affinity(FeatureMatrix([[1.0, 0.0], [0.0, 1.0]]), 1.0)
-        np.testing.assert_allclose(np.diag(w.data), E, atol=1e-15)
-        assert w.data[0, 1] == 1.0 and w.data[1, 0] == 1.0
+        np.testing.assert_allclose(np.diag(w), E, atol=1e-15)
+        assert w[0, 1] == 1.0 and w[1, 0] == 1.0
 
     def test_matches_per_entry_oracle(self):
         rng = np.random.default_rng(42)
@@ -54,17 +55,17 @@ class TestAffinity:
                 nj = math.sqrt(sum(v * v for v in x[j]))
                 cos = sum(a * b for a, b in zip(x[i], x[j])) / (ni * nj)
                 expected = math.exp(min(1.0, max(-1.0, cos)) / sigma)
-                assert abs(w.data[i, j] - expected) <= 1e-12 * expected
+                assert abs(w[i, j] - expected) <= 1e-12 * expected
 
     def test_bounds_and_symmetry(self):
         rng = np.random.default_rng(3)
         for sigma in (0.02, 0.1, 1.0):
             w = affinity(FeatureMatrix(rng.normal(size=(6, 4))), sigma)
             top = math.exp(1.0 / sigma)
-            assert w.data.min() > 0
-            assert w.data.max() <= top * (1 + 1e-12)
-            np.testing.assert_allclose(np.diag(w.data), top, rtol=1e-12)
-            np.testing.assert_allclose(w.data, w.data.T, atol=1e-12 * top)
+            assert w.min() > 0
+            assert w.max() <= top * (1 + 1e-12)
+            np.testing.assert_allclose(np.diag(w), top, rtol=1e-12)
+            np.testing.assert_allclose(w, w.T, atol=1e-12 * top)
 
     def test_zero_norm_row_reports_index(self):
         with pytest.raises(ZeroNormRowError) as err:
@@ -82,135 +83,32 @@ class TestAffinity:
             affinity(FeatureMatrix([[1.0, 0.0], [0.0, 1.0]]), 0.001)
         boundary = 1.0 / math.log(np.finfo(np.float64).max)
         w = affinity(FeatureMatrix([[1.0, 0.0], [0.6, 0.8]]), boundary)
-        assert np.isfinite(w.data).all() and w.data.max() > 1e308
-
-    def test_type_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            AffinityMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
+        assert np.isfinite(w).all() and w.max() > 1e308
 
 
-def reference_symmetry_check(arr):
-    """AffinityMatrix's symmetry check as it was before it ran in tiles:
-    one full n x n |arr - arr.T|."""
-    asymmetry = arr - arr.T
-    np.abs(asymmetry, out=asymmetry)
-    if asymmetry.max() > 1e-12 * max(1.0, arr.max()):
-        raise ValueError("affinity matrix must be symmetric")
+# (rows, dims) of graphs the package builds, from 51-node refine heads to
+# the 2,400-row diagnose graph
+SYMMETRY_SHAPES = [(51, 16), (300, 7), (957, 32), (2400, 32)]
 
 
-def symmetry_outcome(check, arr):
-    """None if check accepts arr, else its ValueError's message."""
-    try:
-        check(arr)
-    except ValueError as exc:
-        return str(exc)
-    return None
+class TestBuiltGraphsAreSymmetric:
+    """Every graph the package builds is exactly symmetric: the cosines are
+    numpy's symmetric product of the unit rows with themselves, and the
+    rest is elementwise.  The graph diagnostics rely on this instead of
+    checking each graph."""
 
+    @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
+    def test_affinity(self, n, d):
+        x = np.random.default_rng(n).normal(size=(n, d))
+        w = affinity(FeatureMatrix(x), 0.1)
+        assert np.array_equal(w, w.T)
 
-# one asymmetric pair (i, j) per case, given as a function of n: in a
-# diagonal tile, in a tile off the diagonal, and in the ragged last tiles
-ASYMMETRIC_PAIRS = {
-    "diagonal_tile": lambda n: (3, 100),
-    "off_diagonal_tile": lambda n: (100, 256),
-    "ragged_last_column": lambda n: (5, n - 1),
-    "ragged_last_diagonal": lambda n: (n - 3, n - 1),
-}
-
-
-class TestTiledSymmetryCheck:
-    """The symmetry check runs over 256 x 256 tiles; it accepts and rejects
-    exactly what one full |arr - arr.T| did, with the same message."""
-
-    @staticmethod
-    def symmetric(n):
-        rng = np.random.default_rng(n)
-        half = rng.uniform(size=(n, n))
-        arr = half + half.T  # addition commutes, so this is exactly symmetric
-        np.fill_diagonal(arr, 3.0)  # the largest entry: tolerance 3e-12
-        return arr
-
-    @staticmethod
-    def boundary_values(low, tolerance):
-        """(largest float a with a - low <= tolerance, the next float up)."""
-        a = low + tolerance
-        while a - low > tolerance:
-            a = np.nextafter(a, -np.inf)
-        while np.nextafter(a, np.inf) - low <= tolerance:
-            a = np.nextafter(a, np.inf)
-        return a, np.nextafter(a, np.inf)
-
-    @pytest.mark.parametrize("n", [257, 549])
-    @pytest.mark.parametrize("place", sorted(ASYMMETRIC_PAIRS))
-    @pytest.mark.parametrize("upper", [True, False], ids=["upper_larger", "lower_larger"])
-    @pytest.mark.parametrize("build", ["constructor", "owned"])
-    def test_decision_and_message_equal_the_full_check(self, n, place, upper, build):
-        i, j = ASYMMETRIC_PAIRS[place](n)
-        if not upper:
-            i, j = j, i
-        base = self.symmetric(n)
-        outcomes = []
-        for value in self.boundary_values(base[j, i], 3e-12):
-            arr = base.copy()
-            arr[i, j] = value
-            want = symmetry_outcome(reference_symmetry_check, arr)
-            make = AffinityMatrix if build == "constructor" else AffinityMatrix._owned
-            assert symmetry_outcome(make, arr) == want
-            outcomes.append(want)
-        # the boundary pair straddles the tolerance: accepted, then rejected
-        assert outcomes == [None, "affinity matrix must be symmetric"]
-
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 549])
-    def test_symmetric_graphs_pass(self, n):
-        arr = self.symmetric(n)
-        assert symmetry_outcome(reference_symmetry_check, arr) is None
-        assert np.array_equal(AffinityMatrix(arr).data, arr)
-
-    def test_tolerance_follows_the_largest_entry(self):
-        """Below 1 the tolerance is 1e-12; above, 1e-12 times the max."""
-        for top, gap, accepted in ((0.5, 1e-12, True), (0.5, 2e-12, False),
-                                   (1e4, 5e-9, True), (1e4, 2e-8, False)):
-            arr = np.full((300, 300), 0.25)
-            arr[0, 0] = top
-            arr[10, 280] += gap
-            want = symmetry_outcome(reference_symmetry_check, arr)
-            assert (want is None) == accepted
-            assert symmetry_outcome(AffinityMatrix, arr) == want
-
-
-class TestOwnership:
-    """The public constructor freezes a copy; the graphs the package builds
-    itself are frozen in place, never copied."""
-
-    def test_constructor_freezes_a_copy(self):
-        arr = np.array([[2.0, 1.0], [1.0, 2.0]])
-        matrix = AffinityMatrix(arr)
-        assert arr.flags.writeable and not matrix.data.flags.writeable
-        assert not np.shares_memory(arr, matrix.data)
-        before = matrix.data.copy()
-        arr[0, 0] = 7.0
-        assert np.array_equal(matrix.data, before)
-
-    def test_built_graphs_are_read_only(self):
-        w = affinity(FeatureMatrix([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]), 0.5)
-        assert not w.data.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            w.data[0, 0] = 1.0
-
-    def test_owned_freezes_the_callers_array_in_place(self):
-        arr = np.array([[2.0, 1.0], [1.0, 2.0]])
-        w = AffinityMatrix._owned(arr)
-        assert w.data is arr and not arr.flags.writeable
-        assert np.array_equal(w.data, AffinityMatrix(arr).data)
-
-    def test_owned_runs_every_check(self):
-        for arr, message in (
-            (np.ones((2, 3)), "must be square"),
-            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
-            (np.array([[1.0, -1.0], [-1.0, 1.0]]), "non-negative"),
-            (np.array([[1.0, 2.0], [1.0, 1.0]]), "symmetric"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                AffinityMatrix._owned(arr)
+    @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
+    def test_diagnose_graph(self, n, d):
+        # the shifted graph that `diagnose` builds
+        x = np.random.default_rng(n).normal(size=(n, d))
+        w = _exp_cosines(_unit_rows(x)[1], 0.1, shift=1.0)
+        assert np.array_equal(w, w.T)
 
 
 # 2 / sigma overflows float64 from this sigma down; the next float up is the
@@ -227,7 +125,7 @@ class TestTinySigma:
         "sft_transform_array": lambda x, s: sft_transform_array(x, s),
         "sft_backward": lambda x, s: sft_backward(x, s, np.ones_like(x)),
         "ncut_loss": lambda x, s: ncut_loss(x, np.array([0, 0, 1, 1, 2]), s)[1],
-        "affinity": lambda x, s: affinity(FeatureMatrix(x), s).data,
+        "affinity": lambda x, s: affinity(FeatureMatrix(x), s),
     }
 
     @pytest.mark.parametrize("sigma", [1e-309, SIGMA_OVERFLOWING, 5e-324])
