@@ -21,7 +21,6 @@ from .data import (
     DatasetManifest,
     FeatureMatrix,
     ManifestError,
-    FeatureFileError,
     SyntheticSpec,
     check_paired,
     generate_synthetic,
@@ -36,7 +35,7 @@ from .data import (
 from .graphcut import class_ncut_escape
 from .ranking import RankingList, evaluate, rank, refine_ranking
 from .training import MARGIN, METHODS, PARSERS, SCALE, TrainConfig, load_train_config, train
-from .transform import _check_sigma, _exp_cosines, _unit_rows, sft_transform
+from .transform import affinity, sft_transform
 
 TOPOLOGY_ALIASES = {
     "blobs": "gaussian_blobs",
@@ -231,10 +230,8 @@ def cmd_diagnose(args) -> int:
     identities, classes = np.unique([rec.identity for rec in manifest.records], return_inverse=True)
     if identities.size < 2:
         raise ManifestError("diagnostics need at least 2 identities")
-    sigma = _check_sigma(args.sigma)
-    # every printed quantity is a ratio of edge sums: the shift cancels
-    weights = _exp_cosines(_unit_rows(features.data)[1], sigma, shift=1.0)
-    ncuts, escapes, escapes_rest = class_ncut_escape(weights, classes)
+    # every printed quantity is a ratio of edge sums at one sigma
+    ncuts, escapes, escapes_rest = class_ncut_escape(affinity(features, args.sigma), classes)
     for ident, value, escape in zip(identities, ncuts, escapes):
         print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
     residual = float(np.abs(ncuts - (escapes + escapes_rest)).max())
@@ -330,7 +327,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # numpy's MemoryError names the size that it could not allocate
-    except (FeatureFileError, ManifestError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # e.g. a float overflow at a tiny sigma

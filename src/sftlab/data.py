@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -45,6 +45,13 @@ class NonFiniteValuesError(FeatureFileError):
 
 class ManifestError(ValueError):
     pass
+
+
+def _check_finite(cfg) -> None:
+    """Every float field of a config dataclass is finite; the error names the field."""
+    for f in fields(cfg):
+        if f.type == "float" and not math.isfinite(value := getattr(cfg, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def write_json(payload, path) -> None:
@@ -186,6 +193,7 @@ class SyntheticSpec:
             raise ValueError("spreads must be positive")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
+        _check_finite(self)
 
 
 def save_features(matrix: FeatureMatrix, path) -> None:
@@ -261,6 +269,9 @@ SPIRAL_RADIUS = 1.0
 SPIRAL_GROWTH = 2.0
 
 
+# a huge spread or separation may overflow float64 on the way to inf or
+# nan; the range check before the float32 rounding names both
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManifest]:
     """Deterministic clustered data standing in for a real retrieval set.
 
@@ -284,7 +295,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManif
     records = []
     for ident in range(spec.num_identities):
         if spec.topology == "gaussian_blobs":
-            center = np.array(rng.normals(spec.dim))
+            center = rng.normals(spec.dim)
             norm = math.sqrt(float(center @ center))
             if norm == 0.0:  # unreachable in practice, keeps division safe
                 norm = 1.0
@@ -304,13 +315,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManif
                 point[0] = radius * math.cos(angle)
                 if spec.dim > 1:
                     point[1] = radius * math.sin(angle)
-            point = point + spec.intra_class_spread * np.array(rng.normals(spec.dim))
+            point = point + spec.intra_class_spread * rng.normals(spec.dim)
             rows.append(point)
             camera = j % spec.num_cameras
             records.append(
                 SampleRecord(f"{ident:04d}_c{camera}_{j:04d}", ident, camera, "train")
             )
     data = np.array(rows, dtype=np.float64)
+    if not np.abs(data).max() <= np.finfo(np.float32).max:  # nan fails too
+        raise ValueError(f"intra_class_spread {spec.intra_class_spread} and inter_class_separation "
+                         f"{spec.inter_class_separation} put features beyond float32 range")
     data = data.astype(np.float32).astype(np.float64)
     return FeatureMatrix(data), DatasetManifest(tuple(records))
 

@@ -21,6 +21,7 @@ from .data import (
     DatasetManifest,
     FeatureMatrix,
     SyntheticSpec,
+    _check_finite,
     generate_synthetic,
     hold_out_eval_split,
     split_features,
@@ -29,8 +30,8 @@ from .data import (
 from .graphcut import affinity_class_means
 from .ranking import RankingList, evaluate, k_reciprocal_rerank, rank, refine_ranking
 from .ranking import _check_kr, _check_top_n
-from .training import METHODS, TrainConfig, _check_finite, train
-from .transform import _check_affinity_sigma, affinity
+from .training import METHODS, TrainConfig, train
+from .transform import affinity
 
 _SWEEP_CELL = "sft+ds_shared"  # the method both sweeps vary
 
@@ -99,8 +100,6 @@ class ExperimentConfig:
             replace(self.train, k=k)
         _check_top_n(self.top_n, [])
         _check_kr(self.kr_k1, self.kr_k2, self.kr_lambda)
-        if self.mode == "ablation":  # the held-out affinity of two cells
-            _check_affinity_sigma(self.train.sigma)
         _check_finite(self)
 
 

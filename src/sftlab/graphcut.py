@@ -2,7 +2,7 @@
 
 A graph is a square float64 array of edge weights, a partition a vector
 of class ids 0..max, one per node.  The graphs the package builds are
-finite, positive and exactly symmetric by construction, so only shapes
+finite, non-negative and exactly symmetric by construction, so only shapes
 and labels are checked here.
 
 For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
@@ -98,7 +98,7 @@ def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, n
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
     norms, unit = _unit_rows(x)
-    weights = _exp_cosines(unit, sigma, shift=1.0)
+    weights = _exp_cosines(unit, sigma)
 
     loss = 0.0
     inv_vol = np.empty(present.size)

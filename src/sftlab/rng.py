@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -76,8 +78,9 @@ class Xoshiro256StarStar:
         u2 = (self.next_u64() >> 11) * 2.0**-53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def normals(self, count: int) -> list[float]:
-        return [self.normal() for _ in range(count)]
+    def normals(self, count: int) -> np.ndarray:
+        """count normal() deviates as float64, allocated before the first draw."""
+        return np.fromiter((self.normal() for _ in range(count)), np.float64, count)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""

@@ -23,11 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureMatrix, check_paired
+from .data import DatasetManifest, FeatureMatrix, _check_finite, check_paired
 from .graphcut import affinity_class_means, ncut_loss
 from .rng import Xoshiro256StarStar
 from .transform import (
-    _check_affinity_sigma,
     _check_sigma,
     _sft_backward,
     _transition_from_features,
@@ -71,8 +70,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.p < 2 or self.k < 2:
             raise ValueError("batches need p >= 2 identities and k >= 2 samples each")
-        # with diagnostics on, every epoch's log line builds affinity()
-        (_check_affinity_sigma if self.diagnostics else _check_sigma)(self.sigma)
+        _check_sigma(self.sigma)
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ValueError("counts must be non-negative")
         if self.base_lr <= 0:
@@ -83,13 +81,6 @@ class TrainConfig:
             raise ValueError("bad model dimensions")
         object.__setattr__(self, "decay_epochs", tuple(int(e) for e in self.decay_epochs))
         _check_finite(self)
-
-
-def _check_finite(cfg) -> None:
-    """Every float field of a config dataclass is finite; the error names the field."""
-    for f in fields(cfg):
-        if f.type == "float" and not math.isfinite(value := getattr(cfg, f.name)):
-            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -169,7 +160,7 @@ class EmbedModel:
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             scale = 1.0 / np.sqrt(fan_in)
-            w = np.array(rng.normals(fan_in * fan_out)).reshape(fan_in, fan_out) * scale
+            w = rng.normals(fan_in * fan_out).reshape(fan_in, fan_out) * scale
             weights.append(w)
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
@@ -214,7 +205,7 @@ class AmSoftmaxClassifier:
     @classmethod
     def init(cls, num_classes: int, embed_dim: int, rng: Xoshiro256StarStar) -> "AmSoftmaxClassifier":
         """Random rows scaled by 1/sqrt(embed_dim)."""
-        w = np.array(rng.normals(num_classes * embed_dim)).reshape(num_classes, embed_dim)
+        w = rng.normals(num_classes * embed_dim).reshape(num_classes, embed_dim)
         return cls(w / np.sqrt(embed_dim))
 
 

@@ -68,29 +68,22 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def _exp_cosines(unit: np.ndarray, sigma: float, shift: float = 0.0) -> np.ndarray:
-    """Edge weights exp((cos - shift) / sigma) of unit rows, built in place on
-    their cosines; ratios of edge sums ignore the shift, and 1 keeps w <= 1.
+def _exp_cosines(unit: np.ndarray, sigma: float) -> np.ndarray:
+    """Edge weights exp((cos - 1) / sigma) <= 1 of unit rows, built in place on
+    their cosines; ratios of edge sums ignore the common factor exp(-1 / sigma).
     The cosines are numpy's symmetric product, so the weights are exactly
     symmetric."""
     weights = _clipped_products(unit, unit)
-    weights -= shift
+    weights -= 1.0
     weights /= sigma
     np.exp(weights, out=weights)
     return weights
 
 
-def _check_affinity_sigma(sigma: float) -> float:
-    """Sigma for :func:`affinity`: exp(1 / sigma) is finite for sigma >= ~0.00141."""
-    sigma = _check_sigma(sigma)
-    if 1.0 / sigma > math.log(np.finfo(np.float64).max):
-        raise ValueError(f"sigma {sigma} too small for affinity: exp(1/sigma) overflows float64")
-    return sigma
-
-
 def affinity(x: FeatureMatrix, sigma: float) -> np.ndarray:
-    """Edge weights w_ij = exp(cos(x_i, x_j) / sigma), unshifted."""
-    return _exp_cosines(_unit_rows(x.data)[1], _check_affinity_sigma(sigma))
+    """Edge weights w_ij = exp((cos(x_i, x_j) - 1) / sigma) in (0, 1], finite
+    at every valid sigma: exp(cos / sigma) scaled by exp(-1 / sigma)."""
+    return _exp_cosines(_unit_rows(x.data)[1], _check_sigma(sigma))
 
 
 def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray

@@ -255,8 +255,8 @@ def test_criterion_7_affinity_suppression(ablation):
     baseline = ablation["inter_affinity_median"]["baseline"]
     sft_trained = ablation["inter_affinity_median"]["sft+ds_shared"]
     verdict("7 affinity suppression", sft_trained < baseline,
-            f"baseline inter-affinity {baseline:.3f}, transform-trained "
-            f"{sft_trained:.3f}; strict reduction required")
+            f"baseline inter-affinity {baseline:.6g}, transform-trained "
+            f"{sft_trained:.6g}; strict reduction required")
 
 
 def test_criterion_8_post_processing(ablation):

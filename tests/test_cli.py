@@ -336,26 +336,32 @@ class TestErrors:
 
 
     @pytest.mark.parametrize("command", ["experiment", "train"])
-    def test_sigma_overflowing_affinity_named(self, dataset, tmp_path, capsys, train_calls, command):
-        """At sigma 0.001 the unshifted affinity's exp(1/sigma) overflows:
-        an ablation, which builds held-out affinities, and train with the
-        diagnostics line both name sigma before any training, with no numpy
-        warning on the way."""
+    def test_tiny_sigma_affinities_are_finite(self, dataset, tmp_path, capsys, command):
+        """At sigma 0.001, where exp(1/sigma) overflows float64, an ablation's
+        held-out affinities and the diagnostics columns of a train log are
+        finite means of exp((cos - 1) / sigma) <= 1, with no numpy warning."""
         feats, manifest = dataset
+        out, log = tmp_path / "out", tmp_path / "train.log"
         if command == "experiment":
-            args = ["--mode", "ablation", "--epochs", 2, "--seeds", 1, "--out-dir", tmp_path / "out"]
+            args = ["--mode", "ablation", "--epochs", 2, "--seeds", 1, "--out-dir", out]
         else:
             config = tmp_path / "diagnostics.cfg"
             config.write_text("diagnostics = true\n")
             args = ["--features", feats, "--manifest", manifest, "--config", config,
-                    "--epochs", 2, "--p", 3, "--k", 4]
-        capsys.readouterr()
+                    "--epochs", 2, "--p", 3, "--k", 4, "--log", log]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(command, "--sigma", "0.001", *args) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: sigma 0.001 too small"), err
-        assert train_calls == []
+            assert run(command, "--sigma", "0.001", *args) == 0
+        assert capsys.readouterr().err == ""
+        if command == "experiment":
+            report = json.loads((out / "report.json").read_text())
+            values = list(report["inter_affinity_median"].values()) + [
+                row[key] for cell in ("baseline", "sft+ds_shared")
+                for row in report["cells"][cell]["per_seed"] for key in ("intra_affinity", "inter_affinity")]
+        else:
+            values = [float(v) for line in log.read_text().splitlines() for v in line.split("\t")[4:6]]
+        assert len(values) == (6 if command == "experiment" else 4)
+        assert all(0.0 <= v <= 1.0 for v in values), values
 
     @pytest.mark.parametrize("command", ["transform", "diagnose", "train", "experiment"])
     def test_sigma_overflowing_two_over_sigma_named(self, dataset, tmp_path, capsys, train_calls,
@@ -482,29 +488,65 @@ class TestErrors:
         assert not out.exists()
 
     # RLIMIT_AS of the child: room for the interpreter, numpy and one BLAS
-    # thread, far below any allocation sized by a hostile p or k
+    # thread, far below any allocation sized by a hostile p, k or dimension
     CHILD_ADDRESS_SPACE = 512 << 20
 
-    @pytest.mark.parametrize("p,k,message", [
-        (1_000_000_000_000, 2, "error: need 1000000000000 train identities, manifest has 6"),
-        (4, 1_000_000_000, "error: Unable to allocate "),
-    ], ids=["huge_p", "huge_k"])
-    def test_huge_batch_is_one_error_line(self, blobs, tmp_path, p, k, message):
-        """A batch too large to allocate fails with one error line, in a
-        child whose address space is capped, so the test touches little."""
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--p", "1000000000000", "--k", "2"],
+         "error: need 1000000000000 train identities, manifest has 6"),
+        (["train", "--p", "4", "--k", "1000000000"], "error: Unable to allocate "),
+        (["train", "--p", "4", "--k", "2", "--hidden-dim", "100000000000"], "error: Unable to allocate "),
+        (["gen", "--spec", "blobs", "--dim", "100000000000"], "error: Unable to allocate "),
+    ], ids=["huge_p", "huge_k", "huge_hidden_dim", "huge_gen_dim"])
+    def test_huge_batch_is_one_error_line(self, blobs, tmp_path, argv, message):
+        """A batch, model or dataset too large to allocate fails with one
+        error line, in a child whose address space is capped, so the test
+        touches little."""
         feats, manifest = blobs
+        if argv[0] == "train":
+            outputs = [tmp_path / "train.log"]
+            argv = argv + ["--features", feats, "--manifest", manifest, "--epochs", 2, "--log", outputs[0]]
+        else:
+            outputs = [tmp_path / "gen.sfte", tmp_path / "gen.tsv"]
+            argv = argv + ["--out", outputs[0], "--manifest", outputs[1]]
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         child = ("import resource, sys; "
                  f"resource.setrlimit(resource.RLIMIT_AS, ({self.CHILD_ADDRESS_SPACE},) * 2); "
                  "from sftlab.cli import main; sys.exit(main(sys.argv[1:]))")
-        done = subprocess.run([sys.executable, "-c", child, "train", "--features", str(feats),
-                               "--manifest", str(manifest), "--p", str(p), "--k", str(k),
-                               "--epochs", "2", "--log", str(tmp_path / "train.log")],
+        done = subprocess.run([sys.executable, "-c", child, *map(str, argv)],
                               capture_output=True, text=True, env=env, timeout=60, check=False)
         assert (done.returncode, done.stdout) == (1, ""), done.stderr
         assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith(message), done.stderr
-        assert not (tmp_path / "train.log").exists()
+        assert not any(out.exists() for out in outputs)
+
+    @pytest.mark.parametrize("flag,field", [("--spread", "intra_class_spread"),
+                                            ("--separation", "inter_class_separation")])
+    @pytest.mark.parametrize("command,value", [("gen", "nan"), ("gen", "inf"), ("gen", "1e300"), ("gen", "1e308"),
+                                               ("experiment", "1e300"), ("experiment", "1e308")])
+    def test_bad_spread_is_one_error_line(self, tmp_path, capsys, train_calls, command, flag, field, value):
+        """A non-finite spread or separation is named by field (for
+        experiment, see test_non_finite_experiment_value_named); one that
+        puts features beyond float32 range, or overflows float64 on the way,
+        is named with the other, with no numpy warning."""
+        out = tmp_path / "out"
+        if command == "gen":
+            args = ["--spec", "blobs", "--out", out, "--manifest", tmp_path / "m.tsv"]
+        else:
+            args = ["--seeds", 1, "--epochs", 2, "--out-dir", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, flag, value, *args) == 1
+        err = capsys.readouterr().err.splitlines()
+        if value.startswith("1e"):
+            assert len(err) == 1 and re.fullmatch(
+                r"error: intra_class_spread \S+ and inter_class_separation \S+ put features beyond float32 range",
+                err[0]), err
+            assert str(float(value)) in err[0]
+        else:
+            assert err == [f"error: {field} must be finite, got {float(value)}"]
+        assert train_calls == []
+        assert not out.exists() and not (tmp_path / "m.tsv").exists()
 
     @pytest.mark.parametrize("mode", exp.MODES)
     def test_diverging_experiment_exits_1(self, tmp_path, capsys, mode):

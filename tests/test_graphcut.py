@@ -417,6 +417,6 @@ class TestAffinityClassMeans:
         x[2:, 1] = 1.0
         w = affinity(FeatureMatrix(x), 0.5)
         intra, inter = affinity_class_means(w, np.array([0, 0, 1, 1]))
-        assert intra == pytest.approx(math.exp(2.0), rel=1e-12)
-        assert inter == pytest.approx(1.0, rel=1e-12)
+        assert intra == pytest.approx(1.0, rel=1e-12)
+        assert inter == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert intra > inter

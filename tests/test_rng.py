@@ -36,6 +36,16 @@ def test_normals_moments():
     assert abs(draws.std() - 1.0) < 0.05
 
 
+def test_normals_equal_successive_normal_draws():
+    # the array is filled one normal() at a time, so it holds the same bits
+    a, b = Xoshiro256StarStar(9), Xoshiro256StarStar(9)
+    draws = a.normals(257)
+    assert draws.dtype == np.float64 and draws.shape == (257,)
+    assert draws.tolist() == [b.normal() for _ in range(257)]
+    assert a.getstate() == b.getstate()
+    assert a.normals(0).shape == (0,)
+
+
 def test_randrange_bounds_and_coverage():
     rng = Xoshiro256StarStar(5)
     draws = [rng.randrange(7) for _ in range(2000)]

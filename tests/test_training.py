@@ -422,12 +422,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="sigma must be positive"):
             TrainConfig(sigma=sigma)
 
-    def test_config_checks_affinity_sigma_only_with_diagnostics(self):
-        """Only the diagnostics line builds the unshifted affinity, whose
-        exp(1/sigma) overflows at sigma 0.001."""
-        assert TrainConfig(sigma=0.001).sigma == 0.001
-        with pytest.raises(ValueError, match="^sigma 0.001 too small for affinity"):
-            TrainConfig(sigma=0.001, diagnostics=True)
+    def test_diagnostics_are_finite_at_tiny_sigma(self):
+        """The diagnostics columns are means of exp((cos - 1) / sigma) <= 1,
+        finite at sigma 0.001, where exp(1 / sigma) overflows float64."""
+        feats, manifest = generate_synthetic(SyntheticSpec(4, 6, 8, seed=6))
+        cfg = TrainConfig(p=2, k=3, epochs=3, sigma=0.001, hidden_dim=16, embed_dim=4, seed=21,
+                          diagnostics=True)
+        log = train(feats, manifest, cfg).log
+        assert len(log) == 3
+        for line in log:
+            intra, inter, graph_val = (float(v) for v in line.split("\t")[4:])
+            assert 0.0 <= intra <= 1.0 and 0.0 <= inter <= 1.0 and math.isfinite(graph_val)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig) if f.type == "float"])

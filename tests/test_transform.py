@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
 from reference import transition
-from sftlab.data import FeatureMatrix
-from sftlab.graphcut import ncut_loss
+from sftlab import cli
+from sftlab.data import DatasetManifest, FeatureMatrix, SampleRecord, load_features, save_features, save_manifest
+from sftlab.graphcut import class_ncut_escape, ncut_loss
 from sftlab.transform import (
     ZeroNormRowError,
     _cosine_backward,
-    _exp_cosines,
     _sft_backward,
     _transition_from_features,
     _unit_backward,
-    _unit_rows,
     affinity,
     cosine_between,
     sft_backward,
@@ -37,35 +36,35 @@ def feature_strategy(max_n=6, max_d=5):
 class TestAffinity:
     def test_identical_directions(self):
         w = affinity(FeatureMatrix([[1.0, 0.0], [1.0, 0.0]]), 1.0)
-        np.testing.assert_allclose(w, E, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, 1.0, rtol=0, atol=1e-15)
 
     def test_orthogonal(self):
         w = affinity(FeatureMatrix([[1.0, 0.0], [0.0, 1.0]]), 1.0)
-        np.testing.assert_allclose(np.diag(w), E, atol=1e-15)
-        assert w[0, 1] == 1.0 and w[1, 0] == 1.0
+        np.testing.assert_allclose(np.diag(w), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose([w[0, 1], w[1, 0]], 1.0 / E, rtol=1e-15)
 
     def test_matches_per_entry_oracle(self):
+        # the graph is exp(cos / sigma) scaled by exp(-1 / sigma)
         rng = np.random.default_rng(42)
         x = rng.normal(size=(4, 3))
-        sigma = 0.1
-        w = affinity(FeatureMatrix(x), sigma)
-        for i in range(4):
-            for j in range(4):
-                ni = math.sqrt(sum(v * v for v in x[i]))
-                nj = math.sqrt(sum(v * v for v in x[j]))
-                cos = sum(a * b for a, b in zip(x[i], x[j])) / (ni * nj)
-                expected = math.exp(min(1.0, max(-1.0, cos)) / sigma)
-                assert abs(w[i, j] - expected) <= 1e-12 * expected
+        for sigma in (0.05, 0.17, 1.0):
+            w = affinity(FeatureMatrix(x), sigma) * math.exp(1.0 / sigma)
+            for i in range(4):
+                for j in range(4):
+                    ni = math.sqrt(sum(v * v for v in x[i]))
+                    nj = math.sqrt(sum(v * v for v in x[j]))
+                    cos = sum(a * b for a, b in zip(x[i], x[j])) / (ni * nj)
+                    expected = math.exp(min(1.0, max(-1.0, cos)) / sigma)
+                    assert abs(w[i, j] - expected) <= 1e-12 * expected
 
     def test_bounds_and_symmetry(self):
         rng = np.random.default_rng(3)
-        for sigma in (0.02, 0.1, 1.0):
+        for sigma in (0.001, 0.02, 0.1, 1.0):
             w = affinity(FeatureMatrix(rng.normal(size=(6, 4))), sigma)
-            top = math.exp(1.0 / sigma)
-            assert w.min() > 0
-            assert w.max() <= top * (1 + 1e-12)
-            np.testing.assert_allclose(np.diag(w), top, rtol=1e-12)
-            np.testing.assert_allclose(w, w.T, atol=1e-12 * top)
+            assert w.min() >= 0.0
+            assert w.max() <= 1.0
+            np.testing.assert_allclose(np.diag(w), 1.0, rtol=1e-12)
+            np.testing.assert_allclose(w, w.T, atol=1e-12)
 
     def test_zero_norm_row_reports_index(self):
         with pytest.raises(ZeroNormRowError) as err:
@@ -76,14 +75,6 @@ class TestAffinity:
     def test_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be positive"):
             affinity(FeatureMatrix([[1.0, 0.0]]), sigma)
-
-    def test_overflowing_sigma_rejected_before_exp(self):
-        # exp(1 / 0.001) overflows float64; the boundary sigma 1 / log(max) does not
-        with pytest.raises(ValueError, match="sigma 0.001 too small"):
-            affinity(FeatureMatrix([[1.0, 0.0], [0.0, 1.0]]), 0.001)
-        boundary = 1.0 / math.log(np.finfo(np.float64).max)
-        w = affinity(FeatureMatrix([[1.0, 0.0], [0.6, 0.8]]), boundary)
-        assert np.isfinite(w).all() and w.max() > 1e308
 
 
 # (rows, dims) of graphs the package builds, from 51-node refine heads to
@@ -104,10 +95,19 @@ class TestBuiltGraphsAreSymmetric:
         assert np.array_equal(w, w.T)
 
     @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
-    def test_diagnose_graph(self, n, d):
-        # the shifted graph that `diagnose` builds
-        x = np.random.default_rng(n).normal(size=(n, d))
-        w = _exp_cosines(_unit_rows(x)[1], 0.1, shift=1.0)
+    def test_diagnose_graph(self, n, d, tmp_path, monkeypatch):
+        # the graph that `diagnose` hands to the diagnostics is affinity()'s
+        feats, manifest = tmp_path / "f.sfte", tmp_path / "m.tsv"
+        save_features(FeatureMatrix(np.random.default_rng(n).normal(size=(n, d))), feats)
+        save_manifest(DatasetManifest(tuple(SampleRecord(f"s{i}", i % 4, 0, "train") for i in range(n))),
+                      manifest)
+        graphs = []
+        monkeypatch.setattr(cli, "class_ncut_escape",
+                            lambda w, labels: graphs.append(w) or class_ncut_escape(w, labels))
+        assert cli.main(["diagnose", "--features", str(feats), "--manifest", str(manifest),
+                         "--sigma", "0.1"]) == 0
+        [w] = graphs
+        assert np.array_equal(w, affinity(load_features(feats), 0.1))
         assert np.array_equal(w, w.T)
 
 
