@@ -32,7 +32,6 @@ from .ranking import (
 )
 from .rng import Xoshiro256StarStar
 from .training import (
-    AmSoftmaxClassifier,
     EmbedModel,
     TrainConfig,
     lr_at,

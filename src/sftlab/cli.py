@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
             "weights": [w.tolist() for w in result.model.weights],
             "biases": [b.tolist() for b in result.model.biases],
             "normalize_output": True,
-            "classifier_weight": result.classifier.weight.tolist(),
+            "classifier_weight": result.classifier.tolist(),
             "margin": MARGIN,
             "scale": SCALE,
         }
@@ -326,9 +326,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # numpy's MemoryError names the size that it could not allocate
+    # numpy's MemoryError names the size that it could not allocate; a bare
+    # one (Python's own) has no message, so its type stands in
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # e.g. a float overflow at a tiny sigma
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

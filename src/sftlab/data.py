@@ -291,7 +291,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManif
     every subset of an identity's samples covers the whole arm.
     """
     rng = Xoshiro256StarStar(spec.seed)
-    rows = []
+    # every row is allocated before the first draw, so a size too large to hold fails at once
+    data = np.empty((spec.num_identities * spec.samples_per_identity, spec.dim))
     records = []
     for ident in range(spec.num_identities):
         if spec.topology == "gaussian_blobs":
@@ -306,7 +307,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManif
             rng.shuffle(strata)
         for j in range(spec.samples_per_identity):
             if spec.topology == "gaussian_blobs":
-                point = center.copy()
+                point = center
             else:
                 t = (strata[j] + rng.random()) / spec.samples_per_identity
                 radius = (SPIRAL_RADIUS + SPIRAL_GROWTH * t) * spec.inter_class_separation
@@ -315,13 +316,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManif
                 point[0] = radius * math.cos(angle)
                 if spec.dim > 1:
                     point[1] = radius * math.sin(angle)
-            point = point + spec.intra_class_spread * rng.normals(spec.dim)
-            rows.append(point)
+            data[len(records)] = point + spec.intra_class_spread * rng.normals(spec.dim)
             camera = j % spec.num_cameras
             records.append(
                 SampleRecord(f"{ident:04d}_c{camera}_{j:04d}", ident, camera, "train")
             )
-    data = np.array(rows, dtype=np.float64)
     if not np.abs(data).max() <= np.finfo(np.float32).max:  # nan fails too
         raise ValueError(f"intra_class_spread {spec.intra_class_spread} and inter_class_separation "
                          f"{spec.inter_class_separation} put features beyond float32 range")

@@ -180,8 +180,11 @@ class EmbedModel:
         norms, out = _unit_rows(out)
         return out, (inputs, norms, out)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a diverged model's inf or nan is named, not warned about
     def embed(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        if not np.isfinite(out := self.forward(x)[0]).all():
+            raise ValueError("training diverged: the model's embeddings are not finite")
+        return out
 
     def backward(self, cache: tuple, grad_out: np.ndarray) -> list[np.ndarray]:
         """Gradients of :meth:`parameters`, in its order."""
@@ -195,25 +198,18 @@ class EmbedModel:
         return [h.swapaxes(-1, -2) @ g for h, g in zip(inputs, grads)] + [g.sum(axis=-2) for g in grads]
 
 
-@dataclass
-class AmSoftmaxClassifier:
-    """Cosine classifier with additive margin MARGIN and logit scale SCALE;
-    its (num_classes, embed_dim) weight may be an (S, ...) stack of them."""
-
-    weight: np.ndarray
-
-    @classmethod
-    def init(cls, num_classes: int, embed_dim: int, rng: Xoshiro256StarStar) -> "AmSoftmaxClassifier":
-        """Random rows scaled by 1/sqrt(embed_dim)."""
-        w = rng.normals(num_classes * embed_dim).reshape(num_classes, embed_dim)
-        return cls(w / np.sqrt(embed_dim))
+def _classifier_init(num_classes: int, embed_dim: int, rng: Xoshiro256StarStar) -> np.ndarray:
+    """Random (num_classes, embed_dim) classifier rows scaled by 1/sqrt(embed_dim)."""
+    w = rng.normals(num_classes * embed_dim).reshape(num_classes, embed_dim)
+    return w / np.sqrt(embed_dim)
 
 
-def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray):
-    """Forward pass on raw rows x and valid labels y against unit classifier
-    rows: (n, d), (n,) and (C, d), or (S, n, d), (S, n) and (S, C, d)
-    stacks with a loss per matrix.  Returns (feat, feat_norms, logits,
-    lse, loss) and each row's label cell of logits, flat."""
+def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray,
+                     w_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(loss, d loss / d x, d loss / d classifier weight) of the margin softmax
+    (margin MARGIN, scale SCALE) on raw rows x, valid labels y and classifier
+    rows of these norms and unit directions: (n, d), (n,) and (C, d), or
+    (S, n, d), (S, n) and (S, C, d) stacks with a loss per matrix."""
     feat_norms, feat = _unit_rows(x)
     cos = feat @ w_unit.swapaxes(-1, -2)
     logits = SCALE * cos
@@ -226,14 +222,7 @@ def _am_softmax_parts(x: np.ndarray, y: np.ndarray, w_unit: np.ndarray):
     zmax = np.ascontiguousarray(logits.swapaxes(-1, -2)).max(axis=-2)[..., None]
     shifted = logits - zmax
     lse = zmax[..., 0] + np.log(np.exp(shifted, out=shifted).sum(axis=-1))
-    return feat, feat_norms, logits, lse, (lse - target.reshape(y.shape)).sum(axis=-1) / y.shape[-1], labelled
-
-
-def _am_softmax_grad(x: np.ndarray, y: np.ndarray, w_norms: np.ndarray,
-                     w_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(loss, d loss / d x, d loss / d classifier weight) for valid labels,
-    of one matrix or per matrix of a stack."""
-    feat, feat_norms, logits, lse, loss, labelled = _am_softmax_parts(x, y, w_unit)
+    loss = (lse - target.reshape(y.shape)).sum(axis=-1) / y.shape[-1]
     grad_cos = logits - lse[..., None]
     np.exp(grad_cos, out=grad_cos)  # the softmax, less one at each label, times scale / n
     grad_cos.reshape(-1, grad_cos.shape[-1])[labelled] -= 1.0
@@ -305,8 +294,8 @@ def _plan(methods: Sequence[str], sigmas: Sequence[float], cfg: TrainConfig) -> 
     )
 
 
-def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassifier,
-          clf_orig: AmSoftmaxClassifier | None, plan: _Plan):
+def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: np.ndarray,
+          clf_orig: np.ndarray | None, plan: _Plan):
     """Losses and parameter gradients of one step of S slots in lockstep.
 
     x (S, n, d) holds each slot's batch and y (S, n) its valid class ids;
@@ -324,13 +313,13 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassif
     classifier loss on the untransformed embedding, which contributes
     gradient only under deep supervision and ncut (it is still reported
     otherwise, for the log).  grads holds the gradients of
-    model.parameters() + [clf.weight], then of clf_orig.weight, each with a
+    model.parameters() + [clf], then of clf_orig, each with a
     leading slot axis (the unshared slots' only, for clf_orig).
     """
     emb, cache = model.forward(x)
     slots = len(emb)
     moved = plan.transformed
-    inputs, labels, weights = emb, y, clf.weight
+    inputs, labels, weights = emb, y, clf
     if moved is not None:
         # every slot's transformed features, then the transformed slots'
         # embeddings, scored by clf too or, for the unshared slots (which
@@ -338,9 +327,9 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassif
         forward = _transition_from_features(emb[moved], plan.sigma)
         inputs = np.concatenate([emb[:moved.start], forward[2] @ emb[moved], emb[moved.stop:], emb[moved]])
         labels = np.concatenate([y, y[moved]])
-        scorers = [clf.weight, clf.weight[moved]]
+        scorers = [clf, clf[moved]]
         if clf_orig is not None:
-            scorers[1:] = [clf.weight[moved][:-len(clf_orig.weight)], clf_orig.weight]
+            scorers[1:] = [clf[moved][:-len(clf_orig)], clf_orig]
         weights = np.concatenate(scorers)
     loss, grad_in, grad_w = _am_softmax_grad(inputs, labels, *_unit_rows(weights))
     loss_sft, grad_emb, grad_clf = loss[:slots], grad_in[:slots], grad_w[:slots]
@@ -369,8 +358,8 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: AmSoftmaxClassif
 @dataclass
 class TrainResult:
     model: EmbedModel
-    classifier: AmSoftmaxClassifier
-    classifier_orig: AmSoftmaxClassifier | None
+    classifier: np.ndarray               # (num_classes, embed_dim) rows
+    classifier_orig: np.ndarray | None   # the unshared slots' second classifier
     log: list[str]
 
 
@@ -407,7 +396,6 @@ class _Slot(NamedTuple):
 
     cfg: TrainConfig
     arrays: list[np.ndarray]  # initial parameters in _step's gradient order
-    layers: int               # weight arrays of the model
     schedule: tuple           # its PK schedule's key: (dataset, p, k, steps, rng state)
     train_rows: np.ndarray    # its dataset's train rows in the stacked data
     group: tuple              # the fields its stack shares
@@ -449,18 +437,17 @@ def _train(runs: list) -> list[TrainResult]:
         if dims not in inits:
             rng = Xoshiro256StarStar(cfg.seed)
             model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-            clf = AmSoftmaxClassifier.init(num_classes, cfg.embed_dim, rng)
-            inits[dims] = (model.parameters() + [clf.weight], len(model.weights), rng)
-        arrays, layers, rng = inits[dims]
+            inits[dims] = (model.parameters() + [_classifier_init(num_classes, cfg.embed_dim, rng)], rng)
+        arrays, rng = inits[dims]
         if cfg.method == "sft+ds_unshared":  # its second classifier draws on from a copy
             rng = copy.deepcopy(rng)
-            arrays = arrays + [AmSoftmaxClassifier.init(num_classes, cfg.embed_dim, rng).weight]
+            arrays = arrays + [_classifier_init(num_classes, cfg.embed_dim, rng)]
 
         batches = max(1, len(train_rows) // (cfg.p * cfg.k))
         key = (id(features), id(manifest), cfg.p, cfg.k, cfg.epochs * batches, rng.getstate())
         draws.setdefault(key, (manifest, rng, offset))
         group = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in _PER_SLOT)
-        slots.append(_Slot(cfg, arrays, layers, key, train_rows, (group, features.d, num_classes, batches)))
+        slots.append(_Slot(cfg, arrays, key, train_rows, (group, features.d, num_classes, batches)))
 
     data = data[0] if len(data) == 1 else np.concatenate(data)
     class_ids = np.concatenate(class_ids)
@@ -498,7 +485,7 @@ def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray
     rows use the second classifier's columns.
     """
     cfg = slots[0].cfg  # for the fields the slots share
-    layers = slots[0].layers
+    layers = 2 if cfg.hidden_dim else 1  # weight arrays of the model
     shapes = [a.shape for a in slots[-1].arrays]
     params = np.zeros((len(slots), sum(math.prod(shape) for shape in shapes)))
     for row, slot in zip(params, slots):
@@ -510,11 +497,11 @@ def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray
     plan = _plan([slot.cfg.method for slot in slots], [slot.cfg.sigma for slot in slots], cfg)
     views = _views(params, shapes)
     model = EmbedModel(views[:layers], views[layers:2 * layers])
-    clf = AmSoftmaxClassifier(views[2 * layers])
+    clf = views[2 * layers]
     targets = _views(step, shapes)
     clf_orig = None
     if (unshared := plan.slices.get("sft+ds_unshared")) is not None:
-        clf_orig = AmSoftmaxClassifier(views[-1][unshared])
+        clf_orig = views[-1][unshared]
         targets[-1] = targets[-1][unshared]
 
     # the slots' distinct schedules, one draw each from a copy of the rng
@@ -527,8 +514,11 @@ def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray
         drawn[...] = _pk_schedule(manifest, cfg.p, cfg.k, len(drawn), copy.deepcopy(rng))
         drawn += offset
     which = np.array([keys.index(slot.schedule) for slot in slots])
-    logs: list[list[str]] = [[] for _ in slots]
-    own = [[v[i] for v in views] for i in range(len(slots))]  # each slot's parameter views
+    results = []
+    for i, slot in enumerate(slots):  # each slot's result, on its rows of the buffer
+        own = [v[i] for v in views]
+        results.append(TrainResult(EmbedModel(own[:layers], own[layers:2 * layers]), own[2 * layers],
+                                   own[-1] if slot.cfg.method == "sft+ds_unshared" else None, []))
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         sum_orig = np.zeros(len(slots))
@@ -545,21 +535,14 @@ def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray
             params += velocity
         if not np.isfinite(sum_orig + sum_sft).all():
             raise ValueError(f"training diverged in epoch {epoch}: the loss is not finite")
-        for slot, arrays, log, loss_orig, loss_sft in zip(slots, own, logs, sum_orig, sum_sft):
+        for slot, result, loss_orig, loss_sft in zip(slots, results, sum_orig, sum_sft):
             line = f"{epoch}\t{lr:.12g}\t{float(loss_orig) / batches:.12g}\t{float(loss_sft) / batches:.12g}"
             if cfg.diagnostics:
-                emb = EmbedModel(arrays[:layers], arrays[layers:2 * layers]).embed(data[slot.train_rows])
+                emb = result.model.embed(data[slot.train_rows])
                 labels = class_ids[slot.train_rows]
                 sigma = slot.cfg.sigma
                 intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), sigma), labels)
                 graph_val, _ = ncut_loss(emb, labels, sigma)
                 line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
-            log.append(line)
-
-    results = []
-    for slot, arrays, log in zip(slots, own, logs):
-        second = slot.cfg.method == "sft+ds_unshared"
-        results.append(TrainResult(EmbedModel(arrays[:layers], arrays[layers:2 * layers]),
-                                   AmSoftmaxClassifier(arrays[2 * layers]),
-                                   AmSoftmaxClassifier(arrays[-1]) if second else None, log))
+            result.log.append(line)
     return results

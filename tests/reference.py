@@ -9,6 +9,10 @@ and escape probabilities in one pass and is checked against them.
 The margin-softmax helpers, :func:`forward_backward` and :func:`refine_one`
 are thin forms of the package's own kernels, so a finite-difference or
 refinement check runs the code the trainer and ``refine_ranking`` run.
+Both margin-softmax helpers call the trainer's one margin-softmax kernel,
+``sftlab.training._am_softmax_grad``: :func:`am_softmax_value` keeps the
+loss it returns first, which it computes before and apart from the
+gradients.
 
 The per-query ranking checks (``LoopedQueryRanking``, ``LoopedRankingList``
 and :func:`looped_check_indices`) are the package's former checks, kept
@@ -21,8 +25,7 @@ import numpy as np
 
 from sftlab.data import FeatureMatrix
 from sftlab.ranking import QueryRanking, RankingList, refine_ranking
-from sftlab.training import (AmSoftmaxClassifier, EmbedModel, _am_softmax_grad, _am_softmax_parts,
-                             _plan, _step)
+from sftlab.training import EmbedModel, _am_softmax_grad, _plan, _step
 from sftlab.transform import _unit_rows
 
 
@@ -58,7 +61,7 @@ def transition(w):
 
 def check_labels(y, n, clf):
     """Reject labels that are not n class ids of the classifier."""
-    num_classes = clf.weight.shape[0]
+    num_classes = clf.shape[0]
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match {n} samples")
     if y.min() < 0 or y.max() >= num_classes:
@@ -69,16 +72,17 @@ def check_labels(y, n, clf):
 
 
 def am_softmax_value(x, labels, clf):
-    """The trainer's mean margin-softmax loss of feature rows x, forward only."""
+    """The trainer's mean margin-softmax loss of feature rows x: element 0
+    of its kernel."""
     check_labels(labels, x.shape[0], clf)
-    return float(_am_softmax_parts(x, labels, _unit_rows(clf.weight)[1])[4])
+    return float(_am_softmax_grad(x, labels, *_unit_rows(clf))[0])
 
 
 def am_softmax_loss(x, labels, clf):
-    """(loss, d loss / d x, d loss / d clf.weight) from the trainer's kernel,
+    """(loss, d loss / d x, d loss / d clf) from the trainer's kernel,
     the gradients taken w.r.t. the raw (unnormalized) rows."""
     check_labels(labels, x.shape[0], clf)
-    loss, grad_x, grad_w = _am_softmax_grad(x, labels, *_unit_rows(clf.weight))
+    loss, grad_x, grad_w = _am_softmax_grad(x, labels, *_unit_rows(clf))
     return float(loss), grad_x, grad_w
 
 
@@ -88,8 +92,7 @@ def forward_backward(x, labels, model, clf, cfg, clf_orig=None):
 
     Returns (loss_orig, loss_sft, grads) as ``_step`` describes them, the
     losses as floats and each gradient without the slot axis: those of
-    model.parameters() + [clf.weight], then of clf_orig.weight under
-    sft+ds_unshared.
+    model.parameters() + [clf], then of clf_orig under sft+ds_unshared.
     """
     check_labels(labels, x.shape[0], clf)
     stacked_orig = None
@@ -97,10 +100,9 @@ def forward_backward(x, labels, model, clf, cfg, clf_orig=None):
         if clf_orig is None:
             raise ValueError("unshared deep supervision needs the second classifier")
         check_labels(labels, x.shape[0], clf_orig)
-        stacked_orig = AmSoftmaxClassifier(clf_orig.weight[None])
+        stacked_orig = clf_orig[None]
     stacked = EmbedModel([w[None] for w in model.weights], [b[None] for b in model.biases])
-    loss_orig, loss_sft, grads = _step(x[None], labels[None], stacked,
-                                       AmSoftmaxClassifier(clf.weight[None]), stacked_orig,
+    loss_orig, loss_sft, grads = _step(x[None], labels[None], stacked, clf[None], stacked_orig,
                                        _plan((cfg.method,), (cfg.sigma,), cfg))
     return float(loss_orig[0]), float(loss_sft[0]), [g[0] for g in grads]
 

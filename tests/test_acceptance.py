@@ -22,7 +22,7 @@ from reference import (am_softmax_loss, am_softmax_value, cut, forward_backward,
 from sftlab.graphcut import class_ncut_escape, ncut_loss
 from sftlab.ranking import evaluate, k_reciprocal_rerank, rank, refine_ranking
 from sftlab.rng import Xoshiro256StarStar
-from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig
+from sftlab.training import EmbedModel, TrainConfig, _classifier_init
 from sftlab.transform import _transition_from_features, affinity, sft_backward, sft_transform_array
 
 from test_ranking import (
@@ -121,12 +121,12 @@ def test_criterion_2_gradient_suite():
         n, d, c = int(rng.integers(3, 8)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
         x = rng.normal(size=(n, d))
         y = rng.integers(0, c, size=n)
-        clf = AmSoftmaxClassifier(rng.normal(size=(c, d)))
+        clf = rng.normal(size=(c, d))
         _, gx, gw = am_softmax_loss(x, y, clf)
         worst_unit = max(worst_unit, rel_error(gx, central_diff(
             lambda v: am_softmax_value(v, y, clf), x)))
         worst_unit = max(worst_unit, rel_error(gw, central_diff(
-            lambda w: am_softmax_value(x, y, AmSoftmaxClassifier(w)), clf.weight)))
+            lambda w: am_softmax_value(x, y, w), clf)))
     # graph-cut loss
     for i in range(20):
         n, d = int(rng.integers(4, 9)), int(rng.integers(2, 5))
@@ -155,12 +155,12 @@ def test_criterion_2_gradient_suite():
             x = np.random.default_rng(seed).normal(size=(8, 7))
             y = np.repeat(np.arange(4), 2)
             model = EmbedModel.init(7, 12, 5, Xoshiro256StarStar(seed))
-            clf = AmSoftmaxClassifier.init(4, 5, Xoshiro256StarStar(seed + 10))
-            clf_orig = AmSoftmaxClassifier.init(4, 5, Xoshiro256StarStar(seed + 20))
+            clf = _classifier_init(4, 5, Xoshiro256StarStar(seed + 10))
+            clf_orig = _classifier_init(4, 5, Xoshiro256StarStar(seed + 20))
             _, _, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
-            params = model.parameters() + [clf.weight]
+            params = model.parameters() + [clf]
             if cfg.method == "sft+ds_unshared":
-                params.append(clf_orig.weight)
+                params.append(clf_orig)
             if cfg.method.startswith("sft") and not cfg.grad_through_transition:
                 frozen = _transition_from_features(model.embed(x), cfg.sigma)[2]
                 objective = lambda: frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen)

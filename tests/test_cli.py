@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,12 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sftlab import cli
 from sftlab import experiment as exp
 from sftlab.cli import main
 from sftlab.data import SyntheticSpec, load_features, load_manifest
-from sftlab.training import METHODS
+from sftlab.training import METHODS, TrainConfig
 from sftlab.transform import sft_transform
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,15 +42,19 @@ def dataset(tmp_path):
     return feats, manifest
 
 
-@pytest.fixture()
-def blobs(tmp_path):
-    """The 6-identity blob set: 24 train rows, 4 per identity."""
-    feats = tmp_path / "blobs.sfte"
-    manifest = tmp_path / "blobs.tsv"
+def gen_blobs(directory):
+    """The 6-identity blob set, written to directory: 24 train rows, 4 per identity."""
+    feats = directory / "blobs.sfte"
+    manifest = directory / "blobs.tsv"
     assert run("gen", "--spec", "blobs", "--identities", 6, "--per-id", 7, "--dim", 10,
                "--spread", "0.1", "--seed", 5, "--query-per-id", 1, "--gallery-per-id", 2,
                "--out", feats, "--manifest", manifest) == 0
     return feats, manifest
+
+
+@pytest.fixture()
+def blobs(tmp_path):
+    return gen_blobs(tmp_path)
 
 
 @pytest.fixture()
@@ -488,7 +496,7 @@ class TestErrors:
         assert not out.exists()
 
     # RLIMIT_AS of the child: room for the interpreter, numpy and one BLAS
-    # thread, far below any allocation sized by a hostile p, k or dimension
+    # thread, far below any allocation sized by a hostile p, k, dimension or count
     CHILD_ADDRESS_SPACE = 512 << 20
 
     @pytest.mark.parametrize("argv,message", [
@@ -497,7 +505,14 @@ class TestErrors:
         (["train", "--p", "4", "--k", "1000000000"], "error: Unable to allocate "),
         (["train", "--p", "4", "--k", "2", "--hidden-dim", "100000000000"], "error: Unable to allocate "),
         (["gen", "--spec", "blobs", "--dim", "100000000000"], "error: Unable to allocate "),
-    ], ids=["huge_p", "huge_k", "huge_hidden_dim", "huge_gen_dim"])
+        (["gen", "--spec", "blobs", "--identities", "1000000000000", "--per-id", "2", "--dim", "2"],
+         "error: Unable to allocate "),
+        (["gen", "--spec", "spirals", "--identities", "2", "--per-id", "1000000000000", "--dim", "2"],
+         "error: Unable to allocate "),
+        (["experiment", "--identities", "1000000000000", "--seeds", "1", "--epochs", "1"],
+         "error: Unable to allocate "),
+    ], ids=["huge_p", "huge_k", "huge_hidden_dim", "huge_gen_dim", "huge_gen_identities",
+            "huge_gen_per_id", "huge_experiment_identities"])
     def test_huge_batch_is_one_error_line(self, blobs, tmp_path, argv, message):
         """A batch, model or dataset too large to allocate fails with one
         error line, in a child whose address space is capped, so the test
@@ -506,9 +521,12 @@ class TestErrors:
         if argv[0] == "train":
             outputs = [tmp_path / "train.log"]
             argv = argv + ["--features", feats, "--manifest", manifest, "--epochs", 2, "--log", outputs[0]]
-        else:
+        elif argv[0] == "gen":
             outputs = [tmp_path / "gen.sfte", tmp_path / "gen.tsv"]
             argv = argv + ["--out", outputs[0], "--manifest", outputs[1]]
+        else:
+            outputs = [tmp_path / "report"]
+            argv = argv + ["--out-dir", outputs[0]]
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         child = ("import resource, sys; "
@@ -519,6 +537,15 @@ class TestErrors:
         assert (done.returncode, done.stdout) == (1, ""), done.stderr
         assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith(message), done.stderr
         assert not any(out.exists() for out in outputs)
+
+    def test_bare_memory_error_is_named(self, monkeypatch, capsys):
+        """Python's own MemoryError has no message; the line names its type."""
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_transform", out_of_memory)
+        assert run("transform", "--features", "x.sfte", "--out", "y.sfte") == 1
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
 
     @pytest.mark.parametrize("flag,field", [("--spread", "intra_class_spread"),
                                             ("--separation", "inter_class_separation")])
@@ -650,6 +677,69 @@ class TestHostileRanking:
         if edit in HOSTILE_MESSAGES:
             assert err == f"error: {HOSTILE_MESSAGES[edit].format(path=ranking)}\n"
         assert not out.exists()
+
+
+TRAIN_KINDS = {f.name: f.type for f in fields(TrainConfig)}
+
+
+def flag_values(name):
+    """(edge, in-range) strategies of a TrainConfig field's values, in its
+    flag's type.  Edges are zero and negatives, and for a float field also
+    nan, the infinities and the extremes of float64.  Sizes stay small
+    (p*k <= 256, dims <= 64, epochs <= 3): huge ones are the capped child's
+    cases."""
+    if TRAIN_KINDS[name] == "float":
+        return (st.sampled_from([0.0, -0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf,
+                                 5e-324, 1e-300, 1e300]), st.floats(1e-3, 10.0))
+    low = 2 if name in ("p", "k") else 1
+    return st.integers(-(1 << 63), low - 1), st.integers(low, {"p": 16, "k": 16, "epochs": 3}.get(name, 64))
+
+
+FLAG_VALUES = {name: flag_values(name) for name in cli.TRAIN_FLAGS}
+
+
+@st.composite
+def train_flags(draw):
+    """Trainer flags by field name: at most two at edge values, any others in range."""
+    edged = draw(st.sets(st.sampled_from(cli.TRAIN_FLAGS), max_size=2))
+    flags = draw(st.fixed_dictionaries({}, optional={
+        name: values[1] for name, values in FLAG_VALUES.items() if name not in edged}))
+    return flags | {name: draw(FLAG_VALUES[name][0]) for name in sorted(edged)}
+
+
+class TestHostileTrainFlags:
+    """`train` on the 6-identity blob set and `experiment --seeds 1
+    --epochs 2`, each with some trainer flags set to hostile values, exit 0
+    or exit 1 with one `error:` line, printing no warning."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("hostile_train")
+        return out, gen_blobs(out)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    # one batch per epoch, so the last update, which no loss sees, overflows
+    # the model: the embeddings were inf and nan, after two numpy warnings
+    @example(command="train", flags={"base_lr": 1e300})
+    @example(command="experiment", flags={"base_lr": 1e300, "p": 16, "k": 8})
+    @given(command=st.sampled_from(["train", "experiment"]), flags=train_flags())
+    def test_exit_0_or_one_error_line(self, files, command, flags):
+        out, (feats, manifest) = files
+        if command == "train":
+            argv = ["train", "--features", feats, "--manifest", manifest, "--p", 4, "--k", 4, "--epochs", 2,
+                    "--log", out / "train.log", "--out-features", out / "emb.sfte", "--out-model", out / "model.json"]
+        else:
+            argv = ["experiment", "--seeds", 1, "--epochs", 2, "--out-dir", out / "report"]
+        # "--flag=value", so that a value such as -inf is not read as a flag
+        argv += [f"--{name.replace('_', '-')}={value!r}" for name, value in flags.items()]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = run(*argv)
+        err = stderr.getvalue().splitlines()
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (0, []) or (code == 1 and len(err) == 1 and err[0].startswith("error: ")), err
 
 
 class TestExperimentCommand:

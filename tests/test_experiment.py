@@ -224,8 +224,8 @@ class TestLockstep:
             alone = train(*run[:3])
             got = run[3]
             assert got.log == alone.log
-            for mine, theirs in zip(got.model.parameters() + [got.classifier.weight],
-                                    alone.model.parameters() + [alone.classifier.weight], strict=True):
+            for mine, theirs in zip(got.model.parameters() + [got.classifier],
+                                    alone.model.parameters() + [alone.classifier], strict=True):
                 assert np.array_equal(mine, theirs)
 
 

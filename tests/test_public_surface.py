@@ -10,14 +10,16 @@ own definition.  Names match by spelling alone: a method counts as called
 where any attribute of its name is used.  A name listed in UNCALLED must have
 no caller, so the list cannot go stale.
 
-A second scan fails when a package module but ``__init__`` imports a name
-that it never uses, the debris that a deletion tends to leave behind.
+A second scan fails when a package module but ``__init__``, or a test
+module, imports a name that it never uses, the debris that a deletion or a
+rename tends to leave behind.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sftlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "sftlab"
 
 # names with no caller in the package, and why each stays public
 UNCALLED = {
@@ -104,6 +106,6 @@ def test_unused_import_scan_finds_debris():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = {path.name: names for path in module_paths()
+    unused = {path.name: names for path in module_paths() + sorted(TESTS.glob("*.py"))
               if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert unused == {}

@@ -23,9 +23,9 @@ from sftlab.rng import Xoshiro256StarStar
 from sftlab.training import (
     METHODS,
     MOMENTUM,
-    AmSoftmaxClassifier,
     EmbedModel,
     TrainConfig,
+    _classifier_init,
     _pk_schedule,
     load_train_config,
     lr_at,
@@ -59,8 +59,7 @@ class TestAmSoftmax:
     def test_orthogonal_features_give_closed_form_loss(self):
         # class weights live in the first two dims, features in the third:
         # every cosine is 0, so the label's logit is -15 * 0.3 and the others 0
-        weight = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        clf = AmSoftmaxClassifier(weight)
+        clf = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         x = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
         loss, _, _ = am_softmax_loss(x, np.array([0, 2]), clf)
         assert abs(loss - (math.log(2 + math.exp(-4.5)) + 4.5)) < 1e-12
@@ -69,15 +68,15 @@ class TestAmSoftmax:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 5))
         y = np.array([0, 1, 2, 3, 0, 1])
-        clf = AmSoftmaxClassifier(rng.normal(size=(4, 5)))
+        clf = rng.normal(size=(4, 5))
         loss, _, _ = am_softmax_loss(x, y, clf)
-        assert abs(loss - looped_am_softmax(x, y, clf.weight)) < 1e-12
+        assert abs(loss - looped_am_softmax(x, y, clf)) < 1e-12
 
     def test_feature_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 6))
         y = np.array([0, 2, 1, 3, 2])
-        clf = AmSoftmaxClassifier(rng.normal(size=(4, 6)))
+        clf = rng.normal(size=(4, 6))
         _, grad_x, _ = am_softmax_loss(x, y, clf)
         numeric = central_diff(lambda v: am_softmax_value(v, y, clf), x)
         assert rel_error(grad_x, numeric) < 1e-5
@@ -86,21 +85,18 @@ class TestAmSoftmax:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 6))
         y = np.array([0, 2, 1, 3, 2])
-        clf = AmSoftmaxClassifier(rng.normal(size=(4, 6)))
+        clf = rng.normal(size=(4, 6))
         _, _, grad_w = am_softmax_loss(x, y, clf)
-        numeric = central_diff(
-            lambda w: am_softmax_value(x, y, AmSoftmaxClassifier(w)),
-            clf.weight,
-        )
+        numeric = central_diff(lambda w: am_softmax_value(x, y, w), clf)
         assert rel_error(grad_w, numeric) < 1e-5
 
     def test_label_out_of_range(self):
-        clf = AmSoftmaxClassifier(np.eye(3))
+        clf = np.eye(3)
         with pytest.raises(ValueError, match="out of range"):
             am_softmax_loss(np.eye(3), np.array([0, 1, 3]), clf)
 
     def test_zero_norm_feature_row(self):
-        clf = AmSoftmaxClassifier(np.eye(2))
+        clf = np.eye(2)
         with pytest.raises(ZeroNormRowError):
             am_softmax_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0, 1]), clf)
 
@@ -186,8 +182,7 @@ SCHEDULE_MANIFESTS = {
 
 def trained_arrays(result):
     """Every trained array of a TrainResult, in the trainer's parameter order."""
-    classifiers = [c for c in (result.classifier, result.classifier_orig) if c is not None]
-    return result.model.parameters() + [c.weight for c in classifiers]
+    return result.model.parameters() + [c for c in (result.classifier, result.classifier_orig) if c is not None]
 
 
 class TestPKSchedule:
@@ -220,12 +215,12 @@ class TestPKSchedule:
         # in run order: the baseline's key first, then the unshared cell's
         rng = Xoshiro256StarStar(5)
         EmbedModel.init(features.d, configs[0].hidden_dim, configs[0].embed_dim, rng)
-        AmSoftmaxClassifier.init(8, configs[0].embed_dim, rng)
+        _classifier_init(8, configs[0].embed_dim, rng)
         assert len(drawn) == 2
         for extra, schedule in enumerate(drawn):
             replay = copy.deepcopy(rng)
             if extra:
-                AmSoftmaxClassifier.init(8, configs[0].embed_dim, replay)
+                _classifier_init(8, configs[0].embed_dim, replay)
             want = [sample_pk(manifest, 4, 4, replay) for _ in range(len(schedule))]
             np.testing.assert_array_equal(schedule, np.stack(want))
 
@@ -265,8 +260,8 @@ def small_setup(seed=3, n=8, input_dim=8, hidden=6, embed=5, num_classes=4):
     x = rng.normal(size=(n, input_dim))
     y = np.repeat(np.arange(num_classes), n // num_classes)
     model = EmbedModel.init(input_dim, hidden, embed, Xoshiro256StarStar(seed))
-    clf = AmSoftmaxClassifier.init(num_classes, embed, Xoshiro256StarStar(seed + 1))
-    clf_orig = AmSoftmaxClassifier.init(num_classes, embed, Xoshiro256StarStar(seed + 2))
+    clf = _classifier_init(num_classes, embed, Xoshiro256StarStar(seed + 1))
+    clf_orig = _classifier_init(num_classes, embed, Xoshiro256StarStar(seed + 2))
     return x, y, model, clf, clf_orig
 
 
@@ -285,9 +280,9 @@ def frozen_transition_loss(x, y, model, clf, cfg, clf_orig, frozen):
 
 def check_all_param_grads(x, y, model, clf, cfg, clf_orig, tol=1e-4):
     _, _, grads = forward_backward(x, y, model, clf, cfg, clf_orig)
-    params = model.parameters() + [clf.weight]
+    params = model.parameters() + [clf]
     if cfg.method == "sft+ds_unshared":
-        params.append(clf_orig.weight)
+        params.append(clf_orig)
     assert [g.shape for g in grads] == [p.shape for p in params]
     if cfg.grad_through_transition or cfg.method in ("baseline", "ncut"):
         objective = lambda: training_loss(x, y, model, clf, cfg, clf_orig)
@@ -338,7 +333,7 @@ class TestForwardBackward:
         x = np.tile(np.array([1.0, -2.0, 0.5, 3.0]), (4, 1))
         y = np.array([0, 0, 1, 1])
         model = EmbedModel.init(4, 0, 3, Xoshiro256StarStar(1))
-        clf = AmSoftmaxClassifier.init(2, 3, Xoshiro256StarStar(2))
+        clf = _classifier_init(2, 3, Xoshiro256StarStar(2))
         cfg = TrainConfig(p=2, k=2, sigma=0.1, method="sft", hidden_dim=0, embed_dim=3)
         loss_orig, loss_sft, _ = forward_backward(x, y, model, clf, cfg)
         emb = model.embed(x)
@@ -367,7 +362,7 @@ class TestForwardBackward:
             with pytest.raises(ValueError, match="out of range"):
                 forward_backward(x, bad, model, clf, cfg, clf_orig)
         if mode == "unshared":
-            small = AmSoftmaxClassifier(clf_orig.weight[:3])
+            small = clf_orig[:3]
             with pytest.raises(ValueError, match="out of range"):
                 forward_backward(x, y, model, clf, cfg, small)
 
@@ -379,16 +374,24 @@ class TestForwardBackward:
 
 
 class TestTrainLoop:
+    def test_embed_names_an_overflowed_model(self):
+        """A model that overflows maps rows to inf or nan: embed names it
+        in one error, and numpy warns of nothing (any warning fails here)."""
+        model = EmbedModel.init(3, 4, 2, Xoshiro256StarStar(0))
+        model.weights[-1][...] = 1e300
+        with pytest.raises(ValueError, match="training diverged: the model's embeddings are not finite"):
+            model.embed(np.full((2, 3), 1e300))
+
     def test_zero_epochs_returns_initial_parameters(self):
         feats, manifest = generate_synthetic(SyntheticSpec(4, 6, 8, seed=2))
         cfg = TrainConfig(p=2, k=2, epochs=0, hidden_dim=6, embed_dim=4, seed=13)
         result = train(feats, manifest, cfg)
         rng = Xoshiro256StarStar(13)
         expected_model = EmbedModel.init(8, 6, 4, rng)
-        expected_clf = AmSoftmaxClassifier.init(4, 4, rng)
+        expected_clf = _classifier_init(4, 4, rng)
         for got, want in zip(result.model.weights, expected_model.weights):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(result.classifier.weight, expected_clf.weight)
+        np.testing.assert_array_equal(result.classifier, expected_clf)
         assert result.log == []
 
     def test_loss_decreases_on_separable_blobs(self):
@@ -643,14 +646,14 @@ def reference_train(features, manifest, cfg):
 
     rng = Xoshiro256StarStar(cfg.seed)
     model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-    clf = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng)
+    clf = _classifier_init(len(identities), cfg.embed_dim, rng)
     clf_orig = None
     if cfg.method == "sft+ds_unshared":
-        clf_orig = AmSoftmaxClassifier.init(len(identities), cfg.embed_dim, rng)
+        clf_orig = _classifier_init(len(identities), cfg.embed_dim, rng)
 
-    params = model.parameters() + [clf.weight]
+    params = model.parameters() + [clf]
     if clf_orig is not None:
-        params.append(clf_orig.weight)
+        params.append(clf_orig)
     velocity = [np.zeros_like(p) for p in params]
 
     batches = max(1, len(train_idx) // (cfg.p * cfg.k))
@@ -702,10 +705,10 @@ class TestReferenceTrainer:
         for mine, theirs in zip(got.model.parameters(), model.parameters(), strict=True):
             assert np.array_equal(mine, theirs)
         assert len(got.model.weights) == len(model.weights) == 2
-        assert np.array_equal(got.classifier.weight, clf.weight)
+        assert np.array_equal(got.classifier, clf)
         assert (got.classifier_orig is None) == (clf_orig is None)
         if clf_orig is not None:
-            assert np.array_equal(got.classifier_orig.weight, clf_orig.weight)
+            assert np.array_equal(got.classifier_orig, clf_orig)
 
     @pytest.mark.parametrize("hidden_dim", [64, 0])
     @pytest.mark.parametrize("p,k", [(4, 4), (3, 10)])
@@ -724,7 +727,7 @@ class TestReferenceTrainer:
             assert got.log == log, cfg.method
             assert len(got.model.weights) == len(model.weights) == (2 if hidden_dim else 1)
             for mine, theirs in zip(trained_arrays(got), model.parameters() + [
-                    c.weight for c in (clf, clf_orig) if c is not None], strict=True):
+                    c for c in (clf, clf_orig) if c is not None], strict=True):
                 assert np.array_equal(mine, theirs), cfg.method
             assert (got.classifier_orig is None) == (clf_orig is None)
 

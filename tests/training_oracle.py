@@ -3,22 +3,22 @@
 Finite differences of :func:`training_loss` check the closed-form
 gradients of ``reference.forward_backward``, the trainer's step kernel on
 one run.  It is composed from forward passes alone (the transform, the
-ncut loss and the margin softmax's forward kernel), not derived from that
-kernel, so a slip in the trainer's fused step cannot cancel out of the
-comparison.
+ncut loss and the margin-softmax loss, which the one margin-softmax kernel
+computes before its gradients), not derived from the fused step, so a slip
+in that step cannot cancel out of the comparison.
 """
 
 import numpy as np
 
 from reference import am_softmax_value
 from sftlab.graphcut import ncut_loss
-from sftlab.training import AmSoftmaxClassifier, EmbedModel, TrainConfig
+from sftlab.training import EmbedModel, TrainConfig
 from sftlab.transform import sft_transform_array
 
 
 def training_loss(x: np.ndarray, labels: np.ndarray, model: EmbedModel,
-                  clf: AmSoftmaxClassifier, cfg: TrainConfig,
-                  clf_orig: AmSoftmaxClassifier | None = None) -> float:
+                  clf: np.ndarray, cfg: TrainConfig,
+                  clf_orig: np.ndarray | None = None) -> float:
     """Scalar objective that forward_backward differentiates."""
     emb = model.embed(x)
     if cfg.method == "ncut":
