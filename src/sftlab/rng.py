@@ -23,11 +23,13 @@ The recipe, fixed for reproducibility:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_LANE_CUTOVER, _LANE = 4096, 128  # see Xoshiro256StarStar.words
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -37,6 +39,40 @@ def _splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return state, z ^ (z >> 31)
+
+
+def _step(s: list) -> int | np.ndarray:
+    """One xoshiro256** step, in place, of four ints or uint64 arrays; returns the word."""
+    # rotl(x, k) written out as ((x << k) | (x >> (64 - k))) & _MASK64
+    s0, s1, s2, s3 = s
+    scrambled = (s1 * 5) & _MASK64
+    result = ((((scrambled << 7) | (scrambled >> 57)) & _MASK64) * 9) & _MASK64
+    s2 ^= s0
+    s3 ^= s1
+    s[0] = s0 ^ s3
+    s[1] = s1 ^ s2
+    s[2] = s2 ^ ((s1 << 17) & _MASK64)
+    s[3] = ((s3 << 45) | (s3 >> 19)) & _MASK64
+    return result
+
+
+def _jump(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64 states times a GF(2) matrix, given as the (256, 4) states
+    that it maps the basis states to: the XOR of those of each set bit."""
+    table = np.zeros((32, 256, 4), np.uint64)  # byte b's 256 values -> XOR of its rows
+    for t in range(8):
+        table[:, 1 << t:2 << t] = table[:, :1 << t] ^ matrix.reshape(32, 8, 1, 4)[:, t]
+    return np.bitwise_xor.reduce(table[np.arange(32), states.astype("<u8").view(np.uint8)], axis=1)
+
+
+@functools.cache
+def _power(steps: int) -> np.ndarray:
+    """The (256, 4) states that a power of two steps take the basis states to."""
+    if steps == 1:
+        basis = list(np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little").view("<u8").T)
+        _step(basis)
+        return np.stack(basis, axis=1)
+    return _jump(_power(steps // 2), _power(steps // 2))
 
 
 class Xoshiro256StarStar:
@@ -51,31 +87,41 @@ class Xoshiro256StarStar:
         self._s = state
 
     def next_u64(self) -> int:
-        # rotl(x, k) written out as ((x << k) | (x >> (64 - k))) & _MASK64
-        s = self._s
-        s0, s1, s2, s3 = s
-        scrambled = (s1 * 5) & _MASK64
-        result = ((((scrambled << 7) | (scrambled >> 57)) & _MASK64) * 9) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s[0] = s0 ^ s3
-        s[1] = s1 ^ s2
-        s[2] = s2 ^ ((s1 << 17) & _MASK64)
-        s[3] = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        return result
+        return _step(self._s)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next count words as uint64, as count next_u64 calls draw them;
+        from _LANE_CUTOVER on, in _LANE-word lanes that start _power jumps apart."""
+        if count < _LANE_CUTOVER:
+            return np.fromiter((self.next_u64() for _ in range(count)), np.uint64, count)
+        lanes = -(-count // _LANE)
+        starts = np.array([self._s], np.uint64)
+        while len(starts) < lanes:  # lanes [m, 2m) start m lanes on from [0, m)
+            starts = np.concatenate([starts, _jump(_power(len(starts) * _LANE), starts)])
+        state = list(starts[:lanes].T)
+        out = np.empty((lanes, _LANE), np.uint64)
+        for t in range(_LANE):
+            out[:, t] = _step(state)
+            if t == (count - 1) % _LANE:  # the last lane's last word that counts
+                self._s = [int(s[-1]) for s in state]
+        return out.reshape(-1)[:count]
 
     def getstate(self) -> tuple[int, ...]:
         """The four state words: generators in equal states draw equal streams."""
         return tuple(self._s)
 
+    def setstate(self, state: tuple[int, ...]) -> None:
+        """Go on from getstate()'s words."""
+        self._s = list(state)
+
     def random(self) -> float:
         """Uniform float64 in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return (_step(self._s) >> 11) * 2.0**-53
 
     def normal(self) -> float:
         """Standard normal deviate (Box-Muller, cosine branch)."""
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
-        u2 = (self.next_u64() >> 11) * 2.0**-53
+        u1 = ((_step(self._s) >> 11) + 1) * 2.0**-53  # (0, 1]
+        u2 = (_step(self._s) >> 11) * 2.0**-53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, count: int) -> np.ndarray:

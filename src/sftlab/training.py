@@ -255,11 +255,41 @@ def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar
     return np.array(indices, dtype=np.int64)
 
 
+def _fisher_yates(offsets: np.ndarray) -> np.ndarray:
+    """Row by row, rng.sample(n, c) from its c randrange draws' (m, c)
+    offsets; position j >= c sits in slot c + (the first swap to reach j)."""
+    m, c = offsets.shape
+    j = np.arange(c) + offsets
+    slot = np.where(j < c, j, c + (j[:, :, None] == j[:, None, :]).argmax(axis=2))
+    values = np.concatenate([np.broadcast_to(np.arange(c), (m, c)), j], axis=1)
+    for i, at in enumerate(slot.T):
+        values[:, i], values[np.arange(m), at] = values[np.arange(m), at], values[:, i].copy()
+    return values[:, :c]
+
+
 def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
                  rng: Xoshiro256StarStar) -> np.ndarray:
-    """(steps, p*k) train row indices of `steps` successive sample_pk draws."""
-    rows = [sample_pk(manifest, p, k, rng) for _ in range(steps)]
-    return np.array(rows, dtype=np.int64).reshape(steps, p * k)
+    """(steps, p*k) train row indices of `steps` successive sample_pk draws,
+    bit for bit: one rng.words call, then a numpy Fisher-Yates of all steps."""
+    rows = [group for _, group in manifest.train_groups]
+    sizes = np.array([len(group) for group in rows])
+    start = rng.getstate()
+    words = rng.words(steps * (p + p * k)).reshape(steps, p + p * k)
+    # randrange(n) rejects only words past 2^64 - n: where one may be, draw as sample_pk does
+    if (words > 2**64 - max(len(rows), int(sizes.max()))).any():
+        rng.setstate(start)
+        return np.stack([sample_pk(manifest, p, k, rng) for _ in range(steps)])
+    flat, first = np.concatenate(rows, dtype=np.int64), np.cumsum(sizes) - sizes
+    schedule = np.empty((steps, p * k), np.int64)
+    for at in range(0, steps, 64):  # 64 steps at a time bound the temporaries
+        drawn = words[at:at + 64]
+        ids = _fisher_yates((drawn[:, :p] % (len(rows) - np.arange(p)).astype(np.uint64)).astype(np.int64))
+        n = sizes[ids].reshape(-1, 1)  # each picked identity's rows: bounds n - i, or n with replacement
+        bounds = np.where(n >= k, n - np.arange(k), n).astype(np.uint64)
+        offsets = (drawn[:, p:].reshape(-1, k) % bounds).astype(np.int64)
+        picks = np.where(n >= k, _fisher_yates(offsets), offsets)
+        schedule[at:at + 64] = flat[first[ids].reshape(-1, 1) + picks].reshape(len(drawn), -1)
+    return schedule
 
 
 # the TrainConfig fields that may differ between the slots of one stack
@@ -509,10 +539,8 @@ def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray
     batches = max(1, len(slots[0].train_rows) // (cfg.p * cfg.k))
     keys = list(dict.fromkeys(slot.schedule for slot in slots))
     schedule = np.empty((len(keys), cfg.epochs * batches, cfg.p * cfg.k), dtype=np.int64)
-    for drawn, key in zip(schedule, keys):
-        manifest, rng, offset = draws[key]
-        drawn[...] = _pk_schedule(manifest, cfg.p, cfg.k, len(drawn), copy.deepcopy(rng))
-        drawn += offset
+    for drawn, (manifest, rng, offset) in zip(schedule, map(draws.get, keys)):
+        np.add(_pk_schedule(manifest, cfg.p, cfg.k, len(drawn), copy.deepcopy(rng)), offset, out=drawn)
     which = np.array([keys.index(slot.schedule) for slot in slots])
     results = []
     for i, slot in enumerate(slots):  # each slot's result, on its rows of the buffer

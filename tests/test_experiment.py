@@ -21,7 +21,7 @@ from sftlab.experiment import (
     toy_train_config,
 )
 from sftlab.ranking import evaluate, rank
-from sftlab.training import sample_pk, train
+from sftlab.training import _pk_schedule, train
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_TRAIN = dict(epochs=12, warmup_epochs=4, decay_epochs=(8, 10), p=4, k=4,
@@ -162,19 +162,19 @@ class TestRunner:
 def schedule_draws(monkeypatch):
     """The rngs that drew a PK schedule, and the number of runs of each
     train() call.  train() draws each distinct schedule once, through
-    sample_pk, with an rng of its own."""
+    _pk_schedule, with an rng of its own."""
     rngs, runs = [], []
 
-    def counting_sample_pk(manifest, p, k, rng):
+    def counting_schedule(manifest, p, k, steps, rng):
         if not any(seen is rng for seen in rngs):
             rngs.append(rng)
-        return sample_pk(manifest, p, k, rng)
+        return _pk_schedule(manifest, p, k, steps, rng)
 
     def watching_train(features, manifest, cfg):
         runs.append(len(cfg))
         return train(features, manifest, cfg)
 
-    monkeypatch.setattr(training, "sample_pk", counting_sample_pk)
+    monkeypatch.setattr(training, "_pk_schedule", counting_schedule)
     monkeypatch.setattr(experiment, "train", watching_train)
     return rngs, runs
 

@@ -1,7 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sftlab.rng import Xoshiro256StarStar
+from sftlab.rng import _LANE_CUTOVER, Xoshiro256StarStar
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_same_seed_same_stream():
@@ -103,3 +111,37 @@ def test_pinned_sample_then_randrange():
     rng = Xoshiro256StarStar(3)
     assert rng.sample(20, 8) == [8, 19, 7, 4, 14, 2, 18, 11]
     assert [rng.randrange(7) for _ in range(5)] == [1, 6, 3, 4, 1]
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, _LANE_CUTOVER - 1, _LANE_CUTOVER,
+                                   _LANE_CUTOVER + 1, 57600])
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+@pytest.mark.parametrize("skip", [0, 1001])
+def test_words_equal_successive_next_u64(seed, skip, count):
+    # below the cut-over words() loops next_u64; above it the lanes must
+    # draw the same bits and leave the same state, from any point of a stream
+    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    for _ in range(skip):
+        bulk.next_u64(), scalar.next_u64()
+    drawn = bulk.words(count)
+    assert drawn.dtype == np.uint64 and drawn.shape == (count,)
+    assert drawn.tolist() == [scalar.next_u64() for _ in range(count)]
+    assert bulk.getstate() == scalar.getstate()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_words_do_not_depend_on_blas_threads():
+    """The lanes' jumps are integer XORs, so the words do not depend on
+    the BLAS thread count (or on BLAS at all)."""
+    child = ("import hashlib; from sftlab.rng import Xoshiro256StarStar; "
+             "print(hashlib.sha256(Xoshiro256StarStar(3).words(57600).tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        digests.add(done.stdout.strip())
+    scalar = Xoshiro256StarStar(3)
+    want = np.array([scalar.next_u64() for _ in range(57600)], dtype=np.uint64)
+    assert digests == {hashlib.sha256(want.tobytes()).hexdigest()}

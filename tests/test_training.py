@@ -185,17 +185,60 @@ def trained_arrays(result):
     return result.model.parameters() + [c for c in (result.classifier, result.classifier_orig) if c is not None]
 
 
+class CraftedWords(Xoshiro256StarStar):
+    """An rng that serves a given word list, to next_u64 and words alike."""
+
+    def __init__(self, stream):
+        self.stream, self.pos = [int(w) for w in stream], 0
+
+    def next_u64(self):
+        self.pos += 1
+        return self.stream[self.pos - 1]
+
+    def words(self, count):
+        self.pos += count
+        return np.array(self.stream[self.pos - count:self.pos], dtype=np.uint64)
+
+    def getstate(self):
+        return (self.pos,)
+
+    def setstate(self, state):
+        (self.pos,) = state
+
+
 class TestPKSchedule:
-    @pytest.mark.parametrize("p,k", [(4, 4), (3, 10), (8, 8)])
+    # 7 steps draw their words one next_u64 at a time, 800 steps in lanes;
+    # with k = 8 or 10 the unequal manifest has identities of fewer than k rows
+    @pytest.mark.parametrize("p,k,steps", [
+        pytest.param(4, 4, 7, id="4-4"), pytest.param(3, 10, 7, id="3-10"), pytest.param(8, 8, 7, id="8-8"),
+        pytest.param(8, 8, 800, id="8-8-800"), pytest.param(3, 10, 800, id="3-10-800")])
     @pytest.mark.parametrize("kind", sorted(SCHEDULE_MANIFESTS))
-    def test_equals_concatenated_draws(self, kind, p, k):
+    def test_equals_concatenated_draws(self, kind, p, k, steps):
         manifest = SCHEDULE_MANIFESTS[kind]()
         drawn, scheduled = Xoshiro256StarStar(4), Xoshiro256StarStar(4)
-        want = [sample_pk(manifest, p, k, drawn) for _ in range(7)]
-        got = _pk_schedule(manifest, p, k, 7, scheduled)
-        assert got.shape == (7, p * k) and got.dtype == np.int64
+        want = [sample_pk(manifest, p, k, drawn) for _ in range(steps)]
+        got = _pk_schedule(manifest, p, k, steps, scheduled)
+        assert got.shape == (steps, p * k) and got.dtype == np.int64
         np.testing.assert_array_equal(got, np.stack(want))
-        assert scheduled.next_u64() == drawn.next_u64()
+        assert scheduled.getstate() == drawn.getstate()
+
+    # a word sample_pk rejects, for an identity (bound 9) or a row (an odd
+    # bound, 3 to 19), and one past 2^64 - 8 that its bound 8 accepts
+    @pytest.mark.parametrize("kind,position,rejected", [("unequal", 3 * 33, True),
+                                                        ("unequal", 2 * 33 + 3 + 4, True),
+                                                        ("equal", 3 * 33, False)])
+    def test_a_word_near_2_64_replays_the_draws(self, kind, position, rejected):
+        """randrange(n) rejects only words past 2^64 - n.  Where a word may be
+        rejected the schedule is drawn again one sample_pk at a time, so it
+        equals that loop on the same stream, and so does the end state."""
+        manifest = SCHEDULE_MANIFESTS[kind]()
+        stream = Xoshiro256StarStar(4).words(7 * 33 + 16)
+        stream[position] = 2**64 - 1
+        drawn, scheduled = CraftedWords(stream), CraftedWords(stream)
+        want = [sample_pk(manifest, 3, 10, drawn) for _ in range(7)]
+        assert (drawn.pos > 7 * 33) == rejected
+        np.testing.assert_array_equal(_pk_schedule(manifest, 3, 10, 7, scheduled), np.stack(want))
+        assert scheduled.pos == drawn.pos
 
     def test_runs_sharing_a_key_share_one_draw(self, monkeypatch):
         """Runs whose (dataset, p, k, steps, rng state after init) agree take
