@@ -291,41 +291,37 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManif
     every subset of an identity's samples covers the whole arm.
     """
     rng = Xoshiro256StarStar(spec.seed)
+    n, per, dim, spread = spec.num_identities, spec.samples_per_identity, spec.dim, spec.intra_class_spread
     # every row is allocated before the first draw, so a size too large to hold fails at once
-    data = np.empty((spec.num_identities * spec.samples_per_identity, spec.dim))
-    records = []
-    for ident in range(spec.num_identities):
-        if spec.topology == "gaussian_blobs":
-            center = rng.normals(spec.dim)
+    data = np.empty((n, per, dim))
+    if spec.topology == "gaussian_blobs":
+        # the stream runs centre, then rows, identity by identity: one draw
+        draws = rng.normals(n * (1 + per) * dim).reshape(n, 1 + per, dim)
+        for ident, center in enumerate(draws[:, 0]):
             norm = math.sqrt(float(center @ center))
             if norm == 0.0:  # unreachable in practice, keeps division safe
                 norm = 1.0
-            center = center * (spec.inter_class_separation / norm)
-        else:
-            phase = 2.0 * math.pi * ident / spec.num_identities
-            strata = list(range(spec.samples_per_identity))
+            data[ident] = center * (spec.inter_class_separation / norm) + spread * draws[ident, 1:]
+    else:
+        for ident in range(n):
+            phase = 2.0 * math.pi * ident / n
+            strata = list(range(per))
             rng.shuffle(strata)
-        for j in range(spec.samples_per_identity):
-            if spec.topology == "gaussian_blobs":
-                point = center
-            else:
-                t = (strata[j] + rng.random()) / spec.samples_per_identity
+            for j in range(per):
+                t = (strata[j] + rng.random()) / per
                 radius = (SPIRAL_RADIUS + SPIRAL_GROWTH * t) * spec.inter_class_separation
                 angle = phase + SPIRAL_TURNS * 2.0 * math.pi * t
-                point = np.zeros(spec.dim)
-                point[0] = radius * math.cos(angle)
-                if spec.dim > 1:
-                    point[1] = radius * math.sin(angle)
-            data[len(records)] = point + spec.intra_class_spread * rng.normals(spec.dim)
-            camera = j % spec.num_cameras
-            records.append(
-                SampleRecord(f"{ident:04d}_c{camera}_{j:04d}", ident, camera, "train")
-            )
+                point = np.zeros(dim)
+                point[:2] = (radius * math.cos(angle), radius * math.sin(angle))[:dim]
+                # adding point's zeros turns a -0.0 on dims >= 2 into 0.0
+                data[ident, j] = point + spread * rng.normals(dim)
     if not np.abs(data).max() <= np.finfo(np.float32).max:  # nan fails too
         raise ValueError(f"intra_class_spread {spec.intra_class_spread} and inter_class_separation "
                          f"{spec.inter_class_separation} put features beyond float32 range")
-    data = data.astype(np.float32).astype(np.float64)
-    return FeatureMatrix(data), DatasetManifest(tuple(records))
+    data = data.reshape(n * per, dim).astype(np.float32).astype(np.float64)
+    records = tuple(SampleRecord(f"{i:04d}_c{j % spec.num_cameras}_{j:04d}", i, j % spec.num_cameras, "train")
+                    for i in range(n) for j in range(per))
+    return FeatureMatrix(data), DatasetManifest(records)
 
 
 def hold_out_eval_split(

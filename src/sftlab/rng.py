@@ -12,9 +12,9 @@ The recipe, fixed for reproducibility:
   applied to the user seed (mod 2^64).
 * Core step: xoshiro256** (Blackman & Vigna), returning 64-bit words.
 * ``random()``: top 53 bits of one word, scaled by 2^-53 -> [0, 1).
-* ``normal()``: one Box-Muller cosine deviate per pair of words
+* ``normals(count)``: one Box-Muller cosine deviate per pair of words
   (u1 in (0, 1] to keep the log finite; the sine companion is discarded
-  to keep the procedure stateless).
+  to keep the procedure stateless), read through ``words``.
 * ``randrange(n)``: rejection sampling below the largest multiple of n,
   so bounded integers are exactly uniform.
 * ``shuffle``: descending Fisher-Yates; ``sample``: partial ascending
@@ -30,6 +30,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _LANE_CUTOVER, _LANE = 4096, 128  # see Xoshiro256StarStar.words
+_NORMALS_CHUNK = 16384  # deviates per words() call in Xoshiro256StarStar.normals
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -118,15 +119,17 @@ class Xoshiro256StarStar:
         """Uniform float64 in [0, 1)."""
         return (_step(self._s) >> 11) * 2.0**-53
 
-    def normal(self) -> float:
-        """Standard normal deviate (Box-Muller, cosine branch)."""
-        u1 = ((_step(self._s) >> 11) + 1) * 2.0**-53  # (0, 1]
-        u2 = (_step(self._s) >> 11) * 2.0**-53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def normals(self, count: int) -> np.ndarray:
-        """count normal() deviates as float64, allocated before the first draw."""
-        return np.fromiter((self.normal() for _ in range(count)), np.float64, count)
+        """count standard normal deviates (Box-Muller), allocated before the first draw."""
+        out = np.empty(count)
+        for start in range(0, count, _NORMALS_CHUNK):
+            w = self.words(2 * min(_NORMALS_CHUNK, count - start)).reshape(-1, 2) >> np.uint64(11)
+            u1 = ((w[:, 0] + np.uint64(1)) * 2.0**-53).tolist()  # (0, 1], exact
+            u2 = (w[:, 1] * 2.0**-53).tolist()
+            # math, not numpy's SIMD log and cos, which may round otherwise on another CPU
+            out[start:start + len(u1)] = [math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
+                                          for a, b in zip(u1, u2)]
+        return out
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""

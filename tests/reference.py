@@ -17,8 +17,12 @@ gradients.
 The per-query ranking checks (``LoopedQueryRanking``, ``LoopedRankingList``
 and :func:`looped_check_indices`) are the package's former checks, kept
 verbatim but for their names as the oracle of the whole-array ones.
+
+:func:`normal` is the generator's former scalar Box-Muller deviate, the
+oracle of ``Xoshiro256StarStar.normals``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,3 +184,11 @@ def looped_check_indices(ranking: LoopedRankingList, num_queries: int, num_galle
             raise ValueError(f"gallery index {bad[0]} out of range for {num_gallery} gallery rows")
     if len(seen) != num_queries:
         raise ValueError(f"ranking lists {len(seen)} of {num_queries} queries")
+
+
+def normal(rng) -> float:
+    """One standard normal deviate from two next_u64 words (Box-Muller,
+    cosine branch; u1 in (0, 1] keeps the log finite)."""
+    u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53
+    u2 = (rng.next_u64() >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

@@ -742,6 +742,47 @@ class TestHostileTrainFlags:
         assert (code, err) == (0, []) or (code == 1 and len(err) == 1 and err[0].startswith("error: ")), err
 
 
+# gen's size flags, and the edge and in-range values of its sizes, floats and seeds
+GEN_SIZE_FLAGS = ("identities", "per-id", "dim", "cameras", "query-per-id", "gallery-per-id")
+GEN_SIZES = st.sampled_from([-1, 0, 1, 2, 3, 5])
+GEN_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 0.1, 1e300, 1e308])
+
+
+class TestHostileGenFlags:
+    """`gen` with hostile sizes, spreads, separations and seeds exits 0
+    with finite features, or exits 1 with one `error:` line, printing no
+    warning.  Sizes stay small: huge ones are the capped child's cases."""
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("hostile_gen")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(spec="blobs", flags={"spread": 5e-324, "separation": 1e-300, "seed": 1 << 70})
+    @example(spec="spirals", flags={"dim": 1, "separation": 1e308})
+    @given(spec=st.sampled_from(["blobs", "spirals"]), flags=st.fixed_dictionaries({}, optional={
+        **{name: GEN_SIZES for name in GEN_SIZE_FLAGS},
+        "spread": GEN_FLOATS, "separation": GEN_FLOATS, "seed": st.sampled_from([-1, 0, 1 << 70])}))
+    def test_exit_0_or_one_error_line(self, out, spec, flags):
+        feats, manifest = out / "f.sfte", out / "m.tsv"
+        feats.unlink(missing_ok=True)
+        # "--flag=value", so that a value such as -inf is not read as a flag
+        argv = ["gen", "--spec", spec, "--out", feats, "--manifest", manifest]
+        argv += [f"--{name}={value!r}" for name, value in flags.items()]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = run(*argv)
+        err = stderr.getvalue().splitlines()
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert err == [] and np.isfinite(load_features(feats).data).all()
+        else:
+            assert code == 1 and len(err) == 1 and err[0].startswith("error: "), err
+            assert not feats.exists()
+
+
 class TestExperimentCommand:
     def test_byte_identical_reports(self, tmp_path):
         args = ["experiment", "--identities", 6, "--train-per-id", 4,

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -29,6 +30,7 @@ from sftlab.data import (
     save_manifest,
     split_features,
 )
+from sftlab.experiment import ExperimentConfig, make_dataset
 
 
 def make_file(path, magic=b"SFTE", version=1, n=2, d=3, payload=None):
@@ -239,6 +241,36 @@ class TestLoaderFuzz:
     def test_manifest_from_header_and_fields(self, text):
         out = load_or_none(load_manifest, text.encode("utf-8"), ValueError)
         assert out is None or isinstance(out, DatasetManifest)
+
+
+# sha256 of generate_synthetic's float64 rows, then of one line per record.
+# Every artifact depends on these bits, so a change to how deviates are
+# drawn must not move them.  The sets: the benchmark's graph and retrieval
+# sets, the default ablation set for seed 1 (splits assigned), spirals on
+# one dimension, blobs on three cameras and the smallest spec
+PINNED_SETS = {
+    "graph": (SyntheticSpec(24, 100, 32, 0.3, seed=1),
+              "d518cdff2dec3f44023de60fd96fb3f871065b8387d6b7a18899ed9672bdc66a"),
+    "retrieval": (SyntheticSpec(120, 10, 32, 0.15, seed=1),
+                  "0b26cb6be38ca8b45d4249f3974f49187f602d7f9e2928666720f7bbaed440c3"),
+    "ablation": (None, "dfd18f6dea99c91d699c9f3465aaa1aa550677042151973433775517819b3a87"),
+    "spirals_dim1": (SyntheticSpec(5, 6, 1, topology="intertwined_spirals", seed=4),
+                     "7642b4b51fa2578f25b5ce5d29e988651f71c7f2c06ca2fc24831eab7bef44b7"),
+    "blobs_3_cameras": (SyntheticSpec(40, 9, 5, 0.3, 2.5, num_cameras=3, seed=9),
+                        "e47787954da5cabefa404f403d33abdee81e342e77e5bb793f018f55704b4418"),
+    "one_sample": (SyntheticSpec(1, 1, 3),
+                   "12442978acafc8a7c10df51bf37240a645ed9adc7aa4c736b8e23be667fcd9a1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SETS))
+def test_pinned_synthetic_sets(name):
+    spec, want = PINNED_SETS[name]
+    features, manifest = make_dataset(ExperimentConfig(), 1) if spec is None else generate_synthetic(spec)
+    digest = hashlib.sha256(features.data.tobytes())
+    for r in manifest.records:
+        digest.update(f"{r.sample_id}\t{r.identity}\t{r.camera}\t{r.split}\n".encode())
+    assert digest.hexdigest() == want
 
 
 class TestSynthetic:

@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sftlab.rng import _LANE_CUTOVER, Xoshiro256StarStar
+from reference import normal
+from sftlab.rng import _LANE_CUTOVER, _NORMALS_CHUNK, Xoshiro256StarStar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,13 +48,31 @@ def test_normals_moments():
 
 
 def test_normals_equal_successive_normal_draws():
-    # the array is filled one normal() at a time, so it holds the same bits
-    a, b = Xoshiro256StarStar(9), Xoshiro256StarStar(9)
-    draws = a.normals(257)
-    assert draws.dtype == np.float64 and draws.shape == (257,)
-    assert draws.tolist() == [b.normal() for _ in range(257)]
-    assert a.getstate() == b.getstate()
-    assert a.normals(0).shape == (0,)
+    """normals() reads words() in chunks and keeps the scalar deviate's
+    math per element, so it holds the same bits and ends in the same state,
+    on either side of the lane cut-over and of a chunk's end."""
+    counts = [0, 1, _LANE_CUTOVER // 2 - 1, _LANE_CUTOVER // 2, _LANE_CUTOVER // 2 + 1,
+              _NORMALS_CHUNK - 1, _NORMALS_CHUNK, _NORMALS_CHUNK + 1, 40_000]
+    for seed, skip, count in itertools.product([0, 7, 1234], [0, 1001], counts):
+        bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        bulk.words(skip), scalar.words(skip)
+        draws = bulk.normals(count)
+        assert draws.dtype == np.float64 and draws.shape == (count,)
+        assert draws.tolist() == [normal(scalar) for _ in range(count)], (seed, skip, count)
+        assert bulk.getstate() == scalar.getstate(), (seed, skip, count)
+
+
+def test_normals_memory_is_bounded():
+    """The deviates are made a chunk at a time, so the peak stays within a
+    few times the output, not a Python float per deviate (about 20 MB)."""
+    count = 200_000
+    tracemalloc.start()
+    try:
+        Xoshiro256StarStar(5).normals(count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * count, peak
 
 
 def test_randrange_bounds_and_coverage():
