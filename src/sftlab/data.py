@@ -241,13 +241,14 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path) -> DatasetManifest:
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or tuple(lines[0].split("\t")) != MANIFEST_COLUMNS:
+    # the non-blank lines, numbered as in the file
+    lines = ((lineno, ln) for lineno, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    if tuple(next(lines, (0, ""))[1].split("\t")) != MANIFEST_COLUMNS:
         raise ManifestError(
             f"manifest must start with header {' '.join(MANIFEST_COLUMNS)!r}"
         )
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         parts = line.split("\t")
         if len(parts) != 4:
             raise ManifestError(f"line {lineno}: expected 4 columns, got {len(parts)}")

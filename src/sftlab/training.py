@@ -15,7 +15,6 @@ differences in the tests.
 from __future__ import annotations
 
 import copy
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -426,7 +425,7 @@ class _Slot(NamedTuple):
 
     cfg: TrainConfig
     arrays: list[np.ndarray]  # initial parameters in _step's gradient order
-    schedule: tuple           # its PK schedule's key: (dataset, p, k, steps, rng state)
+    schedule: np.ndarray      # its (steps, p*k) PK schedule, as rows of the stacked data
     train_rows: np.ndarray    # its dataset's train rows in the stacked data
     group: tuple              # the fields its stack shares
 
@@ -438,12 +437,12 @@ def _train(runs: list) -> list[TrainResult]:
     lockstep; results in run order.
 
     Runs of one seed share one draw of the model and classifier init, and
-    the runs of a stack whose (dataset, p, k, steps, rng state after init)
-    agree share one draw of the PK schedule.
+    the runs whose (dataset, p, k, steps, rng state after init) agree
+    share one draw of the PK schedule, whatever their stacks.
     """
     datasets: dict[tuple[int, int], tuple] = {}
     inits: dict[tuple, tuple] = {}
-    draws: dict[tuple, tuple] = {}  # schedule key -> (manifest, rng, row offset)
+    schedules: dict[tuple, np.ndarray] = {}
     data, class_ids, slots = [], [], []
     start = 0
     for features, manifest, cfg in runs:
@@ -475,9 +474,12 @@ def _train(runs: list) -> list[TrainResult]:
 
         batches = max(1, len(train_rows) // (cfg.p * cfg.k))
         key = (id(features), id(manifest), cfg.p, cfg.k, cfg.epochs * batches, rng.getstate())
-        draws.setdefault(key, (manifest, rng, offset))
+        if key not in schedules:  # from a copy, so the rng still keys this seed's later runs
+            schedules[key] = _pk_schedule(manifest, cfg.p, cfg.k, cfg.epochs * batches, copy.deepcopy(rng))
+            schedules[key] += offset
         group = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in _PER_SLOT)
-        slots.append(_Slot(cfg, arrays, key, train_rows, (group, features.d, num_classes, batches)))
+        slots.append(_Slot(cfg, arrays, schedules[key], train_rows,
+                           (group, features.d, num_classes, batches)))
 
     data = data[0] if len(data) == 1 else np.concatenate(data)
     class_ids = np.concatenate(class_ids)
@@ -487,80 +489,53 @@ def _train(runs: list) -> list[TrainResult]:
     results = [None] * len(slots)
     for members in stacks.values():
         members.sort(key=lambda i: METHODS.index(slots[i].cfg.method))
-        trained = _train_stack([slots[i] for i in members], draws, data, class_ids)
+        trained = _train_stack([slots[i] for i in members], data, class_ids)
         for i, result in zip(members, trained):
             results[i] = result
     return results
 
 
-def _views(buf: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Views of the rows of a 2-d buffer as stacks of consecutive blocks of
-    these shapes."""
-    views, end = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(buf[:, end:end + size].reshape(len(buf), *shape))
-        end += size
-    return views
-
-
-def _train_stack(slots: list[_Slot], draws: dict[tuple, tuple], data: np.ndarray,
-                 class_ids: np.ndarray) -> list[TrainResult]:
+def _train_stack(slots: list[_Slot], data: np.ndarray, class_ids: np.ndarray) -> list[TrainResult]:
     """The training loop of one method-major stack of slots that share
     every field but _PER_SLOT, in lockstep.
 
-    Each slot's parameters are one row of an (S, P) buffer, laid out in
-    _step's gradient order, so the momentum update is a few
-    whole-buffer ufunc calls; the unshared slots come last, and only their
-    rows use the second classifier's columns.
+    Each parameter is one np.stack of the slots' arrays, in _step's
+    gradient order, and the unshared slots, which come last, stack their
+    second classifier apart.  The momentum update runs per stack, with
+    the operations of one run's update of that array.
     """
     cfg = slots[0].cfg  # for the fields the slots share
     layers = 2 if cfg.hidden_dim else 1  # weight arrays of the model
-    shapes = [a.shape for a in slots[-1].arrays]
-    params = np.zeros((len(slots), sum(math.prod(shape) for shape in shapes)))
-    for row, slot in zip(params, slots):
-        flat = np.concatenate([a.ravel() for a in slot.arrays])
-        row[:flat.size] = flat
-    velocity = np.zeros_like(params)
-    step = np.zeros_like(params)
-
+    common = 2 * layers + 1  # arrays that every slot has: the model's and the classifier
     plan = _plan([slot.cfg.method for slot in slots], [slot.cfg.sigma for slot in slots], cfg)
-    views = _views(params, shapes)
-    model = EmbedModel(views[:layers], views[layers:2 * layers])
-    clf = views[2 * layers]
-    targets = _views(step, shapes)
+    params = [np.stack(arrays) for arrays in zip(*(slot.arrays[:common] for slot in slots))]
     clf_orig = None
     if (unshared := plan.slices.get("sft+ds_unshared")) is not None:
-        clf_orig = views[-1][unshared]
-        targets[-1] = targets[-1][unshared]
+        clf_orig = np.stack([slot.arrays[common] for slot in slots[unshared]])
+        params.append(clf_orig)
+    velocity = [np.zeros_like(param) for param in params]
+    model = EmbedModel(params[:layers], params[layers:2 * layers])
+    clf = params[2 * layers]
 
-    # the slots' distinct schedules, one draw each from a copy of the rng
-    # (another stack may draw the same key), as rows of the stacked data
     batches = max(1, len(slots[0].train_rows) // (cfg.p * cfg.k))
-    keys = list(dict.fromkeys(slot.schedule for slot in slots))
-    schedule = np.empty((len(keys), cfg.epochs * batches, cfg.p * cfg.k), dtype=np.int64)
-    for drawn, (manifest, rng, offset) in zip(schedule, map(draws.get, keys)):
-        np.add(_pk_schedule(manifest, cfg.p, cfg.k, len(drawn), copy.deepcopy(rng)), offset, out=drawn)
-    which = np.array([keys.index(slot.schedule) for slot in slots])
     results = []
-    for i, slot in enumerate(slots):  # each slot's result, on its rows of the buffer
-        own = [v[i] for v in views]
-        results.append(TrainResult(EmbedModel(own[:layers], own[layers:2 * layers]), own[2 * layers],
-                                   own[-1] if slot.cfg.method == "sft+ds_unshared" else None, []))
+    for i, slot in enumerate(slots):  # each slot's result, on its row of the stacks
+        own = [param[i] for param in params[:common]]
+        orig = clf_orig[i - unshared.start] if slot.cfg.method == "sft+ds_unshared" else None
+        results.append(TrainResult(EmbedModel(own[:layers], own[layers:2 * layers]), own[-1], orig, []))
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         sum_orig = np.zeros(len(slots))
         sum_sft = np.zeros(len(slots))
         for t in range(epoch * batches, (epoch + 1) * batches):
-            rows = schedule[which, t]
+            rows = np.stack([slot.schedule[t] for slot in slots])
             loss_orig, loss_sft, grads = _step(data[rows], class_ids[rows], model, clf, clf_orig, plan)
             sum_orig += loss_orig
             sum_sft += loss_sft
-            for target, grad in zip(targets, grads):
-                np.multiply(grad, lr, out=target)
-            velocity *= MOMENTUM
-            velocity -= step
-            params += velocity
+            for param, vel, grad in zip(params, velocity, grads, strict=True):
+                vel *= MOMENTUM
+                vel -= lr * grad
+                param += vel
         if not np.isfinite(sum_orig + sum_sft).all():
             raise ValueError(f"training diverged in epoch {epoch}: the loss is not finite")
         for slot, result, loss_orig, loss_sft in zip(slots, results, sum_orig, sum_sft):

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -781,6 +783,130 @@ class TestHostileGenFlags:
         else:
             assert code == 1 and len(err) == 1 and err[0].startswith("error: "), err
             assert not feats.exists()
+
+
+# hostile values for the other subcommands: sigmas, top-n values, and
+# JSON values past int64, float64 and Python's 4,300-digit int limit, or
+# nested arrays, for a field of a ranking file
+NESTED_JSON = ["[" * 64 + "]" * 64, "[" * 100_000 + "]" * 100_000]
+JSON_INTS = ["-1", "-9223372036854775809", "9223372036854775807", "18446744073709551616",
+             "1" + "0" * 400, "1" + "0" * 5000]
+JSON_VALUES = {"queries": ["[]", "{}", "null"], "query_index": JSON_INTS, "gallery_index": JSON_INTS,
+               "score": ["1e400", "-1e400", "1e-400", "NaN", "-Infinity", "1" + "0" * 400]}
+# manifest edits by name, on the file's lines
+MANIFEST_EDITS = {
+    "huge_identity": lambda lines: [lines[0], lines[1].replace("\t0\t", "\t" + "9" * 30 + "\t", 1),
+                                    *lines[2:]],
+    "huge_camera": lambda lines: [lines[0], "\t".join(lines[1].split("\t")[:2] + ["9" * 30, "train"]),
+                                  *lines[2:]],
+    "blank_then_short_row": lambda lines: lines + ["", "extra\t0\t0"],
+    "repeated_row": lambda lines: lines + lines[1:2],
+    "header_only": lambda lines: lines[:1],
+}
+
+
+@st.composite
+def ranking_edits(draw):
+    """(field, value, how): a field's first value in a ranking file is
+    replaced, or the field is repeated with the value before it (the
+    file's value wins) or after it (the hostile one wins)."""
+    field = draw(st.sampled_from(sorted(JSON_VALUES)))
+    return field, draw(st.sampled_from(JSON_VALUES[field] + NESTED_JSON)), draw(
+        st.sampled_from(["replace", "before", "after"]))
+
+
+def edit_ranking(text, field, value, how):
+    start = text.index(f'"{field}": ')
+    end = re.compile(r'"[^"]*": [^,\n]*').match(text, start).end()
+    duplicate = f'"{field}": {value}'
+    return {"replace": text[:start] + duplicate + text[end:],
+            "before": text[:start] + duplicate + ", " + text[start:],
+            "after": text[:end] + ", " + duplicate + text[end:]}[how]
+
+
+# each input's hostile values, and the value it takes when not hostile
+# (None: the file as `rank` and `gen` wrote it)
+SUBCOMMAND_INPUTS = {
+    "sigma": (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e300]), 0.1),
+    "top_n": (st.sampled_from([-1, 0, 1, 10**12]), 5),
+    "ranking": (ranking_edits(), None),
+    "manifest": (st.sampled_from(sorted(MANIFEST_EDITS)), None),
+}
+
+
+@st.composite
+def subcommand_inputs(draw):
+    """Inputs by name: at most two hostile, the others as not."""
+    hostile = draw(st.sets(st.sampled_from(sorted(SUBCOMMAND_INPUTS)), max_size=2))
+    return {name: draw(values) if name in hostile else plain
+            for name, (values, plain) in SUBCOMMAND_INPUTS.items()}
+
+
+class TestHostileSubcommands:
+    """`transform`, `diagnose`, `rank`, `eval` and `refine` on the
+    6-identity blob set, with hostile sigmas, top-n values, ranking files
+    and manifests, exit 0 or exit 1 with one `error:` line, print no
+    warning and trace under 100 MB.  `refine` logs its one clamping line
+    where top-n passes a list's length, as designed."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("hostile_subcommands")
+        feats, manifest = gen_blobs(out)
+        assert run("rank", "--features", feats, "--manifest", manifest, "--out", out / "rank.json") == 0
+        # one parser for every case: built under tracemalloc, it took longer than the cases
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+            yield out, feats, manifest.read_text().splitlines(), (out / "rank.json").read_text()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @example(command="refine", inputs={"sigma": 1e-300, "top_n": 10**12, "ranking": None, "manifest": None})
+    @example(command="refine", inputs={"sigma": 1e300, "top_n": 1, "ranking": None,
+                                       "manifest": "huge_camera"})
+    @example(command="eval", inputs={"sigma": 0.1, "top_n": 5, "ranking": ("score", "1e400", "after"),
+                                     "manifest": "huge_identity"})
+    @given(command=st.sampled_from(["transform", "diagnose", "rank", "eval", "refine"]),
+           inputs=subcommand_inputs())
+    def test_exit_0_or_one_error_line(self, files, command, inputs):
+        out, feats, manifest_lines, ranking_text = files
+        manifest, ranking, target = out / "m.tsv", out / "r.json", out / "out"
+        if inputs["manifest"] is not None:
+            manifest_lines = MANIFEST_EDITS[inputs["manifest"]](manifest_lines)
+        manifest.write_text("\n".join(manifest_lines) + "\n")
+        if inputs["ranking"] is not None:
+            ranking_text = edit_ranking(ranking_text, *inputs["ranking"])
+        ranking.write_text(ranking_text)
+        target.unlink(missing_ok=True)
+        # "--flag=value", so that a value such as -inf is not read as a flag
+        values = {"features": feats, "manifest": manifest, "ranking": ranking,
+                  "sigma": repr(inputs["sigma"]), "top-n": inputs["top_n"], "out": target}
+        flags = {"transform": ("features", "sigma", "out"), "diagnose": ("features", "manifest", "sigma"),
+                 "rank": ("features", "manifest", "out"), "eval": ("ranking", "manifest", "out"),
+                 "refine": ("features", "manifest", "ranking", "top-n", "sigma", "out")}[command]
+        logged = []
+        handler = logging.Handler()
+        handler.emit = logged.append
+        logging.getLogger("sftlab").addHandler(handler)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                code = run(command, *[f"--{flag}={values[flag]}" for flag in flags])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            logging.getLogger("sftlab").removeHandler(handler)
+        err = stderr.getvalue().splitlines()
+        assert [str(w.message) for w in caught] == []
+        assert peak < 100e6, peak
+        if code == 0:
+            assert err == [] and len(logged) <= 1
+            assert all(command == "refine" and "clamping" in r.getMessage() for r in logged)
+        else:
+            assert code == 1 and len(err) == 1 and err[0].startswith("error: "), err
+            assert logged == [] and not target.exists()
 
 
 class TestExperimentCommand:

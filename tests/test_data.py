@@ -154,6 +154,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("text,lineno", [
+        pytest.param("\ns0\t0\t0\n", 3, id="blank-then-short-row"),
+        pytest.param("s0\t0\t0\ttrain\n\n\ns1\t0\t0\n", 5, id="blanks-between-rows"),
+        pytest.param("\n\ns0\t0\tx\ttrain\n", 4, id="blanks-then-bad-camera")])
+    def test_error_names_the_files_own_line(self, tmp_path, text, lineno):
+        """Blank lines count: the error names the bad row's line in the file."""
+        path = tmp_path / "m.tsv"
+        path.write_text("sample_id\tidentity\tcamera\tsplit\n" + text)
+        with pytest.raises(ManifestError, match=f"^line {lineno}: "):
+            load_manifest(path)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ManifestError):
             DatasetManifest(records(("a", 0, 0, "train"), ("a", 1, 0, "train")))

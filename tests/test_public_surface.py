@@ -12,10 +12,15 @@ no caller, so the list cannot go stale.
 
 A second scan fails when a package module but ``__init__``, or a test
 module, imports a name that it never uses, the debris that a deletion or a
-rename tends to leave behind.
+rename tends to leave behind.  A third fails when the README names, in
+backticks, a dotted name under a package module or class that the package
+no longer has.
 """
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -109,3 +114,31 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: names for path in module_paths() + sorted(TESTS.glob("*.py"))
               if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert unused == {}
+
+
+def readme_names():
+    """(line, name) of every backticked dotted name in the README, such as
+    `training.METHODS` or `EmbedModel.parameters()`, call parentheses aside."""
+    text = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    return [(text.count("\n", 0, match.start()) + 1, match.group(1))
+            for match in re.finditer(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", text)]
+
+
+def test_readme_dotted_names_resolve():
+    """A dotted name whose head is a package module or a class that one
+    defines resolves attribute by attribute; other heads (`report.json`,
+    `json.dumps`) are not the package's."""
+    modules = {path.stem: importlib.import_module(f"sftlab.{path.stem}")
+               for path in module_paths() if path.stem != "__main__"}
+    heads = dict(modules)
+    heads.update((name, obj) for module in modules.values() for name, obj in vars(module).items()
+                 if isinstance(obj, type) and obj.__module__.startswith("sftlab."))
+    named = [(line, name) for line, name in readme_names() if name.partition(".")[0] in heads]
+    unresolved = []
+    for line, name in named:
+        head, *attrs = name.split(".")
+        try:
+            functools.reduce(getattr, attrs, heads[head])
+        except AttributeError:
+            unresolved.append(f"line {line}: {name}")
+    assert len(named) > 10 and unresolved == []

@@ -754,18 +754,22 @@ class TestReferenceTrainer:
             assert np.array_equal(got.classifier_orig, clf_orig)
 
     @pytest.mark.parametrize("hidden_dim", [64, 0])
-    @pytest.mark.parametrize("p,k", [(4, 4), (3, 10)])
-    def test_cells_and_seeds_in_one_stack_bit_identical(self, dataset, p, k, hidden_dim):
+    @pytest.mark.parametrize("p,ks", [pytest.param(4, (4,), id="4-4"), pytest.param(3, (10,), id="3-10"),
+                                      pytest.param(3, (4, 10), id="3-4,10-two-datasets")])
+    def test_cells_and_seeds_in_one_stack_bit_identical(self, dataset, p, ks, hidden_dim):
         """Every cell, on two seeds, trained in one lockstep call: each run
-        equals the straightforward loop alone, bit for bit."""
-        features, manifest = dataset
-        configs = [toy_train_config(method=cell, p=p, k=k, epochs=4, warmup_epochs=2,
-                                    decay_epochs=(3,), diagnostics=True, hidden_dim=hidden_dim,
-                                    seed=seed)
-                   for cell in METHODS for seed in (5, 6)]
-        results = train([features] * len(configs), [manifest] * len(configs), configs)
-        assert len(results) == len(configs)
-        for cfg, got in zip(configs, results, strict=True):
+        equals the straightforward loop alone, bit for bit.  With two k
+        values the call also takes a second dataset of the same shape, so it
+        makes two stacks, each with unshared slots on both datasets."""
+        datasets = [dataset] + [make_dataset(ExperimentConfig(identities=8), seed=2)] * (len(ks) - 1)
+        runs = [(data, toy_train_config(method=cell, p=p, k=k, epochs=4, warmup_epochs=2,
+                                        decay_epochs=(3,), diagnostics=True, hidden_dim=hidden_dim,
+                                        seed=seed))
+                for cell in METHODS for data in datasets for k in ks for seed in (5, 6)]
+        results = train([features for (features, _), _ in runs], [manifest for (_, manifest), _ in runs],
+                        [cfg for _, cfg in runs])
+        assert len(results) == len(runs)
+        for ((features, manifest), cfg), got in zip(runs, results, strict=True):
             model, clf, clf_orig, log = reference_train(features, manifest, cfg)
             assert got.log == log, cfg.method
             assert len(got.model.weights) == len(model.weights) == (2 if hidden_dim else 1)
