@@ -303,6 +303,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureMatrix, DatasetManif
             if norm == 0.0:  # unreachable in practice, keeps division safe
                 norm = 1.0
             data[ident] = center * (spec.inter_class_separation / norm) + spread * draws[ident, 1:]
+        del draws, center  # the deviates are in the rows: free them before the float32 copy and the records
     else:
         for ident in range(n):
             phase = 2.0 * math.pi * ident / n

@@ -280,14 +280,18 @@ def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
         return np.stack([sample_pk(manifest, p, k, rng) for _ in range(steps)])
     flat, first = np.concatenate(rows, dtype=np.int64), np.cumsum(sizes) - sizes
     schedule = np.empty((steps, p * k), np.int64)
-    for at in range(0, steps, 64):  # 64 steps at a time bound the temporaries
-        drawn = words[at:at + 64]
+    # a chunk's swap tests, p x p and p of k x k bools per step, stay under 2^16 cells, or take one step
+    chunk = max(1, 2**16 // (p * max(p, k * k)))
+    for at in range(0, steps, chunk):
+        drawn = words[at:at + chunk]
         ids = _fisher_yates((drawn[:, :p] % (len(rows) - np.arange(p)).astype(np.uint64)).astype(np.int64))
         n = sizes[ids].reshape(-1, 1)  # each picked identity's rows: bounds n - i, or n with replacement
         bounds = np.where(n >= k, n - np.arange(k), n).astype(np.uint64)
-        offsets = (drawn[:, p:].reshape(-1, k) % bounds).astype(np.int64)
-        picks = np.where(n >= k, _fisher_yates(offsets), offsets)
-        schedule[at:at + 64] = flat[first[ids].reshape(-1, 1) + picks].reshape(len(drawn), -1)
+        picks = (drawn[:, p:].reshape(-1, k) % bounds).astype(np.int64)
+        swapped = n[:, 0] >= k  # the identities drawn without replacement
+        if swapped.any():
+            picks[swapped] = _fisher_yates(picks[swapped])
+        schedule[at:at + chunk] = flat[first[ids].reshape(-1, 1) + picks].reshape(len(drawn), -1)
     return schedule
 
 
@@ -298,43 +302,37 @@ _PER_SLOT = ("method", "sigma", "seed")
 class _Plan(NamedTuple):
     """The step kernel's view of a method-major stack of slots."""
 
-    slices: dict[str, slice]          # each method's slots
-    transformed: slice | None         # the slots under a transform
-    sigma: np.ndarray                 # their sigmas, shaped (len, 1, 1)
-    ncut: tuple[tuple[int, float], ...]  # (slot, sigma) of each ncut slot
-    through: bool                     # grad_through_transition
-    weight: float                     # deep_supervision_weight
+    slices: dict[str, slice]  # each method's slots, empty where the stack has none
+    sigma: np.ndarray         # every slot's sigma, shaped (S, 1, 1)
+    through: bool             # grad_through_transition
+    weight: float             # deep_supervision_weight
 
 
 def _plan(methods: Sequence[str], sigmas: Sequence[float], cfg: TrainConfig) -> _Plan:
     """The plan of slots with these methods, in METHODS order, and
     sigmas; cfg gives the fields that the slots share."""
-    slices: dict[str, slice] = {}
-    for i, method in enumerate(methods):
-        slices[method] = slice(slices[method].start if method in slices else i, i + 1)
-    moved = [i for i, method in enumerate(methods) if method.startswith("sft")]
-    return _Plan(
-        slices,
-        slice(moved[0], moved[-1] + 1) if moved else None,
-        np.array([sigmas[i] for i in moved]).reshape(-1, 1, 1),
-        tuple((i, sigmas[i]) for i, method in enumerate(methods) if method == "ncut"),
-        cfg.grad_through_transition,
-        cfg.deep_supervision_weight,
-    )
+    slices, stop = {}, 0
+    for method in METHODS:
+        start, stop = stop, stop + methods.count(method)
+        slices[method] = slice(start, stop)
+    return _Plan(slices, np.array(sigmas, dtype=np.float64).reshape(-1, 1, 1),
+                 cfg.grad_through_transition, cfg.deep_supervision_weight)
 
 
 def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: np.ndarray,
-          clf_orig: np.ndarray | None, plan: _Plan):
+          clf_orig: np.ndarray, plan: _Plan):
     """Losses and parameter gradients of one step of S slots in lockstep.
 
     x (S, n, d) holds each slot's batch and y (S, n) its valid class ids;
     model and clf are stacks of the slots' parameters, clf_orig that of the
-    unshared slots' second classifiers.  Each part runs once per stack: the
-    embedding and its backward pass on every slot, the transform on its
-    slots, and one margin softmax on every slot's transformed features with
-    clf and on the transformed slots' embeddings with the classifier that
-    scores them (clf_orig for the unshared slots); the ncut loss runs per
-    slot.
+    U unshared slots' second classifiers, (U, C, d) with U maybe 0.  Each
+    method is a slice of the stack.  The transformed slots are its tail,
+    from the first sft slot on, and each part runs once per stack: the
+    embedding and its backward pass on every slot, the transform on the
+    tail, and one margin softmax on every slot's transformed features with
+    clf and on the tail's embeddings with the classifier that scores them
+    (clf_orig for the unshared slots, which come last); the ncut loss runs
+    per slot of its slice.
 
     Returns (loss_orig, loss_sft, grads), the losses shaped (S,).  loss_sft
     is the classifier loss on transformed features (the embedding itself
@@ -342,46 +340,34 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: np.ndarray,
     classifier loss on the untransformed embedding, which contributes
     gradient only under deep supervision and ncut (it is still reported
     otherwise, for the log).  grads holds the gradients of
-    model.parameters() + [clf], then of clf_orig, each with a
-    leading slot axis (the unshared slots' only, for clf_orig).
+    model.parameters() + [clf, clf_orig], each with a leading slot axis.
     """
     emb, cache = model.forward(x)
     slots = len(emb)
-    moved = plan.transformed
+    shared, unshared = plan.slices["sft+ds_shared"], plan.slices["sft+ds_unshared"]
+    moved = slice(plan.slices["sft"].start, slots)
+    orig = slots - moved.start  # moved slot i's embedding is row i + orig of the softmax stack
     inputs, labels, weights = emb, y, clf
-    if moved is not None:
-        # every slot's transformed features, then the transformed slots'
-        # embeddings, scored by clf too or, for the unshared slots (which
-        # come last), by clf_orig: rows slots + j of the softmax stack
-        forward = _transition_from_features(emb[moved], plan.sigma)
-        inputs = np.concatenate([emb[:moved.start], forward[2] @ emb[moved], emb[moved.stop:], emb[moved]])
+    if orig:  # a stack with no transformed slot skips the transform
+        forward = _transition_from_features(emb[moved], plan.sigma[moved])
+        inputs = np.concatenate([emb[:moved.start], forward[2] @ emb[moved], emb[moved]])
         labels = np.concatenate([y, y[moved]])
-        scorers = [clf, clf[moved]]
-        if clf_orig is not None:
-            scorers[1:] = [clf[moved][:-len(clf_orig)], clf_orig]
-        weights = np.concatenate(scorers)
+        weights = np.concatenate([clf, clf[moved.start:unshared.start], clf_orig])
     loss, grad_in, grad_w = _am_softmax_grad(inputs, labels, *_unit_rows(weights))
     loss_sft, grad_emb, grad_clf = loss[:slots], grad_in[:slots], grad_w[:slots]
     loss_orig = loss_sft.copy()
-    grads_orig = []
-    if moved is not None:
-        grad_emb[moved] = _sft_backward(emb[moved], plan.sigma, grad_emb[moved], forward, plan.through)
+    if orig:
+        grad_emb[moved] = _sft_backward(emb[moved], plan.sigma[moved], grad_emb[moved], forward, plan.through)
         # the embedding's loss: logged alone under sft, a weighted second
         # term under deep supervision
         loss_orig[moved] = loss[slots:]
-        weight = plan.weight
-        for method in ("sft+ds_shared", "sft+ds_unshared"):
-            if (part := plan.slices.get(method)) is not None:
-                rows = slice(slots + part.start - moved.start, slots + part.stop - moved.start)
-                grad_emb[part] += weight * grad_in[rows]
-                if method == "sft+ds_shared":
-                    grad_clf[part] += weight * grad_w[rows]
-                else:
-                    grads_orig.append(weight * grad_w[rows])
-    for slot, sigma in plan.ncut:  # the graph-cut loss beside the classifier loss
-        loss_sft[slot], grad_graph = ncut_loss(emb[slot], y[slot], sigma)
+        grad_emb[shared.start:] += plan.weight * grad_in[shared.start + orig:]
+        grad_clf[shared] += plan.weight * grad_w[shared.start + orig:unshared.start + orig]
+    for slot in range(slots)[plan.slices["ncut"]]:  # the graph-cut loss beside the classifier loss
+        loss_sft[slot], grad_graph = ncut_loss(emb[slot], y[slot], plan.sigma[slot, 0, 0])
         grad_emb[slot] += grad_graph
-    return loss_orig, loss_sft, model.backward(cache, grad_emb) + [grad_clf] + grads_orig
+    grad_orig = plan.weight * grad_w[unshared.start + orig:]
+    return loss_orig, loss_sft, model.backward(cache, grad_emb) + [grad_clf, grad_orig]
 
 
 @dataclass
@@ -421,13 +407,12 @@ def train(features: FeatureMatrix | Sequence[FeatureMatrix],
 
 
 class _Slot(NamedTuple):
-    """One run of a lockstep call, ready to stack."""
+    """One run of a stack, prepared when that stack starts to train."""
 
     cfg: TrainConfig
     arrays: list[np.ndarray]  # initial parameters in _step's gradient order
     schedule: np.ndarray      # its (steps, p*k) PK schedule, as rows of the stacked data
     train_rows: np.ndarray    # its dataset's train rows in the stacked data
-    group: tuple              # the fields its stack shares
 
 
 # overflow on the way to divergence is reported once, by the epoch check
@@ -436,16 +421,18 @@ def _train(runs: list) -> list[TrainResult]:
     """Train (features, manifest, cfg) runs, each stack of equal shape in
     lockstep; results in run order.
 
-    Runs of one seed share one draw of the model and classifier init, and
-    the runs whose (dataset, p, k, steps, rng state after init) agree
-    share one draw of the PK schedule, whatever their stacks.
+    One pass checks every run and groups the runs into stacks.  Then each
+    stack in turn draws its slots' inits and PK schedules, trains and drops
+    its schedules.  Runs of one seed share one draw of the model and
+    classifier init across the call, and the runs of a stack whose
+    (dataset, p, k, steps, rng state after init) agree share one draw of
+    the PK schedule.
     """
     datasets: dict[tuple[int, int], tuple] = {}
-    inits: dict[tuple, tuple] = {}
-    schedules: dict[tuple, np.ndarray] = {}
-    data, class_ids, slots = [], [], []
+    data, class_ids = [], []
+    stacks: dict[tuple, list[int]] = {}
     start = 0
-    for features, manifest, cfg in runs:
+    for i, (features, manifest, cfg) in enumerate(runs):
         if (id(features), id(manifest)) not in datasets:
             check_paired(features, manifest)
             train_idx = manifest.indices("train")
@@ -458,66 +445,67 @@ def _train(runs: list) -> list[TrainResult]:
             data.append(features.data)
             class_ids.append(labels)
             start += features.n
-        offset, train_rows, num_classes = datasets[id(features), id(manifest)]
+        _, train_rows, num_classes = datasets[id(features), id(manifest)]
         if num_classes < cfg.p:  # sample_pk's check, before p sizes anything; as p >= 2, needs 2+ identities
             raise ValueError(f"need {cfg.p} train identities, manifest has {num_classes}")
-
-        dims = (cfg.seed, features.d, cfg.hidden_dim, cfg.embed_dim, num_classes)
-        if dims not in inits:
-            rng = Xoshiro256StarStar(cfg.seed)
-            model = EmbedModel.init(features.d, cfg.hidden_dim, cfg.embed_dim, rng)
-            inits[dims] = (model.parameters() + [_classifier_init(num_classes, cfg.embed_dim, rng)], rng)
-        arrays, rng = inits[dims]
-        if cfg.method == "sft+ds_unshared":  # its second classifier draws on from a copy
-            rng = copy.deepcopy(rng)
-            arrays = arrays + [_classifier_init(num_classes, cfg.embed_dim, rng)]
-
         batches = max(1, len(train_rows) // (cfg.p * cfg.k))
-        key = (id(features), id(manifest), cfg.p, cfg.k, cfg.epochs * batches, rng.getstate())
-        if key not in schedules:  # from a copy, so the rng still keys this seed's later runs
-            schedules[key] = _pk_schedule(manifest, cfg.p, cfg.k, cfg.epochs * batches, copy.deepcopy(rng))
-            schedules[key] += offset
         group = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in _PER_SLOT)
-        slots.append(_Slot(cfg, arrays, schedules[key], train_rows,
-                           (group, features.d, num_classes, batches)))
+        stacks.setdefault((group, features.d, num_classes, batches), []).append(i)
 
     data = data[0] if len(data) == 1 else np.concatenate(data)
     class_ids = np.concatenate(class_ids)
-    stacks: dict[tuple, list[int]] = {}
-    for i, slot in enumerate(slots):
-        stacks.setdefault(slot.group, []).append(i)
-    results = [None] * len(slots)
-    for members in stacks.values():
-        members.sort(key=lambda i: METHODS.index(slots[i].cfg.method))
-        trained = _train_stack([slots[i] for i in members], data, class_ids)
-        for i, result in zip(members, trained):
+    inits: dict[tuple, tuple] = {}
+    results = [None] * len(runs)
+    for (_, d, num_classes, batches), members in stacks.items():
+        members.sort(key=lambda i: METHODS.index(runs[i][2].method))
+        schedules: dict[tuple, np.ndarray] = {}
+        slots = []
+        for i in members:
+            features, manifest, cfg = runs[i]
+            offset, train_rows, _ = datasets[id(features), id(manifest)]
+            dims = (cfg.seed, d, cfg.hidden_dim, cfg.embed_dim, num_classes)
+            if dims not in inits:
+                rng = Xoshiro256StarStar(cfg.seed)
+                model = EmbedModel.init(d, cfg.hidden_dim, cfg.embed_dim, rng)
+                inits[dims] = (model.parameters() + [_classifier_init(num_classes, cfg.embed_dim, rng)], rng)
+            arrays, rng = inits[dims]
+            if cfg.method == "sft+ds_unshared":  # its second classifier draws on from a copy
+                rng = copy.deepcopy(rng)
+                arrays = arrays + [_classifier_init(num_classes, cfg.embed_dim, rng)]
+            steps = cfg.epochs * batches
+            key = (id(features), id(manifest), cfg.p, cfg.k, steps, rng.getstate())
+            if key not in schedules:  # from a copy, so the rng still keys this seed's later runs
+                schedules[key] = _pk_schedule(manifest, cfg.p, cfg.k, steps, copy.deepcopy(rng))
+                schedules[key] += offset
+            slots.append(_Slot(cfg, arrays, schedules[key], train_rows))
+        for i, result in zip(members, _train_stack(slots, batches, data, class_ids)):
             results[i] = result
     return results
 
 
-def _train_stack(slots: list[_Slot], data: np.ndarray, class_ids: np.ndarray) -> list[TrainResult]:
-    """The training loop of one method-major stack of slots that share
-    every field but _PER_SLOT, in lockstep.
+def _train_stack(slots: list[_Slot], batches: int, data: np.ndarray,
+                 class_ids: np.ndarray) -> list[TrainResult]:
+    """The training loop, of `batches` steps an epoch, of one method-major
+    stack of slots that share every field but _PER_SLOT, in lockstep.
 
     Each parameter is one np.stack of the slots' arrays, in _step's
     gradient order, and the unshared slots, which come last, stack their
-    second classifier apart.  The momentum update runs per stack, with
-    the operations of one run's update of that array.
+    second classifier apart, in a stack that may be empty.  The momentum
+    update runs per stack, with the operations of one run's update of that
+    array.
     """
     cfg = slots[0].cfg  # for the fields the slots share
     layers = 2 if cfg.hidden_dim else 1  # weight arrays of the model
     common = 2 * layers + 1  # arrays that every slot has: the model's and the classifier
     plan = _plan([slot.cfg.method for slot in slots], [slot.cfg.sigma for slot in slots], cfg)
+    unshared = plan.slices["sft+ds_unshared"]
     params = [np.stack(arrays) for arrays in zip(*(slot.arrays[:common] for slot in slots))]
-    clf_orig = None
-    if (unshared := plan.slices.get("sft+ds_unshared")) is not None:
-        clf_orig = np.stack([slot.arrays[common] for slot in slots[unshared]])
-        params.append(clf_orig)
+    clf_orig = np.reshape([slot.arrays[common] for slot in slots[unshared]], (-1,) + params[-1].shape[1:])
+    params.append(clf_orig)
     velocity = [np.zeros_like(param) for param in params]
     model = EmbedModel(params[:layers], params[layers:2 * layers])
     clf = params[2 * layers]
 
-    batches = max(1, len(slots[0].train_rows) // (cfg.p * cfg.k))
     results = []
     for i, slot in enumerate(slots):  # each slot's result, on its row of the stacks
         own = [param[i] for param in params[:common]]
@@ -533,9 +521,10 @@ def _train_stack(slots: list[_Slot], data: np.ndarray, class_ids: np.ndarray) ->
             sum_orig += loss_orig
             sum_sft += loss_sft
             for param, vel, grad in zip(params, velocity, grads, strict=True):
-                vel *= MOMENTUM
-                vel -= lr * grad
-                param += vel
+                if len(param):  # an empty stack has nothing to update
+                    vel *= MOMENTUM
+                    vel -= lr * grad
+                    param += vel
         if not np.isfinite(sum_orig + sum_sft).all():
             raise ValueError(f"training diverged in epoch {epoch}: the loss is not finite")
         for slot, result, loss_orig, loss_sft in zip(slots, results, sum_orig, sum_sft):

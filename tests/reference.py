@@ -97,9 +97,11 @@ def forward_backward(x, labels, model, clf, cfg, clf_orig=None):
     Returns (loss_orig, loss_sft, grads) as ``_step`` describes them, the
     losses as floats and each gradient without the slot axis: those of
     model.parameters() + [clf], then of clf_orig under sft+ds_unshared.
+    Other methods step with an empty stack of second classifiers, whose
+    empty gradient is left out.
     """
     check_labels(labels, x.shape[0], clf)
-    stacked_orig = None
+    stacked_orig = np.empty((0,) + clf.shape)
     if cfg.method == "sft+ds_unshared":
         if clf_orig is None:
             raise ValueError("unshared deep supervision needs the second classifier")
@@ -108,7 +110,7 @@ def forward_backward(x, labels, model, clf, cfg, clf_orig=None):
     stacked = EmbedModel([w[None] for w in model.weights], [b[None] for b in model.biases])
     loss_orig, loss_sft, grads = _step(x[None], labels[None], stacked, clf[None], stacked_orig,
                                        _plan((cfg.method,), (cfg.sigma,), cfg))
-    return float(loss_orig[0]), float(loss_sft[0]), [g[0] for g in grads]
+    return float(loss_orig[0]), float(loss_sft[0]), [g[0] for g in grads if len(g)]
 
 
 def ranking_of(rows):

@@ -709,10 +709,24 @@ def train_flags(draw):
     return flags | {name: draw(FLAG_VALUES[name][0]) for name in sorted(edged)}
 
 
+# config lines for the TrainConfig fields that no flag sets: edge values and
+# text that does not parse, by field type, and two lines together
+CONFIG_EDGES = {"int": ["-1", "0", "100000000000000000000", "nan", "1e400", "3,,4", "maybe"],
+                "tuple[int, ...]": ["-1", "100000000000000000000", "", "3,,4", "nan", "maybe"],
+                "bool": ["maybe", "-1", "true", "FALSE"],
+                "float": ["-1", "0", "1e20", "nan", "1e400", "3,,4"]}
+CONFIG_ONLY = ("warmup_epochs", "decay_epochs", "grad_through_transition", "deep_supervision_weight",
+               "diagnostics")
+HOSTILE_CONFIGS = [f"{name} = {value}" for name in CONFIG_ONLY for value in CONFIG_EDGES[TRAIN_KINDS[name]]]
+HOSTILE_CONFIGS += ["diagnostics = true\ndeep_supervision_weight = 1e20",
+                    "warmup_epochs = 0\ndecay_epochs = 0,0"]
+
+
 class TestHostileTrainFlags:
     """`train` on the 6-identity blob set and `experiment --seeds 1
-    --epochs 2`, each with some trainer flags set to hostile values, exit 0
-    or exit 1 with one `error:` line, printing no warning."""
+    --epochs 2`, each with some trainer flags or config lines set to
+    hostile values, exit 0 or exit 1 with one `error:` line, printing no
+    warning."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -726,14 +740,28 @@ class TestHostileTrainFlags:
     @example(command="experiment", flags={"base_lr": 1e300, "p": 16, "k": 8})
     @given(command=st.sampled_from(["train", "experiment"]), flags=train_flags())
     def test_exit_0_or_one_error_line(self, files, command, flags):
+        # "--flag=value", so that a value such as -inf is not read as a flag
+        self.check(files, command, [f"--{name.replace('_', '-')}={value!r}" for name, value in flags.items()])
+
+    def test_config_names_only_fields_without_a_flag(self):
+        assert set(CONFIG_ONLY) == set(TRAIN_KINDS) - set(cli.TRAIN_FLAGS) - {"method", "seed"}
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("lines", HOSTILE_CONFIGS)
+    def test_config_lines_exit_0_or_one_error_line(self, files, command, lines):
+        config = files[0] / "hostile.cfg"
+        config.write_text(lines + "\n")
+        self.check(files, command, ["--config", config])
+
+    @staticmethod
+    def check(files, command, extra):
         out, (feats, manifest) = files
         if command == "train":
             argv = ["train", "--features", feats, "--manifest", manifest, "--p", 4, "--k", 4, "--epochs", 2,
                     "--log", out / "train.log", "--out-features", out / "emb.sfte", "--out-model", out / "model.json"]
         else:
             argv = ["experiment", "--seeds", 1, "--epochs", 2, "--out-dir", out / "report"]
-        # "--flag=value", so that a value such as -inf is not read as a flag
-        argv += [f"--{name.replace('_', '-')}={value!r}" for name, value in flags.items()]
+        argv += extra
         stdout, stderr = io.StringIO(), io.StringIO()
         with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
               warnings.catch_warnings(record=True) as caught):

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from sftlab.data import (
     split_features,
 )
 from sftlab.experiment import ExperimentConfig, make_dataset
+from sftlab.rng import Xoshiro256StarStar
 
 
 def make_file(path, magic=b"SFTE", version=1, n=2, d=3, payload=None):
@@ -322,6 +324,20 @@ class TestSynthetic:
         path = tmp_path / "f.sfte"
         save_features(feats, path)
         np.testing.assert_array_equal(load_features(path).data, feats.data)
+
+    def test_blob_memory_is_bounded(self, monkeypatch):
+        """The deviates are dropped once they are in the rows, so the peak is
+        the rows, their float32 round trip and the rounded rows (2.5 rows'
+        worth), not the deviates too (3.6).  Constant deviates stand in for
+        the generator's, whose draw is slow under tracemalloc."""
+        monkeypatch.setattr(Xoshiro256StarStar, "normals", lambda self, count: np.full(count, 0.5))
+        tracemalloc.start()
+        try:
+            features, _ = generate_synthetic(SyntheticSpec(200, 10, 320, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * features.data.nbytes, peak
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import copy
 import math
 import re
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -280,6 +282,43 @@ class TestPKSchedule:
         assert first.log == second.log
         for a, b in zip(trained_arrays(first), trained_arrays(second), strict=True):
             assert np.array_equal(a, b)
+
+    def test_a_stack_holds_its_schedules_only_while_it_trains(self, monkeypatch):
+        """A call draws a stack's schedules when that stack starts and drops
+        them when it has trained: given runs of two k values in alternating
+        order, no k = 2 schedule is alive when a k = 4 one is drawn."""
+        features, manifest = make_dataset(ExperimentConfig(identities=8), seed=1)
+        drawn, alive = [], []  # (k, weak reference) of each schedule; the k values alive at each draw
+
+        def recording_schedule(manifest, p, k, steps, rng):
+            alive.append((k, sorted(other for other, ref in drawn if ref() is not None)))
+            schedule = _pk_schedule(manifest, p, k, steps, rng)
+            drawn.append((k, weakref.ref(schedule)))
+            return schedule
+
+        monkeypatch.setattr(training, "_pk_schedule", recording_schedule)
+        configs = [toy_train_config(method="sft+ds_shared", p=4, k=k, epochs=2, seed=seed)
+                   for seed in (5, 6) for k in (2, 4)]
+        train([features] * len(configs), [manifest] * len(configs), configs)
+        assert alive == [(2, []), (2, [2]), (4, []), (4, [4])]
+
+    @pytest.mark.parametrize("rows", [4, 120], ids=["with-replacement", "without-replacement"])
+    def test_work_memory_stays_near_the_schedule_size(self, rows):
+        """At k = 100 a chunk of steps fits the bound on swap-test cells, and
+        identities of fewer than k rows take no swap test, so the schedule
+        peaks within a few times its own size (64-step chunks of p * k * k
+        bools would take about 7.7), with the bits of the sample_pk draws."""
+        manifest = manifest_for({i: rows for i in range(3)})
+        drawn = Xoshiro256StarStar(4)
+        want = np.stack([sample_pk(manifest, 3, 100, drawn) for _ in range(200)])
+        tracemalloc.start()
+        try:
+            got = _pk_schedule(manifest, 3, 100, 200, Xoshiro256StarStar(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert peak < 4 * got.nbytes, peak
 
     def test_cells_do_not_depend_on_training_order(self):
         # reversed, the unshared cell runs between cells that share a schedule
@@ -754,18 +793,25 @@ class TestReferenceTrainer:
             assert np.array_equal(got.classifier_orig, clf_orig)
 
     @pytest.mark.parametrize("hidden_dim", [64, 0])
-    @pytest.mark.parametrize("p,ks", [pytest.param(4, (4,), id="4-4"), pytest.param(3, (10,), id="3-10"),
-                                      pytest.param(3, (4, 10), id="3-4,10-two-datasets")])
-    def test_cells_and_seeds_in_one_stack_bit_identical(self, dataset, p, ks, hidden_dim):
-        """Every cell, on two seeds, trained in one lockstep call: each run
-        equals the straightforward loop alone, bit for bit.  With two k
-        values the call also takes a second dataset of the same shape, so it
-        makes two stacks, each with unshared slots on both datasets."""
+    @pytest.mark.parametrize("p,ks,cells", [
+        pytest.param(4, (4,), METHODS, id="4-4"), pytest.param(3, (10,), METHODS, id="3-10"),
+        pytest.param(3, (4, 10), METHODS, id="3-4,10-two-datasets"),
+        # method subsets, whose stacks have empty slices before, between or after their slots
+        *(pytest.param(4, (4,), cells, id="4-4-" + ",".join(cells)) for cells in [
+            ("baseline", "sft+ds_unshared"), ("ncut", "sft+ds_shared"), ("baseline", "ncut"),
+            ("sft", "sft+ds_unshared")])])
+    def test_cells_and_seeds_in_one_stack_bit_identical(self, dataset, p, ks, cells, hidden_dim):
+        """Cells, on two seeds of their own sigma, trained in one lockstep
+        call given in reverse order: each run equals the straightforward
+        loop alone, bit for bit.  With two k values the call also takes a
+        second dataset of the same shape, so it makes two stacks, each with
+        unshared slots on both datasets."""
         datasets = [dataset] + [make_dataset(ExperimentConfig(identities=8), seed=2)] * (len(ks) - 1)
         runs = [(data, toy_train_config(method=cell, p=p, k=k, epochs=4, warmup_epochs=2,
                                         decay_epochs=(3,), diagnostics=True, hidden_dim=hidden_dim,
-                                        seed=seed))
-                for cell in METHODS for data in datasets for k in ks for seed in (5, 6)]
+                                        seed=seed, sigma=sigma))
+                for cell in cells for data in datasets for k in ks for seed, sigma in ((5, 0.17), (6, 0.3))]
+        runs.reverse()
         results = train([features for (features, _), _ in runs], [manifest for (_, manifest), _ in runs],
                         [cfg for _, cfg in runs])
         assert len(results) == len(runs)
