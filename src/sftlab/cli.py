@@ -35,7 +35,7 @@ from .data import (
 from .graphcut import class_ncut_escape
 from .ranking import RankingList, evaluate, rank, refine_ranking
 from .training import MARGIN, METHODS, PARSERS, SCALE, TrainConfig, load_train_config, train
-from .transform import affinity, sft_transform
+from .transform import affinity_tiles, sft_transform
 
 TOPOLOGY_ALIASES = {
     "blobs": "gaussian_blobs",
@@ -231,7 +231,7 @@ def cmd_diagnose(args) -> int:
     if identities.size < 2:
         raise ManifestError("diagnostics need at least 2 identities")
     # every printed quantity is a ratio of edge sums at one sigma
-    ncuts, escapes, escapes_rest = class_ncut_escape(affinity(features, args.sigma), classes)
+    ncuts, escapes, escapes_rest = class_ncut_escape(affinity_tiles(features, args.sigma), classes)
     for ident, value, escape in zip(identities, ncuts, escapes):
         print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
     residual = float(np.abs(ncuts - (escapes + escapes_rest)).max())

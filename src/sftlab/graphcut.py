@@ -1,9 +1,10 @@
 """Graph-cut and random-walk diagnostics over affinity graphs.
 
-A graph is a square float64 array of edge weights, a partition a vector
+A graph is a square float64 array of edge weights, or for
+``class_ncut_escape`` its consecutive row blocks, and a partition a vector
 of class ids 0..max, one per node.  The graphs the package builds are
-finite, non-negative and exactly symmetric by construction, so only shapes
-and labels are checked here.
+finite, non-negative and exactly symmetric by construction, whole or in
+row tiles, so only shapes and labels are checked here.
 
 For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
 + cut(c, rest) / vol(rest); in the random-walk view the two terms are the
@@ -19,63 +20,90 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transform import _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
+from .transform import _check_sigma, _cosine_backward, _exp_cosines, _joined, _tile_rows, _unit_rows
 
 
-def _class_count(w: np.ndarray, labels: np.ndarray) -> int:
-    """The class count of labels, one class id per node of the square graph w."""
+def _nodes(w: np.ndarray) -> int:
+    """The node count of the square graph w."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"affinity matrix must be square, got {w.shape}")
+    return len(w)
+
+
+def _class_count(labels: np.ndarray, nodes: int) -> int:
+    """The class count of labels, one class id per node of a graph."""
     if labels.ndim != 1 or labels.size < 1:
         raise ValueError("partition labels must be a non-empty 1-d vector")
     if labels.min() < 0:
         raise ValueError("partition labels must be non-negative")
-    if labels.size != w.shape[0]:
-        raise ValueError(f"partition covers {labels.size} nodes, graph has {w.shape[0]}")
+    if labels.size != nodes:
+        raise ValueError(f"partition covers {labels.size} nodes, graph has {nodes}")
     return int(labels.max()) + 1
 
 
 _CHUNK_ROWS = 256
 
 
-def class_ncut_escape(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ncut, escape(c -> rest), escape(rest -> c)) for every class c at once.
+
+    ``w`` is the square graph, or an iterable of its consecutive row blocks
+    such as :func:`~sftlab.transform.affinity_tiles` yields, so that no
+    n x n array need exist.  The blocks are overwritten.  A square array is
+    read as copies of the row blocks that its tiles would have, so both
+    forms of one graph give the same bits.
 
     The two sides of the identity ncut = escape + escape_rest are computed
     along different arithmetic routes, so their difference is a genuine
     floating-point consistency diagnostic:
 
-    * ncut from the class block sums of raw W (one ``W @ onehot``):
+    * ncut from the class block sums of raw W (``block @ onehot``):
       cross(c) / vol(c) + cross(c) / vol(rest);
     * the escapes literally as sum(pi_i T_ij) over exits divided by the
-      subset's stationary mass, with T = D^-1 W built ``_CHUNK_ROWS`` rows
-      at a time, never as a full n x n array.
+      subset's stationary mass, with each block's rows of T = D^-1 W summed
+      per class, then weighted by pi ``_CHUNK_ROWS`` rows at a time once
+      the degrees of all rows give pi.
 
-    One pass over W for the degrees plus two n x C products.  A class that
-    is empty, covers the whole graph or has no edge weight on one side
-    gets NaN; zero-degree nodes elsewhere leave its values finite.
+    One pass over the blocks keeps each row's degree, exits and per-class
+    transition mass: O(n * C) sums.  A class that is empty, covers the
+    whole graph or has no edge weight on one side gets NaN; zero-degree
+    nodes elsewhere leave its values finite.
     """
-    num_classes = _class_count(w, labels)
+    if isinstance(w, np.ndarray):
+        num_classes = _class_count(labels, _nodes(w))
+        step = _tile_rows(len(w))
+        blocks = (w[lo:lo + step].copy() for lo in range(0, len(w), step))
+    else:
+        num_classes = _class_count(labels, labels.size)
+        blocks = w
+    n = labels.size
     onehot = (labels[:, None] == np.arange(num_classes)).astype(np.float64)
     outside = 1.0 - onehot
-    degrees = w.sum(axis=1)
+    degrees = np.empty(n)
+    exits = np.empty(n)
+    mass = np.empty((n, num_classes))
+    lo = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # row i's weight into classes other than its own, summed without
-        # the cancellation of degree - inside
-        exits = ((w @ onehot) * outside).sum(axis=1)
+        for block in blocks:
+            rows = slice(lo, lo + len(block))
+            degrees[rows] = block.sum(axis=1)
+            # row i's weight into classes other than its own, summed without
+            # the cancellation of degree - inside
+            exits[rows] = ((block @ onehot) * outside[rows]).sum(axis=1)
+            # the block's transition rows, in place; zero-degree rows stay zero
+            block /= np.where(degrees[rows] > 0, degrees[rows], 1.0)[:, None]
+            mass[rows] = (block @ onehot) * outside[rows]
+            lo = rows.stop
+        if lo != n:
+            raise ValueError(f"row blocks cover {lo} rows of a {n}-node graph")
         cross = exits @ onehot
         ncut_all = cross / (degrees @ onehot) + cross / (degrees @ outside)
 
         pi = degrees / degrees.sum()
-        divisor = np.where(degrees > 0, degrees, 1.0)  # zero-degree rows stay zero
-        leaving = np.empty(len(w))
         entering = np.zeros(num_classes)
-        for lo in range(0, len(w), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            mass = ((w[rows] / divisor[rows, None]) @ onehot) * outside[rows]
-            leaving[rows] = mass.sum(axis=1)
-            entering += pi[rows] @ mass
-        escape = ((pi * leaving) @ onehot) / (pi @ onehot)
+        for lo in range(0, n, _CHUNK_ROWS):
+            entering += pi[lo:lo + _CHUNK_ROWS] @ mass[lo:lo + _CHUNK_ROWS]
+        escape = ((pi * mass.sum(axis=1)) @ onehot) / (pi @ onehot)
         escape_rest = entering / (pi @ outside)
     return ncut_all, escape, escape_rest
 
@@ -98,7 +126,7 @@ def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, n
         raise ValueError("ncut loss needs at least 2 non-empty classes")
 
     norms, unit = _unit_rows(x)
-    weights = _exp_cosines(unit, sigma)
+    weights = _joined(_exp_cosines(unit, sigma), len(unit))
 
     loss = 0.0
     inv_vol = np.empty(present.size)
@@ -126,7 +154,7 @@ def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, n
 
 def affinity_class_means(w: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Mean off-diagonal edge weight inside classes and across classes."""
-    _class_count(w, labels)
+    _class_count(labels, _nodes(w))
     same = labels[:, None] == labels[None, :]
     off_diag = ~np.eye(len(w), dtype=bool)
     intra = same & off_diag

@@ -70,7 +70,7 @@ class TrainConfig:
         if self.p < 2 or self.k < 2:
             raise ValueError("batches need p >= 2 identities and k >= 2 samples each")
         _check_sigma(self.sigma)
-        if self.epochs < 0 or self.warmup_epochs < 0:
+        if self.epochs < 0 or self.warmup_epochs < 0 or any(e < 0 for e in self.decay_epochs):
             raise ValueError("counts must be non-negative")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")

@@ -36,19 +36,81 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, x / norms[..., None]
 
 
-def _clipped_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+# A graph of at most this many cells is built whole, as one symmetric product;
+# a larger one is built in row tiles of at most this many cells, so none of
+# its n x n cells need exist at once.
+_TILE_CELLS = 2**18
+
+
+def _clipped_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b.T`` clipped in place to [-1, 1]: cosines of unit rows,
-    guarded against rounding; stacks of matrices multiply pairwise.
+    guarded against rounding; stacks of matrices multiply pairwise, into
+    ``out`` when it is given.
 
     Pass one array twice for the cosines within one set of rows: numpy then
     takes a symmetric-product path whose last bits can differ from those of
     two equal but separate arrays, so each caller keeps its operand form.
-    A stack takes the same path per matrix as the matrix alone.
+    A stack takes the same path per matrix as the matrix alone.  A row
+    tile of :func:`_cosine_tiles` is a plain product of a slice of the rows
+    with all of them.
     """
-    products = a @ b.swapaxes(-1, -2)
+    products = np.matmul(a, b.swapaxes(-1, -2), out=out)
     np.minimum(products, 1.0, out=products)  # np.clip's values, without its Python layers
     np.maximum(products, -1.0, out=products)
     return products
+
+
+def _tile_rows(n: int) -> int:
+    """Rows per tile of an n-node graph: all n up to ``_TILE_CELLS`` cells,
+    else the most multiple-of-16 rows whose products with the n rows padded
+    to a multiple of 16 fit in that many cells, and at least 16."""
+    if n * n <= _TILE_CELLS:
+        return n
+    return max(16, _TILE_CELLS // (-(-n // 16) * 16) // 16 * 16)
+
+
+def _cosine_tiles(unit: np.ndarray):
+    """The cosines of n unit rows with themselves as consecutive row tiles,
+    for a matrix or for each matrix of an (..., n, d) stack with the bits
+    it has alone.
+
+    A graph of at most ``_TILE_CELLS`` cells is one tile, numpy's symmetric
+    product of the rows with themselves.  A larger graph is never whole:
+    the rows are zero-padded to a multiple of 16, each tile multiplies a
+    slice of a multiple of 16 padded rows (as many as the cell budget
+    holds, at least 16) with all padded rows, and the padding is sliced
+    off.  Every product then has the same multiple-of-16 shape, which keeps
+    the tiled graph exactly symmetric where plain row slices were not
+    (OpenBLAS, x86-64); at 2400 x 32 the tiles equal the whole product bit
+    for bit.  The tiles share one buffer: each is valid until the next.
+    """
+    n = unit.shape[-2]
+    step = _tile_rows(n)
+    if step == n:
+        yield _clipped_products(unit, unit)
+        return
+    padded = np.zeros(unit.shape[:-2] + (-(-n // 16) * 16, unit.shape[-1]), dtype=unit.dtype)
+    padded[..., :n, :] = unit
+    buffer = np.empty(unit.shape[:-2] + (step, padded.shape[-2]), dtype=unit.dtype)
+    for lo in range(0, n, step):
+        rows = padded[..., lo:lo + step, :]
+        tile = _clipped_products(rows, padded, out=buffer[..., :rows.shape[-2], :])
+        yield tile[..., :n - lo, :n]
+
+
+def _joined(blocks, n: int) -> np.ndarray:
+    """The (..., n, m) array whose consecutive row blocks these are; a lone
+    block of all n rows is returned as it is."""
+    whole, lo = None, 0
+    for block in blocks:
+        rows = block.shape[-2]
+        if rows == n:
+            return block
+        if whole is None:
+            whole = np.empty(block.shape[:-2] + (n, block.shape[-1]), dtype=block.dtype)
+        whole[..., lo:lo + rows, :] = block
+        lo += rows
+    return whole
 
 
 def cosine_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,22 +130,40 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def _exp_cosines(unit: np.ndarray, sigma: float) -> np.ndarray:
-    """Edge weights exp((cos - 1) / sigma) <= 1 of unit rows, built in place on
-    their cosines; ratios of edge sums ignore the common factor exp(-1 / sigma).
-    The cosines are numpy's symmetric product, so the weights are exactly
-    symmetric."""
-    weights = _clipped_products(unit, unit)
-    weights -= 1.0
-    weights /= sigma
-    np.exp(weights, out=weights)
-    return weights
+def _exp_cosines(unit: np.ndarray, sigma: float):
+    """Edge weights exp((cos - 1) / sigma) <= 1 of unit rows, built in place
+    on the cosine tiles of :func:`_cosine_tiles`, whose buffer they share;
+    ratios of edge sums ignore the common factor exp(-1 / sigma)."""
+    for weights in _cosine_tiles(unit):
+        weights -= 1.0
+        weights /= sigma
+        np.exp(weights, out=weights)
+        yield weights
+
+
+def affinity_tiles(x: FeatureMatrix, sigma: float):
+    """The graph of :func:`affinity` as consecutive row tiles, each valid
+    until the next: one tile up to 512 rows, else tiles of at most 2**18
+    cells, so that no n x n array need exist."""
+    return _exp_cosines(_unit_rows(x.data)[1], _check_sigma(sigma))
 
 
 def affinity(x: FeatureMatrix, sigma: float) -> np.ndarray:
     """Edge weights w_ij = exp((cos(x_i, x_j) - 1) / sigma) in (0, 1], finite
     at every valid sigma: exp(cos / sigma) scaled by exp(-1 / sigma)."""
-    return _exp_cosines(_unit_rows(x.data)[1], _check_sigma(sigma))
+    return _joined(affinity_tiles(x, sigma), x.n)
+
+
+def _transition_tiles(unit: np.ndarray, sigma: float | np.ndarray):
+    """Rows of the transition matrix of unit rows: the row softmax of
+    cos / sigma (max subtraction per row), in place on the cosine tiles of
+    :func:`_cosine_tiles`, whose buffer they share."""
+    for trans in _cosine_tiles(unit):
+        trans /= sigma
+        trans -= trans.max(axis=-1, keepdims=True)
+        np.exp(trans, out=trans)
+        trans /= trans.sum(axis=-1, keepdims=True)
+        yield trans
 
 
 def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray
@@ -91,17 +171,11 @@ def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray
     """(norms, unit rows, transition matrix) for raw feature rows, or for
     each matrix of an (..., n, d) stack with the bits it has alone; sigma
     may be an array that broadcasts against the stack, one value per matrix.
-
-    The row softmax of cos / sigma (max subtraction per row) runs in place
-    on the cosine matrix, so it is the only n x n array alive.
+    The row softmax runs in place on each cosine tile, so the matrix it
+    returns is the only n x n array alive.
     """
     norms, unit = _unit_rows(x)
-    trans = _clipped_products(unit, unit)
-    trans /= sigma
-    trans -= trans.max(axis=-1, keepdims=True)
-    np.exp(trans, out=trans)
-    trans /= trans.sum(axis=-1, keepdims=True)
-    return norms, unit, trans
+    return norms, unit, _joined(_transition_tiles(unit, sigma), unit.shape[-2])
 
 
 def _unit_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -128,10 +202,14 @@ def sft_transform(x: FeatureMatrix, sigma: float) -> FeatureMatrix:
 
 def sft_transform_array(x: np.ndarray, sigma: float) -> np.ndarray:
     """Array-in/array-out variant of :func:`sft_transform` for inner loops;
-    an (..., n, d) stack transforms each n-row graph on its own."""
+    an (..., n, d) stack transforms each n-row graph on its own.
+
+    Each row tile of transition rows multiplies onto ``x`` as soon as it is
+    built, so a graph of more than 2**18 cells never exists whole.
+    """
     sigma = _check_sigma(sigma)
-    _, _, trans = _transition_from_features(x, sigma)
-    return trans @ x
+    trans = _transition_tiles(_unit_rows(x)[1], sigma)
+    return _joined((tile @ x for tile in trans), x.shape[-2])
 
 
 def sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,

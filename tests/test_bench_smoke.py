@@ -35,7 +35,6 @@ TRACED_SITES = (
     "sftlab.cli:sft_transform",
     "sftlab.experiment:affinity",
     "sftlab.training:affinity",
-    "sftlab.cli:affinity",
     "sftlab.experiment:rank",
     "sftlab.cli:rank",
     "sftlab.ranking:rank",

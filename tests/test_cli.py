@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import logging
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from sftlab import cli
 from sftlab import experiment as exp
 from sftlab.cli import main
-from sftlab.data import SyntheticSpec, load_features, load_manifest
+from sftlab.data import SyntheticSpec, generate_synthetic, load_features, load_manifest, save_features, save_manifest
 from sftlab.training import METHODS, TrainConfig
 from sftlab.transform import sft_transform
 
@@ -280,6 +281,73 @@ def test_graph_commands_hold_one_graph(graph_file, tmp_path, capsys, command):
     assert peak <= 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
+@pytest.mark.parametrize("command", ["diagnose", "transform"])
+def test_graph_commands_hold_no_graph(graph_file, tmp_path, capsys, command):
+    """diagnose and transform stream the graph in row tiles of at most
+    2**18 cells, so each peaks below half of the 8 n^2 bytes that one
+    n x n graph would take; the whole-graph code peaked at 1.37 (diagnose)
+    and 1.09 (transform) graphs."""
+    feats, manifest = graph_file
+    n = load_features(feats).n
+    args = (["--manifest", manifest] if command == "diagnose"
+            else ["--sigma", "0.1", "--out", tmp_path / "t.sfte"])
+    tracemalloc.start()
+    try:
+        assert run(command, "--features", feats, *args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 0.5 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_graph_workload_bytes_are_pinned(tmp_path, capsys):
+    """sha256 of `transform --sigma 0.1`'s file and of `diagnose --sigma
+    0.1`'s stdout on the benchmark's 2,400-row graph set (whose bytes
+    tests/test_data.py pins), as the whole-graph code wrote them: the row
+    tiles keep every bit where n is a multiple of 16."""
+    features, manifest = generate_synthetic(
+        SyntheticSpec(24, 100, 32, intra_class_spread=0.3, topology="gaussian_blobs", seed=1))
+    feats, records, out = tmp_path / "f.sfte", tmp_path / "m.tsv", tmp_path / "t.sfte"
+    save_features(features, feats)
+    save_manifest(manifest, records)
+    assert run("transform", "--features", feats, "--sigma", "0.1", "--out", out) == 0
+    capsys.readouterr()
+    assert run("diagnose", "--features", feats, "--manifest", records, "--sigma", "0.1") == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b6767a9e2ee1f64872c3f827bb8ae9ebc6147192e85c33cb0dc10f87f0699cc7")
+    assert hashlib.sha256(printed.encode()).hexdigest() == (
+        "2ce36f8efac9c024585d453efdd84148a851b82564add1b3d338e4570e5329f0")
+
+
+@pytest.fixture(scope="module")
+def two_tile_graph(tmp_path_factory):
+    """A 600-row feature file and manifest, 20 identities x 30 samples:
+    a graph of two row tiles."""
+    path = tmp_path_factory.mktemp("two_tiles")
+    feats, manifest = path / "feats.sfte", path / "m.tsv"
+    assert run("gen", "--spec", "blobs", "--identities", 20, "--per-id", 30, "--dim", 32,
+               "--seed", 2, "--out", feats, "--manifest", manifest) == 0
+    return feats, manifest
+
+
+@pytest.mark.parametrize("sigma", ["5e-324", "1e-310", "1e-300", "1e300", "nan"])
+@pytest.mark.parametrize("command", ["diagnose", "transform"])
+def test_tiled_graph_edge_sigma_is_0_or_one_error_line(two_tile_graph, tmp_path, command, sigma):
+    feats, manifest = two_tile_graph
+    out = tmp_path / "t.sfte"
+    extra = ["--manifest", manifest] if command == "diagnose" else ["--out", out]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = run(command, "--features", feats, f"--sigma={sigma}", *extra)
+    err = stderr.getvalue().splitlines()
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (0, []) or (code == 1 and len(err) == 1 and err[0].startswith("error: ")), err
+
+
 class TestErrors:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -457,6 +525,17 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [f"error: config line 2: {message}"]
         assert train_calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_negative_decay_epoch_is_one_error_line(self, blobs, tmp_path, capsys, train_calls, command):
+        feats, manifest = blobs
+        config = tmp_path / "decay.cfg"
+        config.write_text("decay_epochs = -1\n")
+        args = (["--features", feats, "--manifest", manifest] if command == "train"
+                else ["--seeds", 1, "--out-dir", tmp_path / "out"])
+        assert run(command, *args, "--config", config) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config line 1: counts must be non-negative"]
+        assert train_calls == []
 
     def test_diverging_training_exits_1(self, dataset, tmp_path, capsys):
         feats, manifest = dataset

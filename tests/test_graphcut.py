@@ -284,6 +284,17 @@ class TestClassNcutEscape:
             ncuts, _, _ = class_ncut_escape(w, labels)
             assert abs(ncuts[0] - ncuts[1]) < 1e-12 * ncuts[0]
 
+    def test_row_blocks_give_the_whole_graphs_values(self):
+        x = np.random.default_rng(16).normal(size=(40, 6))
+        w = affinity(FeatureMatrix(x), 0.3)
+        labels = np.arange(40) % 3
+        whole = class_ncut_escape(w, labels)
+        blocked = class_ncut_escape((w[lo:lo + 7].copy() for lo in range(0, 40, 7)), labels)
+        for got, want in zip(blocked, whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        with pytest.raises(ValueError, match="^row blocks cover 35 rows of a 40-node graph$"):
+            class_ncut_escape((w[lo:lo + 7].copy() for lo in range(0, 35, 7)), labels)
+
     def test_partition_must_cover_the_graph(self):
         w, _ = random_graph(15, 6)
         with pytest.raises(ValueError, match="partition covers 4 nodes, graph has 6"):

@@ -590,6 +590,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(method="maybe")
 
+    @pytest.mark.parametrize("counts", [dict(epochs=-1), dict(warmup_epochs=-1),
+                                        dict(decay_epochs=(-1,)), dict(decay_epochs=(20, -3))])
+    def test_config_rejects_negative_counts(self, counts):
+        # a negative decay boundary would decay every epoch from the first
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            TrainConfig(**(dict(epochs=30, warmup_epochs=0) | counts))
+
 
 class TestConfigFile:
     def test_parse_and_defaults(self, tmp_path):
@@ -646,6 +653,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line,message", [
         ("method = maybe", "unknown method 'maybe'"),
         ("p = 1", "batches need p >= 2 identities and k >= 2 samples each"),
+        ("decay_epochs = 10,-1", "counts must be non-negative"),
     ])
     def test_failed_check_names_its_line(self, tmp_path, line, message):
         """A value that parses but fails a TrainConfig check names its line

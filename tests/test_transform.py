@@ -78,15 +78,17 @@ class TestAffinity:
 
 
 # (rows, dims) of graphs the package builds, from 51-node refine heads to
-# the 2,400-row diagnose graph
-SYMMETRY_SHAPES = [(51, 16), (300, 7), (957, 32), (2400, 32)]
+# the 2,400-row diagnose graph; from 513 rows on a graph is built in row
+# tiles, and 513 and 1237 are no multiple of the tiles' 16-row padding
+SYMMETRY_SHAPES = [(51, 16), (300, 7), (513, 16), (957, 32), (1237, 32), (2400, 32)]
 
 
 class TestBuiltGraphsAreSymmetric:
     """Every graph the package builds is exactly symmetric: the cosines are
-    numpy's symmetric product of the unit rows with themselves, and the
-    rest is elementwise.  The graph diagnostics rely on this instead of
-    checking each graph."""
+    numpy's symmetric product of the unit rows with themselves, or row
+    tiles of a zero-padded product whose shapes are all multiples of 16,
+    and the rest is elementwise.  The graph diagnostics rely on this
+    instead of checking each graph."""
 
     @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
     def test_affinity(self, n, d):
@@ -95,20 +97,42 @@ class TestBuiltGraphsAreSymmetric:
         assert np.array_equal(w, w.T)
 
     @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
-    def test_diagnose_graph(self, n, d, tmp_path, monkeypatch):
-        # the graph that `diagnose` hands to the diagnostics is affinity()'s
+    def test_diagnose_graph(self, n, d, tmp_path, capsys):
+        # `diagnose` streams affinity()'s graph in row tiles and prints what
+        # the diagnostics make of that graph whole
         feats, manifest = tmp_path / "f.sfte", tmp_path / "m.tsv"
         save_features(FeatureMatrix(np.random.default_rng(n).normal(size=(n, d))), feats)
         save_manifest(DatasetManifest(tuple(SampleRecord(f"s{i}", i % 4, 0, "train") for i in range(n))),
                       manifest)
-        graphs = []
-        monkeypatch.setattr(cli, "class_ncut_escape",
-                            lambda w, labels: graphs.append(w) or class_ncut_escape(w, labels))
         assert cli.main(["diagnose", "--features", str(feats), "--manifest", str(manifest),
                          "--sigma", "0.1"]) == 0
-        [w] = graphs
-        assert np.array_equal(w, affinity(load_features(feats), 0.1))
-        assert np.array_equal(w, w.T)
+        ncuts, escapes, escapes_rest = class_ncut_escape(affinity(load_features(feats), 0.1), np.arange(n) % 4)
+        lines = [f"identity {c}: escape_probability={escape:.6f} ncut={value:.6f}"
+                 for c, (value, escape) in enumerate(zip(ncuts, escapes))]
+        lines.append(f"max_ncut_identity_residual={float(np.abs(ncuts - (escapes + escapes_rest)).max()):.6e}")
+        assert capsys.readouterr().out.splitlines() == lines
+
+
+class TestRowTiles:
+    """A graph of more than 2**18 cells is built, and multiplied onto the
+    features, one row tile at a time."""
+
+    def test_transform_matches_a_whole_graph_reference(self):
+        # 1237 rows: six tiles of 208 padded rows, the last one cut short
+        x = np.random.default_rng(8).normal(size=(1237, 32))
+        got = sft_transform_array(x, 0.2)
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        weights = np.exp(np.clip(unit @ unit.T, -1.0, 1.0) / 0.2)
+        np.testing.assert_allclose(got, (weights / weights.sum(axis=1, keepdims=True)) @ x, rtol=0, atol=1e-12)
+        assert np.array_equal(got, sft_transform_array(x[None], 0.2)[0])
+
+    def test_whole_graphs_are_the_tiles_joined(self):
+        # 600 rows: two tiles, of 416 and 184 rows
+        x = np.random.default_rng(9).normal(size=(600, 8))
+        trans = _transition_from_features(x, 0.3)[2]
+        assert np.array_equal(trans, _transition_from_features(x[None], 0.3)[2][0])
+        np.testing.assert_allclose(trans, transition(affinity(FeatureMatrix(x), 0.3)), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sft_transform_array(x, 0.3), trans @ x, rtol=0, atol=1e-12)
 
 
 # 2 / sigma overflows float64 from this sigma down; the next float up is the
