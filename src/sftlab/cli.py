@@ -230,8 +230,11 @@ def cmd_diagnose(args) -> int:
     identities, classes = np.unique([rec.identity for rec in manifest.records], return_inverse=True)
     if identities.size < 2:
         raise ManifestError("diagnostics need at least 2 identities")
-    # every printed quantity is a ratio of edge sums at one sigma
-    ncuts, escapes, escapes_rest = class_ncut_escape(affinity_tiles(features, args.sigma), classes)
+    # nodes in class order, so that each identity's columns are one run of
+    # every tile; every printed quantity is a ratio of edge sums at one sigma
+    order = np.argsort(classes, kind="stable")
+    features = FeatureMatrix(features.data[order])
+    ncuts, escapes, escapes_rest = class_ncut_escape(affinity_tiles(features, args.sigma), classes[order])
     for ident, value, escape in zip(identities, ncuts, escapes):
         print(f"identity {ident}: escape_probability={escape:.6f} ncut={value:.6f}")
     residual = float(np.abs(ncuts - (escapes + escapes_rest)).max())

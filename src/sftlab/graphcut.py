@@ -10,10 +10,12 @@ For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
 + cut(c, rest) / vol(rest); in the random-walk view the two terms are the
 one-step probabilities of escaping c and of escaping its complement at
 stationarity.  ``class_ncut_escape`` computes both sides of that identity
-for every class in one pass, ``affinity_class_means`` the mean edge
-weights within and across classes, and ``ncut_loss`` turns the multiclass
-sum of escape probabilities into a differentiable training objective, used
-as a comparator for spectral-transform training.
+for every class in one pass; it sums each row's weight per class as a run
+of columns in class order, and ``sftlab diagnose`` orders its nodes by
+class once so that its tiles need no gather.  ``affinity_class_means``
+gives the mean edge weights within and across classes, and ``ncut_loss``
+turns the multiclass sum of escape probabilities into a differentiable
+training objective, used as a comparator for spectral-transform training.
 """
 
 from __future__ import annotations
@@ -49,50 +51,71 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
     ``w`` is the square graph, or an iterable of its consecutive row blocks
     such as :func:`~sftlab.transform.affinity_tiles` yields, so that no
-    n x n array need exist.  The blocks are overwritten.  A square array is
-    read as copies of the row blocks that its tiles would have, so both
-    forms of one graph give the same bits.
+    n x n array need exist.  Every class sum of a row is a segment sum
+    (``np.add.reduceat``) over that class's run of columns, so each block
+    is read with its columns in class order (stable, by class id): as it
+    is if the labels already are, else as one column-gathered copy.
+    Blocks read as they are get overwritten.  A square array is
+    read as gathered copies of the row blocks that its tiles would have,
+    never as a whole permuted copy, so both forms of one graph give the
+    same bits.
 
     The two sides of the identity ncut = escape + escape_rest are computed
     along different arithmetic routes, so their difference is a genuine
     floating-point consistency diagnostic:
 
-    * ncut from the class block sums of raw W (``block @ onehot``):
+    * ncut from the class run sums of raw W:
       cross(c) / vol(c) + cross(c) / vol(rest);
     * the escapes literally as sum(pi_i T_ij) over exits divided by the
-      subset's stationary mass, with each block's rows of T = D^-1 W summed
-      per class, then weighted by pi ``_CHUNK_ROWS`` rows at a time once
-      the degrees of all rows give pi.
+      subset's stationary mass, with the class runs of each block's rows
+      of T = D^-1 W summed, then weighted by pi ``_CHUNK_ROWS`` rows at a
+      time once the degrees of all rows give pi.
 
     One pass over the blocks keeps each row's degree, exits and per-class
-    transition mass: O(n * C) sums.  A class that is empty, covers the
-    whole graph or has no edge weight on one side gets NaN; zero-degree
-    nodes elsewhere leave its values finite.
+    transition mass: O(n^2) additions and O(n * C) sums.  A class that is
+    empty, covers the whole graph or has no edge weight on one side gets
+    NaN; zero-degree nodes elsewhere leave its values finite.
     """
     if isinstance(w, np.ndarray):
         num_classes = _class_count(labels, _nodes(w))
         step = _tile_rows(len(w))
-        blocks = (w[lo:lo + step].copy() for lo in range(0, len(w), step))
+        blocks = (w[lo:lo + step] for lo in range(0, len(w), step))
     else:
         num_classes = _class_count(labels, labels.size)
         blocks = w
     n = labels.size
+    order = np.argsort(labels, kind="stable")
+    # a square array's blocks are gathered even in class order: the gather
+    # is the copy that leaves the caller's graph whole
+    gather = isinstance(w, np.ndarray) or bool((np.diff(labels) < 0).any())
+    counts = np.bincount(labels, minlength=num_classes)
+    present = np.flatnonzero(counts)
+    # the first column of each non-empty class's run; a class with no nodes
+    # has no run, since reduceat over an empty run returns the next column
+    starts = (np.cumsum(counts) - counts)[present]
     onehot = (labels[:, None] == np.arange(num_classes)).astype(np.float64)
     outside = 1.0 - onehot
     degrees = np.empty(n)
     exits = np.empty(n)
-    mass = np.empty((n, num_classes))
+    mass = np.zeros((n, num_classes))
     lo = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for block in blocks:
+            if block.shape[1:] != (n,):
+                raise ValueError(f"row block of shape {block.shape} in a {n}-node graph")
+            if gather:
+                # take's result is in C order, unlike block[:, order]'s, so
+                # its rows add up as those of a block read as it is
+                block = block.take(order, axis=1)
             rows = slice(lo, lo + len(block))
+            away = labels[rows, None] != present  # the runs of the other classes
             degrees[rows] = block.sum(axis=1)
             # row i's weight into classes other than its own, summed without
             # the cancellation of degree - inside
-            exits[rows] = ((block @ onehot) * outside[rows]).sum(axis=1)
+            exits[rows] = (np.add.reduceat(block, starts, axis=1) * away).sum(axis=1)
             # the block's transition rows, in place; zero-degree rows stay zero
             block /= np.where(degrees[rows] > 0, degrees[rows], 1.0)[:, None]
-            mass[rows] = (block @ onehot) * outside[rows]
+            mass[rows, present] = np.add.reduceat(block, starts, axis=1) * away
             lo = rows.stop
         if lo != n:
             raise ValueError(f"row blocks cover {lo} rows of a {n}-node graph")

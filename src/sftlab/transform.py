@@ -55,9 +55,7 @@ def _clipped_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     with all of them.
     """
     products = np.matmul(a, b.swapaxes(-1, -2), out=out)
-    np.minimum(products, 1.0, out=products)  # np.clip's values, without its Python layers
-    np.maximum(products, -1.0, out=products)
-    return products
+    return np.clip(products, -1.0, 1.0, out=products)
 
 
 def _tile_rows(n: int) -> int:

@@ -305,7 +305,9 @@ def test_graph_workload_bytes_are_pinned(tmp_path, capsys):
     """sha256 of `transform --sigma 0.1`'s file and of `diagnose --sigma
     0.1`'s stdout on the benchmark's 2,400-row graph set (whose bytes
     tests/test_data.py pins), as the whole-graph code wrote them: the row
-    tiles keep every bit where n is a multiple of 16."""
+    tiles keep every bit where n is a multiple of 16, and the class run
+    sums of the class-ordered nodes, which replaced the two n x n x C
+    products, keep every printed digit."""
     features, manifest = generate_synthetic(
         SyntheticSpec(24, 100, 32, intra_class_spread=0.3, topology="gaussian_blobs", seed=1))
     feats, records, out = tmp_path / "f.sfte", tmp_path / "m.tsv", tmp_path / "t.sfte"

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
 from sftlab.data import FeatureMatrix
@@ -299,6 +302,73 @@ class TestClassNcutEscape:
         w, _ = random_graph(15, 6)
         with pytest.raises(ValueError, match="partition covers 4 nodes, graph has 6"):
             class_ncut_escape(w, np.array([0, 1, 0, 1]))
+
+    def test_row_blocks_must_span_the_graph(self):
+        w, labels = random_graph(17, 6)
+        with pytest.raises(ValueError, match=r"^row block of shape \(6, 5\) in a 6-node graph$"):
+            class_ncut_escape(iter([w[:, :5].copy()]), labels)
+
+    def test_unordered_labels_hold_no_permuted_graph(self):
+        # one shuffled 1,200-node graph: its blocks are gathered one at a
+        # time, so the peak stays well below the 8 n^2 bytes of one graph
+        n = 1200
+        w, _ = random_graph(18, n)
+        labels = np.random.default_rng(18).permutation(np.arange(n) % 40)
+        tracemalloc.start()
+        try:
+            class_ncut_escape(w, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * n * n, peak / (8 * n * n)
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A symmetric non-negative graph with some zero edges and one
+    zero-degree node, class ids out of class order with gaps below the
+    largest (classes with no nodes), and random consecutive row blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 40))
+    raw = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.8)
+    w = (raw + raw.T) / 2.0
+    isolated = draw(st.integers(0, n - 1))
+    w[isolated, :] = 0.0
+    w[:, isolated] = 0.0
+    ids = draw(st.integers(2, 8))
+    present = np.sort(rng.choice(ids, size=draw(st.integers(2, min(ids, n))), replace=False))
+    labels = rng.permutation(np.concatenate([present, rng.choice(present, size=n - present.size)]))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
+    return w, labels, [0, *cuts, n]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(partitioned_graphs())
+def test_array_blocks_and_oracles_agree(graph):
+    w, labels, bounds = graph
+    whole = class_ncut_escape(w, labels)
+    blocked = class_ncut_escape((w[lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])), labels)
+    for got, want in zip(blocked, whole):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    ncuts, escapes, escapes_rest = whole
+    for c in range(labels.max() + 1):
+        side = np.where(labels == c, 0, 1)
+        vol, vol_rest = w[side == 0].sum(), w[side == 1].sum()
+        # an undefined ratio is NaN, and only that: empty classes, and
+        # classes or complements with no edge weight
+        assert np.isnan(ncuts[c]) == (vol == 0 or vol_rest == 0)
+        assert np.isnan(escapes[c]) == (vol == 0)
+        assert np.isnan(escapes_rest[c]) == (vol_rest == 0)
+        across = cut(w, side, 0, 1)
+        if vol > 0:
+            assert abs(escapes[c] - across / vol) < 1e-12
+            if w[side == 0].sum(axis=1).all():  # brute_escape divides by each degree in c
+                assert abs(escapes[c] - brute_escape(w, labels, c)) < 1e-12
+        if vol_rest > 0:
+            assert abs(escapes_rest[c] - across / vol_rest) < 1e-12
+        if vol > 0 and vol_rest > 0:
+            assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
+            assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
 
 BAD_GRAPHS = {

@@ -942,6 +942,30 @@ def test_refine_memory_of_long_heads_stays_near_one_graph():
     assert_bitwise(refined, looped_refine_ranking(queries, plain, gallery, top_n, 0.1))
 
 
+def test_refine_memory_of_many_long_heads_stays_flat():
+    """200 queries at top_n 600 over a 700-row gallery are refined one
+    graph at a time, so the peak stays below 16 MB (about 5 MB traced),
+    where one stack of all 200 heads would hold 200 tile buffers of 2**18
+    cells, about 420 MB."""
+    spec = SyntheticSpec(num_identities=100, samples_per_identity=9, dim=32,
+                         intra_class_spread=0.15, topology="gaussian_blobs", seed=1)
+    features, manifest = generate_synthetic(spec)
+    manifest = hold_out_eval_split(manifest, 2, 7)
+    queries = split_features(features, manifest, "query")
+    gallery = split_features(features, manifest, "gallery")
+    plain = rank(queries, gallery, manifest)
+    top_n = 600
+    assert (queries.n, gallery.n) == (200, 700)
+    assert min(qr.gallery_indices.size for qr in plain.queries) > top_n
+    tracemalloc.start()
+    try:
+        refine_ranking(queries, plain, gallery, top_n, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+
+
 # Single faults in a ranking of n_q queries over n_g gallery rows, each with
 # a fragment of the message that names it; the last is no fault at all.
 FAULTS = {

@@ -98,15 +98,18 @@ class TestBuiltGraphsAreSymmetric:
 
     @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
     def test_diagnose_graph(self, n, d, tmp_path, capsys):
-        # `diagnose` streams affinity()'s graph in row tiles and prints what
-        # the diagnostics make of that graph whole
+        # `diagnose` streams the graph of its rows in class order in row
+        # tiles and prints what the diagnostics make of that graph whole
         feats, manifest = tmp_path / "f.sfte", tmp_path / "m.tsv"
         save_features(FeatureMatrix(np.random.default_rng(n).normal(size=(n, d))), feats)
         save_manifest(DatasetManifest(tuple(SampleRecord(f"s{i}", i % 4, 0, "train") for i in range(n))),
                       manifest)
         assert cli.main(["diagnose", "--features", str(feats), "--manifest", str(manifest),
                          "--sigma", "0.1"]) == 0
-        ncuts, escapes, escapes_rest = class_ncut_escape(affinity(load_features(feats), 0.1), np.arange(n) % 4)
+        labels = np.arange(n) % 4
+        order = np.argsort(labels, kind="stable")
+        w = affinity(FeatureMatrix(load_features(feats).data[order]), 0.1)
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels[order])
         lines = [f"identity {c}: escape_probability={escape:.6f} ncut={value:.6f}"
                  for c, (value, escape) in enumerate(zip(ncuts, escapes))]
         lines.append(f"max_ncut_identity_residual={float(np.abs(ncuts - (escapes + escapes_rest)).max()):.6e}")
