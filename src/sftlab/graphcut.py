@@ -131,48 +131,48 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return ncut_all, escape, escape_rest
 
 
-def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma: float) -> tuple[float, np.ndarray]:
+def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma) -> tuple[float | np.ndarray, np.ndarray]:
     """Sum of one-vs-rest escape probabilities and its feature gradient.
 
     For each class c, the term is cut(c, rest) / volume(c) on the
     exponentiated-cosine graph, built with weights exp((cos - 1) / sigma)
     <= 1 so that no sum overflows at any sigma > 0 (the ratios ignore that
-    common factor); the gradient runs through the edge
-    weights, the cosines and the row normalization.  ``labels`` holds one
-    integer class id per row of ``x``; any distinct values name classes.
+    common factor); the gradient runs through the edge weights, the cosines
+    and the row normalization.  ``labels`` holds one integer class id per
+    row of ``x``; any distinct values name classes.  An (S, n, d) stack with
+    (S, n) labels and a scalar or (S, 1, 1) sigma gives (S,) losses, each
+    with the bits of its matrix alone: row sums and one bincount over the
+    stack's classes give every class's volume and cut.
     """
-    sigma = _check_sigma(sigma)
-    if labels.shape != (x.shape[0],):
-        raise ValueError(f"labels shape {labels.shape} does not match {x.shape[0]} feature rows")
-    present, row_class = np.unique(labels, return_inverse=True)
-    if present.size < 2:
+    sigma = np.reshape([*map(_check_sigma, np.ravel(sigma))], np.shape(sigma))
+    if labels.shape != x.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} does not match "
+                         f"{' x '.join(map(str, x.shape[:-1]))} feature rows")
+    # each class's first row in label order; the matrices number their classes in turn
+    order = np.argsort(labels, axis=-1, kind="stable")
+    ranked = np.take_along_axis(labels, order, axis=-1)
+    first = np.ones(labels.shape, dtype=bool)
+    first[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    if (first.sum(axis=-1) < 2).any():
         raise ValueError("ncut loss needs at least 2 non-empty classes")
-
+    row_class = np.empty_like(order)
+    np.put_along_axis(row_class, order, np.cumsum(first).reshape(labels.shape) - 1, axis=-1)
+    owner = np.nonzero(first.reshape(-1, labels.shape[-1]))[0]  # the matrix of each class
     norms, unit = _unit_rows(x)
-    weights = _joined(_exp_cosines(unit, sigma), len(unit))
-
-    loss = 0.0
-    inv_vol = np.empty(present.size)
-    penalty = np.empty(present.size)
-    for c in range(present.size):
-        # both arrays are C-contiguous in np.ix_ order, so each sum runs
-        # over the same values in the same order as on an np.ix_ block
-        block = weights[row_class == c]
-        cross = float(block.compress(row_class != c, axis=1).sum())
-        vol = float(block.sum())
-        # at a tiny sigma every weight of a class can underflow, its diagonal
-        # too where a self-cosine rounds below 1, and then vol**2 is 0
-        if vol**2 == 0.0:
-            raise ValueError(f"sigma {sigma} too small for the ncut loss: a class volume underflows float64")
-        loss += cross / vol
-        inv_vol[c] = 1.0 / vol
-        penalty[c] = cross / vol**2
-
+    weights = _joined(_exp_cosines(unit, sigma), labels.shape[-1])
+    outside = row_class[..., :, None] != row_class[..., None, :]
+    cross = np.bincount(row_class.ravel(), (weights * outside).sum(axis=-1).ravel())
+    vol = np.bincount(row_class.ravel(), weights.sum(axis=-1).ravel())
+    # at a tiny sigma every weight of a class can underflow, its diagonal
+    # too where a self-cosine rounds below 1, and then vol**2 is 0
+    if (underflow := vol**2 == 0.0).any():
+        sigma = np.broadcast_to(sigma, x.shape[:-2] + (1, 1)).flat[owner[underflow.argmax()]]
+        raise ValueError(f"sigma {sigma} too small for the ncut loss: a class volume underflows float64")
+    loss = np.bincount(owner, cross / vol)  # each matrix's terms in class order
     # d(cross/vol)/dw_ij = [i in c][j not in c]/vol - cross*[i in c]/vol^2;
     # every row lies in exactly one class c
-    outside = row_class[:, None] != row_class[None, :]
-    grad_w = np.where(outside, inv_vol[row_class][:, None], 0.0) - penalty[row_class][:, None]
-    return loss, _cosine_backward(grad_w * weights / sigma, unit, norms)
+    grad_w = np.where(outside, (1.0 / vol)[row_class, None], 0.0) - (cross / vol**2)[row_class, None]
+    return (float(loss[0]) if x.ndim == 2 else loss), _cosine_backward(grad_w * weights / sigma, unit, norms)
 
 
 def affinity_class_means(w: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

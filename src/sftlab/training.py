@@ -255,11 +255,13 @@ def sample_pk(manifest: DatasetManifest, p: int, k: int, rng: Xoshiro256StarStar
 
 
 def _fisher_yates(offsets: np.ndarray) -> np.ndarray:
-    """Row by row, rng.sample(n, c) from its c randrange draws' (m, c)
-    offsets; position j >= c sits in slot c + (the first swap to reach j)."""
+    """Row by row, rng.sample(n, c) from its c randrange draws' (m, c) offsets;
+    position j >= c sits in slot c + (the first swap to reach j, by np.unique)."""
     m, c = offsets.shape
     j = np.arange(c) + offsets
-    slot = np.where(j < c, j, c + (j[:, :, None] == j[:, None, :]).argmax(axis=2))
+    key = j + np.arange(m)[:, None] * (int(j.max()) + 1)
+    _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    slot = np.where(j < c, j, c + first[inverse].reshape(m, c) % c)
     values = np.concatenate([np.broadcast_to(np.arange(c), (m, c)), j], axis=1)
     for i, at in enumerate(slot.T):
         values[:, i], values[np.arange(m), at] = values[np.arange(m), at], values[:, i].copy()
@@ -280,8 +282,8 @@ def _pk_schedule(manifest: DatasetManifest, p: int, k: int, steps: int,
         return np.stack([sample_pk(manifest, p, k, rng) for _ in range(steps)])
     flat, first = np.concatenate(rows, dtype=np.int64), np.cumsum(sizes) - sizes
     schedule = np.empty((steps, p * k), np.int64)
-    # a chunk's swap tests, p x p and p of k x k bools per step, stay under 2^16 cells, or take one step
-    chunk = max(1, 2**16 // (p * max(p, k * k)))
+    # a chunk's p * k draws per step stay under 2^13 cells, or take one step
+    chunk = max(1, 2**13 // (p * k))
     for at in range(0, steps, chunk):
         drawn = words[at:at + chunk]
         ids = _fisher_yates((drawn[:, :p] % (len(rows) - np.arange(p)).astype(np.uint64)).astype(np.int64))
@@ -326,13 +328,12 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: np.ndarray,
     x (S, n, d) holds each slot's batch and y (S, n) its valid class ids;
     model and clf are stacks of the slots' parameters, clf_orig that of the
     U unshared slots' second classifiers, (U, C, d) with U maybe 0.  Each
-    method is a slice of the stack.  The transformed slots are its tail,
-    from the first sft slot on, and each part runs once per stack: the
+    method is a slice of the stack, and each part runs once per stack: the
     embedding and its backward pass on every slot, the transform on the
-    tail, and one margin softmax on every slot's transformed features with
-    clf and on the tail's embeddings with the classifier that scores them
-    (clf_orig for the unshared slots, which come last); the ncut loss runs
-    per slot of its slice.
+    tail of transformed slots (from the first sft slot on), one margin
+    softmax on every slot's transformed features with clf and on the tail's
+    embeddings with the classifier that scores them (clf_orig for the
+    unshared slots, which come last), and one ncut loss on the ncut slice.
 
     Returns (loss_orig, loss_sft, grads), the losses shaped (S,).  loss_sft
     is the classifier loss on transformed features (the embedding itself
@@ -363,9 +364,9 @@ def _step(x: np.ndarray, y: np.ndarray, model: EmbedModel, clf: np.ndarray,
         loss_orig[moved] = loss[slots:]
         grad_emb[shared.start:] += plan.weight * grad_in[shared.start + orig:]
         grad_clf[shared] += plan.weight * grad_w[shared.start + orig:unshared.start + orig]
-    for slot in range(slots)[plan.slices["ncut"]]:  # the graph-cut loss beside the classifier loss
-        loss_sft[slot], grad_graph = ncut_loss(emb[slot], y[slot], plan.sigma[slot, 0, 0])
-        grad_emb[slot] += grad_graph
+    if (ncut := plan.slices["ncut"]).start < ncut.stop:  # the graph-cut loss beside the classifier loss
+        loss_sft[ncut], grad_graph = ncut_loss(emb[ncut], y[ncut], plan.sigma[ncut])
+        grad_emb[ncut] += grad_graph
     grad_orig = plan.weight * grad_w[unshared.start + orig:]
     return loss_orig, loss_sft, model.backward(cache, grad_emb) + [grad_clf, grad_orig]
 
@@ -532,9 +533,8 @@ def _train_stack(slots: list[_Slot], batches: int, data: np.ndarray,
             if cfg.diagnostics:
                 emb = result.model.embed(data[slot.train_rows])
                 labels = class_ids[slot.train_rows]
-                sigma = slot.cfg.sigma
-                intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), sigma), labels)
-                graph_val, _ = ncut_loss(emb, labels, sigma)
+                intra, inter = affinity_class_means(affinity(FeatureMatrix(emb), slot.cfg.sigma), labels)
+                graph_val, _ = ncut_loss(emb, labels, slot.cfg.sigma)
                 line += f"\t{intra:.12g}\t{inter:.12g}\t{graph_val:.12g}"
             result.log.append(line)
     return results

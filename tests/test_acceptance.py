@@ -7,6 +7,7 @@ experiment configuration (5 fixed seeds), so the whole module finishes
 in well under a minute of compute plus the ablation's ~15 seconds.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 from conftest import central_diff, rel_error
 from sftlab.cli import main as cli_main
 from sftlab.data import FeatureMatrix
-from sftlab.experiment import ExperimentConfig, run_experiment
+from sftlab.experiment import ExperimentConfig, run_experiment, write_report
 from reference import (am_softmax_loss, am_softmax_value, cut, forward_backward, ranking_of,
                        stationary, transition, volume)
 from sftlab.graphcut import class_ncut_escape, ncut_loss
@@ -257,6 +258,19 @@ def test_criterion_7_affinity_suppression(ablation):
     verdict("7 affinity suppression", sft_trained < baseline,
             f"baseline inter-affinity {baseline:.6g}, transform-trained "
             f"{sft_trained:.6g}; strict reduction required")
+
+
+def test_ablation_artifact_bytes_are_pinned(ablation, tmp_path):
+    """The default ablation's report.json and table.tsv, byte for byte, as
+    `sftlab experiment --mode ablation` writes them: a bit that moves in
+    any trained cell shows here."""
+    write_report(ablation, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("report.json", "table.tsv")}
+    assert digests == {
+        "report.json": "44371c8a124b2dee95664b7057e835ba9209d6df20ba169b7a69f65fe459703e",
+        "table.tsv": "4e187887567586268dc7e9b6b72cc2140db7a8372ef6f2b3a31e43fbec1e3e62",
+    }
 
 
 def test_criterion_8_post_processing(ablation):

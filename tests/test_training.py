@@ -304,7 +304,7 @@ class TestPKSchedule:
 
     @pytest.mark.parametrize("rows", [4, 120], ids=["with-replacement", "without-replacement"])
     def test_work_memory_stays_near_the_schedule_size(self, rows):
-        """At k = 100 a chunk of steps fits the bound on swap-test cells, and
+        """At k = 100 a chunk of steps fits the bound on its cells, and
         identities of fewer than k rows take no swap test, so the schedule
         peaks within a few times its own size (64-step chunks of p * k * k
         bools would take about 7.7), with the bits of the sample_pk draws."""
@@ -319,6 +319,22 @@ class TestPKSchedule:
             tracemalloc.stop()
         np.testing.assert_array_equal(got, want)
         assert peak < 4 * got.nbytes, peak
+
+    def test_swap_memory_is_linear_in_k(self):
+        """Each draw's first swap to a position comes from a stable sort of
+        its positions, so at k = 2,000 the schedule still peaks within a few
+        times its own size, where one step's k x k swap test alone was 25."""
+        manifest = manifest_for({i: 2100 for i in range(3)})
+        drawn = Xoshiro256StarStar(4)
+        want = np.stack([sample_pk(manifest, 3, 2000, drawn) for _ in range(10)])
+        tracemalloc.start()
+        try:
+            got = _pk_schedule(manifest, 3, 2000, 10, Xoshiro256StarStar(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert peak <= 4 * got.nbytes, peak / got.nbytes
 
     def test_cells_do_not_depend_on_training_order(self):
         # reversed, the unshared cell runs between cells that share a schedule
