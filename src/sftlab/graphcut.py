@@ -10,12 +10,13 @@ For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
 + cut(c, rest) / vol(rest); in the random-walk view the two terms are the
 one-step probabilities of escaping c and of escaping its complement at
 stationarity.  ``class_ncut_escape`` computes both sides of that identity
-for every class in one pass; it sums each row's weight per class as a run
-of columns in class order, and ``sftlab diagnose`` orders its nodes by
-class once so that its tiles need no gather.  ``affinity_class_means``
-gives the mean edge weights within and across classes, and ``ncut_loss``
-turns the multiclass sum of escape probabilities into a differentiable
-training objective, used as a comparator for spectral-transform training.
+for every class in one read-only pass, from the same degrees and class
+run sums of W; a run is a class's columns in class order, and ``sftlab
+diagnose`` orders its nodes by class once so that its tiles need no
+gather.  ``affinity_class_means`` gives the mean edge weights within and
+across classes, and ``ncut_loss`` turns the multiclass sum of escape
+probabilities into a differentiable training objective, used as a
+comparator for spectral-transform training.
 """
 
 from __future__ import annotations
@@ -54,24 +55,25 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     n x n array need exist.  Every class sum of a row is a segment sum
     (``np.add.reduceat``) over that class's run of columns, so each block
     is read with its columns in class order (stable, by class id): as it
-    is if the labels already are, else as one column-gathered copy.
-    Blocks read as they are get overwritten.  A square array is
-    read as gathered copies of the row blocks that its tiles would have,
-    never as a whole permuted copy, so both forms of one graph give the
-    same bits.
+    is if the labels already are, else as one column-gathered copy.  No
+    block is written to, so read-only blocks are fine.  A square array is
+    read as the C-ordered row blocks that its tiles would have, never as a
+    whole permuted copy, so both forms of one graph give the same bits.
 
-    The two sides of the identity ncut = escape + escape_rest are computed
-    along different arithmetic routes, so their difference is a genuine
-    floating-point consistency diagnostic:
+    The two sides of the identity ncut = escape + escape_rest share each
+    row's degree and its run sums of raw W into the other classes, one
+    ``reduceat`` per block, and part after them:
 
-    * ncut from the class run sums of raw W:
+    * ncut sums the runs into each row's exits:
       cross(c) / vol(c) + cross(c) / vol(rest);
-    * the escapes literally as sum(pi_i T_ij) over exits divided by the
-      subset's stationary mass, with the class runs of each block's rows
-      of T = D^-1 W summed, then weighted by pi ``_CHUNK_ROWS`` rows at a
-      time once the degrees of all rows give pi.
+    * the escapes divide the runs by the row's degree into its rows of
+      T = D^-1 W, weight them by pi ``_CHUNK_ROWS`` rows at a time once
+      all degrees give pi, and divide sum(pi_i T_ij) over exits by the
+      subset's stationary mass.
 
-    One pass over the blocks keeps each row's degree, exits and per-class
+    Their difference checks the arithmetic after the run sums, not the
+    run sums themselves; the tests' brute-force oracles check those.  One
+    pass over the blocks keeps each row's degree, exits and per-class
     transition mass: O(n^2) additions and O(n * C) sums.  A class that is
     empty, covers the whole graph or has no edge weight on one side gets
     NaN; zero-degree nodes elsewhere leave its values finite.
@@ -79,15 +81,14 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     if isinstance(w, np.ndarray):
         num_classes = _class_count(labels, _nodes(w))
         step = _tile_rows(len(w))
-        blocks = (w[lo:lo + step] for lo in range(0, len(w), step))
+        # C-ordered as the tiles are, so that rows add up as theirs do
+        blocks = (np.ascontiguousarray(w[lo:lo + step]) for lo in range(0, len(w), step))
     else:
         num_classes = _class_count(labels, labels.size)
         blocks = w
     n = labels.size
     order = np.argsort(labels, kind="stable")
-    # a square array's blocks are gathered even in class order: the gather
-    # is the copy that leaves the caller's graph whole
-    gather = isinstance(w, np.ndarray) or bool((np.diff(labels) < 0).any())
+    gather = bool((np.diff(labels) < 0).any())
     counts = np.bincount(labels, minlength=num_classes)
     present = np.flatnonzero(counts)
     # the first column of each non-empty class's run; a class with no nodes
@@ -110,12 +111,12 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
             rows = slice(lo, lo + len(block))
             away = labels[rows, None] != present  # the runs of the other classes
             degrees[rows] = block.sum(axis=1)
-            # row i's weight into classes other than its own, summed without
-            # the cancellation of degree - inside
-            exits[rows] = (np.add.reduceat(block, starts, axis=1) * away).sum(axis=1)
-            # the block's transition rows, in place; zero-degree rows stay zero
-            block /= np.where(degrees[rows] > 0, degrees[rows], 1.0)[:, None]
-            mass[rows, present] = np.add.reduceat(block, starts, axis=1) * away
+            # row i's weight into each class other than its own
+            runs = np.add.reduceat(block, starts, axis=1) * away
+            # summed without the cancellation of degree - inside
+            exits[rows] = runs.sum(axis=1)
+            # the same runs of the transition rows; zero-degree rows stay zero
+            mass[rows, present] = runs / np.where(degrees[rows] > 0, degrees[rows], 1.0)[:, None]
             lo = rows.stop
         if lo != n:
             raise ValueError(f"row blocks cover {lo} rows of a {n}-node graph")

@@ -334,6 +334,22 @@ def two_tile_graph(tmp_path_factory):
     return feats, manifest
 
 
+@pytest.mark.parametrize("sigma, digest", [
+    ("0.1", "6e62900fa980c75abbdb1b12fd83d0e5d0ac2945a70ada14c59f7aa522e39ab7"),
+    ("0.5", "904b9f46fe2e3ae1f59dc862ae67813794f92c8d77119c611bd76078dbca5ff2"),
+])
+def test_two_tile_escape_and_ncut_lines_are_pinned(two_tile_graph, capsys, sigma, digest):
+    """sha256 of diagnose's escape and ncut lines on a graph of two row
+    tiles, as written when the escape route divided every cell of a tile
+    into transition rows before summing its class runs.  The residual line
+    is left out: it compares two routes and may move in its last digits."""
+    feats, manifest = two_tile_graph
+    assert run("diagnose", "--features", feats, "--manifest", manifest, "--sigma", sigma) == 0
+    *lines, residual = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20 and residual.startswith("max_ncut_identity_residual=")
+    assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("sigma", ["5e-324", "1e-310", "1e-300", "1e300", "nan"])
 @pytest.mark.parametrize("command", ["diagnose", "transform"])
 def test_tiled_graph_edge_sigma_is_0_or_one_error_line(two_tile_graph, tmp_path, command, sigma):

@@ -298,6 +298,26 @@ class TestClassNcutEscape:
         with pytest.raises(ValueError, match="^row blocks cover 35 rows of a 40-node graph$"):
             class_ncut_escape((w[lo:lo + 7].copy() for lo in range(0, 35, 7)), labels)
 
+    @pytest.mark.parametrize("form", ["row_blocks", "square", "fortran_square"])
+    def test_blocks_are_read_not_written(self, form):
+        # labels in class order: blocks are read as they are, ungathered
+        x = np.random.default_rng(19).normal(size=(40, 6))
+        w = affinity(FeatureMatrix(x), 0.3)
+        labels = np.repeat(np.arange(3), [13, 14, 13])
+        frozen = np.asfortranarray(w) if form == "fortran_square" else w.copy()
+        frozen.setflags(write=False)
+        if form == "row_blocks":
+            writable = [w[lo:lo + 7].copy() for lo in range(0, 40, 7)]
+            got = class_ncut_escape((frozen[lo:lo + 7] for lo in range(0, 40, 7)), labels)
+            want = class_ncut_escape(iter(writable), labels)
+        else:
+            writable = [w.copy()]
+            got, want = class_ncut_escape(frozen, labels), class_ncut_escape(writable[0], labels)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(frozen, w)
+        np.testing.assert_array_equal(np.concatenate(writable), w)
+
     def test_partition_must_cover_the_graph(self):
         w, _ = random_graph(15, 6)
         with pytest.raises(ValueError, match="partition covers 4 nodes, graph has 6"):
