@@ -52,16 +52,17 @@ def save_ranking(ranking: RankingList, manifest: DatasetManifest, path) -> None:
     gallery_ids = [json.dumps(r.sample_id) for r in manifest.subset("gallery")]
     with open(path, "w", encoding="utf-8") as out:
         out.write('{\n  "queries": [')
-        for row, qr in enumerate(ranking.queries):
+        bounds = ranking.offsets.tolist()
+        for row, (query, lo, hi) in enumerate(zip(ranking.query_index.tolist(), bounds, bounds[1:])):
             items = ",".join(
                 '\n        {\n          "gallery_index": %d,\n          "sample_id": %s,'
                 '\n          "score": %r\n        }' % (g, gallery_ids[g], s)
-                for g, s in zip(qr.gallery_indices.tolist(), qr.scores.tolist())
+                for g, s in zip(ranking.gallery[lo:hi].tolist(), ranking.scores[lo:hi].tolist())
             )
             out.write('%s\n    {\n      "items": [%s%s],\n      "query_index": %d,'
                       '\n      "sample_id": %s\n    }'
                       % ("," if row else "", items, "\n      " if items else "",
-                         qr.query_index, query_ids[qr.query_index]))
+                         query, query_ids[query]))
         out.write("\n  ]\n}\n" if len(ranking) else "]\n}\n")
 
 

@@ -10,11 +10,11 @@ For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
 + cut(c, rest) / vol(rest); in the random-walk view the two terms are the
 one-step probabilities of escaping c and of escaping its complement at
 stationarity.  ``class_ncut_escape`` computes both sides of that identity
-for every class in one read-only pass, from the same degrees and class
-run sums of W; a run is a class's columns in class order, and ``sftlab
-diagnose`` orders its nodes by class once so that its tiles need no
-gather.  ``affinity_class_means`` gives the mean edge weights within and
-across classes, and ``ncut_loss`` turns the multiclass sum of escape
+for every class in one read-only pass over the class run sums of W (a
+run is a class's columns in class order; ``sftlab diagnose`` orders its
+nodes by class once), in O(n + C) memory beside one row block.
+``affinity_class_means`` gives the mean edge weights within and across
+classes, and ``ncut_loss`` turns the multiclass sum of escape
 probabilities into a differentiable training objective, used as a
 comparator for spectral-transform training.
 """
@@ -44,7 +44,10 @@ def _class_count(labels: np.ndarray, nodes: int) -> int:
     return int(labels.max()) + 1
 
 
-_CHUNK_ROWS = 256
+def _others(per_class: np.ndarray) -> np.ndarray:
+    """Each class's rest: exclusive prefix plus suffix sums of the other
+    classes' values, never total - own, which cancels if one holds nearly all."""
+    return np.cumsum(np.r_[0.0, per_class[:-1]]) + np.cumsum(np.r_[0.0, per_class[:0:-1]])[::-1]
 
 
 def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,23 +63,22 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     read as the C-ordered row blocks that its tiles would have, never as a
     whole permuted copy, so both forms of one graph give the same bits.
 
-    The two sides of the identity ncut = escape + escape_rest share each
-    row's degree and its run sums of raw W into the other classes, one
-    ``reduceat`` per block, and part after them:
+    One ``reduceat`` per block gives each row's run sums of raw W into the
+    other classes.  Their row sums are the row's exits, the cut out of its
+    class; their column sums, added over the blocks, are the cut into each
+    class.  ``np.bincount`` then sums rows per class, and each class's
+    rest is the sum of the other classes, never a total less its own:
 
-    * ncut sums the runs into each row's exits:
-      cross(c) / vol(c) + cross(c) / vol(rest);
-    * the escapes divide the runs by the row's degree into its rows of
-      T = D^-1 W, weight them by pi ``_CHUNK_ROWS`` rows at a time once
-      all degrees give pi, and divide sum(pi_i T_ij) over exits by the
-      subset's stationary mass.
+    * ncut = cross(c) / vol(c) + cross(c) / vol(rest), cross from exits;
+    * escape(c -> rest) = sum over c of pi_i exits_i / d_i, over pi(c);
+    * escape(rest -> c) = cut into c / sum(d) (pi_i T_ic = w_ic / sum(d)),
+      over pi(rest).
 
-    Their difference checks the arithmetic after the run sums, not the
-    run sums themselves; the tests' brute-force oracles check those.  One
-    pass over the blocks keeps each row's degree, exits and per-class
-    transition mass: O(n^2) additions and O(n * C) sums.  A class that is
-    empty, covers the whole graph or has no edge weight on one side gets
-    NaN; zero-degree nodes elsewhere leave its values finite.
+    As the cut out of c equals the cut into c, the identity's residual
+    checks the run sums too.  The work is O(n^2) additions, the memory
+    O(n + C) beside one block and its run sums.  A class that is empty,
+    covers the whole graph or has no edge weight on one side gets NaN;
+    zero-degree nodes elsewhere leave its values finite.
     """
     if isinstance(w, np.ndarray):
         num_classes = _class_count(labels, _nodes(w))
@@ -94,11 +96,9 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     # the first column of each non-empty class's run; a class with no nodes
     # has no run, since reduceat over an empty run returns the next column
     starts = (np.cumsum(counts) - counts)[present]
-    onehot = (labels[:, None] == np.arange(num_classes)).astype(np.float64)
-    outside = 1.0 - onehot
     degrees = np.empty(n)
     exits = np.empty(n)
-    mass = np.zeros((n, num_classes))
+    entering = np.zeros(num_classes)
     lo = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for block in blocks:
@@ -109,26 +109,24 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
                 # its rows add up as those of a block read as it is
                 block = block.take(order, axis=1)
             rows = slice(lo, lo + len(block))
-            away = labels[rows, None] != present  # the runs of the other classes
             degrees[rows] = block.sum(axis=1)
             # row i's weight into each class other than its own
-            runs = np.add.reduceat(block, starts, axis=1) * away
+            runs = np.add.reduceat(block, starts, axis=1) * (labels[rows, None] != present)
             # summed without the cancellation of degree - inside
             exits[rows] = runs.sum(axis=1)
-            # the same runs of the transition rows; zero-degree rows stay zero
-            mass[rows, present] = runs / np.where(degrees[rows] > 0, degrees[rows], 1.0)[:, None]
+            entering[present] += runs.sum(axis=0)
             lo = rows.stop
         if lo != n:
             raise ValueError(f"row blocks cover {lo} rows of a {n}-node graph")
-        cross = exits @ onehot
-        ncut_all = cross / (degrees @ onehot) + cross / (degrees @ outside)
-
-        pi = degrees / degrees.sum()
-        entering = np.zeros(num_classes)
-        for lo in range(0, n, _CHUNK_ROWS):
-            entering += pi[lo:lo + _CHUNK_ROWS] @ mass[lo:lo + _CHUNK_ROWS]
-        escape = ((pi * mass.sum(axis=1)) @ onehot) / (pi @ onehot)
-        escape_rest = entering / (pi @ outside)
+        total = degrees.sum()
+        pi = degrees / total
+        # zero-degree rows have no exits and leave no mass
+        leaving = pi * exits / np.where(degrees > 0, degrees, 1.0)
+        vol, cross, pi_in, pi_out = (np.bincount(labels, v, num_classes)
+                                     for v in (degrees, exits, pi, leaving))
+        ncut_all = cross / vol + cross / _others(vol)
+        escape = pi_out / pi_in
+        escape_rest = entering / total / _others(pi_in)
     return ncut_all, escape, escape_rest
 
 
@@ -180,9 +178,8 @@ def affinity_class_means(w: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     """Mean off-diagonal edge weight inside classes and across classes."""
     _class_count(labels, _nodes(w))
     same = labels[:, None] == labels[None, :]
-    off_diag = ~np.eye(len(w), dtype=bool)
-    intra = same & off_diag
     inter = ~same
-    if not intra.any() or not inter.any():
+    np.fill_diagonal(same, False)  # now the intra-class pairs
+    if not same.any() or not inter.any():
         raise ValueError("need both intra-class and inter-class pairs")
-    return float(w[intra].mean()), float(w[inter].mean())
+    return float(w[same].mean()), float(w[inter].mean())

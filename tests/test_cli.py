@@ -261,9 +261,8 @@ def graph_file(tmp_path_factory):
 @pytest.mark.parametrize("command", ["diagnose", "transform"])
 def test_graph_commands_hold_one_graph(graph_file, tmp_path, capsys, command):
     """diagnose and transform hold one n x n graph: each peaks below 1.5
-    times its 8 n^2 bytes.  The rest is O(n) rows: the escape kernel's
-    256-row transition block (a fifth of a graph at n = 1,200), the
-    symmetry check's 256 x 256 tile and O(n * C) class sums.  Checking the
+    times its 8 n^2 bytes.  The rest is one row tile, O(n) per-row sums
+    and O(C) class sums.  Checking the
     graph through a full n x n |W - W.T| and then copying it took diagnose
     to about 2.4 graphs."""
     feats, manifest = graph_file
@@ -301,13 +300,33 @@ def test_graph_commands_hold_no_graph(graph_file, tmp_path, capsys, command):
     assert peak <= 0.5 * 8 * n * n, peak / (8 * n * n)
 
 
+def test_diagnose_memory_is_one_tile_and_o_of_n_plus_classes(tmp_path, capsys):
+    """diagnose at n = 4,000 with 200 identities traces under 10 MiB: one
+    2 MiB row tile, O(n) rows of features and per-row sums, and O(C)
+    class sums.  Three n x C arrays of class sums took it to 24.7 MiB."""
+    feats, manifest = tmp_path / "f.sfte", tmp_path / "m.tsv"
+    assert run("gen", "--spec", "blobs", "--identities", 200, "--per-id", 20, "--dim", 32,
+               "--seed", 1, "--out", feats, "--manifest", manifest) == 0
+    tracemalloc.start()
+    try:
+        assert run("diagnose", "--features", feats, "--manifest", manifest, "--sigma", "0.1") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.count("escape_probability=") == 200
+    assert peak < 10 * 2**20, peak / 2**20
+
+
 def test_graph_workload_bytes_are_pinned(tmp_path, capsys):
     """sha256 of `transform --sigma 0.1`'s file and of `diagnose --sigma
     0.1`'s stdout on the benchmark's 2,400-row graph set (whose bytes
     tests/test_data.py pins), as the whole-graph code wrote them: the row
     tiles keep every bit where n is a multiple of 16, and the class run
     sums of the class-ordered nodes, which replaced the two n x n x C
-    products, keep every printed digit."""
+    products, keep every printed digit.  The diagnose digest was recorded
+    again when the escape route took the cut into each class from column
+    sums: its residual line moved from 1.665335e-16 to 3.330669e-16, and
+    no other line moved."""
     features, manifest = generate_synthetic(
         SyntheticSpec(24, 100, 32, intra_class_spread=0.3, topology="gaussian_blobs", seed=1))
     feats, records, out = tmp_path / "f.sfte", tmp_path / "m.tsv", tmp_path / "t.sfte"
@@ -320,7 +339,7 @@ def test_graph_workload_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "b6767a9e2ee1f64872c3f827bb8ae9ebc6147192e85c33cb0dc10f87f0699cc7")
     assert hashlib.sha256(printed.encode()).hexdigest() == (
-        "2ce36f8efac9c024585d453efdd84148a851b82564add1b3d338e4570e5329f0")
+        "d3c7541f7425e6542f1ec0b5cf2b1e97204fc42288429780eee19a60ed6c16c1")
 
 
 @pytest.fixture(scope="module")

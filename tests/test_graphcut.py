@@ -238,7 +238,7 @@ class TestClassNcutEscape:
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_several_row_chunks(self):
-        # 600 rows: two full chunks of transition rows and a partial one
+        # 600 rows: the square graph is read as two row blocks, 416 and 184 rows
         x = np.random.default_rng(15).normal(size=(600, 8))
         w = affinity(FeatureMatrix(x), 0.3)
         labels = np.arange(600) % 5
@@ -280,6 +280,19 @@ class TestClassNcutEscape:
             assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
             assert abs(escapes[c] - brute_escape(w, labels, c)) < 1e-12
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
+
+    def test_complement_sums_do_not_cancel(self):
+        # class 0 holds nearly all the volume, so a complement formed as
+        # total - vol(0) would lose about 8 of its digits
+        w, labels = random_graph(20, 12, num_classes=3)
+        w[np.ix_(labels == 0, labels == 0)] *= 1e9
+        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+        for c in range(3):
+            side = np.where(labels == c, 0, 1)
+            across = cut(w, side, 0, 1)
+            assert abs(escapes[c] - across / volume(w, side, 0)) < 1e-12
+            assert abs(escapes_rest[c] - across / volume(w, side, 1)) < 1e-12
+            assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
 
     def test_two_classes_share_one_ncut(self):
         for seed in range(10):

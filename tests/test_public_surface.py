@@ -12,9 +12,12 @@ no caller, so the list cannot go stale.
 
 A second scan fails when a package module but ``__init__``, or a test
 module, imports a name that it never uses, the debris that a deletion or a
-rename tends to leave behind.  A third fails when the README names, in
-backticks, a dotted name under a package module or class that the package
-no longer has.
+rename tends to leave behind.  A third fails when a top-level assignment
+in a package module but ``__init__`` binds a name, dunders aside, that no
+such module loads, as a name or an attribute: a constant that outlived
+its last reader.  A fourth fails when the README names, in backticks, a
+dotted name under a package module or class that the package no longer
+has.
 """
 
 import ast
@@ -114,6 +117,29 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: names for path in module_paths() + sorted(TESTS.glob("*.py"))
               if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert unused == {}
+
+
+def unread_constants(trees):
+    """The names, dunders aside, that a top-level assignment of the trees
+    binds and that no tree loads as a name or reads as an attribute."""
+    bound = {name.id for tree in trees for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             for name in ast.walk(target) if isinstance(name, ast.Name)}
+    loaded = {node.id for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    loaded.update(node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return sorted(name for name in bound - loaded if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_unread_constant_scan_finds_debris():
+    tree = ast.parse("__all__ = ['f']\n_CHUNK_ROWS = 256\nLIMIT: int = 3\nA, (B, C) = 1, (2, 3)\n"
+                     "SCALE = 2.0\ndef f(x):\n    return x * SCALE + A + C + np.B\n")
+    assert unread_constants([tree]) == ["LIMIT", "_CHUNK_ROWS"]
+
+
+def test_no_module_keeps_an_unread_constant():
+    assert unread_constants(module_trees()) == []
 
 
 def readme_names():
