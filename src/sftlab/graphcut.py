@@ -1,18 +1,19 @@
 """Graph-cut and random-walk diagnostics over affinity graphs.
 
 A graph is a square float64 array of edge weights, or for
-``class_ncut_escape`` its consecutive row blocks, and a partition a vector
-of class ids 0..max, one per node.  The graphs the package builds are
-finite, non-negative and exactly symmetric by construction, whole or in
-row tiles, so only shapes and labels are checked here.
+``class_ncut_escape`` the consecutive row blocks of one whose nodes are in
+class order, and a partition a vector of class ids 0..max, one per node.
+The graphs the package builds are finite, non-negative and exactly
+symmetric by construction, whole or in row tiles, so only shapes and
+labels are checked here.
 
 For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
 + cut(c, rest) / vol(rest); in the random-walk view the two terms are the
 one-step probabilities of escaping c and of escaping its complement at
 stationarity.  ``class_ncut_escape`` computes both sides of that identity
 for every class in one read-only pass over the class run sums of W (a
-run is a class's columns in class order; ``sftlab diagnose`` orders its
-nodes by class once), in O(n + C) memory beside one row block.
+run is a class's columns; ``sftlab diagnose`` orders its nodes by class
+once), in O(n + C) memory beside one row block.
 ``affinity_class_means`` gives the mean edge weights within and across
 classes, and ``ncut_loss`` turns the multiclass sum of escape
 probabilities into a differentiable training objective, used as a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transform import _check_sigma, _cosine_backward, _exp_cosines, _joined, _tile_rows, _unit_rows
+from .transform import _check_sigma, _cosine_backward, _exp_cosines, _joined, _unit_rows
 
 
 def _nodes(w: np.ndarray) -> int:
@@ -50,18 +51,16 @@ def _others(per_class: np.ndarray) -> np.ndarray:
     return np.cumsum(np.r_[0.0, per_class[:-1]]) + np.cumsum(np.r_[0.0, per_class[:0:-1]])[::-1]
 
 
-def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def class_ncut_escape(blocks, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ncut, escape(c -> rest), escape(rest -> c)) for every class c at once.
 
-    ``w`` is the square graph, or an iterable of its consecutive row blocks
-    such as :func:`~sftlab.transform.affinity_tiles` yields, so that no
-    n x n array need exist.  Every class sum of a row is a segment sum
-    (``np.add.reduceat``) over that class's run of columns, so each block
-    is read with its columns in class order (stable, by class id): as it
-    is if the labels already are, else as one column-gathered copy.  No
-    block is written to, so read-only blocks are fine.  A square array is
-    read as the C-ordered row blocks that its tiles would have, never as a
-    whole permuted copy, so both forms of one graph give the same bits.
+    ``blocks`` are the consecutive row blocks of a graph whose nodes are in
+    class order (``labels`` non-decreasing), such as
+    :func:`~sftlab.transform.affinity_tiles` yields for class-ordered rows,
+    so that no n x n array need exist.  Each class's columns are then one
+    run of every block, and each class sum of a row is a segment sum
+    (``np.add.reduceat``) over that run.  No block is written to, so
+    read-only blocks are fine.
 
     One ``reduceat`` per block gives each row's run sums of raw W into the
     other classes.  Their row sums are the row's exits, the cut out of its
@@ -80,17 +79,10 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     covers the whole graph or has no edge weight on one side gets NaN;
     zero-degree nodes elsewhere leave its values finite.
     """
-    if isinstance(w, np.ndarray):
-        num_classes = _class_count(labels, _nodes(w))
-        step = _tile_rows(len(w))
-        # C-ordered as the tiles are, so that rows add up as theirs do
-        blocks = (np.ascontiguousarray(w[lo:lo + step]) for lo in range(0, len(w), step))
-    else:
-        num_classes = _class_count(labels, labels.size)
-        blocks = w
     n = labels.size
-    order = np.argsort(labels, kind="stable")
-    gather = bool((np.diff(labels) < 0).any())
+    num_classes = _class_count(labels, n)
+    if (np.diff(labels) < 0).any():
+        raise ValueError("partition labels must be in class order (non-decreasing)")
     counts = np.bincount(labels, minlength=num_classes)
     present = np.flatnonzero(counts)
     # the first column of each non-empty class's run; a class with no nodes
@@ -104,10 +96,6 @@ def class_ncut_escape(w, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         for block in blocks:
             if block.shape[1:] != (n,):
                 raise ValueError(f"row block of shape {block.shape} in a {n}-node graph")
-            if gather:
-                # take's result is in C order, unlike block[:, order]'s, so
-                # its rows add up as those of a block read as it is
-                block = block.take(order, axis=1)
             rows = slice(lo, lo + len(block))
             degrees[rows] = block.sum(axis=1)
             # row i's weight into each class other than its own

@@ -443,8 +443,7 @@ def _check_kr(k1: int, k2: int, lam: float) -> None:
 
 
 def k_reciprocal_rerank(queries: FeatureMatrix, gallery: FeatureMatrix,
-                        manifest: DatasetManifest, k1: int = 20, k2: int = 6,
-                        lam: float = 0.3) -> RankingList:
+                        manifest: DatasetManifest, k1: int, k2: int, lam: float) -> RankingList:
     """Re-rank with Jaccard distance over expanded k-reciprocal encodings.
 
     Distances are computed on the union of query and gallery rows.  The

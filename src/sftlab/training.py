@@ -101,11 +101,11 @@ PARSERS = {"int": int, "float": float, "bool": _bool, "str": str,
            "tuple[int, ...]": _int_tuple, "tuple[float, ...]": _float_tuple}
 
 
-def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse `key = value` lines (# comments) into a TrainConfig.  Keys
-    apply in file order, so a value that parses but fails a check names
-    its line too."""
-    cfg = base or TrainConfig()
+def load_train_config(path, base: TrainConfig) -> TrainConfig:
+    """Parse `key = value` lines (# comments) over base into a TrainConfig.
+    Keys apply in file order, so a value that parses but fails a check
+    names its line too."""
+    cfg = base
     kinds = {f.name: f.type for f in fields(TrainConfig)}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()

@@ -4,7 +4,9 @@ The graph-cut quantities (cut, volume, ncut, the stationary distribution
 and the random walk's D^-1 W) are written out from their definitions on
 the raw edge weights, a float64 array, and a class-id vector, apart from
 ``sftlab.graphcut.class_ncut_escape``, which computes every class's ncut
-and escape probabilities in one pass and is checked against them.
+and escape probabilities in one pass and is checked against them.  It
+reads row blocks of a graph in class order; :func:`ordered_ncut_escape`
+gives it a square graph as one such block.
 
 The margin-softmax helpers, :func:`forward_backward` and :func:`refine_one`
 are thin forms of the package's own kernels, so a finite-difference or
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sftlab.data import FeatureMatrix
+from sftlab.graphcut import class_ncut_escape
 from sftlab.ranking import QueryRanking, RankingList, refine_ranking
 from sftlab.training import EmbedModel, _am_softmax_grad, _plan, _step
 from sftlab.transform import _unit_rows
@@ -48,6 +51,14 @@ def ncut(w, labels, a):
     mask = labels == a
     cross = float(w[np.ix_(mask, ~mask)].sum())
     return cross / float(w[mask, :].sum()) + cross / float(w[~mask, :].sum())
+
+
+def ordered_ncut_escape(w, labels):
+    """``class_ncut_escape`` of the square graph w: its nodes and labels
+    permuted into class order (stable, by class id) and passed as one row
+    block.  The results are indexed by class id, as the labels are."""
+    order = np.argsort(labels, kind="stable")
+    return class_ncut_escape([w[np.ix_(order, order)]], labels[order])
 
 
 def stationary(w):

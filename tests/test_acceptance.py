@@ -18,9 +18,9 @@ from conftest import central_diff, rel_error
 from sftlab.cli import main as cli_main
 from sftlab.data import FeatureMatrix
 from sftlab.experiment import ExperimentConfig, run_experiment, write_report
-from reference import (am_softmax_loss, am_softmax_value, cut, forward_backward, ranking_of,
-                       stationary, transition, volume)
-from sftlab.graphcut import class_ncut_escape, ncut_loss
+from reference import (am_softmax_loss, am_softmax_value, cut, forward_backward, ordered_ncut_escape,
+                       ranking_of, stationary, transition, volume)
+from sftlab.graphcut import ncut_loss
 from sftlab.ranking import evaluate, k_reciprocal_rerank, rank, refine_ranking
 from sftlab.rng import Xoshiro256StarStar
 from sftlab.training import EmbedModel, TrainConfig, _classifier_init
@@ -80,7 +80,7 @@ def test_criterion_1_algebraic_identities():
 
             num_classes = 2 if n < 4 else 3
             labels = random_partition(rng, n, num_classes)
-            ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+            ncuts, escapes, escapes_rest = ordered_ncut_escape(w, labels)
             for label in range(num_classes):
                 comp = np.where(labels == label, 0, 1)
                 via_cut = cut(w, comp, 0, 1) / volume(w, comp, 0)

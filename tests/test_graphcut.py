@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
 from sftlab.data import FeatureMatrix
-from reference import cut, ncut, stationary, transition, volume
+from reference import cut, ncut, ordered_ncut_escape, stationary, transition, volume
 from sftlab.graphcut import affinity_class_means, class_ncut_escape, ncut_loss
-from sftlab.transform import affinity
+from sftlab.transform import affinity, affinity_tiles
 
 
 def random_graph(seed, n, num_classes=2):
@@ -173,16 +172,16 @@ class TestEscapeProbability:
 
     def test_block_diagonal_is_zero(self):
         w, labels = block_diagonal()
-        assert class_ncut_escape(w, labels)[1][0] == 0.0
+        assert ordered_ncut_escape(w, labels)[1][0] == 0.0
 
     def test_two_node_uniform(self):
         w, labels = two_node_uniform()
-        assert abs(class_ncut_escape(w, labels)[1][0] - 0.5) < 1e-15
+        assert abs(ordered_ncut_escape(w, labels)[1][0] - 0.5) < 1e-15
 
     def test_dual_path_oracle(self):
         for seed in range(12):
             w, labels = random_graph(seed + 300, 8, num_classes=3)
-            escapes = class_ncut_escape(w, labels)[1]
+            escapes = ordered_ncut_escape(w, labels)[1]
             for c in range(3):
                 got = escapes[c]
                 direct = brute_escape(w, labels, c)
@@ -196,7 +195,7 @@ class TestEscapeProbability:
 def identity_pair(w, labels, c):
     """(ncut, escape(c -> rest) + escape(rest -> c)) of class c, both
     from :func:`class_ncut_escape`, along its two arithmetic routes."""
-    ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+    ncuts, escapes, escapes_rest = ordered_ncut_escape(w, labels)
     return float(ncuts[c]), float(escapes[c] + escapes_rest[c])
 
 
@@ -229,7 +228,7 @@ class TestClassNcutEscape:
     @pytest.mark.parametrize("make", KERNEL_GRAPHS.values(), ids=KERNEL_GRAPHS)
     def test_matches_per_class_oracles(self, make):
         w, labels = make()
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+        ncuts, escapes, escapes_rest = ordered_ncut_escape(w, labels)
         for c in range(labels.max() + 1):
             rest = np.where(labels == c, 1, 0)
             assert abs(ncuts[c] - ncut(w, labels, c)) < 1e-12
@@ -238,11 +237,14 @@ class TestClassNcutEscape:
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_several_row_chunks(self):
-        # 600 rows: the square graph is read as two row blocks, 416 and 184 rows
+        # 600 rows: the tiles of the class-ordered rows are two row blocks,
+        # of 416 and 184 rows, as ``sftlab diagnose`` reads them
         x = np.random.default_rng(15).normal(size=(600, 8))
         w = affinity(FeatureMatrix(x), 0.3)
         labels = np.arange(600) % 5
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+        order = np.argsort(labels, kind="stable")
+        ncuts, escapes, escapes_rest = class_ncut_escape(affinity_tiles(FeatureMatrix(x[order]), 0.3),
+                                                         labels[order])
         for c in range(5):
             side = np.where(labels == c, 0, 1)
             across = cut(w, side, 0, 1)
@@ -252,7 +254,7 @@ class TestClassNcutEscape:
 
     def test_isolated_node_leaves_results_finite(self):
         w, labels = isolated_node()
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+        ncuts, escapes, escapes_rest = ordered_ncut_escape(w, labels)
         for values in (ncuts, escapes, escapes_rest):
             assert np.all(np.isfinite(values))
         assert abs(escapes[1] - brute_escape(w, labels, 1)) < 1e-12
@@ -261,7 +263,7 @@ class TestClassNcutEscape:
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_undefined_classes_are_nan(self):
-        ncuts, escapes, escapes_rest = class_ncut_escape(np.ones((3, 3)), np.array([2, 2, 2]))
+        ncuts, escapes, escapes_rest = ordered_ncut_escape(np.ones((3, 3)), np.array([2, 2, 2]))
         # class 2 covers the graph, classes 0 and 1 are empty
         assert np.isnan(ncuts).all() and np.isnan(escapes_rest[2]) and np.isnan(escapes[:2]).all()
 
@@ -273,7 +275,7 @@ class TestClassNcutEscape:
         else:
             w[labels == 2, :] = 0.0
             w[:, labels == 2] = 0.0
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+        ncuts, escapes, escapes_rest = ordered_ncut_escape(w, labels)
         # class 2 has no edge weight, so its ncut and escape are undefined
         assert np.isnan(ncuts[2]) and np.isnan(escapes[2])
         for c in range(2):
@@ -286,7 +288,7 @@ class TestClassNcutEscape:
         # total - vol(0) would lose about 8 of its digits
         w, labels = random_graph(20, 12, num_classes=3)
         w[np.ix_(labels == 0, labels == 0)] *= 1e9
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels)
+        ncuts, escapes, escapes_rest = ordered_ncut_escape(w, labels)
         for c in range(3):
             side = np.where(labels == c, 0, 1)
             across = cut(w, side, 0, 1)
@@ -297,14 +299,14 @@ class TestClassNcutEscape:
     def test_two_classes_share_one_ncut(self):
         for seed in range(10):
             w, labels = random_graph(seed, 7)
-            ncuts, _, _ = class_ncut_escape(w, labels)
+            ncuts, _, _ = ordered_ncut_escape(w, labels)
             assert abs(ncuts[0] - ncuts[1]) < 1e-12 * ncuts[0]
 
     def test_row_blocks_give_the_whole_graphs_values(self):
         x = np.random.default_rng(16).normal(size=(40, 6))
         w = affinity(FeatureMatrix(x), 0.3)
-        labels = np.arange(40) % 3
-        whole = class_ncut_escape(w, labels)
+        labels = np.sort(np.arange(40) % 3)
+        whole = class_ncut_escape([w], labels)
         blocked = class_ncut_escape((w[lo:lo + 7].copy() for lo in range(0, 40, 7)), labels)
         for got, want in zip(blocked, whole):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -313,7 +315,9 @@ class TestClassNcutEscape:
 
     @pytest.mark.parametrize("form", ["row_blocks", "square", "fortran_square"])
     def test_blocks_are_read_not_written(self, form):
-        # labels in class order: blocks are read as they are, ungathered
+        # read-only blocks give the bits of writable copies of the same
+        # layout: seven-row blocks, or the whole square graph as one block,
+        # C- or Fortran-ordered
         x = np.random.default_rng(19).normal(size=(40, 6))
         w = affinity(FeatureMatrix(x), 0.3)
         labels = np.repeat(np.arange(3), [13, 14, 13])
@@ -322,10 +326,10 @@ class TestClassNcutEscape:
         if form == "row_blocks":
             writable = [w[lo:lo + 7].copy() for lo in range(0, 40, 7)]
             got = class_ncut_escape((frozen[lo:lo + 7] for lo in range(0, 40, 7)), labels)
-            want = class_ncut_escape(iter(writable), labels)
         else:
-            writable = [w.copy()]
-            got, want = class_ncut_escape(frozen, labels), class_ncut_escape(writable[0], labels)
+            writable = [frozen.copy(order="K")]
+            got = class_ncut_escape([frozen], labels)
+        want = class_ncut_escape(iter(writable), labels)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(frozen, w)
@@ -333,34 +337,34 @@ class TestClassNcutEscape:
 
     def test_partition_must_cover_the_graph(self):
         w, _ = random_graph(15, 6)
-        with pytest.raises(ValueError, match="partition covers 4 nodes, graph has 6"):
-            class_ncut_escape(w, np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match=r"^row block of shape \(6, 6\) in a 4-node graph$"):
+            class_ncut_escape([w], np.array([0, 0, 1, 1]))
 
     def test_row_blocks_must_span_the_graph(self):
         w, labels = random_graph(17, 6)
         with pytest.raises(ValueError, match=r"^row block of shape \(6, 5\) in a 6-node graph$"):
-            class_ncut_escape(iter([w[:, :5].copy()]), labels)
+            class_ncut_escape(iter([w[:, :5].copy()]), np.sort(labels))
 
-    def test_unordered_labels_hold_no_permuted_graph(self):
-        # one shuffled 1,200-node graph: its blocks are gathered one at a
-        # time, so the peak stays well below the 8 n^2 bytes of one graph
-        n = 1200
-        w, _ = random_graph(18, n)
-        labels = np.random.default_rng(18).permutation(np.arange(n) % 40)
-        tracemalloc.start()
-        try:
-            class_ncut_escape(w, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * 8 * n * n, peak / (8 * n * n)
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1, 0, 1], [1, 1, 1, 0, 0, 0]],
+                             ids=["interleaved", "grouped_descending"])
+    def test_labels_must_be_in_class_order(self, labels):
+        # grouped runs are not enough: the classes must come in increasing order
+        w, _ = random_graph(18, 6)
+        with pytest.raises(ValueError, match=r"^partition labels must be in class order \(non-decreasing\)$"):
+            class_ncut_escape([w], np.array(labels))
+
+    def test_a_square_array_is_read_as_its_rows(self):
+        # iterating a square array gives 1-d rows, not row blocks
+        w, _ = random_graph(18, 6)
+        with pytest.raises(ValueError, match=r"^row block of shape \(6,\) in a 6-node graph$"):
+            class_ncut_escape(w, np.array([0, 0, 0, 1, 1, 1]))
 
 
 @st.composite
 def partitioned_graphs(draw):
     """A symmetric non-negative graph with some zero edges and one
-    zero-degree node, class ids out of class order with gaps below the
-    largest (classes with no nodes), and random consecutive row blocks."""
+    zero-degree node, class ids in class order with gaps below the largest
+    (classes with no nodes), and random consecutive row blocks."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(3, 40))
     raw = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.8)
@@ -370,7 +374,7 @@ def partitioned_graphs(draw):
     w[:, isolated] = 0.0
     ids = draw(st.integers(2, 8))
     present = np.sort(rng.choice(ids, size=draw(st.integers(2, min(ids, n))), replace=False))
-    labels = rng.permutation(np.concatenate([present, rng.choice(present, size=n - present.size)]))
+    labels = np.sort(np.concatenate([present, rng.choice(present, size=n - present.size)]))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
     return w, labels, [0, *cuts, n]
 
@@ -379,7 +383,7 @@ def partitioned_graphs(draw):
 @given(partitioned_graphs())
 def test_array_blocks_and_oracles_agree(graph):
     w, labels, bounds = graph
-    whole = class_ncut_escape(w, labels)
+    whole = class_ncut_escape([w], labels)
     blocked = class_ncut_escape((w[lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])), labels)
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -414,11 +418,21 @@ BAD_GRAPHS = {
 }
 
 
+# class_ncut_escape reads each graph as one row block, whose shape it
+# checks against the labels' node count
+BLOCK_MESSAGES = {
+    "non_square": r"row block of shape \(2, 3\) in a 2-node graph",
+    "too_many_labels": r"row block of shape \(2, 2\) in a 3-node graph",
+}
+
+
 @pytest.mark.parametrize("diagnostic", [class_ncut_escape, affinity_class_means],
                          ids=["class_ncut_escape", "affinity_class_means"])
 @pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
 def test_shape_and_label_checks(diagnostic, case):
     w, labels, message = BAD_GRAPHS[case]
+    if diagnostic is class_ncut_escape:
+        w, message = [w], BLOCK_MESSAGES.get(case, message)
     with pytest.raises(ValueError, match=f"^{message}$"):
         diagnostic(w, labels)
 

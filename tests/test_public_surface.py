@@ -61,26 +61,31 @@ def definitions(trees):
                    and not (node.name.startswith("__") and node.name.endswith("__"))})
 
 
-def used_names(tree, skip):
-    """Names and attributes that the tree uses, outside the definition of `skip`."""
+def called_names(tree):
+    """Names and attributes that the tree uses outside a definition of that
+    name, in one walk that keeps the names of the enclosing definitions."""
     found = set()
-    stack = [tree]
+    stack = [(tree, frozenset())]
     while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == skip:
-            continue
+        node, inside = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            used = [node.id]
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            used = [node.attr]
         elif isinstance(node, ast.ImportFrom):
-            found.update(alias.name for alias in node.names)
-        stack.extend(ast.iter_child_nodes(node))
+            used = [alias.name for alias in node.names]
+        else:
+            used = []
+        found.update(name for name in used if name not in inside)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
     return found
 
 
 def uncalled(names, trees):
-    return sorted(name for name in names if not any(name in used_names(tree, name) for tree in trees))
+    called = set().union(*map(called_names, trees))
+    return sorted(name for name in names if name not in called)
 
 
 def test_every_export_has_a_caller_in_the_package():

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -84,6 +85,10 @@ class TestQueryRanking:
             RankingList([0, 1], offsets, [0, 1, 2], np.zeros(3))
 
 
+# the plain ranking and the k-reciprocal re-ranking at the experiment's values
+RETRIEVERS = {"rank": rank, "k_reciprocal_rerank": partial(k_reciprocal_rerank, k1=20, k2=6, lam=0.3)}
+
+
 class TestRank:
     def test_exact_copy_ranks_first(self):
         rng = np.random.default_rng(0)
@@ -145,7 +150,7 @@ class TestRank:
                 assert not (g_ident == ident and g_cam == cam)
 
     # k_reciprocal_rerank shares rank's input checks and messages
-    @pytest.mark.parametrize("retrieve", [rank, k_reciprocal_rerank])
+    @pytest.mark.parametrize("retrieve", RETRIEVERS.values(), ids=RETRIEVERS)
     def test_dim_mismatch(self, retrieve):
         manifest = eval_manifest([(0, 0)], [(0, 1)])
         rng = np.random.default_rng(3)
@@ -153,7 +158,7 @@ class TestRank:
         with pytest.raises(ValueError, match="^dimension mismatch: 32 vs 31$"):
             retrieve(queries, gallery, manifest)
 
-    @pytest.mark.parametrize("retrieve", [rank, k_reciprocal_rerank])
+    @pytest.mark.parametrize("retrieve", RETRIEVERS.values(), ids=RETRIEVERS)
     @pytest.mark.parametrize("n_q,n_g,message", [
         (2, 2, "2 query rows but manifest lists 1 query records"),
         (1, 3, "3 gallery rows but manifest lists 2 gallery records"),
@@ -486,7 +491,7 @@ class TestKReciprocal:
     def test_parameter_validation(self):
         queries, gallery, manifest = self.setup_instance()
         with pytest.raises(ValueError):
-            k_reciprocal_rerank(queries, gallery, manifest, k1=2, k2=2)
+            k_reciprocal_rerank(queries, gallery, manifest, k1=2, k2=2, lam=0.3)
         with pytest.raises(ValueError):
             k_reciprocal_rerank(queries, gallery, manifest, k1=4, k2=2, lam=1.5)
 
@@ -596,7 +601,7 @@ class TestKReciprocalMatchesDenseReference:
         queries = split_features(features, manifest, "query")
         gallery = split_features(features, manifest, "gallery")
         assert queries.n + gallery.n == 300
-        self.assert_same(queries, gallery, manifest)
+        self.assert_same(queries, gallery, manifest, k1=20, k2=6, lam=0.3)
 
     @staticmethod
     def duplicate_rows():
@@ -633,7 +638,7 @@ class TestKReciprocalMatchesDenseReference:
         rng = np.random.default_rng(22)
         manifest = eval_manifest([(0, 0)], [(0, 1), (1, 1)])
         self.assert_same(FeatureMatrix(rng.normal(size=(1, 3))),
-                         FeatureMatrix(rng.normal(size=(2, 3))), manifest, k1=5, k2=3)
+                         FeatureMatrix(rng.normal(size=(2, 3))), manifest, k1=5, k2=3, lam=0.3)
 
 
 # The looped implementation that the whole-array one replaced, kept verbatim
@@ -800,8 +805,8 @@ class TestBitwiseAgainstLoopedReference:
         rng = np.random.default_rng(22)
         manifest = eval_manifest([(0, 0)], [(0, 1), (1, 1)])
         queries, gallery = FeatureMatrix(rng.normal(size=(1, 3))), FeatureMatrix(rng.normal(size=(2, 3)))
-        assert_bitwise(k_reciprocal_rerank(queries, gallery, manifest, k1, k2),
-                       looped_k_reciprocal_rerank(queries, gallery, manifest, k1, k2))
+        assert_bitwise(k_reciprocal_rerank(queries, gallery, manifest, k1, k2, 0.3),
+                       looped_k_reciprocal_rerank(queries, gallery, manifest, k1, k2, 0.3))
 
     @pytest.mark.parametrize("top_n", [1, 3, 8, 40])
     def test_lists_shorter_than_top_n(self, top_n):
@@ -915,7 +920,7 @@ def test_k_reciprocal_memory_stays_near_the_distance_matrix():
     assert n == 1200
     tracemalloc.start()
     try:
-        k_reciprocal_rerank(queries, gallery, manifest)
+        k_reciprocal_rerank(queries, gallery, manifest, 20, 6, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -626,7 +626,7 @@ class TestConfigFile:
             "grad_through_transition = false\n"
             "decay_epochs = 10,20\n"
         )
-        cfg = load_train_config(path)
+        cfg = load_train_config(path, TrainConfig())
         assert (cfg.p, cfg.k) == (4, 2)
         assert cfg.sigma == 0.25
         assert cfg.method == "baseline"
@@ -637,7 +637,7 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("learning = fast\n")
         with pytest.raises(ValueError, match="unknown key"):
-            load_train_config(path)
+            load_train_config(path, TrainConfig())
 
     @pytest.mark.parametrize("key", ["warmup_start_lr", "decay_factor", "momentum", "ncut_ce_weight",
                                      "batches_per_epoch", "margin", "scale",
@@ -649,7 +649,7 @@ class TestConfigFile:
         path = tmp_path / "fixed.cfg"
         path.write_text(f"p = 4\n{key} = 1\n")
         with pytest.raises(ValueError, match=f"^config line 2: unknown key '{key}'$"):
-            load_train_config(path)
+            load_train_config(path, TrainConfig())
 
     def test_readme_lists_every_key(self):
         """The README's config-file paragraph names every field, in order."""
@@ -664,7 +664,7 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text(f"p = 4\n{line}\n")
         with pytest.raises(ValueError, match="^config line 2: "):
-            load_train_config(path)
+            load_train_config(path, TrainConfig())
 
     @pytest.mark.parametrize("line,message", [
         ("method = maybe", "unknown method 'maybe'"),
@@ -677,12 +677,12 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\nk = 4\n\n{line}\nepochs = 3\n")
         with pytest.raises(ValueError, match=f"^config line 4: {re.escape(message)}$"):
-            load_train_config(path)
+            load_train_config(path, TrainConfig())
 
     def test_keys_apply_in_file_order(self, tmp_path):
         path = tmp_path / "twice.cfg"
         path.write_text("p = 4\nepochs = 3\np = 5\n")
-        assert load_train_config(path) == replace(TrainConfig(), p=5, epochs=3)
+        assert load_train_config(path, TrainConfig()) == replace(TrainConfig(), p=5, epochs=3)
 
 
 def reference_sample_pk(manifest, p, k, rng):

@@ -18,6 +18,7 @@ from sftlab.transform import (
     _transition_from_features,
     _unit_backward,
     affinity,
+    affinity_tiles,
     cosine_between,
     sft_backward,
     sft_transform,
@@ -99,7 +100,7 @@ class TestBuiltGraphsAreSymmetric:
     @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
     def test_diagnose_graph(self, n, d, tmp_path, capsys):
         # `diagnose` streams the graph of its rows in class order in row
-        # tiles and prints what the diagnostics make of that graph whole
+        # tiles; the same tiles give the same printed lines
         feats, manifest = tmp_path / "f.sfte", tmp_path / "m.tsv"
         save_features(FeatureMatrix(np.random.default_rng(n).normal(size=(n, d))), feats)
         save_manifest(DatasetManifest(tuple(SampleRecord(f"s{i}", i % 4, 0, "train") for i in range(n))),
@@ -108,8 +109,8 @@ class TestBuiltGraphsAreSymmetric:
                          "--sigma", "0.1"]) == 0
         labels = np.arange(n) % 4
         order = np.argsort(labels, kind="stable")
-        w = affinity(FeatureMatrix(load_features(feats).data[order]), 0.1)
-        ncuts, escapes, escapes_rest = class_ncut_escape(w, labels[order])
+        tiles = affinity_tiles(FeatureMatrix(load_features(feats).data[order]), 0.1)
+        ncuts, escapes, escapes_rest = class_ncut_escape(tiles, labels[order])
         lines = [f"identity {c}: escape_probability={escape:.6f} ncut={value:.6f}"
                  for c, (value, escape) in enumerate(zip(ncuts, escapes))]
         lines.append(f"max_ncut_identity_residual={float(np.abs(ncuts - (escapes + escapes_rest)).max()):.6e}")
