@@ -27,13 +27,6 @@ import numpy as np
 from .transform import _check_sigma, _cosine_backward, _exp_cosines, _joined, _unit_rows
 
 
-def _nodes(w: np.ndarray) -> int:
-    """The node count of the square graph w."""
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"affinity matrix must be square, got {w.shape}")
-    return len(w)
-
-
 def _class_count(labels: np.ndarray, nodes: int) -> int:
     """The class count of labels, one class id per node of a graph."""
     if labels.ndim != 1 or labels.size < 1:
@@ -60,7 +53,9 @@ def class_ncut_escape(blocks, labels: np.ndarray) -> tuple[np.ndarray, np.ndarra
     so that no n x n array need exist.  Each class's columns are then one
     run of every block, and each class sum of a row is a segment sum
     (``np.add.reduceat``) over that run.  No block is written to, so
-    read-only blocks are fine.
+    read-only blocks are fine, and a block whose rows are not unit-stride
+    is read through a C-ordered copy, since the row sums add in memory
+    order: any layout gives the bits of C order.
 
     One ``reduceat`` per block gives each row's run sums of raw W into the
     other classes.  Their row sums are the row's exits, the cut out of its
@@ -96,6 +91,8 @@ def class_ncut_escape(blocks, labels: np.ndarray) -> tuple[np.ndarray, np.ndarra
         for block in blocks:
             if block.shape[1:] != (n,):
                 raise ValueError(f"row block of shape {block.shape} in a {n}-node graph")
+            if block.strides[1] != block.itemsize:
+                block = np.ascontiguousarray(block)
             rows = slice(lo, lo + len(block))
             degrees[rows] = block.sum(axis=1)
             # row i's weight into each class other than its own
@@ -164,7 +161,9 @@ def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma) -> tuple[float | np.ndar
 
 def affinity_class_means(w: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Mean off-diagonal edge weight inside classes and across classes."""
-    _class_count(labels, _nodes(w))
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"affinity matrix must be square, got {w.shape}")
+    _class_count(labels, len(w))
     same = labels[:, None] == labels[None, :]
     inter = ~same
     np.fill_diagonal(same, False)  # now the intra-class pairs

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import DatasetManifest, FeatureMatrix
-from .transform import ZeroNormRowError, _check_sigma, cosine_between, sft_transform_array
+from .transform import _check_sigma, cosine_between, sft_transform_array
 
 log = logging.getLogger(__name__)
 
@@ -25,8 +25,10 @@ CMC_RANKS = (1, 5, 10)
 # rows of dense work per block and postings per Jaccard block in k-reciprocal
 # re-ranking, and graphs and transition entries per refinement stack: each
 # bounds a temporary, not the result; the last three keep a ranking's peak
-# memory near where the query-by-query code had it, and a head too long for
-# two graphs within _REFINE_CELLS is refined one graph at a time
+# memory near where the query-by-query code had it.  A stack holds queries
+# that are consecutive in the ranking and whose heads have one length, and a
+# head too long for two graphs within _REFINE_CELLS is refined one graph at a
+# time
 _ROW_BLOCK = 128
 _HITS = 1 << 13
 _REFINE_BLOCK = 8
@@ -253,9 +255,11 @@ def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: Featur
     clamping warning for the whole ranking.  Items beyond the prefix keep
     their order and scores.
 
-    Queries whose heads have one length are refined as one stack of up to
-    _REFINE_BLOCK graphs and _REFINE_CELLS transition entries; the output
-    is the same as query by query.
+    The ranking is walked in order: consecutive queries whose heads have
+    one length are refined as one stack of up to _REFINE_BLOCK graphs and
+    _REFINE_CELLS transition entries, so the output, and the zero-norm
+    error of the first query in ranking order that meets one, are the
+    same as query by query.
     """
     _check_indices(ranking, queries.n, gallery.n)
     _check_sigma(sigma)
@@ -264,24 +268,15 @@ def refine_ranking(queries: FeatureMatrix, ranking: RankingList, gallery: Featur
     sizes = np.diff(ranking.offsets)
     _check_top_n(top_n, sizes)
     heads = np.minimum(sizes, top_n)
-    starts = ranking.offsets[:-1]
     indices, scores = ranking.gallery.copy(), ranking.scores.copy()
-    try:
-        for size in np.flatnonzero(np.bincount(heads)):
-            group = np.flatnonzero(heads == size)
-            step = max(1, min(_REFINE_BLOCK, _REFINE_CELLS // (int(size) + 1) ** 2))
-            for lo in range(0, group.size, step):
-                block = group[lo:lo + step]
-                at = starts[block, None] + np.arange(size)
-                feats = queries.data[ranking.query_index[block]]
-                indices[at], scores[at] = _refine_heads(feats, indices[at], gallery, sigma)
-    except ZeroNormRowError:
-        # name the row of the first query in ranking order that has one, as
-        # a query-by-query pass does
-        for row, (start, size) in enumerate(zip(starts, heads)):
-            _refine_heads(queries.data[ranking.query_index[row:row + 1]],
-                          ranking.gallery[None, start:start + size], gallery, sigma)
-        raise
+    for run in np.split(np.arange(len(ranking)), np.flatnonzero(np.diff(heads)) + 1):
+        size = int(heads[run[0]])
+        step = max(1, min(_REFINE_BLOCK, _REFINE_CELLS // (size + 1) ** 2))
+        for lo in range(0, run.size, step):
+            block = run[lo:lo + step]
+            at = ranking.offsets[block, None] + np.arange(size)
+            feats = queries.data[ranking.query_index[block]]
+            indices[at], scores[at] = _refine_heads(feats, indices[at], gallery, sigma)
     return RankingList._trusted(ranking.query_index, ranking.offsets, indices, scores)
 
 
@@ -296,36 +291,26 @@ def _stable_top(dist: np.ndarray, k: int) -> np.ndarray:
         near_dist = np.take_along_axis(rows, near, axis=1)
         top[lo:lo + _ROW_BLOCK] = np.take_along_axis(near, np.lexsort((near, near_dist)), axis=1)
         # a row with more columns than these at or below its (k+1)-th
-        # smallest distance has a tie at the boundary, which the index
-        # tie-break settles among all the tied columns
+        # smallest distance has a tie at the boundary, which the partition
+        # may have settled against the index order: such rows are sorted
+        # again stably, as in _ranked
         kth = near_dist.max(axis=1, keepdims=True)
         tied = np.flatnonzero(np.count_nonzero(rows <= kth, axis=1) > k + 1)
-        if tied.size:
-            top[lo + tied] = _tied_top(rows[tied], kth[tied], k)
+        top[lo + tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k + 1]
     return top
 
 
-def _tied_top(dist: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_stable_top` of rows whose (k+1)-th smallest distances are
-    ``kth``, from every column up to that distance, ties included."""
-    rows, cols = np.nonzero(dist <= kth)
-    pick = np.lexsort((cols, dist[rows, cols], rows))
-    rows, cols = rows[pick], cols[pick]
-    rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
-    return cols[rank_in_row <= k].reshape(-1, k + 1)
-
-
-def _within(dist: np.ndarray, top: np.ndarray, k: int, rows: np.ndarray,
-            cols: np.ndarray) -> np.ndarray:
-    """Whether each of ``cols`` is among the k+1 nearest of its row in
-    ``rows``: at or before that row's (k+1)-th neighbour in (distance,
-    index) order."""
+def _within(dist: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Whether each row i is among the k+1 nearest of each of its own k+1
+    nearest ``near[i]``: at or before that neighbour's last entry of
+    ``near`` in (distance, index) order."""
     n = dist.shape[0]
     flat = dist.ravel()
-    last = top[rows, k]
-    edge = flat[rows * n + last]
-    d = flat[rows * n + cols]
-    return (d < edge) | ((d == edge) & (cols <= last))
+    rows = np.arange(n)[:, None]
+    last = near[near, -1]
+    edge = flat[near * n + last]
+    d = flat[near * n + rows]
+    return (d < edge) | ((d == edge) & (rows <= last))
 
 
 def _expanded_supports(dist: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,9 +320,8 @@ def _expanded_supports(dist: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, n
     when each of the two is among the other's k+1 nearest."""
     n, k = top.shape[0], top.shape[1] - 1
     half_near = top[:, :int(round(k / 2.0)) + 1]
-    rows = np.arange(n)[:, None]
-    recip = _within(dist, top, k, top, rows)
-    half = _within(dist, top, half_near.shape[1] - 1, half_near, rows)
+    recip = _within(dist, top)
+    half = _within(dist, half_near)
     members = np.zeros(_ROW_BLOCK * n, dtype=bool)  # cleared after each use
     out_rows, out_cols = [], []
     for lo in range(0, n, _ROW_BLOCK):

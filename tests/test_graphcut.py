@@ -335,6 +335,22 @@ class TestClassNcutEscape:
         np.testing.assert_array_equal(frozen, w)
         np.testing.assert_array_equal(np.concatenate(writable), w)
 
+    @pytest.mark.parametrize("rows", [40, 7])
+    def test_block_layout_leaves_the_bits(self, rows):
+        # the whole graph or seven-row blocks, Fortran-ordered or padded row
+        # views, give the bits of the same values C-ordered
+        x = np.random.default_rng(19).normal(size=(40, 6))
+        w = affinity(FeatureMatrix(x), 0.3)
+        labels = np.repeat(np.arange(3), [13, 14, 13])
+        padded = np.zeros((40, 48))
+        padded[:, :40] = w
+        spans = [slice(lo, lo + rows) for lo in range(0, 40, rows)]
+        want = class_ncut_escape([w[span].copy() for span in spans], labels)
+        for got in (class_ncut_escape([np.asfortranarray(w[span]) for span in spans], labels),
+                    class_ncut_escape([padded[span, :40] for span in spans], labels)):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
     def test_partition_must_cover_the_graph(self):
         w, _ = random_graph(15, 6)
         with pytest.raises(ValueError, match=r"^row block of shape \(6, 6\) in a 4-node graph$"):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -7,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import (LoopedQueryRanking, LoopedRankingList, looped_check_indices, ranking_of,
                        refine_one)
@@ -31,6 +34,7 @@ from sftlab.ranking import (
     _check_indices,
     _eval_records,
     _ranked,
+    _stable_top,
     evaluate,
     k_reciprocal_rerank,
     rank,
@@ -691,6 +695,20 @@ def looped_stable_top(dist, k):
     return cols[rank_in_row <= k].reshape(n, k + 1)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stable_top_breaks_boundary_ties_by_index(shape, levels, seed):
+    """Integer distances from a few levels tie at the (k+1)-th neighbour in
+    most rows, in one to three row blocks; the order is the stable
+    sort's, distance ascending, index ascending on ties."""
+    n, k = shape
+    dist = np.random.default_rng(seed).integers(0, levels, size=(n, n)).astype(np.float64)
+    got = _stable_top(dist, k)
+    np.testing.assert_array_equal(got, np.argsort(dist, axis=1, kind="stable")[:, :k + 1])
+    np.testing.assert_array_equal(got, looped_stable_top(dist, k))
+
+
 def looped_k_reciprocal_sets(order, k):
     n = order.shape[0]
     forward = [set(order[i, : k + 1].tolist()) for i in range(n)]
@@ -856,7 +874,8 @@ class TestBitwiseAgainstLoopedReference:
 def zero_row_instance():
     """Two queries refined in different stacks: the first, in ranking order,
     has the zero gallery row at head position 2 of 4 (node row 3), the
-    second, whose head is shorter and so refined first, at position 0."""
+    second, whose head is shorter, at position 0; a refinement that met
+    the second first would name node row 1."""
     rng = np.random.default_rng(41)
     queries = FeatureMatrix(rng.normal(size=(2, 4)))
     gallery_rows = rng.normal(size=(6, 4))
@@ -925,6 +944,21 @@ def test_k_reciprocal_memory_stays_near_the_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_retrieval_workload_bytes():
+    """sha256 of the gallery indices and scores of rank, refine_ranking at
+    top-n 50 and sigma 0.1, and k-reciprocal re-ranking (20, 6, 0.3), in that
+    order, on the 120-identity blobs set that the retrieval benchmark runs;
+    the same under 1 and 2 OpenBLAS threads."""
+    queries, gallery, manifest = blob_split(1, 120)
+    plain = rank(queries, gallery, manifest)
+    digest = hashlib.sha256()
+    for ranking in (plain, refine_ranking(queries, plain, gallery, 50, 0.1),
+                    k_reciprocal_rerank(queries, gallery, manifest, 20, 6, 0.3)):
+        digest.update(ranking.gallery.tobytes())
+        digest.update(ranking.scores.tobytes())
+    assert digest.hexdigest() == "4be45c4412f21e24be05496d7fab971b80d751af3346cb1ebccf65b84cce2283"
 
 
 def test_refine_memory_of_long_heads_stays_near_one_graph():
