@@ -1,10 +1,10 @@
 """Graph-cut and random-walk diagnostics over affinity graphs.
 
 A graph is a square float64 array of edge weights, or for
-``class_ncut_escape`` the consecutive row blocks of one whose nodes are in
-class order, and a partition a vector of class ids 0..max, one per node.
-The graphs the package builds are finite, non-negative and exactly
-symmetric by construction, whole or in row tiles, so only shapes and
+``class_ncut_escape`` the consecutive upper trapezoids of one whose nodes
+are in class order, and a partition a vector of class ids 0..max, one per
+node.  The graphs the package builds are finite, non-negative and exactly
+symmetric by construction, whole or in trapezoids, so only shapes and
 labels are checked here.
 
 For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
@@ -12,8 +12,9 @@ For a class c of a partition, the normalized cut is cut(c, rest) / vol(c)
 one-step probabilities of escaping c and of escaping its complement at
 stationarity.  ``class_ncut_escape`` computes both sides of that identity
 for every class in one read-only pass over the class run sums of W (a
-run is a class's columns; ``sftlab diagnose`` orders its nodes by class
-once), in O(n + C) memory beside one row block.
+run is a class's columns or rows; ``sftlab diagnose`` orders its nodes by
+class once), reading each pair of nodes once, in O(n + C) memory beside
+one block.
 ``affinity_class_means`` gives the mean edge weights within and across
 classes, and ``ncut_loss`` turns the multiclass sum of escape
 probabilities into a differentiable training objective, used as a
@@ -47,20 +48,26 @@ def _others(per_class: np.ndarray) -> np.ndarray:
 def class_ncut_escape(blocks, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ncut, escape(c -> rest), escape(rest -> c)) for every class c at once.
 
-    ``blocks`` are the consecutive row blocks of a graph whose nodes are in
-    class order (``labels`` non-decreasing), such as
-    :func:`~sftlab.transform.affinity_tiles` yields for class-ordered rows,
-    so that no n x n array need exist.  Each class's columns are then one
-    run of every block, and each class sum of a row is a segment sum
+    ``blocks`` are the consecutive upper trapezoids of a symmetric graph
+    whose nodes are in class order (``labels`` non-decreasing): the one
+    starting at row lo holds rows lo:hi in columns lo:n, as
+    :func:`~sftlab.transform.affinity_tiles` yields them for class-ordered
+    rows, so that no n x n array need exist and each pair is read once; the
+    whole square graph is one such block.  Each class's columns are then
+    one run of every block, and each class sum of a row is a segment sum
     (``np.add.reduceat``) over that run.  No block is written to, so
     read-only blocks are fine, and a block whose rows are not unit-stride
     is read through a C-ordered copy, since the row sums add in memory
     order: any layout gives the bits of C order.
 
-    One ``reduceat`` per block gives each row's run sums of raw W into the
-    other classes.  Their row sums are the row's exits, the cut out of its
-    class; their column sums, added over the blocks, are the cut into each
-    class.  ``np.bincount`` then sums rows per class, and each class's
+    One ``reduceat`` per block gives its rows' run sums of raw W over the
+    columns from lo on.  Their row sums are the rows' degrees there; with
+    each row's own class left out, their row sums are the rows' exits, the
+    cut out of their class, and their column sums the cut into each class.
+    The columns past hi hold the cells of the rows below: summed over each
+    class run of the block's rows (one ``sum`` per run), they add the same
+    to those rows' degrees and exits and to the cut into the block's
+    classes.  ``np.bincount`` then sums rows per class, and each class's
     rest is the sum of the other classes, never a total less its own:
 
     * ncut = cross(c) / vol(c) + cross(c) / vol(rest), cross from exits;
@@ -83,23 +90,39 @@ def class_ncut_escape(blocks, labels: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # the first column of each non-empty class's run; a class with no nodes
     # has no run, since reduceat over an empty run returns the next column
     starts = (np.cumsum(counts) - counts)[present]
-    degrees = np.empty(n)
-    exits = np.empty(n)
+    degrees = np.zeros(n)
+    exits = np.zeros(n)
     entering = np.zeros(num_classes)
     lo = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for block in blocks:
-            if block.shape[1:] != (n,):
+            if block.shape[1:] != (n - lo,) or not 0 < len(block) <= n - lo:
                 raise ValueError(f"row block of shape {block.shape} in a {n}-node graph")
             if block.strides[1] != block.itemsize:
                 block = np.ascontiguousarray(block)
             rows = slice(lo, lo + len(block))
-            degrees[rows] = block.sum(axis=1)
+            # the classes with columns from lo on, and where their runs start
+            first = np.searchsorted(present, labels[lo])
+            classes = present[first:]
             # row i's weight into each class other than its own
-            runs = np.add.reduceat(block, starts, axis=1) * (labels[rows, None] != present)
+            runs = np.add.reduceat(block, np.maximum(starts[first:] - lo, 0), axis=1)
+            degrees[rows] += runs.sum(axis=1)
+            runs *= labels[rows, None] != classes
             # summed without the cancellation of degree - inside
-            exits[rows] = runs.sum(axis=1)
-            entering[present] += runs.sum(axis=0)
+            exits[rows] += runs.sum(axis=1)
+            entering[classes] += runs.sum(axis=0)
+            # the rows below, from their cells in the columns past hi,
+            # summed over the block's own class runs of rows
+            below = block[:, len(block):]
+            own = classes[:np.searchsorted(classes, labels[rows.stop - 1], side="right")]
+            ends = np.minimum(starts[first:first + own.size] + counts[own] - lo, len(block))
+            sums = np.empty((own.size, below.shape[1]))
+            for run, (start, end) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+                below[start:end].sum(axis=0, out=sums[run])
+            degrees[rows.stop:] += sums.sum(axis=0)
+            sums *= own[:, None] != labels[rows.stop:]
+            exits[rows.stop:] += sums.sum(axis=0)
+            entering[own] += sums.sum(axis=1)
             lo = rows.stop
         if lo != n:
             raise ValueError(f"row blocks cover {lo} rows of a {n}-node graph")

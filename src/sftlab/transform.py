@@ -37,8 +37,8 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # A graph of at most this many cells is built whole, as one symmetric product;
-# a larger one is built in row tiles of at most this many cells, so none of
-# its n x n cells need exist at once.
+# a larger one is built in upper trapezoids of at most this many cells, so
+# none of its n x n cells need exist at once and each pair is built once.
 _TILE_CELLS = 2**18
 
 
@@ -50,64 +50,72 @@ def _clipped_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     Pass one array twice for the cosines within one set of rows: numpy then
     takes a symmetric-product path whose last bits can differ from those of
     two equal but separate arrays, so each caller keeps its operand form.
-    A stack takes the same path per matrix as the matrix alone.  A row
-    tile of :func:`_cosine_tiles` is a plain product of a slice of the rows
-    with all of them.
+    A stack takes the same path per matrix as the matrix alone.  A
+    trapezoid of :func:`_cosine_tiles` is a plain product of a slice of the
+    rows with the rows from that slice's first on.
     """
     products = np.matmul(a, b.swapaxes(-1, -2), out=out)
     return np.clip(products, -1.0, 1.0, out=products)
 
 
-def _tile_rows(n: int) -> int:
-    """Rows per tile of an n-node graph: all n up to ``_TILE_CELLS`` cells,
-    else the most multiple-of-16 rows whose products with the n rows padded
-    to a multiple of 16 fit in that many cells, and at least 16."""
-    if n * n <= _TILE_CELLS:
-        return n
-    return max(16, _TILE_CELLS // (-(-n // 16) * 16) // 16 * 16)
-
-
 def _cosine_tiles(unit: np.ndarray):
-    """The cosines of n unit rows with themselves as consecutive row tiles,
-    for a matrix or for each matrix of an (..., n, d) stack with the bits
-    it has alone.
+    """The cosines of n unit rows with themselves as upper trapezoids, for
+    a matrix or for each matrix of an (..., n, d) stack with the bits it
+    has alone.
 
-    A graph of at most ``_TILE_CELLS`` cells is one tile, numpy's symmetric
-    product of the rows with themselves.  A larger graph is never whole:
-    the rows are zero-padded to a multiple of 16, each tile multiplies a
-    slice of a multiple of 16 padded rows (as many as the cell budget
-    holds, at least 16) with all padded rows, and the padding is sliced
-    off.  Every product then has the same multiple-of-16 shape, which keeps
-    the tiled graph exactly symmetric where plain row slices were not
-    (OpenBLAS, x86-64); at 2400 x 32 the tiles equal the whole product bit
-    for bit.  The tiles share one buffer: each is valid until the next.
+    A trapezoid holds rows lo:hi of the graph in columns lo:n, so its
+    shape gives its place: it starts at row ``lo = n - columns``, and its
+    columns past ``rows`` are the transpose of the cells below it.  The
+    trapezoids cover the upper triangle, each unordered pair once; the
+    graph is symmetric, so the rest is their mirror.
+
+    A graph of at most ``_TILE_CELLS`` cells is one trapezoid, numpy's
+    symmetric product of the rows with themselves.  A larger graph is never
+    whole: the rows are zero-padded to a multiple of 16, each trapezoid
+    multiplies a slice of a multiple of 32 padded rows, starting at a
+    multiple of 32 (as many as the cell budget holds, at least 32), with
+    the padded rows from its first on, and the padding is sliced off.
+    Every product then has multiple-of-16 shapes, which keeps the diagonal
+    blocks exactly symmetric where plain row slices were not (OpenBLAS,
+    x86-64); at 2400 x 32 every cell has the bits of the whole product.
+    Where n is a multiple of 32, so is each trapezoid's width, the inner
+    dimension of its product with the features in
+    :func:`sft_transform_array`: on two OpenBLAS threads an odd multiple of
+    16 there gave other bits than one thread.  The trapezoids share one
+    buffer: each is valid until the next.
     """
     n = unit.shape[-2]
-    step = _tile_rows(n)
-    if step == n:
+    if n * n <= _TILE_CELLS:
         yield _clipped_products(unit, unit)
         return
-    padded = np.zeros(unit.shape[:-2] + (-(-n // 16) * 16, unit.shape[-1]), dtype=unit.dtype)
+    size = -(-n // 16) * 16
+    padded = np.zeros(unit.shape[:-2] + (size, unit.shape[-1]), dtype=unit.dtype)
     padded[..., :n, :] = unit
-    buffer = np.empty(unit.shape[:-2] + (step, padded.shape[-2]), dtype=unit.dtype)
-    for lo in range(0, n, step):
-        rows = padded[..., lo:lo + step, :]
-        tile = _clipped_products(rows, padded, out=buffer[..., :rows.shape[-2], :])
-        yield tile[..., :n - lo, :n]
+    buffer = np.empty(unit.shape[:-2] + (max(_TILE_CELLS, 32 * size),), dtype=unit.dtype)
+    lo = 0
+    while lo < n:
+        columns = padded[..., lo:, :]
+        rows = columns[..., :max(32, _TILE_CELLS // (size - lo) // 32 * 32), :]
+        shape = rows.shape[-2], size - lo
+        tile = _clipped_products(rows, columns, out=buffer[..., :shape[0] * shape[1]].reshape(
+            unit.shape[:-2] + shape))
+        yield tile[..., :n - lo, :n - lo]
+        lo += shape[0]
 
 
 def _joined(blocks, n: int) -> np.ndarray:
-    """The (..., n, m) array whose consecutive row blocks these are; a lone
-    block of all n rows is returned as it is."""
-    whole, lo = None, 0
+    """The symmetric (..., n, n) array whose upper trapezoids these are
+    (see :func:`_cosine_tiles`); a lone block of all n rows is returned as
+    it is."""
+    whole = None
     for block in blocks:
-        rows = block.shape[-2]
+        rows, lo = block.shape[-2], n - block.shape[-1]
         if rows == n:
             return block
         if whole is None:
-            whole = np.empty(block.shape[:-2] + (n, block.shape[-1]), dtype=block.dtype)
-        whole[..., lo:lo + rows, :] = block
-        lo += rows
+            whole = np.empty(block.shape[:-2] + (n, n), dtype=block.dtype)
+        whole[..., lo:lo + rows, lo:] = block
+        whole[..., lo + rows:, lo:lo + rows] = block[..., rows:].swapaxes(-1, -2)
     return whole
 
 
@@ -130,7 +138,7 @@ def _check_sigma(sigma: float) -> float:
 
 def _exp_cosines(unit: np.ndarray, sigma: float):
     """Edge weights exp((cos - 1) / sigma) <= 1 of unit rows, built in place
-    on the cosine tiles of :func:`_cosine_tiles`, whose buffer they share;
+    on the cosine trapezoids of :func:`_cosine_tiles`, whose buffer they share;
     ratios of edge sums ignore the common factor exp(-1 / sigma)."""
     for weights in _cosine_tiles(unit):
         weights -= 1.0
@@ -140,9 +148,10 @@ def _exp_cosines(unit: np.ndarray, sigma: float):
 
 
 def affinity_tiles(x: FeatureMatrix, sigma: float):
-    """The graph of :func:`affinity` as consecutive row tiles, each valid
-    until the next: one tile up to 512 rows, else tiles of at most 2**18
-    cells, so that no n x n array need exist."""
+    """The graph of :func:`affinity` as consecutive upper trapezoids (see
+    :func:`_cosine_tiles`), each valid until the next: the whole graph up
+    to 512 rows, else trapezoids of at most 2**18 cells, so that no n x n
+    array need exist and each pair of rows is built once."""
     return _exp_cosines(_unit_rows(x.data)[1], _check_sigma(sigma))
 
 
@@ -152,28 +161,22 @@ def affinity(x: FeatureMatrix, sigma: float) -> np.ndarray:
     return _joined(affinity_tiles(x, sigma), x.n)
 
 
-def _transition_tiles(unit: np.ndarray, sigma: float | np.ndarray):
-    """Rows of the transition matrix of unit rows: the row softmax of
-    cos / sigma (max subtraction per row), in place on the cosine tiles of
-    :func:`_cosine_tiles`, whose buffer they share."""
-    for trans in _cosine_tiles(unit):
-        trans /= sigma
-        trans -= trans.max(axis=-1, keepdims=True)
-        np.exp(trans, out=trans)
-        trans /= trans.sum(axis=-1, keepdims=True)
-        yield trans
-
-
 def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(norms, unit rows, transition matrix) for raw feature rows, or for
     each matrix of an (..., n, d) stack with the bits it has alone; sigma
     may be an array that broadcasts against the stack, one value per matrix.
-    The row softmax runs in place on each cosine tile, so the matrix it
-    returns is the only n x n array alive.
+    The transition matrix is the row softmax of cos / sigma (max
+    subtraction per row), in place on the joined cosines, so it is the only
+    n x n array alive.
     """
     norms, unit = _unit_rows(x)
-    return norms, unit, _joined(_transition_tiles(unit, sigma), unit.shape[-2])
+    trans = _joined(_cosine_tiles(unit), unit.shape[-2])
+    trans /= sigma
+    trans -= trans.max(axis=-1, keepdims=True)
+    np.exp(trans, out=trans)
+    trans /= trans.sum(axis=-1, keepdims=True)
+    return norms, unit, trans
 
 
 def _unit_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -202,12 +205,35 @@ def sft_transform_array(x: np.ndarray, sigma: float) -> np.ndarray:
     """Array-in/array-out variant of :func:`sft_transform` for inner loops;
     an (..., n, d) stack transforms each n-row graph on its own.
 
-    Each row tile of transition rows multiplies onto ``x`` as soon as it is
-    built, so a graph of more than 2**18 cells never exists whole.
+    A graph of more than 2**18 cells never exists whole: each upper
+    trapezoid of edge weights multiplies onto ``x`` as soon as it is built,
+    once for its rows and once, transposed, for the rows below it, and the
+    sums are divided by the degrees at the end.  Its rows are shifted by
+    1 / sigma in place of their max, which every row reaches as each
+    self-cosine is set to exactly 1: an exponent of 0, so no row's weights
+    all underflow at any valid sigma.
     """
     sigma = _check_sigma(sigma)
-    trans = _transition_tiles(_unit_rows(x)[1], sigma)
-    return _joined((tile @ x for tile in trans), x.shape[-2])
+    n = x.shape[-2]
+    if n * n <= _TILE_CELLS:
+        return _transition_from_features(x, sigma)[2] @ x
+    out = np.zeros(x.shape)
+    degrees = np.zeros(x.shape[:-1])
+    for weights in _cosine_tiles(_unit_rows(x)[1]):
+        rows, lo = weights.shape[-2], n - weights.shape[-1]
+        hi = lo + rows
+        diagonal = np.arange(rows)
+        weights[..., diagonal, diagonal] = 1.0
+        weights /= sigma
+        weights -= 1.0 / sigma
+        np.exp(weights, out=weights)
+        below = weights[..., rows:]
+        out[..., lo:hi, :] += weights @ x[..., lo:, :]
+        out[..., hi:, :] += below.swapaxes(-1, -2) @ x[..., lo:hi, :]
+        degrees[..., lo:hi] += weights.sum(axis=-1)
+        degrees[..., hi:] += below.sum(axis=-2)
+    out /= degrees[..., None]
+    return out
 
 
 def sft_backward(x: np.ndarray, sigma: float, grad_out: np.ndarray,

@@ -5,7 +5,7 @@ and the random walk's D^-1 W) are written out from their definitions on
 the raw edge weights, a float64 array, and a class-id vector, apart from
 ``sftlab.graphcut.class_ncut_escape``, which computes every class's ncut
 and escape probabilities in one pass and is checked against them.  It
-reads row blocks of a graph in class order; :func:`ordered_ncut_escape`
+reads upper trapezoids of a graph in class order; :func:`ordered_ncut_escape`
 gives it a square graph as one such block.
 
 The margin-softmax helpers, :func:`forward_backward` and :func:`refine_one`

@@ -260,8 +260,8 @@ def graph_file(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["diagnose", "transform"])
 def test_graph_commands_hold_no_graph(graph_file, tmp_path, capsys, command):
-    """diagnose and transform stream the graph in row tiles of at most
-    2**18 cells, so each peaks below half of the 8 n^2 bytes that one
+    """diagnose and transform stream the graph in upper trapezoids of at
+    most 2**18 cells, so each peaks below half of the 8 n^2 bytes that one
     n x n graph would take; the whole-graph code peaked at 1.37 (diagnose)
     and 1.09 (transform) graphs."""
     feats, manifest = graph_file
@@ -281,7 +281,7 @@ def test_graph_commands_hold_no_graph(graph_file, tmp_path, capsys, command):
 
 def test_diagnose_memory_is_one_tile_and_o_of_n_plus_classes(tmp_path, capsys):
     """diagnose at n = 4,000 with 200 identities traces under 10 MiB: one
-    2 MiB row tile, O(n) rows of features and per-row sums, and O(C)
+    2 MiB tile, O(n) rows of features and per-row sums, and O(C)
     class sums.  Three n x C arrays of class sums took it to 24.7 MiB."""
     feats, manifest = tmp_path / "f.sfte", tmp_path / "m.tsv"
     assert run("gen", "--spec", "blobs", "--identities", 200, "--per-id", 20, "--dim", 32,
@@ -296,21 +296,31 @@ def test_diagnose_memory_is_one_tile_and_o_of_n_plus_classes(tmp_path, capsys):
     assert peak < 10 * 2**20, peak / 2**20
 
 
-def test_graph_workload_bytes_are_pinned(tmp_path, capsys):
-    """sha256 of `transform --sigma 0.1`'s file and of `diagnose --sigma
-    0.1`'s stdout on the benchmark's 2,400-row graph set (whose bytes
-    tests/test_data.py pins), as the whole-graph code wrote them: the row
-    tiles keep every bit where n is a multiple of 16, and the class run
-    sums of the class-ordered nodes, which replaced the two n x n x C
-    products, keep every printed digit.  The diagnose digest was recorded
-    again when the escape route took the cut into each class from column
-    sums: its residual line moved from 1.665335e-16 to 3.330669e-16, and
-    no other line moved."""
+@pytest.fixture(scope="module")
+def workload_graph(tmp_path_factory):
+    """The benchmark's 2,400-row graph set (whose bytes tests/test_data.py
+    pins): 24 identities x 100 samples."""
     features, manifest = generate_synthetic(
         SyntheticSpec(24, 100, 32, intra_class_spread=0.3, topology="gaussian_blobs", seed=1))
-    feats, records, out = tmp_path / "f.sfte", tmp_path / "m.tsv", tmp_path / "t.sfte"
+    path = tmp_path_factory.mktemp("workload_graph")
+    feats, records = path / "f.sfte", path / "m.tsv"
     save_features(features, feats)
     save_manifest(manifest, records)
+    return feats, records
+
+
+def test_graph_workload_bytes_are_pinned(workload_graph, tmp_path, capsys):
+    """sha256 of `transform --sigma 0.1`'s file and of `diagnose --sigma
+    0.1`'s stdout on the benchmark's 2,400-row graph set, as the
+    whole-graph code wrote them: the tiles keep every bit where n is a
+    multiple of 16, and the class run sums of the class-ordered nodes,
+    which replaced the two n x n x C products, keep every printed digit.
+    The diagnose digest was recorded again when the escape route took the
+    cut into each class from column sums: its residual line moved from
+    1.665335e-16 to 3.330669e-16, and no other line moved.  Building each
+    pair once, in upper trapezoids, moved neither digest."""
+    feats, records = workload_graph
+    out = tmp_path / "t.sfte"
     assert run("transform", "--features", feats, "--sigma", "0.1", "--out", out) == 0
     capsys.readouterr()
     assert run("diagnose", "--features", feats, "--manifest", records, "--sigma", "0.1") == 0
@@ -324,7 +334,7 @@ def test_graph_workload_bytes_are_pinned(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def two_tile_graph(tmp_path_factory):
     """A 600-row feature file and manifest, 20 identities x 30 samples:
-    a graph of two row tiles."""
+    a graph of two upper trapezoids."""
     path = tmp_path_factory.mktemp("two_tiles")
     feats, manifest = path / "feats.sfte", path / "m.tsv"
     assert run("gen", "--spec", "blobs", "--identities", 20, "--per-id", 30, "--dim", 32,
@@ -337,8 +347,8 @@ def two_tile_graph(tmp_path_factory):
     ("0.5", "904b9f46fe2e3ae1f59dc862ae67813794f92c8d77119c611bd76078dbca5ff2"),
 ])
 def test_two_tile_escape_and_ncut_lines_are_pinned(two_tile_graph, capsys, sigma, digest):
-    """sha256 of diagnose's escape and ncut lines on a graph of two row
-    tiles, as written when the escape route divided every cell of a tile
+    """sha256 of diagnose's escape and ncut lines on a graph of two upper
+    trapezoids, as written when the escape route divided every cell of a tile
     into transition rows before summing its class runs.  The residual line
     is left out: it compares two routes and may move in its last digits."""
     feats, manifest = two_tile_graph
@@ -346,6 +356,59 @@ def test_two_tile_escape_and_ncut_lines_are_pinned(two_tile_graph, capsys, sigma
     *lines, residual = capsys.readouterr().out.splitlines()
     assert len(lines) == 20 and residual.startswith("max_ncut_identity_residual=")
     assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == digest
+
+
+def test_graph_bytes_do_not_depend_on_blas_threads(workload_graph, tmp_path):
+    """`transform` and `diagnose` on the benchmark's 2,400-row set write the
+    same bytes on one and on two OpenBLAS threads: every product of a
+    graph above 2**18 cells has multiple-of-16 shapes.  Each run is a child
+    process, the only one whose environment sets the thread count."""
+    feats, records = workload_graph
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = ("import sys; from sftlab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"t{threads}.sfte"
+        for argv in (["transform", "--features", feats, "--sigma", "0.1", "--out", out],
+                     ["diagnose", "--features", feats, "--manifest", records, "--sigma", "0.1"]):
+            done = subprocess.run([sys.executable, "-c", child, *map(str, argv)], capture_output=True,
+                                  env=env, timeout=120, check=False)
+            assert (done.returncode, done.stderr) == (0, b""), done.stderr
+            payload = out.read_bytes() if argv[0] == "transform" else done.stdout
+            digests[threads, argv[0]] = hashlib.sha256(payload).hexdigest()
+    for command in ("transform", "diagnose"):
+        assert digests["1", command] == digests["2", command], command
+
+
+@pytest.mark.parametrize("command", ["diagnose", "transform"])
+def test_graph_command_memory_is_linear_in_rows(graph_file, workload_graph, tmp_path, capsys, command):
+    """Doubling the rows from 1,200 to 2,400 at most doubles the traced peak
+    of `diagnose` and `transform`, plus one 2**18-cell tile: only the
+    O(n) rows and per-row sums grow with n, not an n x n array."""
+    peaks = []
+    for feats, manifest in (graph_file, workload_graph):
+        args = (["--manifest", manifest] if command == "diagnose"
+                else ["--out", tmp_path / "t.sfte"])
+        tracemalloc.start()
+        try:
+            assert run(command, "--features", feats, "--sigma", "0.1", *args) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= 2 * peaks[0] + 8 * 2**18, peaks
+
+
+def test_tiny_sigma_transform_writes_its_input_back(two_tile_graph, tmp_path):
+    """At sigma 1e-300 every edge weight but a node's own underflows to 0,
+    and its own is exp(0) = 1 as each self-cosine is exactly 1, so the
+    transform writes its input back byte for byte, with no NaN row."""
+    feats, _ = two_tile_graph
+    out = tmp_path / "t.sfte"
+    assert run("transform", "--features", feats, "--sigma=1e-300", "--out", out) == 0
+    assert out.read_bytes() == Path(feats).read_bytes()
 
 
 @pytest.mark.parametrize("sigma", ["5e-324", "1e-310", "1e-300", "1e300", "nan"])

@@ -237,8 +237,8 @@ class TestClassNcutEscape:
             assert abs(ncuts[c] - escapes[c] - escapes_rest[c]) < 1e-12
 
     def test_several_row_chunks(self):
-        # 600 rows: the tiles of the class-ordered rows are two row blocks,
-        # of 416 and 184 rows, as ``sftlab diagnose`` reads them
+        # 600 rows: the graph of the class-ordered rows is two upper
+        # trapezoids, of 416 and 184 rows, as ``sftlab diagnose`` reads it
         x = np.random.default_rng(15).normal(size=(600, 8))
         w = affinity(FeatureMatrix(x), 0.3)
         labels = np.arange(600) % 5
@@ -307,25 +307,28 @@ class TestClassNcutEscape:
         w = affinity(FeatureMatrix(x), 0.3)
         labels = np.sort(np.arange(40) % 3)
         whole = class_ncut_escape([w], labels)
-        blocked = class_ncut_escape((w[lo:lo + 7].copy() for lo in range(0, 40, 7)), labels)
+        blocked = class_ncut_escape((w[lo:lo + 7, lo:].copy() for lo in range(0, 40, 7)), labels)
         for got, want in zip(blocked, whole):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         with pytest.raises(ValueError, match="^row blocks cover 35 rows of a 40-node graph$"):
-            class_ncut_escape((w[lo:lo + 7].copy() for lo in range(0, 35, 7)), labels)
+            class_ncut_escape((w[lo:lo + 7, lo:].copy() for lo in range(0, 35, 7)), labels)
+        # a block of whole rows past the first is no upper trapezoid
+        with pytest.raises(ValueError, match=r"^row block of shape \(7, 40\) in a 40-node graph$"):
+            class_ncut_escape((w[lo:lo + 7].copy() for lo in range(0, 40, 7)), labels)
 
     @pytest.mark.parametrize("form", ["row_blocks", "square", "fortran_square"])
     def test_blocks_are_read_not_written(self, form):
         # read-only blocks give the bits of writable copies of the same
-        # layout: seven-row blocks, or the whole square graph as one block,
-        # C- or Fortran-ordered
+        # layout: upper trapezoids of seven rows, or the whole square graph
+        # as one block, C- or Fortran-ordered
         x = np.random.default_rng(19).normal(size=(40, 6))
         w = affinity(FeatureMatrix(x), 0.3)
         labels = np.repeat(np.arange(3), [13, 14, 13])
         frozen = np.asfortranarray(w) if form == "fortran_square" else w.copy()
         frozen.setflags(write=False)
         if form == "row_blocks":
-            writable = [w[lo:lo + 7].copy() for lo in range(0, 40, 7)]
-            got = class_ncut_escape((frozen[lo:lo + 7] for lo in range(0, 40, 7)), labels)
+            writable = [w[lo:lo + 7, lo:].copy() for lo in range(0, 40, 7)]
+            got = class_ncut_escape((frozen[lo:lo + 7, lo:] for lo in range(0, 40, 7)), labels)
         else:
             writable = [frozen.copy(order="K")]
             got = class_ncut_escape([frozen], labels)
@@ -333,21 +336,22 @@ class TestClassNcutEscape:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(frozen, w)
-        np.testing.assert_array_equal(np.concatenate(writable), w)
+        for lo, block in zip(range(0, 40, 7), writable):
+            np.testing.assert_array_equal(block, w[lo:lo + len(block), lo:])
 
     @pytest.mark.parametrize("rows", [40, 7])
     def test_block_layout_leaves_the_bits(self, rows):
-        # the whole graph or seven-row blocks, Fortran-ordered or padded row
-        # views, give the bits of the same values C-ordered
+        # the whole graph or upper trapezoids of seven rows, Fortran-ordered
+        # or padded row views, give the bits of the same values C-ordered
         x = np.random.default_rng(19).normal(size=(40, 6))
         w = affinity(FeatureMatrix(x), 0.3)
         labels = np.repeat(np.arange(3), [13, 14, 13])
         padded = np.zeros((40, 48))
         padded[:, :40] = w
-        spans = [slice(lo, lo + rows) for lo in range(0, 40, rows)]
+        spans = [(slice(lo, lo + rows), slice(lo, 40)) for lo in range(0, 40, rows)]
         want = class_ncut_escape([w[span].copy() for span in spans], labels)
         for got in (class_ncut_escape([np.asfortranarray(w[span]) for span in spans], labels),
-                    class_ncut_escape([padded[span, :40] for span in spans], labels)):
+                    class_ncut_escape([padded[span] for span in spans], labels)):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
@@ -380,7 +384,8 @@ class TestClassNcutEscape:
 def partitioned_graphs(draw):
     """A symmetric non-negative graph with some zero edges and one
     zero-degree node, class ids in class order with gaps below the largest
-    (classes with no nodes), and random consecutive row blocks."""
+    (classes with no nodes), and the bounds of random consecutive upper
+    trapezoids."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(3, 40))
     raw = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.8)
@@ -400,7 +405,7 @@ def partitioned_graphs(draw):
 def test_array_blocks_and_oracles_agree(graph):
     w, labels, bounds = graph
     whole = class_ncut_escape([w], labels)
-    blocked = class_ncut_escape((w[lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])), labels)
+    blocked = class_ncut_escape((w[lo:hi, lo:].copy() for lo, hi in zip(bounds, bounds[1:])), labels)
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     ncuts, escapes, escapes_rest = whole
@@ -434,8 +439,8 @@ BAD_GRAPHS = {
 }
 
 
-# class_ncut_escape reads each graph as one row block, whose shape it
-# checks against the labels' node count
+# class_ncut_escape reads each graph as one block, whose shape it checks
+# against the labels' node count
 BLOCK_MESSAGES = {
     "non_square": r"row block of shape \(2, 3\) in a 2-node graph",
     "too_many_labels": r"row block of shape \(2, 2\) in a 3-node graph",

@@ -13,6 +13,7 @@ from sftlab.data import DatasetManifest, FeatureMatrix, SampleRecord, load_featu
 from sftlab.graphcut import class_ncut_escape, ncut_loss
 from sftlab.transform import (
     ZeroNormRowError,
+    _cosine_tiles,
     _cosine_backward,
     _sft_backward,
     _transition_from_features,
@@ -79,17 +80,17 @@ class TestAffinity:
 
 
 # (rows, dims) of graphs the package builds, from 51-node refine heads to
-# the 2,400-row diagnose graph; from 513 rows on a graph is built in row
-# tiles, and 513 and 1237 are no multiple of the tiles' 16-row padding
+# the 2,400-row diagnose graph; from 513 rows on a graph is built in upper
+# trapezoids, and 513 and 1237 are no multiple of their 16-row padding
 SYMMETRY_SHAPES = [(51, 16), (300, 7), (513, 16), (957, 32), (1237, 32), (2400, 32)]
 
 
 class TestBuiltGraphsAreSymmetric:
     """Every graph the package builds is exactly symmetric: the cosines are
-    numpy's symmetric product of the unit rows with themselves, or row
-    tiles of a zero-padded product whose shapes are all multiples of 16,
-    and the rest is elementwise.  The graph diagnostics rely on this
-    instead of checking each graph."""
+    numpy's symmetric product of the unit rows with themselves, or upper
+    trapezoids of a zero-padded product whose shapes are all multiples of
+    16 and their mirror, and the rest is elementwise.  The graph
+    diagnostics rely on this instead of checking each graph."""
 
     @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
     def test_affinity(self, n, d):
@@ -119,10 +120,27 @@ class TestBuiltGraphsAreSymmetric:
 
 class TestRowTiles:
     """A graph of more than 2**18 cells is built, and multiplied onto the
-    features, one row tile at a time."""
+    features, one upper trapezoid at a time."""
+
+    @pytest.mark.parametrize("n", [513, 1237, 2400, 4000])
+    def test_trapezoids_cover_the_upper_triangle_once(self, n):
+        # each trapezoid starts at a multiple of 32 rows, holds rows lo:hi in
+        # columns lo:n of at most 2**18 padded cells, and starts where the
+        # last one stopped
+        x = np.random.default_rng(n).normal(size=(n, 8))
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        whole = np.clip(unit @ unit.T, -1.0, 1.0)
+        lo = 0
+        for tile in _cosine_tiles(unit):
+            rows, columns = tile.shape
+            assert lo % 32 == 0 and columns == n - lo
+            assert -(-rows // 16) * 16 * (-(-columns // 16) * 16) <= 2**18
+            np.testing.assert_allclose(tile, whole[lo:lo + rows, lo:], rtol=0, atol=1e-15)
+            lo += rows
+        assert lo == n
 
     def test_transform_matches_a_whole_graph_reference(self):
-        # 1237 rows: six tiles of 208 padded rows, the last one cut short
+        # 1237 rows: five trapezoids of 192, 224, 288, 480 and 53 rows
         x = np.random.default_rng(8).normal(size=(1237, 32))
         got = sft_transform_array(x, 0.2)
         unit = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -131,7 +149,7 @@ class TestRowTiles:
         assert np.array_equal(got, sft_transform_array(x[None], 0.2)[0])
 
     def test_whole_graphs_are_the_tiles_joined(self):
-        # 600 rows: two tiles, of 416 and 184 rows
+        # 600 rows: two trapezoids, of 416 and 184 rows
         x = np.random.default_rng(9).normal(size=(600, 8))
         trans = _transition_from_features(x, 0.3)[2]
         assert np.array_equal(trans, _transition_from_features(x[None], 0.3)[2][0])
