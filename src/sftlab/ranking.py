@@ -292,16 +292,11 @@ def _stable_top(dist: np.ndarray, k: int) -> np.ndarray:
         top[lo:lo + _ROW_BLOCK] = np.take_along_axis(near, np.lexsort((near, near_dist)), axis=1)
         # a row with more columns than these at or below its (k+1)-th
         # smallest distance has a tie at the boundary, which the partition
-        # may have settled against the index order: such a row's columns at
-        # or below that distance are sorted again by (distance, index), as
-        # in _ranked
+        # may have settled against the index order: such rows are sorted
+        # again stably, as in _ranked
         kth = near_dist.max(axis=1, keepdims=True)
         tied = np.flatnonzero(np.count_nonzero(rows <= kth, axis=1) > k + 1)
-        candidates = rows[tied]
-        row, col = np.nonzero(candidates <= kth[tied])
-        col = col[np.lexsort((col, candidates[row, col], row))]
-        counts = np.bincount(row, minlength=tied.size)
-        top[lo + tied] = col[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
+        top[lo + tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k + 1]
     return top
 
 

@@ -37,8 +37,9 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # A graph of at most this many cells is built whole, as one symmetric product;
-# a larger one is built in upper trapezoids of at most this many cells, so
-# none of its n x n cells need exist at once and each pair is built once.
+# a larger one is built in upper trapezoids of at most this many cells and at
+# least 32 rows (so 32 x n cells above 8,192 rows), so none of its n x n
+# cells need exist at once and each pair is built once.
 _TILE_CELLS = 2**18
 
 
@@ -150,8 +151,9 @@ def _exp_cosines(unit: np.ndarray, sigma: float):
 def affinity_tiles(x: FeatureMatrix, sigma: float):
     """The graph of :func:`affinity` as consecutive upper trapezoids (see
     :func:`_cosine_tiles`), each valid until the next: the whole graph up
-    to 512 rows, else trapezoids of at most 2**18 cells, so that no n x n
-    array need exist and each pair of rows is built once."""
+    to 512 rows, else trapezoids of at most 2**18 cells and at least 32
+    rows, so that no n x n array need exist and each pair of rows is built
+    once."""
     return _exp_cosines(_unit_rows(x.data)[1], _check_sigma(sigma))
 
 

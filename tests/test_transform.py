@@ -139,6 +139,25 @@ class TestRowTiles:
             lo += rows
         assert lo == n
 
+    def test_above_8192_rows_a_trapezoid_holds_32_rows(self):
+        # the 32-row floor beats the cell budget there: a trapezoid holds
+        # 32 padded rows times the padded columns, more than 2**18 cells,
+        # until the columns fit the budget again
+        n, size = 9000, 9008
+        x = np.random.default_rng(9).normal(size=(n, 4))
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        lo = 0
+        for tile in _cosine_tiles(unit):
+            rows, columns = tile.shape
+            assert columns == n - lo
+            if lo == 0:
+                assert rows == 32 and rows * size > 2**18
+            assert -(-rows // 16) * 16 * (size - lo) <= max(2**18, 32 * size)
+            assert rows == 32 or 32 * (size - lo) <= 2**18
+            np.testing.assert_allclose(tile, unit[lo:lo + rows] @ unit[lo:].T, rtol=0, atol=1e-15)
+            lo += rows
+        assert lo == n
+
     def test_transform_matches_a_whole_graph_reference(self):
         # 1237 rows: five trapezoids of 192, 224, 288, 480 and 53 rows
         x = np.random.default_rng(8).normal(size=(1237, 32))
