@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transform import _check_sigma, _cosine_backward, _exp_cosines, _joined, _unit_rows
+from .transform import _check_sigma, _cosine_backward, _exp_cosines, _unit_rows
 
 
 def _class_count(labels: np.ndarray, nodes: int) -> int:
@@ -166,7 +166,7 @@ def ncut_loss(x: np.ndarray, labels: np.ndarray, sigma) -> tuple[float | np.ndar
     np.put_along_axis(row_class, order, np.cumsum(first).reshape(labels.shape) - 1, axis=-1)
     owner = np.nonzero(first.reshape(-1, labels.shape[-1]))[0]  # the matrix of each class
     norms, unit = _unit_rows(x)
-    weights = _joined(_exp_cosines(unit, sigma), labels.shape[-1])
+    weights, = _exp_cosines(unit, sigma, whole=True)
     outside = row_class[..., :, None] != row_class[..., None, :]
     cross = np.bincount(row_class.ravel(), (weights * outside).sum(axis=-1).ravel())
     vol = np.bincount(row_class.ravel(), weights.sum(axis=-1).ravel())

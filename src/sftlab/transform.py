@@ -36,10 +36,9 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, x / norms[..., None]
 
 
-# A graph of at most this many cells is built whole, as one symmetric product;
-# a larger one is built in upper trapezoids of at most this many cells and at
-# least 32 rows (so 32 x n cells above 8,192 rows), so none of its n x n
-# cells need exist at once and each pair is built once.
+# A graph of at most this many cells is one symmetric product; a larger one is
+# one padded product where its caller needs it whole, else upper trapezoids of
+# at most this many cells and at least 32 rows (32 x n cells above 8,192 rows).
 _TILE_CELLS = 2**18
 
 
@@ -51,18 +50,19 @@ def _clipped_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     Pass one array twice for the cosines within one set of rows: numpy then
     takes a symmetric-product path whose last bits can differ from those of
     two equal but separate arrays, so each caller keeps its operand form.
-    A stack takes the same path per matrix as the matrix alone.  A
-    trapezoid of :func:`_cosine_tiles` is a plain product of a slice of the
-    rows with the rows from that slice's first on.
+    A stack takes the same path per matrix as the matrix alone.  Above 512
+    rows :func:`_cosine_tiles` passes two arrays of padded rows, a slice and
+    the rows from its first on, or all rows and a copy: one array twice gave
+    the same bits there but ran slower at 2,400 rows.
     """
     products = np.matmul(a, b.swapaxes(-1, -2), out=out)
     return np.clip(products, -1.0, 1.0, out=products)
 
 
-def _cosine_tiles(unit: np.ndarray):
-    """The cosines of n unit rows with themselves as upper trapezoids, for
-    a matrix or for each matrix of an (..., n, d) stack with the bits it
-    has alone.
+def _cosine_tiles(unit: np.ndarray, whole: bool = False):
+    """The cosines of n unit rows with themselves as upper trapezoids, or
+    as one n x n block with ``whole``, for a matrix or for each matrix of
+    an (..., n, d) stack with the bits it has alone.
 
     A trapezoid holds rows lo:hi of the graph in columns lo:n, so its
     shape gives its place: it starts at row ``lo = n - columns``, and its
@@ -71,16 +71,17 @@ def _cosine_tiles(unit: np.ndarray):
     graph is symmetric, so the rest is their mirror.
 
     A graph of at most ``_TILE_CELLS`` cells is one trapezoid, numpy's
-    symmetric product of the rows with themselves.  A larger graph is never
-    whole: the rows are zero-padded to a multiple of 16, each trapezoid
+    symmetric product of the rows with themselves.  A larger graph pads the
+    rows with zeros to a multiple of 16.  With ``whole`` it is the trapezoid
+    of all rows, an n x n view of the padded rows times a copy, with the
+    bits of the trapezoids and their mirror.  Else each trapezoid
     multiplies a slice of a multiple of 32 padded rows, starting at a
     multiple of 32 (as many as the cell budget holds, at least 32), with
     the padded rows from its first on, and the padding is sliced off.
     Every product then has multiple-of-16 shapes, which keeps the diagonal
     blocks exactly symmetric where plain row slices were not (OpenBLAS,
-    x86-64); at 2400 x 32 every cell has the bits of the whole product.
-    Where n is a multiple of 32, so is each trapezoid's width, the inner
-    dimension of its product with the features in
+    x86-64).  Where n is a multiple of 32, so is each trapezoid's width,
+    the inner dimension of its product with the features in
     :func:`sft_transform_array`: on two OpenBLAS threads an odd multiple of
     16 there gave other bits than one thread.  The trapezoids share one
     buffer: each is valid until the next.
@@ -92,6 +93,9 @@ def _cosine_tiles(unit: np.ndarray):
     size = -(-n // 16) * 16
     padded = np.zeros(unit.shape[:-2] + (size, unit.shape[-1]), dtype=unit.dtype)
     padded[..., :n, :] = unit
+    if whole:
+        yield _clipped_products(padded, padded.copy())[..., :n, :n]
+        return
     buffer = np.empty(unit.shape[:-2] + (max(_TILE_CELLS, 32 * size),), dtype=unit.dtype)
     lo = 0
     while lo < n:
@@ -102,22 +106,6 @@ def _cosine_tiles(unit: np.ndarray):
             unit.shape[:-2] + shape))
         yield tile[..., :n - lo, :n - lo]
         lo += shape[0]
-
-
-def _joined(blocks, n: int) -> np.ndarray:
-    """The symmetric (..., n, n) array whose upper trapezoids these are
-    (see :func:`_cosine_tiles`); a lone block of all n rows is returned as
-    it is."""
-    whole = None
-    for block in blocks:
-        rows, lo = block.shape[-2], n - block.shape[-1]
-        if rows == n:
-            return block
-        if whole is None:
-            whole = np.empty(block.shape[:-2] + (n, n), dtype=block.dtype)
-        whole[..., lo:lo + rows, lo:] = block
-        whole[..., lo + rows:, lo:lo + rows] = block[..., rows:].swapaxes(-1, -2)
-    return whole
 
 
 def cosine_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,11 +125,11 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def _exp_cosines(unit: np.ndarray, sigma: float):
+def _exp_cosines(unit: np.ndarray, sigma: float, whole: bool = False):
     """Edge weights exp((cos - 1) / sigma) <= 1 of unit rows, built in place
-    on the cosine trapezoids of :func:`_cosine_tiles`, whose buffer they share;
+    on the cosine blocks of :func:`_cosine_tiles` (trapezoids share a buffer);
     ratios of edge sums ignore the common factor exp(-1 / sigma)."""
-    for weights in _cosine_tiles(unit):
+    for weights in _cosine_tiles(unit, whole):
         weights -= 1.0
         weights /= sigma
         np.exp(weights, out=weights)
@@ -159,8 +147,10 @@ def affinity_tiles(x: FeatureMatrix, sigma: float):
 
 def affinity(x: FeatureMatrix, sigma: float) -> np.ndarray:
     """Edge weights w_ij = exp((cos(x_i, x_j) - 1) / sigma) in (0, 1], finite
-    at every valid sigma: exp(cos / sigma) scaled by exp(-1 / sigma)."""
-    return _joined(affinity_tiles(x, sigma), x.n)
+    at every valid sigma: exp(cos / sigma) scaled by exp(-1 / sigma); above
+    512 rows an n x n view of the padded product (:func:`_cosine_tiles`)."""
+    weights, = _exp_cosines(_unit_rows(x.data)[1], _check_sigma(sigma), whole=True)
+    return weights
 
 
 def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray
@@ -169,11 +159,11 @@ def _transition_from_features(x: np.ndarray, sigma: float | np.ndarray
     each matrix of an (..., n, d) stack with the bits it has alone; sigma
     may be an array that broadcasts against the stack, one value per matrix.
     The transition matrix is the row softmax of cos / sigma (max
-    subtraction per row), in place on the joined cosines, so it is the only
-    n x n array alive.
+    subtraction per row), in place on the whole cosine graph of
+    :func:`_cosine_tiles`, so it is the only graph alive.
     """
     norms, unit = _unit_rows(x)
-    trans = _joined(_cosine_tiles(unit), unit.shape[-2])
+    trans, = _cosine_tiles(unit, whole=True)
     trans /= sigma
     trans -= trans.max(axis=-1, keepdims=True)
     np.exp(trans, out=trans)

@@ -6,7 +6,9 @@ the raw edge weights, a float64 array, and a class-id vector, apart from
 ``sftlab.graphcut.class_ncut_escape``, which computes every class's ncut
 and escape probabilities in one pass and is checked against them.  It
 reads upper trapezoids of a graph in class order; :func:`ordered_ncut_escape`
-gives it a square graph as one such block.
+gives it a square graph as one such block, and :func:`joined` writes the
+trapezoids of ``sftlab.transform._cosine_tiles`` and their mirror into the
+whole graph, the oracle of its one padded product.
 
 The margin-softmax helpers, :func:`forward_backward` and :func:`refine_one`
 are thin forms of the package's own kernels, so a finite-difference or
@@ -59,6 +61,20 @@ def ordered_ncut_escape(w, labels):
     block.  The results are indexed by class id, as the labels are."""
     order = np.argsort(labels, kind="stable")
     return class_ncut_escape([w[np.ix_(order, order)]], labels[order])
+
+
+def joined(blocks, n):
+    """The symmetric (..., n, n) array whose consecutive upper trapezoids
+    these are: the one of rows lo:hi holds columns lo:n (lo = n - columns),
+    and the cells below it are the transpose of its columns past hi."""
+    whole = None
+    for block in blocks:
+        rows, lo = block.shape[-2], n - block.shape[-1]
+        if whole is None:
+            whole = np.empty(block.shape[:-2] + (n, n), dtype=block.dtype)
+        whole[..., lo:lo + rows, lo:] = block
+        whole[..., lo + rows:, lo:lo + rows] = block[..., rows:].swapaxes(-1, -2)
+    return whole
 
 
 def stationary(w):

@@ -382,6 +382,29 @@ def test_graph_bytes_do_not_depend_on_blas_threads(workload_graph, tmp_path):
         assert digests["1", command] == digests["2", command], command
 
 
+def test_whole_graphs_above_512_rows_do_not_depend_on_blas_threads():
+    """`affinity` and the trainer's transition matrix at 601, 957 and 1,237
+    rows x 32 dims, each one product of the zero-padded unit rows, keep
+    their bytes on one and on two OpenBLAS threads.  Each run is a child
+    process, the only one whose environment sets the thread count."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = ("import hashlib, numpy as np\n"
+             "from sftlab.data import FeatureMatrix\n"
+             "from sftlab.transform import _transition_from_features, affinity\n"
+             "for n in (601, 957, 1237):\n"
+             "    x = np.random.default_rng(n).normal(size=(n, 32))\n"
+             "    for graph in (affinity(FeatureMatrix(x), 0.1), _transition_from_features(x, 0.1)[2]):\n"
+             "        print(n, hashlib.sha256(graph.tobytes()).hexdigest())\n")
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env,
+                              timeout=120, check=False)
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr
+        digests[threads] = done.stdout.decode().splitlines()
+    assert len(digests["1"]) == 6 and digests["1"] == digests["2"]
+
+
 @pytest.mark.parametrize("command", ["diagnose", "transform"])
 def test_graph_command_memory_is_linear_in_rows(graph_file, workload_graph, tmp_path, capsys, command):
     """Doubling the rows from 1,200 to 2,400 at most doubles the traced peak

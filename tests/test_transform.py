@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
-from reference import transition
+from reference import joined, transition
 from sftlab import cli
 from sftlab.data import DatasetManifest, FeatureMatrix, SampleRecord, load_features, save_features, save_manifest
 from sftlab.graphcut import class_ncut_escape, ncut_loss
@@ -15,9 +15,11 @@ from sftlab.transform import (
     ZeroNormRowError,
     _cosine_tiles,
     _cosine_backward,
+    _exp_cosines,
     _sft_backward,
     _transition_from_features,
     _unit_backward,
+    _unit_rows,
     affinity,
     affinity_tiles,
     cosine_between,
@@ -80,16 +82,18 @@ class TestAffinity:
 
 
 # (rows, dims) of graphs the package builds, from 51-node refine heads to
-# the 2,400-row diagnose graph; from 513 rows on a graph is built in upper
-# trapezoids, and 513 and 1237 are no multiple of their 16-row padding
+# the 2,400-row diagnose graph; from 513 rows on a graph is built from rows
+# zero-padded to a multiple of 16, which 513 and 1237 are not: whole for
+# affinity, in upper trapezoids for diagnose
 SYMMETRY_SHAPES = [(51, 16), (300, 7), (513, 16), (957, 32), (1237, 32), (2400, 32)]
 
 
 class TestBuiltGraphsAreSymmetric:
     """Every graph the package builds is exactly symmetric: the cosines are
-    numpy's symmetric product of the unit rows with themselves, or upper
-    trapezoids of a zero-padded product whose shapes are all multiples of
-    16 and their mirror, and the rest is elementwise.  The graph
+    numpy's symmetric product of the unit rows with themselves, or a
+    product of the zero-padded rows whose shapes are all multiples of 16,
+    whole or in upper trapezoids and their mirror, and the rest is
+    elementwise.  The graph
     diagnostics rely on this instead of checking each graph."""
 
     @pytest.mark.parametrize("n,d", SYMMETRY_SHAPES)
@@ -120,7 +124,8 @@ class TestBuiltGraphsAreSymmetric:
 
 class TestRowTiles:
     """A graph of more than 2**18 cells is built, and multiplied onto the
-    features, one upper trapezoid at a time."""
+    features, one upper trapezoid at a time, or as one padded product where
+    its caller needs it whole."""
 
     @pytest.mark.parametrize("n", [513, 1237, 2400, 4000])
     def test_trapezoids_cover_the_upper_triangle_once(self, n):
@@ -167,8 +172,27 @@ class TestRowTiles:
         np.testing.assert_allclose(got, (weights / weights.sum(axis=1, keepdims=True)) @ x, rtol=0, atol=1e-12)
         assert np.array_equal(got, sft_transform_array(x[None], 0.2)[0])
 
-    def test_whole_graphs_are_the_tiles_joined(self):
-        # 600 rows: two trapezoids, of 416 and 184 rows
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.integers(513, 1300), st.integers(1, 40), st.sampled_from([(), (2,)]), st.integers(0, 2**16))
+    @example(513, 7, (2,), 0)
+    @example(1237, 32, (), 1)
+    @example(1296, 40, (2,), 2)
+    def test_a_whole_graph_is_its_trapezoids_and_their_mirror(self, n, d, stack, seed):
+        # the whole graph that affinity, the transition and the ncut loss
+        # take, one product of the padded rows, has the bits of the
+        # trapezoids that transform and diagnose stream, joined with their
+        # mirror: the cosines, and the edge weights built on them in place
+        unit = _unit_rows(np.random.default_rng(seed).normal(size=stack + (n, d)))[1]
+        for kernel, args in ((_cosine_tiles, ()), (_exp_cosines, (0.1,))):
+            graph, = kernel(unit, *args, whole=True)
+            oracle = joined(kernel(unit, *args), n)
+            assert graph.shape == oracle.shape == stack + (n, n)
+            for s in np.ndindex(stack):
+                assert np.array_equal(graph[s], oracle[s])
+
+    def test_whole_transition_matches_affinity_and_the_streamed_transform(self):
+        # 600 rows: one whole graph for the transition and affinity, two
+        # trapezoids, of 416 and 184 rows, for the streamed transform
         x = np.random.default_rng(9).normal(size=(600, 8))
         trans = _transition_from_features(x, 0.3)[2]
         assert np.array_equal(trans, _transition_from_features(x[None], 0.3)[2][0])
